@@ -8,8 +8,8 @@ import numpy as np
 from .autodiff import Tensor
 from .config import Config, make_rng
 from .encoder import (EncoderParams, LocalFeatureMap, QueryObservation,
-                      encode_lidar_local, encode_query, encode_query_tape)
-from .projection import RangeImage, SemanticImage
+                      encode_query, encode_query_tape)
+from .projection import SemanticImage
 
 DEFAULT_CLUSTERS = 8
 
@@ -144,8 +144,3 @@ def describe_lidar_tape(fmap: LocalFeatureMap, vlad_t: dict) -> Tensor:
     valid = fmap.values.reshape(-1, fmap.channels)[fmap.mask.reshape(-1)]
     return netvlad_tape(Tensor(valid), vlad_t["centroids"], vlad_t["assign_w"],
                         vlad_t["assign_b"], vlad_t["proj"].data)
-
-
-def describe_viewpoint(rng_img: RangeImage, sem_img: SemanticImage,
-                       vlad: NetVladParams, cfg: Config) -> GlobalDescriptor:
-    return netvlad(encode_lidar_local(rng_img, sem_img, cfg), vlad)

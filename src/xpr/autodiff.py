@@ -167,27 +167,6 @@ class Tensor:
         out._backward = bw
         return out
 
-    def exp(self):
-        y = np.exp(self.data)
-        out = Tensor(y, _prev=(self,))
-
-        def bw(g):
-            if self.requires_grad:
-                self.grad += g * y
-
-        out._backward = bw
-        return out
-
-    def log(self):
-        out = Tensor(np.log(self.data), _prev=(self,))
-
-        def bw(g):
-            if self.requires_grad:
-                self.grad += g / self.data
-
-        out._backward = bw
-        return out
-
     def relu(self):
         mask = self.data > 0.0
         out = Tensor(np.where(mask, self.data, 0.0), _prev=(self,))

@@ -17,12 +17,12 @@ from .aggregation import describe_query, netvlad
 from .config import Config, config_to_json, make_rng, validate_config, with_overrides
 from .encoder import encode_lidar_local
 from .io_datasets import (FormatError, QueryRecord, load_checkpoint,
-                          load_dataset, load_index, save_checkpoint,
-                          save_dataset, save_index)
+                          load_dataset, load_dataset_config, load_index,
+                          save_checkpoint, save_dataset, save_index)
 from .losses import TrainingDiverged, train
-from .matching import match_query
+from .matching import match_query, rank_of_truth, recall_from_ranks
 from .model import init_model_params
-from .pipeline import build_index, training_set
+from .pipeline import build_index, match_dataset_queries, training_set
 from .projection import project_spherical
 from .selfcheck import run_all
 from .viewpoints import render_viewpoint
@@ -66,7 +66,6 @@ def write_manifest(out_path: str, command: str, cfg: Config, inputs: dict,
         "inputs": inputs,
         "seed": cfg.seed,
         "artifact_version": ARTIFACT_VERSION,
-        "threads": os.environ.get("XPR_THREADS", "0"),
         "timings_ms": timings_ms,
         "outputs": outputs,
     }
@@ -151,39 +150,24 @@ def _load_queries(path: str) -> list:
             for n in sorted(os.listdir(path)) if n.endswith(".qry")]
 
 
-def _rank_of_truth(result, index, gt_position, cfg) -> int:
-    pos = dict(index.places)
-    for rank, (pid, _) in enumerate(result.ranked, start=1):
-        d = np.asarray(pos[pid])[:2] - np.asarray(gt_position)[:2]
-        if float(np.hypot(d[0], d[1])) <= cfg.match_threshold_m:
-            return rank
-    return 0
-
-
 def cmd_match(args) -> int:
     index = load_index(args.index)
     cfg = index.config
     params, cfg = _load_params(args.ckpt, cfg)
     queries = _load_queries(args.queries)
-    context = index.mean_histogram()
     t0 = time.perf_counter()
-    rows = []
-    for q in queries:
-        desc, pred = describe_query(q.obs, params.enc, params.att,
-                                    params.vlad, context)
-        res = match_query(desc, pred, index, cfg, query_id=q.query_id)
-        rows.append((q.query_id, res.best_place_id, res.best_viewpoint,
-                     res.score, res.phi, res.psi,
-                     _rank_of_truth(res, index, q.gt_position, cfg)))
+    results = match_dataset_queries(queries, index, params, cfg)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     with output_lock(out_dir):
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["query_id", "best_place", "best_k", "sim", "phi",
                         "psi", "rank_of_truth"])
-            for r in rows:
-                w.writerow([r[0], r[1], r[2], repr(float(r[3])),
-                            repr(float(r[4])), repr(float(r[5])), r[6]])
+            for q, res in zip(queries, results):
+                w.writerow([res.query_id, res.best_place_id,
+                            res.best_viewpoint, repr(float(res.score)),
+                            repr(float(res.phi)), repr(float(res.psi)),
+                            rank_of_truth(res, index, q.gt_position, cfg)])
         write_manifest(args.out, "match", cfg,
                        {"index": args.index, "queries": args.queries,
                         "ckpt": args.ckpt},
@@ -225,19 +209,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = load_dataset(args.data)
-    cfg = dataset.config
+    cfg, _meta = load_dataset_config(args.data)
     with open(args.results, "r", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     ks = [int(v) for v in args.k.split(",")]
     ranks = [int(r["rank_of_truth"]) for r in rows]
-    table = []
-    for k in ks:
-        if rows:
-            recall = 100.0 * sum(1 for r in ranks if 0 < r <= k) / len(rows)
-        else:
-            recall = 0.0
-        table.append((k, recall))
+    table = [(k, recall_from_ranks(ranks, k)) for k in ks]
     out = args.out or os.path.splitext(args.results)[0] + "_recall.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -304,17 +281,11 @@ def cmd_bench(args) -> int:
             rng_img, sem_img = render_viewpoint(cloud, pose, cfg)
             netvlad(encode_lidar_local(rng_img, sem_img, cfg), params.vlad)
             timings["viewpoint_describe"].append((time.perf_counter() - t0) * 1e3)
-        # kernel backend comparison on the projection hot loop
-        for name, fill in (("project_numba", kernels.fill_grid_numba),
-                           ("project_numpy", kernels.fill_grid_numpy)):
-            if fill is None:
-                continue
-            samples = []
-            for _ in range(min(args.repeat, 50)):
-                t0 = time.perf_counter()
-                _bench_projection(cloud, pose, cfg, fill)
-                samples.append((time.perf_counter() - t0) * 1e3)
-            timings[name] = samples
+        timings["project"] = []
+        for _ in range(min(args.repeat, 50)):
+            t0 = time.perf_counter()
+            project_spherical(cloud, pose, cfg)
+            timings["project"].append((time.perf_counter() - t0) * 1e3)
 
     rows = [(stage, *_stats(vals)) for stage, vals in timings.items()]
     out = args.out or "bench.csv"
@@ -331,15 +302,6 @@ def cmd_bench(args) -> int:
                     "repeat": args.repeat, "backend": kernels.backend_name()},
                    [out], {stage: mean for stage, mean, _md, _p in rows})
     return EXIT_OK
-
-
-def _bench_projection(cloud, pose, cfg, fill):
-    saved = kernels.fill_grid
-    kernels.fill_grid = fill
-    try:
-        project_spherical(cloud, pose, cfg)
-    finally:
-        kernels.fill_grid = saved
 
 
 # --------------------------------------------------------------- arg parsing
@@ -402,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--queries", required=True)
     s.add_argument("--ckpt", default=None)
     s.add_argument("--data", default=None,
-                   help="dataset dir; enables viewpoint and kernel timings")
+                   help="dataset dir; enables viewpoint and projection timings")
     s.add_argument("--repeat", type=int, default=1000)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_bench)

@@ -83,17 +83,6 @@ def config_from_json(text: str) -> Config:
     return validate_config(Config(**data))
 
 
-def save_config(cfg: Config, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_json(cfg))
-        fh.write("\n")
-
-
-def load_config(path) -> Config:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json(fh.read())
-
-
 def with_overrides(cfg: Config, **kw) -> Config:
     return validate_config(replace(cfg, **kw))
 

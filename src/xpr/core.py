@@ -44,10 +44,6 @@ class LabeledPointCloud:
         return self
 
 
-def empty_cloud() -> LabeledPointCloud:
-    return LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.uint16))
-
-
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform sensor->world: x_world = rotation @ x_sensor + translation."""
@@ -71,11 +67,6 @@ class Pose:
     def inverse(self) -> "Pose":
         rt = self.rotation.T
         return Pose(rt, -rt @ self.translation)
-
-    def compose(self, other: "Pose") -> "Pose":
-        """self ∘ other: apply other first, then self."""
-        return Pose(self.rotation @ other.rotation,
-                    self.rotation @ other.translation + self.translation)
 
     def transform(self, pts: np.ndarray) -> np.ndarray:
         return pts @ self.rotation.T + self.translation

@@ -33,6 +33,17 @@ class FormatError(ValueError):
     pass
 
 
+def _read_exact(fh, n: int, path) -> bytes:
+    """Read exactly n bytes or raise FormatError at the offset where the
+    file ends short."""
+    offset = fh.tell()
+    data = fh.read(n)
+    if len(data) != n:
+        raise FormatError(f"{path}: truncated at byte {offset + len(data)}, "
+                          f"expected {n} bytes from byte {offset}")
+    return data
+
+
 # ------------------------------------------------------------ point clouds
 
 def save_cloud_bin(path, cloud: LabeledPointCloud) -> None:
@@ -136,41 +147,33 @@ def save_index(path, index: MapIndex) -> None:
             fh.write(e.histogram.astype("<f8").tobytes())
 
 
-def index_file_size(n_places: int, n_entries: int, rows: int, cols: int,
-                    cfg: Config) -> int:
-    """Closed-form size of an index file, for integrity checks."""
-    cfg_len = len(config_to_json(cfg).encode())
-    header = 8 + 6 + cfg_len + 12
-    per_place = 4 + 24
-    per_entry = 6 + 96 + 1 + 4 * cfg.descriptor_dim + rows * cols \
-        + 8 * cfg.n_classes
-    return header + n_places * per_place + n_entries * per_entry
-
-
 def load_index(path) -> MapIndex:
     with open(path, "rb") as fh:
-        magic = fh.read(8)
+        magic = _read_exact(fh, 8, path)
         if magic != INDEX_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-        version, cfg_len = struct.unpack("<HI", fh.read(6))
+        version, cfg_len = struct.unpack("<HI", _read_exact(fh, 6, path))
         if version != 1:
             raise FormatError(f"{path}: unsupported index version {version}")
-        cfg = config_from_json(fh.read(cfg_len).decode())
-        n_places, n_entries, rows, cols = struct.unpack("<IIHH", fh.read(12))
+        cfg = config_from_json(_read_exact(fh, cfg_len, path).decode())
+        n_places, n_entries, rows, cols = struct.unpack(
+            "<IIHH", _read_exact(fh, 12, path))
         places = []
         for _ in range(n_places):
-            pid, x, y, z = struct.unpack("<I3d", fh.read(28))
+            pid, x, y, z = struct.unpack("<I3d", _read_exact(fh, 28, path))
             places.append((pid, np.array([x, y, z])))
         entries = []
         for _ in range(n_entries):
-            pid, k = struct.unpack("<IH", fh.read(6))
-            m = np.frombuffer(fh.read(96), dtype="<f8").reshape(3, 4)
-            flagged = struct.unpack("<B", fh.read(1))[0] != 0
-            desc = np.frombuffer(fh.read(4 * cfg.descriptor_dim),
+            pid, k = struct.unpack("<IH", _read_exact(fh, 6, path))
+            m = np.frombuffer(_read_exact(fh, 96, path),
+                              dtype="<f8").reshape(3, 4)
+            flagged = _read_exact(fh, 1, path)[0] != 0
+            desc = np.frombuffer(_read_exact(fh, 4 * cfg.descriptor_dim, path),
                                  dtype="<f4").astype(np.float64)
-            labels = np.frombuffer(fh.read(rows * cols),
+            labels = np.frombuffer(_read_exact(fh, rows * cols, path),
                                    dtype=np.uint8).reshape(rows, cols)
-            hist = np.frombuffer(fh.read(8 * cfg.n_classes), dtype="<f8").copy()
+            hist = np.frombuffer(_read_exact(fh, 8 * cfg.n_classes, path),
+                                 dtype="<f8").copy()
             entries.append(IndexEntry(
                 pid, k, Pose(m[:, :3].copy(), m[:, 3].copy()),
                 GlobalDescriptor(desc, flagged),
@@ -203,22 +206,22 @@ def save_checkpoint(path, params: ModelParams, cfg: Config) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, Config]:
     with open(path, "rb") as fh:
-        magic = fh.read(8)
+        magic = _read_exact(fh, 8, path)
         if magic != CKPT_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-        version, cfg_len = struct.unpack("<HI", fh.read(6))
+        version, cfg_len = struct.unpack("<HI", _read_exact(fh, 6, path))
         if version != 1:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        cfg = config_from_json(fh.read(cfg_len).decode())
-        (n_tensors,) = struct.unpack("<I", fh.read(4))
+        cfg = config_from_json(_read_exact(fh, cfg_len, path).decode())
+        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, path))
         tensors = {}
         for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path))
+            name = _read_exact(fh, name_len, path).decode()
+            ndim = _read_exact(fh, 1, path)[0]
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path))
             count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(fh.read(4 * count), dtype="<f4")
+            arr = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4")
             tensors[name] = arr.astype(np.float64).reshape(shape)
     return ModelParams.from_tensors(tensors), cfg
 
@@ -252,19 +255,20 @@ class QueryRecord:
 
 def load_query(path) -> QueryRecord:
     with open(path, "rb") as fh:
-        magic = fh.read(8)
+        magic = _read_exact(fh, 8, path)
         if magic != QUERY_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-        version, qid, pid = struct.unpack("<HII", fh.read(10))
+        version, qid, pid = struct.unpack("<HII", _read_exact(fh, 10, path))
         if version != 1:
             raise FormatError(f"{path}: unsupported query version {version}")
-        heading, noise = struct.unpack("<2d", fh.read(16))
-        gt = np.array(struct.unpack("<3d", fh.read(24)))
-        h, w, c = struct.unpack("<HHH", fh.read(6))
-        raw = np.frombuffer(fh.read(4 * h * w * c),
+        heading, noise = struct.unpack("<2d", _read_exact(fh, 16, path))
+        gt = np.array(struct.unpack("<3d", _read_exact(fh, 24, path)))
+        h, w, c = struct.unpack("<HHH", _read_exact(fh, 6, path))
+        raw = np.frombuffer(_read_exact(fh, 4 * h * w * c, path),
                             dtype="<f4").astype(np.float64).reshape(h, w, c)
-        mask = np.frombuffer(fh.read(h * w), dtype=np.uint8).reshape(h, w) != 0
-        labels = np.frombuffer(fh.read(2 * h * w),
+        mask = np.frombuffer(_read_exact(fh, h * w, path),
+                             dtype=np.uint8).reshape(h, w) != 0
+        labels = np.frombuffer(_read_exact(fh, 2 * h * w, path),
                                dtype="<u2").astype(np.uint16).reshape(h, w)
     obs = QueryObservation(raw, mask, SemanticImage(labels))
     return QueryRecord(qid, pid, heading, noise, gt, obs)
@@ -313,10 +317,15 @@ def save_dataset(root, cfg: Config, places, clouds, poses, queries,
         fh.write("\n")
 
 
-def load_dataset(root) -> Dataset:
+def load_dataset_config(root) -> tuple[Config, dict]:
+    """The dataset's config and its parsed meta.json, reading nothing else."""
     with open(os.path.join(root, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    cfg = config_from_json(json.dumps(meta["config"]))
+    return config_from_json(json.dumps(meta["config"])), meta
+
+
+def load_dataset(root) -> Dataset:
+    cfg, meta = load_dataset_config(root)
     class_map = {int(k): int(v) for k, v in meta["class_map"].items()}
     places = [(int(pid), np.array(pos)) for pid, pos in meta["places"]]
     poses = load_poses(os.path.join(root, "poses.txt"))

@@ -10,7 +10,7 @@ import numpy as np
 from .aggregation import describe_lidar_tape, describe_query_tape
 from .autodiff import Tensor, stack
 from .config import Config, make_rng
-from .encoder import LocalFeatureMap, QueryObservation
+from .encoder import QueryObservation
 from .model import ModelParams, TRAINABLE
 from .projection import SemanticImage
 
@@ -160,22 +160,6 @@ def segmentation_loss(logit_grid: np.ndarray, gt: SemanticImage
     else:
         grad = np.zeros_like(logit_grid)
     return float(loss.data), grad
-
-
-def feature_class_means(fmap: LocalFeatureMap, labels: np.ndarray,
-                        cfg: Config) -> SemanticFeatureSet:
-    """Masked per-class mean vectors of a feature map (numpy, no tape)."""
-    flat = fmap.values.reshape(-1, fmap.channels)
-    lab = labels.reshape(-1)
-    mask = fmap.mask.reshape(-1)
-    means = np.zeros((cfg.n_classes, fmap.channels))
-    present = np.zeros(cfg.n_classes, dtype=bool)
-    for c in range(1, cfg.n_classes):
-        idx = np.flatnonzero(mask & (lab == c))
-        if idx.size:
-            means[c] = flat[idx].mean(axis=0)
-            present[c] = True
-    return SemanticFeatureSet(means, present)
 
 
 def total_loss(batch: TrainBatch, params: ModelParams, cfg: Config) -> LossReport:

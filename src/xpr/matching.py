@@ -124,19 +124,29 @@ def match_query(q_desc: GlobalDescriptor, q_sem: SemanticImage,
                        [(pid, vals[0]) for pid, vals in ranked])
 
 
+def rank_of_truth(result: MatchResult, index: MapIndex, gt_position,
+                  cfg: Config) -> int:
+    """1-based rank of the first place within the match threshold of the
+    true position, 0 if no ranked place is."""
+    pos = dict(index.places)
+    truth = np.asarray(gt_position, dtype=np.float64)
+    for rank, (pid, _) in enumerate(result.ranked, start=1):
+        d = np.asarray(pos[pid], dtype=np.float64)[:2] - truth[:2]
+        if float(np.hypot(d[0], d[1])) <= cfg.match_threshold_m:
+            return rank
+    return 0
+
+
 def recall_at_k(results: list, index: MapIndex, gt_positions: list,
                 k: int, cfg: Config) -> float:
     """Percentage of queries with a within-threshold place in their top-k."""
-    pos = {pid: np.asarray(p, dtype=np.float64) for pid, p in index.places}
-    gt = {qid: np.asarray(p, dtype=np.float64) for qid, p in gt_positions}
-    if not results:
+    gt = dict(gt_positions)
+    return recall_from_ranks([rank_of_truth(res, index, gt[res.query_id], cfg)
+                              for res in results], k)
+
+
+def recall_from_ranks(ranks: list, k: int) -> float:
+    """Percentage of rank-of-truth values in 1..k; 0 for no queries."""
+    if not ranks:
         return 0.0
-    correct = 0
-    for res in results:
-        truth = gt[res.query_id]
-        for pid, _ in res.ranked[:k]:
-            d = pos[pid][:2] - truth[:2]
-            if float(np.hypot(d[0], d[1])) <= cfg.match_threshold_m:
-                correct += 1
-                break
-    return 100.0 * correct / len(results)
+    return 100.0 * sum(1 for r in ranks if 0 < r <= k) / len(ranks)

@@ -64,8 +64,6 @@ def test_matmul_vec_cases():
 def test_nonlinearities():
     check(lambda a: a.tanh().sum(), (3, 3))
     check(lambda a: a.sigmoid().sum(), (7,))
-    check(lambda a: a.exp().sum(), (4,))
-    check(lambda a: a.log().sum(), (4,), low=0.2, high=3.0)
     check(lambda a: a.relu().sum(), (6, 2))
 
 

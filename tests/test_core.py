@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xpr.config import Config, make_rng
-from xpr.core import (LabeledPointCloud, Pose, canonical_heading, empty_cloud,
+from xpr.core import (LabeledPointCloud, Pose, canonical_heading,
                       identity_pose, yaw_pose, yaw_rotation)
 
 CFG = Config()
@@ -44,31 +44,12 @@ def test_cloud_validate_intensity_length():
         cloud.validate(CFG)
 
 
-def test_empty_cloud():
-    assert empty_cloud().count == 0
-    assert empty_cloud().validate(CFG).count == 0
-
-
 def test_pose_inverse_round_trip():
     rng = make_rng(2, 1)
     pose = yaw_pose(1.3, rng.normal(size=3))
     pts = rng.normal(size=(20, 3))
     back = pose.inverse().transform(pose.transform(pts))
     assert np.abs(back - pts).max() < 1e-12
-    comp = pose.compose(pose.inverse())
-    assert np.abs(comp.rotation - np.eye(3)).max() < 1e-15
-    assert np.abs(comp.translation).max() < 1e-12
-
-
-def test_pose_compose_order():
-    # compose applies the right operand first
-    a = yaw_pose(math.pi / 2)
-    b = Pose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-    p = np.array([[0.0, 0.0, 0.0]])
-    out = a.compose(b).transform(p)
-    assert np.allclose(out, [[0.0, 1.0, 0.0]], atol=1e-15)
-    out2 = b.compose(a).transform(p)
-    assert np.allclose(out2, [[1.0, 0.0, 0.0]], atol=1e-15)
 
 
 def test_pose_validate_rejects_non_rotation():

@@ -9,8 +9,7 @@ from xpr.aggregation import GlobalDescriptor
 from xpr.config import Config, make_rng
 from xpr.core import LabeledPointCloud, Pose, identity_pose, yaw_rotation
 from xpr.encoder import QUERY_CHANNELS, QueryObservation
-from xpr.io_datasets import (FormatError, QueryRecord, index_file_size,
-                             load_checkpoint, load_cloud_bin, load_dataset,
+from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint, load_cloud_bin, load_dataset,
                              load_index, load_labels, load_poses, load_query,
                              save_checkpoint, save_cloud_bin, save_dataset,
                              save_index, save_labels, save_poses, save_query)
@@ -151,16 +150,6 @@ def test_index_round_trip(tmp_path):
         assert np.array_equal(a.pose.translation, b.pose.translation)
     for (pa, xa), (pb, xb) in zip(idx.places, back.places):
         assert pa == pb and np.array_equal(xa, xb)
-
-
-def test_index_file_size_formula(tmp_path):
-    cfg = Config(n_viewpoints=2, descriptor_dim=16)
-    idx = make_index(6, cfg, n_places=3)
-    path = tmp_path / "map.idx"
-    save_index(path, idx)
-    rows, cols = idx.entries[0].sem_image.labels.shape
-    assert os.path.getsize(path) == index_file_size(
-        3, len(idx.entries), rows, cols, cfg)
 
 
 def test_index_bad_magic(tmp_path):

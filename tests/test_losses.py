@@ -7,8 +7,7 @@ import pytest
 from xpr.config import Config, make_rng
 from xpr.encoder import (QUERY_CHANNELS, LocalFeatureMap, QueryObservation)
 from xpr.losses import (SemanticFeatureSet, TrainBatch, TrainSample,
-                        contrastive_loss, feature_class_means,
-                        nearest_viewpoint, segmentation_loss,
+                        contrastive_loss, nearest_viewpoint, segmentation_loss,
                         semantic_consistency_loss, total_loss, train)
 from xpr.model import TRAINABLE, init_model_params
 from xpr.projection import SemanticImage
@@ -192,23 +191,6 @@ def test_segmentation_gradients_fd():
     gt = SemanticImage(rng.integers(0, 5, (2, 3)).astype(np.uint16))
     _, grad = segmentation_loss(logits, gt)
     fd_check(lambda arrs: segmentation_loss(arrs[0], gt)[0], [logits], [grad])
-
-
-def test_feature_class_means_oracle():
-    cfg = Config(n_classes=4)
-    rng = make_rng(5, 1)
-    values = rng.normal(size=(3, 4, cfg.feature_dim))
-    mask = rng.random((3, 4)) < 0.7
-    values[~mask] = 0.0
-    labels = rng.integers(0, 4, (3, 4)).astype(np.uint16)
-    got = feature_class_means(LocalFeatureMap(values, mask), labels, cfg)
-    for c in range(1, 4):
-        sel = mask & (labels == c)
-        assert got.present[c] == bool(sel.any())
-        if sel.any():
-            assert np.allclose(got.means[c], values[sel].mean(axis=0), atol=1e-12)
-        else:
-            assert not got.means[c].any()
 
 
 def test_nearest_viewpoint_rounding():

@@ -188,22 +188,79 @@ def test_semantic_histogram_empty_uniform():
     assert np.allclose(hist[1:], 1.0 / 7.0)
 
 
-@pytest.mark.skipif(kernels.fill_grid_numba is None, reason="numba unavailable")
-def test_kernel_backends_bit_equal():
+def _fill_grid_reference(rows, cols, ranges, labels, h, w):
+    """Scalar scatter-min: the nearest point wins, ties go to the lower index."""
+    depth = np.zeros((h, w), dtype=np.float64)
+    label = np.zeros((h, w), dtype=np.uint16)
+    winner = np.full((h, w), -1, dtype=np.int64)
+    for i in range(rows.shape[0]):
+        r, c, rng = rows[i], cols[i], ranges[i]
+        j = winner[r, c]
+        if j < 0 or rng < depth[r, c] or (rng == depth[r, c] and i < j):
+            depth[r, c] = rng
+            label[r, c] = labels[i]
+            winner[r, c] = i
+    return depth, label
+
+
+def _normals_reference(depth, cos_az, sin_az, cos_el, sin_el):
+    """Scalar per-cell normals from the right/down neighbours, oriented
+    toward the sensor, falling back to the radial direction."""
+    h, w = depth.shape
+    normals = np.zeros((h, w, 3), dtype=np.float64)
+    for r in range(h):
+        for c in range(w):
+            d = depth[r, c]
+            if d == 0.0:
+                continue
+            px = d * cos_el[r] * cos_az[c]
+            py = d * cos_el[r] * sin_az[c]
+            pz = d * sin_el[r]
+            ok = False
+            if c + 1 < w and r + 1 < h:
+                dr = depth[r, c + 1]
+                dd = depth[r + 1, c]
+                if dr > 0.0 and dd > 0.0:
+                    ax = dr * cos_el[r] * cos_az[c + 1] - px
+                    ay = dr * cos_el[r] * sin_az[c + 1] - py
+                    az = dr * sin_el[r] - pz
+                    bx = dd * cos_el[r + 1] * cos_az[c] - px
+                    by = dd * cos_el[r + 1] * sin_az[c] - py
+                    bz = dd * sin_el[r + 1] - pz
+                    nx = ay * bz - az * by
+                    ny = az * bx - ax * bz
+                    nz = ax * by - ay * bx
+                    nn = np.sqrt(nx * nx + ny * ny + nz * nz)
+                    if nn > 1e-12:
+                        nx, ny, nz = nx / nn, ny / nn, nz / nn
+                        if nx * px + ny * py + nz * pz > 0.0:
+                            nx, ny, nz = -nx, -ny, -nz
+                        normals[r, c] = (nx, ny, nz)
+                        ok = True
+            if not ok:
+                normals[r, c] = (-px / d, -py / d, -pz / d)
+    return normals
+
+
+def test_kernels_match_scalar_reference():
     rng = make_rng(100, 1)
     n = 5000
     rows = rng.integers(0, 16, n)
     cols = rng.integers(0, 180, n)
     ranges = rng.uniform(1, 50, n)
     labels = rng.integers(0, 8, n).astype(np.uint16)
-    d0, l0 = kernels.fill_grid_numba(rows, cols, ranges, labels, 16, 180)
-    d1, l1 = kernels.fill_grid_numpy(rows, cols, ranges, labels, 16, 180)
-    assert np.array_equal(d0, d1) and np.array_equal(l0, l1)
+    # floored ranges tie within cells, so the lower-index tie-break counts
+    for rs in (ranges, np.floor(ranges)):
+        d0, l0 = _fill_grid_reference(rows, cols, rs, labels, 16, 180)
+        d1, l1 = kernels.fill_grid(rows, cols, rs, labels, 16, 180)
+        assert np.array_equal(d0, d1) and np.array_equal(l0, l1)
 
-    depth = d0
+    depth, _ = kernels.fill_grid(rows, cols, ranges, labels, 16, 180)
     az = np.linspace(-3, 3, 180)
     el = np.linspace(-0.4, 0.03, 16)
-    args = (depth, np.cos(az), np.sin(az), np.cos(el), np.sin(el))
-    n0 = kernels.compute_normals_numba(*args)
-    n1 = kernels.compute_normals_numpy(*args)
-    assert np.array_equal(n0, n1)
+    trig = (np.cos(az), np.sin(az), np.cos(el), np.sin(el))
+    holed = depth.copy()
+    holed[rng.uniform(size=holed.shape) < 0.3] = 0.0  # exercises the fallback
+    for d in (depth, holed):
+        assert np.array_equal(_normals_reference(d, *trig),
+                              kernels.compute_normals(d, *trig))
