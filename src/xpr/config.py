@@ -41,6 +41,8 @@ def validate_config(cfg: Config) -> Config:
     naming the first offending field."""
     if cfg.n_classes < 2:
         raise ConfigError("n_classes must be >= 2 (class 0 is reserved for void)")
+    if cfg.n_classes > 256:
+        raise ConfigError("n_classes must be <= 256 (labels are stored as uint8)")
     if cfg.descriptor_dim < 1:
         raise ConfigError("descriptor_dim must be positive")
     if cfg.n_viewpoints < 1:

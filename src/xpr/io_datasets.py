@@ -44,6 +44,14 @@ def _read_exact(fh, n: int, path) -> bytes:
     return data
 
 
+def _expect_end(fh, path) -> None:
+    """Raise FormatError at the offset of the first byte after the last
+    record, if there is one."""
+    offset = fh.tell()
+    if fh.read(1):
+        raise FormatError(f"{path}: trailing bytes from byte {offset}")
+
+
 # ------------------------------------------------------------ point clouds
 
 def save_cloud_bin(path, cloud: LabeledPointCloud) -> None:
@@ -178,9 +186,7 @@ def load_index(path) -> MapIndex:
                 pid, k, Pose(m[:, :3].copy(), m[:, 3].copy()),
                 GlobalDescriptor(desc, flagged),
                 SemanticImage(labels.astype(np.uint16)), hist))
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError(f"{path}: trailing bytes after last entry")
+        _expect_end(fh, path)
     return MapIndex(entries, places, cfg).validate()
 
 
@@ -223,6 +229,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Config]:
             count = int(np.prod(shape)) if ndim else 1
             arr = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4")
             tensors[name] = arr.astype(np.float64).reshape(shape)
+        _expect_end(fh, path)
     return ModelParams.from_tensors(tensors), cfg
 
 
@@ -270,6 +277,7 @@ def load_query(path) -> QueryRecord:
                              dtype=np.uint8).reshape(h, w) != 0
         labels = np.frombuffer(_read_exact(fh, 2 * h * w, path),
                                dtype="<u2").astype(np.uint16).reshape(h, w)
+        _expect_end(fh, path)
     obs = QueryObservation(raw, mask, SemanticImage(labels))
     return QueryRecord(qid, pid, heading, noise, gt, obs)
 

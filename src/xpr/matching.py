@@ -1,4 +1,4 @@
-"""Hybrid geometric+semantic similarity, multi-view matching, Recall@K."""
+"""Columnar hybrid geometric+semantic scorer, place ranking, Recall@K."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -21,11 +21,24 @@ class IndexEntry:
     histogram: np.ndarray
 
 
+@dataclass(frozen=True)
+class IndexColumns:
+    """The index as stacked arrays, one row per entry in `entries` order."""
+    place_id: np.ndarray      # (E,) int64
+    viewpoint: np.ndarray     # (E,) int64
+    descriptors: np.ndarray   # (E, D) float64; a flagged row is all zeros
+    windows: np.ndarray       # (E, H*w) uint8 frontal-window labels
+    counts: np.ndarray        # (E, 256) int64 cells of each label per window
+
+
 @dataclass
 class MapIndex:
     entries: list                 # IndexEntry, grouped by place, k ascending
     places: list                  # (place_id, (x, y, z) world position)
     config: Config
+    # IndexColumns per query label shape, built on first match; entries must
+    # not change after that
+    _columns: dict = field(default_factory=dict, repr=False, compare=False)
 
     def validate(self) -> "MapIndex":
         ids = {pid for pid, _ in self.places}
@@ -45,6 +58,20 @@ class MapIndex:
         h = np.mean([e.histogram for e in self.entries], axis=0)
         return h / h.sum()
 
+    def columns(self, query_shape: tuple) -> IndexColumns:
+        """The entries as IndexColumns, windows cropped for query_shape."""
+        cols = self._columns.get(query_shape)
+        if cols is None:
+            windows = _windows([e.sem_image for e in self.entries], query_shape)
+            cols = IndexColumns(
+                np.array([e.place_id for e in self.entries], dtype=np.int64),
+                np.array([e.viewpoint for e in self.entries], dtype=np.int64),
+                np.array([e.descriptor.values for e in self.entries],
+                         dtype=np.float64),
+                windows, _label_counts(windows))
+            self._columns[query_shape] = cols
+        return cols
+
 
 @dataclass
 class MatchResult:
@@ -57,11 +84,62 @@ class MatchResult:
     ranked: list = field(default_factory=list)  # (place_id, best score) desc
 
 
+def _windows(cand_sems: list, query_shape: tuple) -> np.ndarray:
+    """Each candidate's labels over the query's cells, flattened, as uint8.
+
+    A candidate wider than the query (a 360-degree image) is cropped to its
+    90-degree frustum window, which must then be as wide as the query.
+    """
+    out = np.empty((len(cand_sems), query_shape[0] * query_shape[1]),
+                   dtype=np.uint8)
+    for i, sem in enumerate(cand_sems):
+        c = sem.labels
+        if c.shape[1] != query_shape[1]:
+            c0, width = frustum_window(c.shape[1])
+            if width != query_shape[1]:
+                raise ValueError("query width does not match the frustum window")
+            c = c[:, c0:c0 + width]
+        if c.shape != query_shape:
+            raise ValueError("row counts differ")
+        out[i] = c.ravel()
+    return out
+
+
+def _label_counts(windows: np.ndarray) -> np.ndarray:
+    """(E, 256) cells of each uint8 label value per window row."""
+    rows = np.arange(len(windows))[:, None] * 256
+    return np.bincount((rows + windows).ravel(),
+                       minlength=256 * len(windows)).reshape(-1, 256)
+
+
+def _overlaps(q: np.ndarray, windows: np.ndarray, counts: np.ndarray,
+              n_classes: int) -> np.ndarray:
+    """Mean per-class IoU of the query labels against every window row.
+
+    Classes 1..n_classes-1 present in the query or a window contribute an
+    IoU term over all window cells, summed in ascending class order. A row
+    with no co-visible labeled cell has no intersection in any class, so it
+    scores exactly 0.0 without a separate test.
+    """
+    q = q.ravel()
+    onehot = (q[:, None] == np.arange(n_classes)).astype(np.float32)
+    # exact integer counts: a float32 sum of ones is exact below 2**24 cells
+    inter = ((windows == q).astype(np.float32) @ onehot).astype(np.int64)
+    union = onehot.sum(axis=0).astype(np.int64) + counts[:, :n_classes] - inter
+    total = np.zeros(len(windows))
+    n_cls = np.zeros(len(windows), dtype=np.int64)
+    for cls in range(1, n_classes):
+        present = union[:, cls] > 0
+        total += np.where(present, inter[:, cls] / np.maximum(union[:, cls], 1),
+                          0.0)
+        n_cls += present
+    return total / np.maximum(n_cls, 1)
+
+
 def geometric_similarity(a: GlobalDescriptor, b: GlobalDescriptor) -> float:
-    """Cosine similarity of unit descriptors."""
-    if a.flagged or b.flagged:
-        raise ValueError("flagged zero descriptor has no direction")
-    return float(a.values @ b.values)
+    """Cosine similarity of unit descriptors; 0 against a flagged (all-zero)
+    descriptor."""
+    return float(np.vecdot(a.values, b.values))
 
 
 def semantic_overlap(query_sem: SemanticImage, cand_sem: SemanticImage,
@@ -73,55 +151,35 @@ def semantic_overlap(query_sem: SemanticImage, cand_sem: SemanticImage,
     an IoU term over all window cells. No co-visible labeled cells -> 0.
     """
     q = query_sem.labels
-    c = cand_sem.labels
-    if c.shape[1] != q.shape[1]:
-        c0, width = frustum_window(c.shape[1])
-        if width != q.shape[1]:
-            raise ValueError("query width does not match the frustum window")
-        c = c[:, c0:c0 + width]
-    if q.shape != c.shape:
-        raise ValueError("row counts differ")
-    if not np.any((q > 0) & (c > 0)):
-        return 0.0
-    total, n_cls = 0.0, 0
-    for cls in range(1, cfg.n_classes):
-        qc = q == cls
-        cc = c == cls
-        union = np.count_nonzero(qc | cc)
-        if union:
-            total += np.count_nonzero(qc & cc) / union
-            n_cls += 1
-    # np.count_nonzero gives numpy ints, so the sum is np.float64 until here
-    return float(total / n_cls) if n_cls else 0.0
-
-
-def hybrid_similarity(q_desc: GlobalDescriptor, q_sem: SemanticImage,
-                      entry: IndexEntry, cfg: Config) -> tuple[float, float, float]:
-    """alpha * phi + beta * psi along with the two components."""
-    phi = geometric_similarity(q_desc, entry.descriptor)
-    psi = semantic_overlap(q_sem, entry.sem_image, cfg)
-    return cfg.alpha * phi + cfg.beta * psi, phi, psi
+    windows = _windows([cand_sem], q.shape)
+    return float(_overlaps(q, windows, _label_counts(windows),
+                           cfg.n_classes)[0])
 
 
 def match_query(q_desc: GlobalDescriptor, q_sem: SemanticImage,
                 index: MapIndex, cfg: Config, query_id: int = 0) -> MatchResult:
-    """Rank places by the max hybrid score over their viewpoints.
+    """Rank places by the max hybrid score alpha * phi + beta * psi over
+    their viewpoints, scoring every entry in one pass.
 
     Ties break deterministically toward the smaller place id, then the
     smaller viewpoint index.
     """
     if not index.entries:
         raise ValueError("empty map index")
-    best: dict = {}
-    for e in index.entries:
-        sim, phi, psi = hybrid_similarity(q_desc, q_sem, e, cfg)
-        cur = best.get(e.place_id)
-        if cur is None or sim > cur[0] or (sim == cur[0] and e.viewpoint < cur[1]):
-            best[e.place_id] = (sim, e.viewpoint, phi, psi)
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1][0], kv[0]))
-    top_id, (top_sim, top_k, top_phi, top_psi) = ranked[0]
-    return MatchResult(query_id, top_id, top_k, top_sim, top_phi, top_psi,
-                       [(pid, vals[0]) for pid, vals in ranked])
+    cols = index.columns(q_sem.labels.shape)
+    phi = np.vecdot(cols.descriptors, q_desc.values)
+    psi = _overlaps(q_sem.labels, cols.windows, cols.counts, cfg.n_classes)
+    score = cfg.alpha * phi + cfg.beta * psi
+    # stable: of equal (place, score, viewpoint) rows the first entry wins
+    order = np.lexsort((cols.viewpoint, -score, cols.place_id))
+    pids = cols.place_id[order]
+    best = order[np.r_[True, pids[1:] != pids[:-1]]]
+    best = best[np.lexsort((cols.place_id[best], -score[best]))]
+    top = best[0]
+    return MatchResult(query_id, int(cols.place_id[top]),
+                       int(cols.viewpoint[top]), float(score[top]),
+                       float(phi[top]), float(psi[top]),
+                       [(int(cols.place_id[i]), float(score[i])) for i in best])
 
 
 def rank_of_truth(result: MatchResult, index: MapIndex, gt_position,

@@ -155,8 +155,9 @@ def test_missing_input_is_data_error(tmp_path):
                  str(tmp_path / "o.csv")]) == EXIT_DATA
 
 
-@pytest.mark.parametrize("kind", ["index", "query", "ckpt"])
-def test_truncated_artifact_is_data_error(workspace, tmp_path, capsys, kind):
+def artifact_copies(workspace, tmp_path):
+    """Private copies of the index, queries and a checkpoint, with the file
+    and loader of each artifact kind."""
     idx = str(tmp_path / "map.idx")
     shutil.copy(workspace["idx"], idx)
     queries = str(tmp_path / "queries")
@@ -164,11 +165,19 @@ def test_truncated_artifact_is_data_error(workspace, tmp_path, capsys, kind):
     ckpt = str(tmp_path / "model.ckpt")
     cfg = load_index(idx).config
     save_checkpoint(ckpt, init_model_params(cfg), cfg)
-    target, loader = {
+    args = ["match", "--index", idx, "--queries", queries, "--ckpt", ckpt,
+            "--out", str(tmp_path / "r.csv")]
+    return args, {
         "index": (idx, load_index),
         "query": (os.path.join(queries, sorted(os.listdir(queries))[0]),
                   load_query),
-        "ckpt": (ckpt, load_checkpoint)}[kind]
+        "ckpt": (ckpt, load_checkpoint)}
+
+
+@pytest.mark.parametrize("kind", ["index", "query", "ckpt"])
+def test_truncated_artifact_is_data_error(workspace, tmp_path, capsys, kind):
+    args, artifacts = artifact_copies(workspace, tmp_path)
+    target, loader = artifacts[kind]
     with open(target, "rb") as fh:
         data = fh.read()
     cut = len(data) // 2  # inside the bulk record of every format
@@ -177,10 +186,43 @@ def test_truncated_artifact_is_data_error(workspace, tmp_path, capsys, kind):
     with pytest.raises(FormatError, match=f"truncated at byte {cut},"):
         loader(target)
     capsys.readouterr()
-    assert main(["match", "--index", idx, "--queries", queries, "--ckpt",
-                 ckpt, "--out", str(tmp_path / "r.csv")]) == EXIT_DATA
+    assert main(args) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"truncated at byte {cut}," in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["index", "query", "ckpt"])
+def test_trailing_bytes_are_data_error(workspace, tmp_path, capsys, kind):
+    args, artifacts = artifact_copies(workspace, tmp_path)
+    target, loader = artifacts[kind]
+    end = os.path.getsize(target)
+    with open(target, "ab") as fh:
+        fh.write(b"junk")
+    with pytest.raises(FormatError, match=f"trailing bytes from byte {end}$"):
+        loader(target)
+    capsys.readouterr()
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"trailing bytes from byte {end}" in err and "Traceback" not in err
+
+
+def test_empty_world_scores_zero(tmp_path):
+    """Density 0 leaves every render and query empty, so every descriptor is
+    flagged (all zeros) and scores phi = 0 instead of failing."""
+    data, idx = str(tmp_path / "data"), str(tmp_path / "map.idx")
+    results = str(tmp_path / "results.csv")
+    assert main(["synth", "--places", "4", "--density", "0", "--seed", "1",
+                 "--out", data]) == EXIT_OK
+    assert main(["build-map", "--data", data, "--out", idx]) == EXIT_OK
+    assert all(e.descriptor.flagged for e in load_index(idx).entries)
+    assert main(["match", "--index", idx, "--queries", data,
+                 "--out", results]) == EXIT_OK
+    assert main(["eval", "--results", results, "--data", data,
+                 "--k", "1"]) == EXIT_OK
+    with open(results, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 8
+    assert all(r[c] == "0.0" for r in rows for c in ("sim", "phi", "psi"))
 
 
 def test_bench_writes_stage_csv(workspace, tmp_path):

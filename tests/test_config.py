@@ -38,6 +38,12 @@ def test_bad_loss_kind_rejected():
         validate_config(dataclasses.replace(Config(), loss_kind="nce"))
 
 
+def test_more_classes_than_uint8_labels_rejected():
+    assert validate_config(dataclasses.replace(Config(), n_classes=256))
+    with pytest.raises(ConfigError, match="n_classes must be <= 256"):
+        validate_config(dataclasses.replace(Config(), n_classes=257))
+
+
 def test_json_round_trip_bit_exact():
     cfg = dataclasses.replace(Config(), alpha=0.1 + 0.2, temperature=1e-3,
                               vfov_down=-24.799999999999997, seed=12345)

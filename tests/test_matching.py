@@ -5,9 +5,9 @@ from xpr.aggregation import GlobalDescriptor
 from xpr.config import Config, make_rng
 from xpr.core import identity_pose
 from xpr.matching import (IndexEntry, MapIndex, geometric_similarity,
-                          hybrid_similarity, match_query, recall_at_k,
-                          semantic_overlap)
+                          match_query, recall_at_k, semantic_overlap)
 from xpr.projection import SemanticImage, frustum_window
+from xpr.selfcheck import iou_reference
 
 CFG = Config()
 
@@ -29,29 +29,15 @@ def test_cosine_of_orthogonal_descriptors():
     assert geometric_similarity(a, unit([-1.0, 0.0, 0.0])) == -1.0
 
 
-def test_flagged_descriptor_rejected():
+def test_flagged_descriptor_scores_zero():
     zero = GlobalDescriptor(np.zeros(4), flagged=True)
-    with pytest.raises(ValueError, match="flagged"):
-        geometric_similarity(zero, unit([1, 0, 0, 0]))
+    assert geometric_similarity(zero, unit([1, 0, 0, 0])) == 0.0
+    assert geometric_similarity(unit([1, 0, 0, 0]), zero) == 0.0
 
 
 def test_frustum_window_quarter():
     c0, width = frustum_window(180)
     assert width == 45 and c0 == (180 - 45) // 2
-
-
-def iou_reference(q, c, n_classes):
-    """Per-class intersection/union loops, mirrors the documented example."""
-    if not ((q > 0) & (c > 0)).any():
-        return 0.0
-    total, n = 0.0, 0
-    for cls in range(1, n_classes):
-        inter = int(((q == cls) & (c == cls)).sum())
-        union = int(((q == cls) | (c == cls)).sum())
-        if union:
-            total += inter / union
-            n += 1
-    return total / n
 
 
 def test_overlap_identical_images():
@@ -125,14 +111,84 @@ def small_index(descs, sems, cfg):
 
 
 def test_hybrid_mixes_components():
-    cfg = Config(alpha=0.7, beta=0.3)
-    labels = np.ones((4, 45), dtype=np.uint16)
-    d = unit(make_rng(5, 1).normal(size=8))
-    entry = make_entry(0, 0, d, SemanticImage(labels))
-    sim, phi, psi = hybrid_similarity(d, SemanticImage(labels.copy()), entry, cfg)
-    assert phi == pytest.approx(1.0, abs=1e-12)
-    assert psi == 1.0
-    assert sim == pytest.approx(0.7 * phi + 0.3 * psi, abs=1e-12)
+    cfg = Config(alpha=0.7, beta=0.3, n_viewpoints=1)
+    rng = make_rng(5, 1)
+    q = rng.integers(1, 4, (4, 45)).astype(np.uint16)
+    c = q.copy()
+    c[:2] = 3  # psi strictly between 0 and 1
+    res = match_query(unit(rng.normal(size=8)), SemanticImage(q),
+                      small_index([[unit(rng.normal(size=8))]],
+                                  [[SemanticImage(c)]], cfg), cfg)
+    assert 0.0 < res.psi < 1.0 and res.phi != 0.0
+    assert res.psi == semantic_overlap(SemanticImage(q), SemanticImage(c), cfg)
+    assert res.score == 0.7 * res.phi + 0.3 * res.psi
+
+
+def scalar_match(q_desc, q_sem, entries, cfg):
+    """Per-entry loop: row dot product, scalar-loop IoU over the frontal
+    window, best viewpoint per place, ties to the smaller place id then
+    viewpoint. Returns (ranked, {place: (score, viewpoint, phi, psi)})."""
+    best = {}
+    for e in entries:
+        c = e.sem_image.labels
+        if c.shape[1] != q_sem.cols:
+            c0, width = frustum_window(c.shape[1])
+            c = c[:, c0:c0 + width]
+        phi = float(q_desc.values @ e.descriptor.values)
+        psi = iou_reference(q_sem.labels, c, cfg.n_classes)
+        sim = cfg.alpha * phi + cfg.beta * psi
+        cur = best.get(e.place_id)
+        if cur is None or sim > cur[0] or (sim == cur[0] and e.viewpoint < cur[1]):
+            best[e.place_id] = (sim, e.viewpoint, phi, psi)
+    ranked = sorted(best, key=lambda pid: (-best[pid][0], pid))
+    return [(pid, best[pid][0]) for pid in ranked], best
+
+
+def test_match_query_bit_equal_to_scalar_reference():
+    cfg = Config(n_viewpoints=4, descriptor_dim=16)
+    rows, full, width = 4, 48, frustum_window(48)[1]
+    n_ties = 0
+    for i in range(6):
+        rng = make_rng(7, i)
+        entries, places = [], []
+        for pid in range(8):
+            places.append((pid, np.zeros(3)))
+            for k in range(4):
+                if entries and rng.random() < 0.25:
+                    # a copy of the previous entry forces an exact score tie
+                    desc, sem = entries[-1].descriptor, entries[-1].sem_image
+                else:
+                    d = rng.normal(size=cfg.descriptor_dim)
+                    desc = GlobalDescriptor(d / np.linalg.norm(d))
+                    cols = full if rng.random() < 0.5 else width
+                    labels = rng.integers(0, cfg.n_classes, (rows, cols))
+                    labels[rng.random((rows, cols)) < 0.3] = 0
+                    sem = SemanticImage(labels.astype(np.uint16))
+                if pid == 3 and k == 1:
+                    desc = GlobalDescriptor(np.zeros(cfg.descriptor_dim),
+                                            flagged=True)
+                entries.append(make_entry(pid, k, desc, sem))
+        index = MapIndex(entries, places, cfg).validate()
+        for j in range(3):  # later queries reuse the cached columns
+            d = rng.normal(size=cfg.descriptor_dim)
+            q_desc = GlobalDescriptor(d / np.linalg.norm(d))
+            q_sem = SemanticImage(rng.integers(0, cfg.n_classes, (rows, width))
+                                  .astype(np.uint16))
+            if j == 2:
+                # the query itself copies an entry: exact phi and psi ties
+                q_desc, q_sem = entries[5].descriptor, entries[5].sem_image
+                if q_sem.cols != width:
+                    c0 = frustum_window(full)[0]
+                    q_sem = SemanticImage(q_sem.labels[:, c0:c0 + width].copy())
+            res = match_query(q_desc, q_sem, index, cfg)
+            ranked, best = scalar_match(q_desc, q_sem, entries, cfg)
+            assert res.ranked == ranked
+            top = best[res.best_place_id]
+            assert res.best_place_id == ranked[0][0]
+            assert (res.score, res.best_viewpoint, res.phi, res.psi) == top
+            scores = [s for _, s in ranked]
+            n_ties += len(scores) - len(set(scores))
+    assert n_ties > 0
 
 
 def test_match_query_picks_best_place_and_ranks_all():
