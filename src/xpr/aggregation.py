@@ -80,6 +80,58 @@ def netvlad_tape(feat: Tensor, centroids: Tensor, assign_w: Tensor,
     return d.normalize_vec()
 
 
+def netvlad_batch(cells: np.ndarray, seg: np.ndarray, centroids: Tensor,
+                  assign_w: Tensor, assign_b: Tensor, proj: np.ndarray) -> Tensor:
+    """`netvlad_tape` over M maps at once, as one tape node (M, d_D).
+
+    `cells` (N, C) is the constant valid cells of every map back to back and
+    map m owns rows seg[m]:seg[m+1]. A map with no cells, or whose
+    descriptor normalizes to zero, gives a zero row with zero gradient.
+    """
+    x, c = cells, centroids.data
+    m_n, (k_n, c_n) = len(seg) - 1, c.shape
+    z = x @ assign_w.data.T + assign_b.data
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    soft = e / e.sum(axis=1, keepdims=True)                       # (N, K)
+    mass = np.empty((m_n, k_n))
+    v = np.empty((m_n, k_n, c_n))
+    for m in range(m_n):
+        sm = soft[seg[m]:seg[m + 1]]
+        mass[m] = sm.sum(axis=0)
+        v[m] = sm.T @ x[seg[m]:seg[m + 1]]
+    v -= mass[:, :, None] * c
+    norms = np.sqrt((v ** 2).sum(axis=2, keepdims=True))         # (M, K, 1)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    vn = v / safe
+    d = vn.reshape(m_n, -1) @ proj.T                              # (M, d_D)
+    dnorm = np.sqrt((d ** 2).sum(axis=1, keepdims=True))
+    dsafe = np.where(dnorm > 0.0, dnorm, 1.0)
+    y = d / dsafe
+
+    def bw(g):
+        gd = np.where(dnorm > 0.0,
+                      (g - y * (g * y).sum(axis=1, keepdims=True)) / dsafe, 0.0)
+        gvn = (gd @ proj).reshape(m_n, k_n, c_n)
+        gv = np.where(norms > 0.0,
+                      (gvn - vn * (gvn * vn).sum(axis=2, keepdims=True)) / safe,
+                      0.0)
+        if centroids.requires_grad:
+            centroids.grad -= np.einsum("mk,mkc->kc", mass, gv)
+        if assign_w.requires_grad or assign_b.requires_grad:
+            gmass = (gv * c).sum(axis=2)                          # (M, K)
+            gsoft = np.empty_like(soft)
+            for m in range(m_n):
+                gsoft[seg[m]:seg[m + 1]] = (x[seg[m]:seg[m + 1]] @ gv[m].T
+                                            - gmass[m])
+            gz = soft * (gsoft - (gsoft * soft).sum(axis=1, keepdims=True))
+            if assign_w.requires_grad:
+                assign_w.grad += gz.T @ x
+            if assign_b.requires_grad:
+                assign_b.grad += gz.sum(axis=0)
+
+    return Tensor(y, _prev=(centroids, assign_w, assign_b), _backward=bw)
+
+
 # ------------------------------------------------------------------ public API
 
 def semantic_attention(feat: LocalFeatureMap, context: np.ndarray,
@@ -140,7 +192,10 @@ def describe_query_tape(obs: QueryObservation, context: np.ndarray,
     return desc, attended, logits, pred.reshape(h, w)
 
 
-def describe_lidar_tape(fmap: LocalFeatureMap, vlad_t: dict) -> Tensor:
-    valid = fmap.values.reshape(-1, fmap.channels)[fmap.mask.reshape(-1)]
-    return netvlad_tape(Tensor(valid), vlad_t["centroids"], vlad_t["assign_w"],
-                        vlad_t["assign_b"], vlad_t["proj"].data)
+def describe_lidar_tape(fmaps: list, vlad_t: dict) -> Tensor:
+    """Descriptors (M, d_D) of M constant LiDAR feature maps, one tape node."""
+    valid = [f.values.reshape(-1, f.channels)[f.mask.reshape(-1)] for f in fmaps]
+    seg = np.concatenate([[0], np.cumsum([v.shape[0] for v in valid])])
+    return netvlad_batch(np.concatenate(valid), seg, vlad_t["centroids"],
+                         vlad_t["assign_w"], vlad_t["assign_b"],
+                         vlad_t["proj"].data)

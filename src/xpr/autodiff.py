@@ -291,9 +291,6 @@ class Tensor:
         out._backward = bw
         return out
 
-    def dot(self, other):
-        return (self * other).sum()
-
 
 def stack(tensors: list) -> Tensor:
     """Stack same-shape tensors along a new leading axis."""

@@ -19,13 +19,14 @@ from .config import Config, config_from_json, config_to_json
 from .core import LabeledPointCloud, Pose
 from .encoder import QueryObservation
 from .matching import IndexEntry, MapIndex
-from .model import ModelParams
+from .model import ModelParams, init_model_params
 from .projection import SemanticImage
 
 log = logging.getLogger(__name__)
 
 INDEX_MAGIC = b"XPRIDX01"
 CKPT_MAGIC = b"XPRCKPT1"
+CKPT_VERSION = 2  # v2 stores float64 tensors; v1 stored them as float32
 QUERY_MAGIC = b"XPRQRY01"
 
 
@@ -197,7 +198,7 @@ def save_checkpoint(path, params: ModelParams, cfg: Config) -> None:
     tensors = params.tensors()
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<HI", 1, len(cfg_bytes)))
+        fh.write(struct.pack("<HI", CKPT_VERSION, len(cfg_bytes)))
         fh.write(cfg_bytes)
         fh.write(struct.pack("<I", len(tensors)))
         for name in sorted(tensors):
@@ -207,7 +208,7 @@ def save_checkpoint(path, params: ModelParams, cfg: Config) -> None:
             fh.write(nb)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f4").tobytes())
+            fh.write(arr.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ModelParams, Config]:
@@ -216,20 +217,33 @@ def load_checkpoint(path) -> tuple[ModelParams, Config]:
         if magic != CKPT_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
         version, cfg_len = struct.unpack("<HI", _read_exact(fh, 6, path))
-        if version != 1:
+        if version != CKPT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         cfg = config_from_json(_read_exact(fh, cfg_len, path).decode())
+        expected = {name: np.atleast_1d(arr).shape
+                    for name, arr in init_model_params(cfg).tensors().items()}
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, path))
         tensors = {}
         for _ in range(n_tensors):
+            offset = fh.tell()
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path))
-            name = _read_exact(fh, name_len, path).decode()
+            name = _read_exact(fh, name_len, path).decode(errors="replace")
+            if name not in expected or name in tensors:
+                raise FormatError(f"{path}: unexpected tensor {name!r} "
+                                  f"at byte {offset}")
             ndim = _read_exact(fh, 1, path)[0]
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path))
+            if shape != expected[name]:
+                raise FormatError(f"{path}: tensor {name!r} at byte {offset} "
+                                  f"has shape {shape}, expected "
+                                  f"{expected[name]}")
             count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4")
+            arr = np.frombuffer(_read_exact(fh, 8 * count, path), dtype="<f8")
             tensors[name] = arr.astype(np.float64).reshape(shape)
         _expect_end(fh, path)
+    missing = sorted(set(expected) - set(tensors))
+    if missing:
+        raise FormatError(f"{path}: missing tensors {missing}")
     return ModelParams.from_tensors(tensors), cfg
 
 

@@ -52,26 +52,38 @@ class TrainBatch:
 
 # ----------------------------------------------------------------- tape cores
 
-def contrastive_tape(anchor: Tensor, positives: list, negatives: list,
+def contrastive_tape(sims: Tensor, positives: list, negatives: list,
                      cfg: Config) -> Tensor:
-    if not positives or not negatives:
+    """Mean over anchors of the per-anchor contrastive loss.
+
+    `sims` (B, M) holds anchor-to-map similarities; positives[b] and
+    negatives[b] list the columns of anchor b's positive and negative maps.
+    """
+    if not all(positives) or not all(negatives):
         raise ValueError("need at least one positive and one negative")
+    rows, cols, weights = [], [], []
+    for b, (ps, ns) in enumerate(zip(positives, negatives)):
+        if cfg.loss_kind == "triplet":
+            # one (positive, negative) pair per term
+            picks = [(p, n) for p in ps for n in ns]
+        else:
+            # infonce: per positive, the denominator is that positive plus
+            # the negatives
+            picks = [(p, *ns) for p in ps]
+        rows += [b] * len(picks)
+        cols += picks
+        weights += [1.0 / (len(positives) * len(picks))] * len(picks)
+    width = max(len(p) for p in cols)
+    pad = np.array([[0.0] * len(p) + [-np.inf] * (width - len(p)) for p in cols])
+    cols = np.array([list(p) + [p[0]] * (width - len(p)) for p in cols])
+    pick = sims[np.array(rows)[:, None], cols]          # (terms, width)
     if cfg.loss_kind == "triplet":
-        terms = []
-        for p in positives:
-            sp = anchor.dot(p)
-            for n in negatives:
-                terms.append((cfg.margin - sp + anchor.dot(n)).relu())
-        return stack(terms).mean()
-    # infonce: per positive, the denominator is that positive plus negatives
-    inv_t = 1.0 / cfg.temperature
-    neg_logits = [anchor.dot(n) * inv_t for n in negatives]
-    terms = []
-    for p in positives:
-        sp = anchor.dot(p) * inv_t
-        row = stack([sp] + neg_logits).reshape(1, -1)
-        terms.append(row.logsumexp_rows().sum() - sp)
-    return stack(terms).mean()
+        terms = (cfg.margin - pick[:, 0] + pick[:, 1]).relu()
+    else:
+        # padded slots hold -inf logits, which add nothing to the sum
+        logits = pick * (1.0 / cfg.temperature) + pad
+        terms = logits.logsumexp_rows() - logits[:, 0]
+    return (terms * np.array(weights)).sum()
 
 
 def class_means_tape(feat: Tensor, labels_flat: np.ndarray,
@@ -118,14 +130,16 @@ def _as_desc_array(d) -> np.ndarray:
 def contrastive_loss(anchor, positives, negatives, cfg: Config
                      ) -> tuple[float, dict]:
     """Loss value and gradients w.r.t. every descriptor entry."""
-    a = Tensor(_as_desc_array(anchor), requires_grad=True)
-    ps = [Tensor(_as_desc_array(p), requires_grad=True) for p in positives]
-    ns = [Tensor(_as_desc_array(n), requires_grad=True) for n in negatives]
-    loss = contrastive_tape(a, ps, ns, cfg)
+    n_pos = len(positives)
+    a = Tensor(_as_desc_array(anchor)[None, :], requires_grad=True)
+    maps = Tensor(np.array([_as_desc_array(d) for d in [*positives, *negatives]]),
+                  requires_grad=True)
+    loss = contrastive_tape(a @ maps.T, [list(range(n_pos))],
+                            [list(range(n_pos, maps.shape[0]))], cfg)
     loss.backward()
-    grads = {"anchor": a.grad,
-             "positives": [p.grad for p in ps],
-             "negatives": [n.grad for n in ns]}
+    grads = {"anchor": a.grad[0],
+             "positives": list(maps.grad[:n_pos]),
+             "negatives": list(maps.grad[n_pos:])}
     return float(loss.data), grads
 
 
@@ -162,36 +176,63 @@ def segmentation_loss(logit_grid: np.ndarray, gt: SemanticImage
     return float(loss.data), grad
 
 
+def _lidar_class_means(fmap, n_classes: int) -> dict:
+    """class id (>=1) -> mean feature of a constant LiDAR map's valid cells
+    of that class, with the tape's `mean` arithmetic."""
+    onehot = fmap.values[..., 4:]
+    labels = np.where(onehot.any(axis=-1), np.argmax(onehot, axis=-1), 0)
+    feat = fmap.values.reshape(-1, fmap.channels)
+    valid = fmap.mask.reshape(-1)
+    labels = labels.reshape(-1)
+    means = {}
+    for c in range(1, n_classes):
+        idx = np.flatnonzero(valid & (labels == c))
+        if idx.size:
+            means[c] = feat[idx].sum(axis=0) * (1.0 / idx.size)
+    return means
+
+
 def total_loss(batch: TrainBatch, params: ModelParams, cfg: Config) -> LossReport:
     """Full forward pipeline over a batch with gradients for every
-    trainable parameter, accumulated in a fixed sample order."""
+    trainable parameter, accumulated in a fixed sample order.
+
+    Each distinct LiDAR map (by identity) is described once per batch, and
+    the contrastive term reads one (anchors, maps) similarity matrix."""
     leaves = params.leaf_tensors()
     enc_t, att_t, vlad_t = leaves["enc"], leaves["att"], leaves["vlad"]
 
-    con_terms, sem_terms, seg_terms = [], [], []
+    fmaps, col = [], {}
+    pos_cols, neg_cols = [], []
+    for sample in batch.samples:
+        for maps, cols in ((sample.positives, pos_cols),
+                           (sample.negatives, neg_cols)):
+            for f in maps:
+                if id(f) not in col:
+                    col[id(f)] = len(fmaps)
+                    fmaps.append(f)
+            cols.append([col[id(f)] for f in maps])
+    lidar = describe_lidar_tape(fmaps, vlad_t)                    # (M, D)
+
+    anchors, sem_terms, seg_terms, lid_cache = [], [], [], {}
     for sample in batch.samples:
         obs = sample.anchor
         desc, attended, logits, pred = describe_query_tape(
             obs, batch.context, enc_t, att_t, vlad_t)
-        pos_descs = [describe_lidar_tape(f, vlad_t) for f in sample.positives]
-        neg_descs = [describe_lidar_tape(f, vlad_t) for f in sample.negatives]
-        con_terms.append(contrastive_tape(desc, pos_descs, neg_descs, cfg))
+        anchors.append(desc)
 
         mask_flat = obs.mask.reshape(-1)
         rgb_means = class_means_tape(attended, pred.reshape(-1), mask_flat,
                                      cfg.n_classes)
         ref = sample.positives[0]
-        lid_labels = np.where(ref.values[..., 4:].any(axis=-1),
-                              np.argmax(ref.values[..., 4:], axis=-1), 0)
-        lid_means = class_means_tape(
-            Tensor(ref.values.reshape(-1, ref.channels)),
-            lid_labels.reshape(-1), ref.mask.reshape(-1), cfg.n_classes)
-        sem_terms.append(semantic_consistency_tape(rgb_means, lid_means))
+        if id(ref) not in lid_cache:
+            lid_cache[id(ref)] = _lidar_class_means(ref, cfg.n_classes)
+        sem_terms.append(semantic_consistency_tape(rgb_means,
+                                                   lid_cache[id(ref)]))
 
         seg_terms.append(segmentation_tape(
             logits, obs.gt_labels.labels.reshape(-1), mask_flat))
 
-    l_con = stack(con_terms).mean()
+    l_con = contrastive_tape(stack(anchors) @ lidar.T, pos_cols, neg_cols, cfg)
     l_sem = stack(sem_terms).mean()
     l_seg = stack(seg_terms).mean()
     l_tot = l_con + cfg.lambda_sem * l_sem + l_seg

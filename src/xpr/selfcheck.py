@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import NetVladParams, netvlad
+from .aggregation import NetVladParams, netvlad, netvlad_batch
+from .autodiff import Tensor
 from .config import Config, make_rng
 from .core import LabeledPointCloud, identity_pose, yaw_rotation
 from .encoder import LocalFeatureMap, QueryObservation, QUERY_CHANNELS
@@ -97,6 +98,33 @@ def check_segmentation_grad(seed: int) -> CheckResult:
     _, ga = segmentation_loss(logits, gt)
     gn = central_diff(lambda x: segmentation_loss(x, gt)[0], logits.copy())
     return CheckResult("grad_segmentation", _rel_err(ga, gn), 1e-3)
+
+
+def check_netvlad_batch_grad(seed: int) -> CheckResult:
+    """Fused batched NetVLAD: centroid and soft-assignment gradients of
+    sum(G * out) on a batch with a repeated map and a zero-cell map."""
+    rng = make_rng(seed, 14)
+    k, c, d = 3, 4, 6
+    maps = [rng.normal(size=(n, c)) for n in (5, 3)]
+    cells = np.concatenate([maps[0], maps[1], maps[0]])
+    seg = np.array([0, 5, 5, 8, 13])   # map 1 has no cells, map 0 repeats
+    proj = rng.normal(size=(d, k * c))
+    g = rng.normal(size=(len(seg) - 1, d))
+    params = [rng.normal(size=(k, c)), rng.normal(size=(k, c)),
+              rng.normal(size=k)]
+
+    def objective(p):
+        return (Tensor(g) * netvlad_batch(cells, seg, *p, proj)).sum()
+
+    leaves = [Tensor(x, requires_grad=True) for x in params]
+    objective(leaves).backward()
+    worst = 0.0
+    for i, leaf in enumerate(leaves):
+        def f(x, i=i):
+            return float(objective([Tensor(y) for y in
+                                    params[:i] + [x] + params[i + 1:]]).data)
+        worst = max(worst, _rel_err(leaf.grad, central_diff(f, params[i].copy())))
+    return CheckResult("grad_netvlad_batch", worst, 1e-3)
 
 
 def _toy_fmap(rng, h, w, cfg: Config) -> LocalFeatureMap:
@@ -298,6 +326,7 @@ def run_all(seed: int = 0, corrupt_gradient: bool = False) -> list:
         check_semantic_consistency_grad(seed),
         check_segmentation_grad(seed),
         check_total_grad(seed, corrupt=corrupt_gradient),
+        check_netvlad_batch_grad(seed),
         check_netvlad_oracle(seed),
         check_projection_shift(seed),
         check_sphere_normals(),

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from xpr.aggregation import (DEFAULT_CLUSTERS, init_attention_params,
-                             init_netvlad_params, netvlad, semantic_attention)
+                             init_netvlad_params, netvlad, netvlad_batch,
+                             netvlad_tape, semantic_attention)
+from xpr.autodiff import Tensor, stack
 from xpr.config import Config, make_rng
 from xpr.encoder import LocalFeatureMap
 
@@ -66,6 +68,57 @@ def test_netvlad_matches_reference_many_instances():
         worst = max(worst, float(np.abs(got.values - ref).max()))
         assert abs(np.linalg.norm(got.values) - 1.0) < 1e-10 or got.flagged
     assert worst < 1e-10
+
+
+def _vlad_leaves(rng, k, c):
+    return [Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((k, c), (k, c), (k,))]
+
+
+@pytest.mark.parametrize("case", ["mixed", "single"])
+def test_netvlad_batch_matches_tape(case):
+    """Each row of the fused op is `netvlad_tape` on that map, and its
+    parameter gradients are the per-map tape's, summed."""
+    rng = make_rng(31, 0 if case == "mixed" else 1)
+    k, c, d_out = 4, 6, 10
+    if case == "mixed":
+        maps = [random_fmap(rng, 3, 5, c) for _ in range(3)]
+        empty = LocalFeatureMap(np.zeros((2, 4, c)), np.zeros((2, 4), bool))
+        maps = [maps[0], empty, maps[1], maps[0], maps[2]]  # maps[0] twice
+    else:
+        maps = [random_fmap(rng, 4, 4, c)]
+    proj = rng.normal(size=(d_out, k * c))
+    leaves = _vlad_leaves(rng, k, c)
+    ref_leaves = [Tensor(t.data.copy(), requires_grad=True) for t in leaves]
+    valid = [f.values.reshape(-1, c)[f.mask.reshape(-1)] for f in maps]
+    seg = np.concatenate([[0], np.cumsum([v.shape[0] for v in valid])])
+    g = rng.normal(size=(len(maps), d_out))
+
+    out = netvlad_batch(np.concatenate(valid), seg, *leaves, proj)
+    (Tensor(g) * out).sum().backward()
+    rows = [netvlad_tape(Tensor(v), *ref_leaves, proj) for v in valid]
+    (Tensor(g) * stack(rows)).sum().backward()
+
+    assert out.shape == (len(maps), d_out)
+    for m, row in enumerate(rows):
+        assert np.abs(out.data[m] - row.data).max() <= 1e-12
+    if case == "mixed":
+        assert not out.data[1].any()
+        assert np.array_equal(out.data[0], out.data[3])
+    for got, ref in zip(leaves, ref_leaves):
+        assert np.abs(got.grad - ref.grad).max() <= 1e-10 * np.abs(ref.grad).max()
+
+
+def test_netvlad_batch_zero_map_has_zero_gradient():
+    rng = make_rng(32, 0)
+    k, c = 3, 5
+    leaves = _vlad_leaves(rng, k, c)
+    empty = np.zeros((0, c))
+    out = netvlad_batch(empty, np.array([0, 0]), *leaves,
+                        rng.normal(size=(7, k * c)))
+    (Tensor(rng.normal(size=(1, 7))) * out).sum().backward()
+    assert not out.data.any()
+    assert all(not t.grad.any() for t in leaves)
 
 
 def test_netvlad_unit_norm():

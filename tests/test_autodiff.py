@@ -119,10 +119,6 @@ def test_stack():
     check(lambda a, b: (stack([a, b]) * stack([b, a])).sum(), (3,), (3,))
 
 
-def test_dot():
-    check(lambda a, b: a.dot(b), (6,), (6,))
-
-
 def test_grad_accumulates_through_reuse():
     # d/dx (x*x + x) = 2x + 1
     x = Tensor(np.array([2.0, -1.0]), requires_grad=True)

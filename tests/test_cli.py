@@ -10,7 +10,10 @@ import pytest
 from xpr.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from xpr.io_datasets import (FormatError, load_checkpoint, load_dataset,
                              load_index, load_query, save_checkpoint)
-from xpr.model import init_model_params
+from xpr.config import Config
+from xpr.losses import train
+from xpr.model import ModelParams, init_model_params
+from xpr.pipeline import training_set
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +207,54 @@ def test_trailing_bytes_are_data_error(workspace, tmp_path, capsys, kind):
     assert main(args) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"trailing bytes from byte {end}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("defect", ["missing", "shape", "name"])
+def test_incomplete_checkpoint_is_data_error(workspace, tmp_path, capsys,
+                                             monkeypatch, defect):
+    args, artifacts = artifact_copies(workspace, tmp_path)
+    target, loader = artifacts["ckpt"]
+    params, cfg = load_checkpoint(target)
+    if defect == "missing":
+        tensors = ModelParams.tensors
+        monkeypatch.setattr(ModelParams, "tensors", lambda self: {
+            k: v for k, v in tensors(self).items() if k != "att.bilinear"})
+        message = r"missing tensors \['att.bilinear'\]"
+    elif defect == "shape":
+        params.att.bilinear = params.att.bilinear[:, 1:]
+        message = "tensor 'att.bilinear' at byte [0-9]+ has shape"
+    save_checkpoint(target, params, cfg)
+    monkeypatch.undo()
+    if defect == "name":  # a tensor name that is not UTF-8
+        with open(target, "rb") as fh:
+            data = bytearray(fh.read())
+        data[data.index(b"att.bilinear")] = 0xFF
+        with open(target, "wb") as fh:
+            fh.write(data)
+        message = "unexpected tensor '\ufffdtt.bilinear' at byte [0-9]+"
+    with pytest.raises(FormatError, match=message):
+        loader(target)
+    capsys.readouterr()
+    assert main(args) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["seeded", "trained"])
+def test_checkpoint_round_trip_is_exact(workspace, tmp_path, model):
+    cfg = Config()
+    params = init_model_params(cfg)
+    if model == "trained":
+        ds = load_dataset(workspace["data"])
+        cfg = ds.config
+        params, _ = train(training_set(ds, cfg), cfg, 2, 0.05)
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, params, cfg)
+    back, cfg_back = load_checkpoint(ckpt)
+    assert cfg_back == cfg
+    want, got = params.tensors(), back.tensors()
+    assert set(got) == set(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_empty_world_scores_zero(tmp_path):

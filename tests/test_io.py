@@ -189,7 +189,7 @@ def test_checkpoint_round_trip(tmp_path):
     a, b = params.tensors(), back.tensors()
     assert set(a) == set(b)
     for name in a:
-        assert np.allclose(a[name], b[name], atol=1e-6)  # f32 storage
+        assert np.array_equal(a[name], b[name])
         assert a[name].shape == b[name].shape
 
 
@@ -200,6 +200,18 @@ def test_checkpoint_save_load_save_idempotent(tmp_path):
     params, cfg_back = load_checkpoint(p1)
     save_checkpoint(p2, params, cfg_back)
     assert filecmp.cmp(p1, p2, shallow=False)
+
+
+def test_checkpoint_v1_rejected(tmp_path):
+    cfg = Config(n_classes=5, descriptor_dim=12)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_model_params(cfg), cfg)
+    data = bytearray(path.read_bytes())
+    data[8:10] = (1).to_bytes(2, "little")  # the float32 format
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError,
+                       match="unsupported checkpoint version 1$"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from xpr.autodiff import Tensor, stack
 from xpr.config import Config, make_rng
 from xpr.encoder import (QUERY_CHANNELS, LocalFeatureMap, QueryObservation)
 from xpr.losses import (SemanticFeatureSet, TrainBatch, TrainSample,
-                        contrastive_loss, nearest_viewpoint, segmentation_loss,
+                        contrastive_loss, contrastive_tape, nearest_viewpoint,
+                        segmentation_loss,
                         semantic_consistency_loss, total_loss, train)
 from xpr.model import TRAINABLE, init_model_params
 from xpr.projection import SemanticImage
@@ -104,6 +106,58 @@ def test_contrastive_gradients_fd(kind):
         return contrastive_loss(arrs[0], arrs[1:3], arrs[3:], cfg)[0]
 
     fd_check(fn, arrays, flat_grads)
+
+
+def per_pair_contrastive(anchor, positives, negatives, cfg):
+    """One anchor's loss from per-pair dot products: the reference for the
+    batched (anchors, maps) similarity form."""
+    def dot(a, b):
+        return (a * b).sum()
+
+    if cfg.loss_kind == "triplet":
+        terms = []
+        for p in positives:
+            sp = dot(anchor, p)
+            for n in negatives:
+                terms.append((cfg.margin - sp + dot(anchor, n)).relu())
+        return stack(terms).mean()
+    inv_t = 1.0 / cfg.temperature
+    neg_logits = [dot(anchor, n) * inv_t for n in negatives]
+    terms = []
+    for p in positives:
+        sp = dot(anchor, p) * inv_t
+        row = stack([sp] + neg_logits).reshape(1, -1)
+        terms.append(row.logsumexp_rows().sum() - sp)
+    return stack(terms).mean()
+
+
+@pytest.mark.parametrize("kind", ["triplet", "infonce"])
+def test_batched_contrastive_matches_per_pair(kind):
+    cfg = Config(loss_kind=kind, temperature=0.5, margin=0.4)
+    rng = make_rng(5, 1)
+    n_anchors, n_maps, d = 4, 7, 6
+    anchors = rng.normal(size=(n_anchors, d)) / 2.0
+    maps = rng.normal(size=(n_maps, d)) / 2.0
+    # ragged sides, maps shared between anchors and within one anchor
+    pos = [[0], [1, 2], [0], [3]]
+    neg = [[4, 5], [0, 6, 6], [2, 3, 4, 5], [6]]
+
+    a = Tensor(anchors, requires_grad=True)
+    m = Tensor(maps, requires_grad=True)
+    loss = contrastive_tape(a @ m.T, pos, neg, cfg)
+    loss.backward()
+
+    ra = [Tensor(x, requires_grad=True) for x in anchors]
+    rm = [Tensor(x, requires_grad=True) for x in maps]
+    ref = stack([per_pair_contrastive(ra[b], [rm[j] for j in pos[b]],
+                                      [rm[j] for j in neg[b]], cfg)
+                 for b in range(n_anchors)]).mean()
+    ref.backward()
+
+    assert float(loss.data) == pytest.approx(float(ref.data), abs=1e-12)
+    for got, refs in ((a.grad, ra), (m.grad, rm)):
+        want = np.array([t.grad for t in refs])
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_semantic_consistency_worked_example():
