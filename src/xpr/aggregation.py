@@ -8,7 +8,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import Config, make_rng
 from .encoder import (EncoderParams, LocalFeatureMap, QueryObservation,
-                      encode_query, encode_query_tape)
+                      encode_query, query_forward)
 from .projection import SemanticImage
 
 DEFAULT_CLUSTERS = 8
@@ -61,13 +61,18 @@ def init_netvlad_params(cfg: Config, n_clusters: int = DEFAULT_CLUSTERS,
 
 # ------------------------------------------------------------------ tape core
 
-def semantic_attention_tape(feat: Tensor, context: np.ndarray,
-                            bilinear: Tensor, gain: Tensor) -> Tensor:
-    """Scalar sigmoid gate per cell: a = sigmoid(gain * feat . (B @ context))."""
-    w = bilinear @ Tensor(context)              # (C,)
-    score = (feat @ w) * gain                   # (N,)
-    a = score.sigmoid()
-    return feat * a.reshape(-1, 1)
+def attention_forward(feat: np.ndarray, context: np.ndarray,
+                      bilinear: np.ndarray, gain) -> tuple:
+    """Scalar sigmoid gate per cell, a = sigmoid(gain * feat . (B @ context)),
+    over (R, C) features.
+
+    Returns the gated features (R, C) and, for the backward, the gate (R,),
+    the context vector B @ context (C,) and the ungained score (R,).
+    """
+    w = bilinear @ context
+    score = feat @ w
+    gate = 1.0 / (1.0 + np.exp(-(score * gain)))
+    return feat * gate[:, None], gate, w, score
 
 
 def netvlad_tape(feat: Tensor, centroids: Tensor, assign_w: Tensor,
@@ -80,25 +85,38 @@ def netvlad_tape(feat: Tensor, centroids: Tensor, assign_w: Tensor,
     return d.normalize_vec()
 
 
-def netvlad_batch(cells: np.ndarray, seg: np.ndarray, centroids: Tensor,
+def netvlad_batch(cells, seg: np.ndarray | None, centroids: Tensor,
                   assign_w: Tensor, assign_b: Tensor, proj: np.ndarray) -> Tensor:
     """`netvlad_tape` over M maps at once, as one tape node (M, d_D).
 
-    `cells` (N, C) is the constant valid cells of every map back to back and
-    map m owns rows seg[m]:seg[m+1]. A map with no cells, or whose
-    descriptor normalizes to zero, gives a zero row with zero gradient.
+    Map m's valid cells are rows seg[m, 0]:seg[m, 1] of the Tensor `cells`
+    (N, C), which gets a gradient; maps may share rows. Constant maps come
+    instead as a list of M (n_m, C) arrays, with seg None. A map with no
+    cells, or whose descriptor normalizes to zero, gives a zero row with
+    zero gradient.
     """
-    x, c = cells, centroids.data
-    m_n, (k_n, c_n) = len(seg) - 1, c.shape
-    z = x @ assign_w.data.T + assign_b.data
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    soft = e / e.sum(axis=1, keepdims=True)                       # (N, K)
+    if seg is None:
+        blocks, cells_grad = cells, False
+    else:
+        blocks = [cells.data[lo:hi] for lo, hi in seg]
+        cells_grad = cells.requires_grad
+    c, w, b = centroids.data, assign_w.data, assign_b.data[:, None]
+    m_n, (k_n, c_n) = len(blocks), c.shape
+    # soft-assignments are held transposed, (K, n_m), so that the max and
+    # the sums over the K clusters reduce over the outer axis, which numpy
+    # does several times faster than over a short last axis
+    softs = []
     mass = np.empty((m_n, k_n))
     v = np.empty((m_n, k_n, c_n))
-    for m in range(m_n):
-        sm = soft[seg[m]:seg[m + 1]]
-        mass[m] = sm.sum(axis=0)
-        v[m] = sm.T @ x[seg[m]:seg[m + 1]]
+    for m, xm in enumerate(blocks):
+        soft = w @ xm.T
+        soft += b
+        soft -= soft.max(axis=0)
+        np.exp(soft, out=soft)
+        soft /= soft.sum(axis=0)
+        softs.append(soft)
+        mass[m] = soft.sum(axis=1)
+        v[m] = soft @ xm
     v -= mass[:, :, None] * c
     norms = np.sqrt((v ** 2).sum(axis=2, keepdims=True))         # (M, K, 1)
     safe = np.where(norms > 0.0, norms, 1.0)
@@ -117,19 +135,25 @@ def netvlad_batch(cells: np.ndarray, seg: np.ndarray, centroids: Tensor,
                       0.0)
         if centroids.requires_grad:
             centroids.grad -= np.einsum("mk,mkc->kc", mass, gv)
-        if assign_w.requires_grad or assign_b.requires_grad:
-            gmass = (gv * c).sum(axis=2)                          # (M, K)
-            gsoft = np.empty_like(soft)
-            for m in range(m_n):
-                gsoft[seg[m]:seg[m + 1]] = (x[seg[m]:seg[m + 1]] @ gv[m].T
-                                            - gmass[m])
-            gz = soft * (gsoft - (gsoft * soft).sum(axis=1, keepdims=True))
+        if not (cells_grad or assign_w.requires_grad or assign_b.requires_grad):
+            return
+        gmass = (gv * c).sum(axis=2)                              # (M, K)
+        for m, (soft, xm) in enumerate(zip(softs, blocks)):
+            gz = gv[m] @ xm.T
+            gz -= gmass[m][:, None]
+            gz -= (gz * soft).sum(axis=0)
+            gz *= soft                                            # (K, n_m)
             if assign_w.requires_grad:
-                assign_w.grad += gz.T @ x
+                assign_w.grad += gz @ xm
             if assign_b.requires_grad:
-                assign_b.grad += gz.sum(axis=0)
+                assign_b.grad += gz.sum(axis=1)
+            if cells_grad:
+                lo, hi = seg[m]
+                cells.grad[lo:hi] += soft.T @ gv[m] + gz.T @ w
 
-    return Tensor(y, _prev=(centroids, assign_w, assign_b), _backward=bw)
+    prev = (cells, centroids, assign_w, assign_b) if cells_grad else (
+        centroids, assign_w, assign_b)
+    return Tensor(y, _prev=prev, _backward=bw)
 
 
 # ------------------------------------------------------------------ public API
@@ -140,9 +164,8 @@ def semantic_attention(feat: LocalFeatureMap, context: np.ndarray,
     if abs(context.sum() - 1.0) > 1e-6:
         raise ValueError("semantic context is not normalized")
     flat = feat.values.reshape(-1, feat.channels)
-    out = semantic_attention_tape(Tensor(flat), context,
-                                  Tensor(params.bilinear), Tensor(params.gain))
-    values = out.data.reshape(feat.values.shape)
+    out = attention_forward(flat, context, params.bilinear, params.gain)[0]
+    values = out.reshape(feat.values.shape)
     values[~feat.mask] = 0.0
     return LocalFeatureMap(values, feat.mask.copy())
 
@@ -167,35 +190,58 @@ def describe_query(obs: QueryObservation, enc: EncoderParams,
     return netvlad(attended, vlad), pred
 
 
-def describe_query_tape(obs: QueryObservation, context: np.ndarray,
+def describe_query_tape(raw: np.ndarray, seg: np.ndarray, context: np.ndarray,
                         enc_t: dict, att_t: dict, vlad_t: dict
                         ) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
-    """Differentiable query pipeline for training.
+    """Differentiable query pipeline over a batch of B anchors.
 
-    Returns (descriptor Tensor, attended feature Tensor (N, C), logits
-    Tensor (N, n_classes), predicted label grid). Parameter dicts hold leaf
-    Tensors keyed by field name.
+    `raw` (R, QUERY_CHANNELS) holds the valid cells of every anchor back to
+    back, anchor b owning rows seg[b, 0]:seg[b, 1]. Returns the descriptors
+    Tensor (B, d_D), the attended features Tensor (R, C), the logits Tensor
+    (R, n_classes) and the predicted labels (R,). Parameter dicts hold leaf
+    Tensors keyed by field name. The encoder, the gated descriptor head and
+    the logit head are one tape node each, with hand-written backward passes.
     """
-    h, w, _ = obs.raw.shape
-    raw_flat = obs.raw.reshape(h * w, -1)
-    mask_flat = obs.mask.reshape(-1)
-    feat, logits = encode_query_tape(raw_flat, mask_flat,
-                                     enc_t["rgb_proj"], enc_t["rgb_bias"],
-                                     enc_t["seg_head"], enc_t["seg_bias"],
-                                     enc_t["desc_proj"])
-    attended = semantic_attention_tape(feat, context, att_t["bilinear"], att_t["gain"])
-    valid = attended[mask_flat]
-    desc = netvlad_tape(valid, vlad_t["centroids"], vlad_t["assign_w"],
-                        vlad_t["assign_b"], vlad_t["proj"].data)
-    pred = np.argmax(logits.data, axis=1).astype(np.uint16)
-    pred[~mask_flat] = 0
-    return desc, attended, logits, pred.reshape(h, w)
+    enc = EncoderParams(**{k: t.data for k, t in enc_t.items()})
+    bilinear, gain = att_t["bilinear"], att_t["gain"]
+    h, feat, logits = query_forward(raw, enc)
+    attended, gate, w, score = attention_forward(feat, context, bilinear.data,
+                                                 gain.data)
+
+    def h_bw(g):
+        gpre = g * (1.0 - h * h)
+        enc_t["rgb_proj"].grad += raw.T @ gpre
+        enc_t["rgb_bias"].grad += gpre.sum(axis=0)
+
+    h_t = Tensor(h, _prev=(enc_t["rgb_proj"], enc_t["rgb_bias"]),
+                 _backward=h_bw)
+
+    def attended_bw(g):
+        gscore = np.einsum("rc,rc->r", g, feat) * gate * (1.0 - gate)
+        gain.grad += (gscore * score).sum()
+        gscore = gscore * gain.data
+        bilinear.grad += np.outer(feat.T @ gscore, context)
+        gfeat = g * gate[:, None] + gscore[:, None] * w
+        enc_t["desc_proj"].grad += h.T @ gfeat
+        h_t.grad += gfeat @ enc.desc_proj.T
+
+    att_out = Tensor(attended, _prev=(h_t, enc_t["desc_proj"], bilinear, gain),
+                     _backward=attended_bw)
+
+    def logits_bw(g):
+        enc_t["seg_head"].grad += h.T @ g
+        enc_t["seg_bias"].grad += g.sum(axis=0)
+        h_t.grad += g @ enc.seg_head.T
+
+    logit_out = Tensor(logits, _prev=(h_t, enc_t["seg_head"], enc_t["seg_bias"]),
+                       _backward=logits_bw)
+    desc = netvlad_batch(att_out, seg, vlad_t["centroids"], vlad_t["assign_w"],
+                         vlad_t["assign_b"], vlad_t["proj"].data)
+    return desc, att_out, logit_out, np.argmax(logits, axis=1)
 
 
-def describe_lidar_tape(fmaps: list, vlad_t: dict) -> Tensor:
-    """Descriptors (M, d_D) of M constant LiDAR feature maps, one tape node."""
-    valid = [f.values.reshape(-1, f.channels)[f.mask.reshape(-1)] for f in fmaps]
-    seg = np.concatenate([[0], np.cumsum([v.shape[0] for v in valid])])
-    return netvlad_batch(np.concatenate(valid), seg, vlad_t["centroids"],
-                         vlad_t["assign_w"], vlad_t["assign_b"],
-                         vlad_t["proj"].data)
+def describe_lidar_tape(cells: list, vlad_t: dict) -> Tensor:
+    """Descriptors (M, d_D) of M constant LiDAR maps, given as their valid
+    cells (n_m, C), one tape node."""
+    return netvlad_batch(cells, None, vlad_t["centroids"], vlad_t["assign_w"],
+                         vlad_t["assign_b"], vlad_t["proj"].data)

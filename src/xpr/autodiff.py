@@ -1,7 +1,9 @@
 """Minimal reverse-mode tape over numpy arrays.
 
-Only the handful of ops the descriptor pipeline needs; gradients are checked
-against central finite differences in the test suite and by `xpr selfcheck`.
+Only the ops that inference NetVLAD and the contrastive term use; the rest
+of training runs as fused nodes with hand-written backward passes. Gradients
+are checked against central finite differences in the test suite and by
+`xpr selfcheck`.
 """
 from __future__ import annotations
 
@@ -19,6 +21,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def row_max(a: np.ndarray) -> np.ndarray:
+    """Row maxima of a 2-D array with at least one column, as (N, 1).
+
+    Bit-equal to `a.max(axis=1, keepdims=True)`: a maximum is exact, so the
+    order does not matter. A loop of `np.maximum` over the few columns runs
+    several times faster than numpy's reduction over a short last axis.
+    """
+    m = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(m, a[:, j], out=m)
+    return m[:, None]
 
 
 class Tensor:
@@ -106,20 +121,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._wrap(other)
-        out = Tensor(self.data / other.data, _prev=(self, other))
-
-        def bw(g):
-            if self.requires_grad:
-                self.grad += _unbroadcast(g / other.data, self.data.shape)
-            if other.requires_grad:
-                other.grad += _unbroadcast(-g * self.data / other.data ** 2,
-                                           other.data.shape)
-
-        out._backward = bw
-        return out
-
     def __matmul__(self, other):
         other = self._wrap(other)
         out = Tensor(self.data @ other.data, _prev=(self, other))
@@ -145,28 +146,6 @@ class Tensor:
         return out
 
     # -------------------------------------------------------------- nonlinear
-    def tanh(self):
-        y = np.tanh(self.data)
-        out = Tensor(y, _prev=(self,))
-
-        def bw(g):
-            if self.requires_grad:
-                self.grad += g * (1.0 - y * y)
-
-        out._backward = bw
-        return out
-
-    def sigmoid(self):
-        y = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(y, _prev=(self,))
-
-        def bw(g):
-            if self.requires_grad:
-                self.grad += g * y * (1.0 - y)
-
-        out._backward = bw
-        return out
-
     def relu(self):
         mask = self.data > 0.0
         out = Tensor(np.where(mask, self.data, 0.0), _prev=(self,))
@@ -193,10 +172,6 @@ class Tensor:
 
         out._backward = bw
         return out
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -------------------------------------------------------------- structure
     def __getitem__(self, idx):
@@ -233,7 +208,7 @@ class Tensor:
     # --------------------------------------------------------- fused helpers
     def softmax_rows(self):
         """Row-wise softmax of a 2D tensor (stable; max is detached)."""
-        z = self.data - self.data.max(axis=1, keepdims=True)
+        z = self.data - row_max(self.data)
         e = np.exp(z)
         y = e / e.sum(axis=1, keepdims=True)
         out = Tensor(y, _prev=(self,))
@@ -247,7 +222,7 @@ class Tensor:
 
     def logsumexp_rows(self):
         """Row-wise log(sum(exp)) of a 2D tensor, (N,) output."""
-        m = self.data.max(axis=1, keepdims=True)
+        m = row_max(self.data)
         e = np.exp(self.data - m)
         s = e.sum(axis=1, keepdims=True)
         out = Tensor((m + np.log(s)).ravel(), _prev=(self,))
@@ -291,15 +266,3 @@ class Tensor:
         out._backward = bw
         return out
 
-
-def stack(tensors: list) -> Tensor:
-    """Stack same-shape tensors along a new leading axis."""
-    out = Tensor(np.stack([t.data for t in tensors]), _prev=tuple(tensors))
-
-    def bw(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t.grad += g[i]
-
-    out._backward = bw
-    return out

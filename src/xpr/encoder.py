@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .config import Config, make_rng
 from .projection import RangeImage, SemanticImage
 
@@ -64,16 +63,23 @@ def init_encoder_params(cfg: Config, seed_stream: int = 101) -> EncoderParams:
     )
 
 
-def encode_query_tape(raw_flat: np.ndarray, mask_flat: np.ndarray,
-                      rgb_proj: Tensor, rgb_bias: Tensor, seg_head: Tensor,
-                      seg_bias: Tensor, desc_proj: Tensor) -> tuple[Tensor, Tensor]:
-    """Differentiable core: (N, C) masked features and (N, n_classes) logits."""
-    x = Tensor(raw_flat)
-    m = Tensor(mask_flat[:, None].astype(np.float64))
-    h = (x @ rgb_proj + rgb_bias).tanh() * m
-    feat = h @ desc_proj
-    logits = h @ seg_head + seg_bias
-    return feat, logits
+def query_forward(raw: np.ndarray, params: EncoderParams,
+                  mask: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encoder forward over (R, QUERY_CHANNELS) raw cells: one query's grid
+    with its (R,) validity mask, or only valid cells, with no mask.
+
+    Returns the masked tanh activations h (R, C), which the backward needs,
+    the features h @ desc_proj (R, C) and the class logits (R, n_classes).
+    """
+    h = raw @ params.rgb_proj
+    h += params.rgb_bias
+    np.tanh(h, out=h)
+    if mask is not None:
+        h *= mask[:, None]
+    logits = h @ params.seg_head
+    logits += params.seg_bias
+    return h, h @ params.desc_proj, logits
 
 
 def encode_query(obs: QueryObservation, params: EncoderParams
@@ -86,17 +92,12 @@ def encode_query(obs: QueryObservation, params: EncoderParams
     if not np.isfinite(obs.raw).all():
         raise ValueError("non-finite query observation")
     h, w, _ = obs.raw.shape
-    raw_flat = obs.raw.reshape(h * w, -1)
-    mask_flat = obs.mask.reshape(-1)
-    feat, logits = encode_query_tape(
-        raw_flat, mask_flat,
-        Tensor(params.rgb_proj), Tensor(params.rgb_bias),
-        Tensor(params.seg_head), Tensor(params.seg_bias),
-        Tensor(params.desc_proj))
-    logit_grid = logits.data.reshape(h, w, -1)
+    _, feat, logits = query_forward(obs.raw.reshape(h * w, -1), params,
+                                    obs.mask.reshape(-1))
+    logit_grid = logits.reshape(h, w, -1)
     pred = np.argmax(logit_grid, axis=2).astype(np.uint16)
     pred[~obs.mask] = 0
-    fmap = LocalFeatureMap(feat.data.reshape(h, w, -1), obs.mask.copy())
+    fmap = LocalFeatureMap(feat.reshape(h, w, -1), obs.mask.copy())
     return fmap, SemanticImage(pred), logit_grid
 
 

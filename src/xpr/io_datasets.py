@@ -53,6 +53,18 @@ def _expect_end(fh, path) -> None:
         raise FormatError(f"{path}: trailing bytes from byte {offset}")
 
 
+def _read_config(fh, n: int, path) -> Config:
+    """Read an n-byte JSON config header, or raise FormatError at its byte
+    offset if it is not UTF-8, not JSON, or not a valid config."""
+    offset = fh.tell()
+    data = _read_exact(fh, n, path)
+    try:
+        return config_from_json(data.decode())
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"{path}: bad config header at byte {offset}: "
+                          f"{exc}") from exc
+
+
 # ------------------------------------------------------------ point clouds
 
 def save_cloud_bin(path, cloud: LabeledPointCloud) -> None:
@@ -164,7 +176,7 @@ def load_index(path) -> MapIndex:
         version, cfg_len = struct.unpack("<HI", _read_exact(fh, 6, path))
         if version != 1:
             raise FormatError(f"{path}: unsupported index version {version}")
-        cfg = config_from_json(_read_exact(fh, cfg_len, path).decode())
+        cfg = _read_config(fh, cfg_len, path)
         n_places, n_entries, rows, cols = struct.unpack(
             "<IIHH", _read_exact(fh, 12, path))
         places = []
@@ -219,7 +231,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Config]:
         version, cfg_len = struct.unpack("<HI", _read_exact(fh, 6, path))
         if version != CKPT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        cfg = config_from_json(_read_exact(fh, cfg_len, path).decode())
+        cfg = _read_config(fh, cfg_len, path)
         expected = {name: np.atleast_1d(arr).shape
                     for name, arr in init_model_params(cfg).tensors().items()}
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, path))

@@ -1,5 +1,5 @@
 """Training objective: contrastive + semantic-consistency + segmentation
-terms with tape gradients, plus a small deterministic trainer."""
+terms as fused batch nodes and tape ops, plus a small deterministic trainer."""
 from __future__ import annotations
 
 import math
@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import describe_lidar_tape, describe_query_tape
-from .autodiff import Tensor, stack
+from .autodiff import Tensor, row_max
 from .config import Config, make_rng
 from .encoder import QueryObservation
 from .model import ModelParams, TRAINABLE
@@ -86,39 +86,77 @@ def contrastive_tape(sims: Tensor, positives: list, negatives: list,
     return (terms * np.array(weights)).sum()
 
 
-def class_means_tape(feat: Tensor, labels_flat: np.ndarray,
-                     mask_flat: np.ndarray, n_classes: int) -> dict:
-    """class id (>=1) -> mean feature Tensor over that class's valid cells."""
-    means = {}
-    for c in range(1, n_classes):
-        idx = np.flatnonzero(mask_flat & (labels_flat == c))
-        if idx.size:
-            means[c] = feat[idx].mean(axis=0)
-    return means
+def _consistency(rgb: np.ndarray, rgb_present: np.ndarray, lid: np.ndarray,
+                 lid_present: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean over B anchors of the mean squared distance between the class
+    means (B, K, C) of classes >= 1 that both sides have; an anchor with no
+    shared class adds 0. Returns the value and its gradient w.r.t. rgb."""
+    shared = rgb_present & lid_present
+    shared[:, 0] = False
+    weight = shared / (len(rgb) * np.maximum(shared.sum(axis=1), 1))[:, None]
+    d = np.where(shared[..., None], rgb - lid, 0.0)
+    return float(((d * d).sum(axis=2) * weight).sum()), 2.0 * weight[..., None] * d
 
 
-def semantic_consistency_tape(rgb_means: dict, lidar_means: dict) -> Tensor:
-    shared = sorted(set(rgb_means) & set(lidar_means))
-    if not shared:
-        return Tensor(0.0)
-    terms = []
-    for c in shared:
-        d = rgb_means[c] - lidar_means[c]
-        terms.append((d * d).sum())
-    return stack(terms).mean()
+def _cross_entropy(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray
+                   ) -> tuple[float, np.ndarray]:
+    """Mean over B anchors of the mean softmax cross-entropy over each
+    anchor's cells with a non-void ground truth; an anchor with no such
+    cell adds 0. logits (R, K) and gt (R,) hold the cells of every anchor,
+    anchor b owning rows seg[b, 0]:seg[b, 1]. Returns the value and its
+    gradient w.r.t. the logits."""
+    sel = gt > 0
+    anchor = np.repeat(np.arange(len(seg)), seg[:, 1] - seg[:, 0])[sel]
+    count = np.bincount(anchor, minlength=len(seg))
+    rows, true = logits[sel], gt[sel].astype(np.intp)
+    every = np.arange(len(rows))
+    m = row_max(rows)
+    e = np.exp(rows - m)
+    s = e @ np.ones((logits.shape[1], 1))
+    weight = 1.0 / (len(seg) * count[anchor])
+    value = float((((m + np.log(s)).ravel() - rows[every, true]) * weight).sum())
+    grow = e / s * weight[:, None]
+    grow[every, true] -= weight
+    grad = np.zeros_like(logits)
+    grad[sel] = grow
+    return value, grad
 
 
-def segmentation_tape(logits: Tensor, gt_flat: np.ndarray,
-                      mask_flat: np.ndarray) -> Tensor:
-    """Mean cross-entropy over valid cells with a non-void ground truth."""
-    idx = np.flatnonzero(mask_flat & (gt_flat > 0))
-    if idx.size == 0:
-        return Tensor(0.0)
-    rows = logits[idx]
-    n_classes = logits.shape[1]
-    onehot = np.eye(n_classes)[gt_flat[idx]]
-    true_logit = (rows * Tensor(onehot)).sum(axis=1)
-    return (rows.logsumexp_rows() - true_logit).mean()
+def class_means_tape(attended: Tensor, labels: np.ndarray, seg: np.ndarray,
+                     lid_means: np.ndarray, lid_present: np.ndarray) -> Tensor:
+    """Semantic-consistency term of a batch, one tape node: the class means
+    of each anchor's attended features by predicted label, against its
+    LiDAR class means (B, n_classes, C). attended (R, C) and labels (R,)
+    hold the valid cells of every anchor, anchor b owning rows
+    seg[b, 0]:seg[b, 1]."""
+    n_classes = lid_means.shape[1]
+    onehots = [(labels[lo:hi] == np.arange(n_classes)[:, None]).astype(np.float64)
+               for lo, hi in seg]                                # (K, n_b) each
+    sums = np.array([oh @ attended.data[lo:hi]
+                     for oh, (lo, hi) in zip(onehots, seg)])
+    counts = np.array([oh.sum(axis=1) for oh in onehots])
+    present = counts > 0
+    inv = 1.0 / np.where(present, counts, 1.0)
+    value, gmeans = _consistency(sums * inv[..., None], present, lid_means,
+                                 lid_present)
+
+    def bw(g):
+        gsums = g * gmeans * inv[..., None]
+        for oh, gs, (lo, hi) in zip(onehots, gsums, seg):
+            attended.grad[lo:hi] += oh.T @ gs
+
+    return Tensor(value, _prev=(attended,), _backward=bw)
+
+
+def segmentation_tape(logits: Tensor, gt: np.ndarray, seg: np.ndarray) -> Tensor:
+    """Segmentation term of a batch, one tape node: `_cross_entropy` over
+    logits (R, n_classes)."""
+    value, grad = _cross_entropy(logits.data, gt, seg)
+
+    def bw(g):
+        logits.grad += g * grad
+
+    return Tensor(value, _prev=(logits,), _backward=bw)
 
 
 # ------------------------------------------------------------------ public API
@@ -146,95 +184,104 @@ def contrastive_loss(anchor, positives, negatives, cfg: Config
 def semantic_consistency_loss(rgb_set: SemanticFeatureSet,
                               lidar_set: SemanticFeatureSet,
                               cfg: Config) -> tuple[float, dict]:
-    """Mean squared distance between class means shared by both modalities."""
-    rgb_t = Tensor(rgb_set.means, requires_grad=True)
-    lid_t = Tensor(lidar_set.means, requires_grad=True)
-    rgb = {c: rgb_t[c] for c in range(1, cfg.n_classes) if rgb_set.present[c]}
-    lid = {c: lid_t[c] for c in range(1, cfg.n_classes) if lidar_set.present[c]}
-    loss = semantic_consistency_tape(rgb, lid)
-    if loss.requires_grad:
-        loss.backward()
-        grads = {"rgb": rgb_t.grad, "lidar": lid_t.grad}
-    else:
-        grads = {"rgb": np.zeros_like(rgb_set.means),
-                 "lidar": np.zeros_like(lidar_set.means)}
-    return float(loss.data), grads
+    """Mean squared distance between the class means of classes
+    1..n_classes-1 shared by both modalities."""
+    k = cfg.n_classes
+    value, grad = _consistency(rgb_set.means[None, :k], rgb_set.present[None, :k],
+                               lidar_set.means[None, :k],
+                               lidar_set.present[None, :k])
+    grads = {"rgb": np.zeros_like(rgb_set.means),
+             "lidar": np.zeros_like(lidar_set.means)}
+    grads["rgb"][:k], grads["lidar"][:k] = grad[0], -grad[0]
+    return value, grads
 
 
 def segmentation_loss(logit_grid: np.ndarray, gt: SemanticImage
                       ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over non-void cells; grad w.r.t. logits."""
     h, w, n_classes = logit_grid.shape
-    logits = Tensor(logit_grid.reshape(-1, n_classes), requires_grad=True)
-    gt_flat = gt.labels.reshape(-1)
-    loss = segmentation_tape(logits, gt_flat, np.ones_like(gt_flat, dtype=bool))
-    if loss.requires_grad:
-        loss.backward()
-        grad = logits.grad.reshape(h, w, n_classes)
-    else:
-        grad = np.zeros_like(logit_grid)
-    return float(loss.data), grad
+    value, grad = _cross_entropy(logit_grid.reshape(h * w, n_classes),
+                                 gt.labels.reshape(-1), _segments([h * w]))
+    return value, grad.reshape(h, w, n_classes)
 
 
-def _lidar_class_means(fmap, n_classes: int) -> dict:
-    """class id (>=1) -> mean feature of a constant LiDAR map's valid cells
-    of that class, with the tape's `mean` arithmetic."""
-    onehot = fmap.values[..., 4:]
-    labels = np.where(onehot.any(axis=-1), np.argmax(onehot, axis=-1), 0)
-    feat = fmap.values.reshape(-1, fmap.channels)
-    valid = fmap.mask.reshape(-1)
-    labels = labels.reshape(-1)
-    means = {}
-    for c in range(1, n_classes):
-        idx = np.flatnonzero(valid & (labels == c))
-        if idx.size:
-            means[c] = feat[idx].sum(axis=0) * (1.0 / idx.size)
-    return means
+def _segments(counts) -> np.ndarray:
+    """Row ranges (M, 2) of M blocks of the given sizes laid back to back."""
+    ends = np.cumsum(counts, dtype=np.intp)
+    return np.stack([ends - counts, ends], axis=1)
 
 
-def total_loss(batch: TrainBatch, params: ModelParams, cfg: Config) -> LossReport:
+@dataclass
+class LidarMaps:
+    """The fixed data of constant LiDAR feature maps that training reads:
+    each map's valid cells and class means."""
+    cells: list          # (n_m, C) valid cells of map m
+    means: np.ndarray    # (M, n_classes, C) class means of the valid cells
+    present: np.ndarray  # (M, n_classes) bool
+    row: dict            # id(LocalFeatureMap) -> m
+
+
+def lidar_maps(fmaps: list, n_classes: int) -> LidarMaps:
+    """Valid cells and class means of each map. The class of a cell is its
+    one-hot in channels 4: of the LiDAR encoding."""
+    cells = [f.values.reshape(-1, f.channels).compress(f.mask.reshape(-1), axis=0)
+             for f in fmaps]
+    means = np.empty((len(fmaps), n_classes, fmaps[0].channels))
+    present = np.empty((len(fmaps), n_classes), dtype=bool)
+    for m, x in enumerate(cells):
+        onehot = x[:, 4:4 + n_classes]
+        count = onehot.sum(axis=0)
+        present[m] = count > 0
+        means[m] = (onehot.T @ x) / np.where(present[m], count, 1.0)[:, None]
+    return LidarMaps(cells, means, present,
+                     {id(f): m for m, f in enumerate(fmaps)})
+
+
+def _anchor_cells(anchors: list) -> tuple:
+    """Raw values (R, QUERY_CHANNELS) and ground truth (R,) of the valid
+    cells of every anchor, back to back, and each anchor's row range."""
+    raw = np.concatenate([a.raw[a.mask] for a in anchors])
+    gt = np.concatenate([a.gt_labels.labels[a.mask] for a in anchors])
+    return raw, gt, _segments([np.count_nonzero(a.mask) for a in anchors])
+
+
+def total_loss(batch: TrainBatch, params: ModelParams, cfg: Config,
+               lidar: LidarMaps | None = None) -> LossReport:
     """Full forward pipeline over a batch with gradients for every
-    trainable parameter, accumulated in a fixed sample order.
+    trainable parameter.
 
-    Each distinct LiDAR map (by identity) is described once per batch, and
-    the contrastive term reads one (anchors, maps) similarity matrix."""
+    The anchors go through the query pipeline as one stack, and each
+    distinct LiDAR map (by identity) is described once; the contrastive
+    term reads one (anchors, maps) similarity matrix. `lidar` must hold
+    every map of the batch; without it, it is built from the batch."""
     leaves = params.leaf_tensors()
     enc_t, att_t, vlad_t = leaves["enc"], leaves["att"], leaves["vlad"]
 
-    fmaps, col = [], {}
+    if lidar is None:
+        lidar = lidar_maps(list({id(f): f for s in batch.samples
+                                 for f in (*s.positives, *s.negatives)}.values()),
+                           cfg.n_classes)
+    rows, col = [], {}
     pos_cols, neg_cols = [], []
     for sample in batch.samples:
         for maps, cols in ((sample.positives, pos_cols),
                            (sample.negatives, neg_cols)):
             for f in maps:
                 if id(f) not in col:
-                    col[id(f)] = len(fmaps)
-                    fmaps.append(f)
+                    col[id(f)] = len(rows)
+                    rows.append(lidar.row[id(f)])
             cols.append([col[id(f)] for f in maps])
-    lidar = describe_lidar_tape(fmaps, vlad_t)                    # (M, D)
+    lid_desc = describe_lidar_tape([lidar.cells[m] for m in rows], vlad_t)
 
-    anchors, sem_terms, seg_terms, lid_cache = [], [], [], {}
-    for sample in batch.samples:
-        obs = sample.anchor
-        desc, attended, logits, pred = describe_query_tape(
-            obs, batch.context, enc_t, att_t, vlad_t)
-        anchors.append(desc)
-
-        mask_flat = obs.mask.reshape(-1)
-        rgb_means = class_means_tape(attended, pred.reshape(-1), mask_flat,
-                                     cfg.n_classes)
-        ref = sample.positives[0]
-        if id(ref) not in lid_cache:
-            lid_cache[id(ref)] = _lidar_class_means(ref, cfg.n_classes)
-        sem_terms.append(semantic_consistency_tape(rgb_means,
-                                                   lid_cache[id(ref)]))
-
-        seg_terms.append(segmentation_tape(
-            logits, obs.gt_labels.labels.reshape(-1), mask_flat))
-
-    l_con = contrastive_tape(stack(anchors) @ lidar.T, pos_cols, neg_cols, cfg)
-    l_sem = stack(sem_terms).mean()
-    l_seg = stack(seg_terms).mean()
+    raw, gt, seg = _anchor_cells([s.anchor for s in batch.samples])
+    desc, attended, logits, pred = describe_query_tape(
+        raw, seg, batch.context, enc_t, att_t, vlad_t)
+    l_con = contrastive_tape(desc @ lid_desc.T, pos_cols, neg_cols, cfg)
+    # the consistency term compares each anchor with its first positive
+    refs = [lidar.row[id(s.positives[0])] for s in batch.samples]
+    l_sem = class_means_tape(attended, pred, seg, lidar.means[refs],
+                             lidar.present[refs])
+    l_seg = segmentation_tape(logits, gt, seg)
     l_tot = l_con + cfg.lambda_sem * l_sem + l_seg
     l_tot.backward()
 
@@ -268,6 +315,8 @@ def train(dataset, cfg: Config, epochs: int, lr: float,
 
     anchors = [(pi, qi) for pi, pl in enumerate(places)
                for qi in range(len(pl.queries))]
+    lidar = lidar_maps([f for pl in places for f in pl.viewpoint_fmaps],
+                       cfg.n_classes)
     history = []
     for epoch in range(epochs):
         rng = make_rng(cfg.seed, 7000, epoch)
@@ -291,7 +340,7 @@ def train(dataset, cfg: Config, epochs: int, lr: float,
                     negatives.append(places[other].viewpoint_fmaps[nk])
                 samples.append(TrainSample(obs, positives, negatives))
             report = total_loss(TrainBatch(samples, dataset.context),
-                                ModelParams.from_tensors(tensors), cfg)
+                                ModelParams.from_tensors(tensors), cfg, lidar)
             if not math.isfinite(report.l_total):
                 raise TrainingDiverged(epoch)
             for name in TRAINABLE:

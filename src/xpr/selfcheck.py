@@ -101,29 +101,29 @@ def check_segmentation_grad(seed: int) -> CheckResult:
 
 
 def check_netvlad_batch_grad(seed: int) -> CheckResult:
-    """Fused batched NetVLAD: centroid and soft-assignment gradients of
-    sum(G * out) on a batch with a repeated map and a zero-cell map."""
+    """Fused batched NetVLAD: cell, centroid and soft-assignment gradients
+    of sum(G * out) on a batch with a repeated map and a zero-cell map."""
     rng = make_rng(seed, 14)
     k, c, d = 3, 4, 6
-    maps = [rng.normal(size=(n, c)) for n in (5, 3)]
-    cells = np.concatenate([maps[0], maps[1], maps[0]])
-    seg = np.array([0, 5, 5, 8, 13])   # map 1 has no cells, map 0 repeats
+    cells = rng.normal(size=(8, c))
+    # map 1 has no cells; map 3 repeats map 0 over the same rows
+    seg = np.array([[0, 5], [5, 5], [5, 8], [0, 5]])
     proj = rng.normal(size=(d, k * c))
-    g = rng.normal(size=(len(seg) - 1, d))
-    params = [rng.normal(size=(k, c)), rng.normal(size=(k, c)),
+    g = rng.normal(size=(len(seg), d))
+    inputs = [cells, rng.normal(size=(k, c)), rng.normal(size=(k, c)),
               rng.normal(size=k)]
 
     def objective(p):
-        return (Tensor(g) * netvlad_batch(cells, seg, *p, proj)).sum()
+        return (Tensor(g) * netvlad_batch(p[0], seg, *p[1:], proj)).sum()
 
-    leaves = [Tensor(x, requires_grad=True) for x in params]
+    leaves = [Tensor(x, requires_grad=True) for x in inputs]
     objective(leaves).backward()
     worst = 0.0
     for i, leaf in enumerate(leaves):
         def f(x, i=i):
             return float(objective([Tensor(y) for y in
-                                    params[:i] + [x] + params[i + 1:]]).data)
-        worst = max(worst, _rel_err(leaf.grad, central_diff(f, params[i].copy())))
+                                    inputs[:i] + [x] + inputs[i + 1:]]).data)
+        worst = max(worst, _rel_err(leaf.grad, central_diff(f, inputs[i].copy())))
     return CheckResult("grad_netvlad_batch", worst, 1e-3)
 
 

@@ -6,7 +6,7 @@ import pytest
 from xpr.aggregation import (DEFAULT_CLUSTERS, init_attention_params,
                              init_netvlad_params, netvlad, netvlad_batch,
                              netvlad_tape, semantic_attention)
-from xpr.autodiff import Tensor, stack
+from xpr.autodiff import Tensor
 from xpr.config import Config, make_rng
 from xpr.encoder import LocalFeatureMap
 
@@ -78,43 +78,50 @@ def _vlad_leaves(rng, k, c):
 @pytest.mark.parametrize("case", ["mixed", "single"])
 def test_netvlad_batch_matches_tape(case):
     """Each row of the fused op is `netvlad_tape` on that map, and its
-    parameter gradients are the per-map tape's, summed."""
+    cell and parameter gradients are the per-map tape's, summed."""
     rng = make_rng(31, 0 if case == "mixed" else 1)
     k, c, d_out = 4, 6, 10
     if case == "mixed":
         maps = [random_fmap(rng, 3, 5, c) for _ in range(3)]
         empty = LocalFeatureMap(np.zeros((2, 4, c)), np.zeros((2, 4), bool))
-        maps = [maps[0], empty, maps[1], maps[0], maps[2]]  # maps[0] twice
+        maps = [maps[0], empty, maps[1], maps[2]]
+        order = [0, 1, 2, 0, 3]   # map 0 twice, over the same rows
     else:
         maps = [random_fmap(rng, 4, 4, c)]
+        order = [0]
     proj = rng.normal(size=(d_out, k * c))
     leaves = _vlad_leaves(rng, k, c)
     ref_leaves = [Tensor(t.data.copy(), requires_grad=True) for t in leaves]
     valid = [f.values.reshape(-1, c)[f.mask.reshape(-1)] for f in maps]
-    seg = np.concatenate([[0], np.cumsum([v.shape[0] for v in valid])])
-    g = rng.normal(size=(len(maps), d_out))
+    ends = np.cumsum([v.shape[0] for v in valid])
+    seg = np.stack([ends - [v.shape[0] for v in valid], ends], axis=1)[order]
+    g = rng.normal(size=(len(order), d_out))
 
-    out = netvlad_batch(np.concatenate(valid), seg, *leaves, proj)
+    cells = Tensor(np.concatenate(valid), requires_grad=True)
+    out = netvlad_batch(cells, seg, *leaves, proj)
     (Tensor(g) * out).sum().backward()
-    rows = [netvlad_tape(Tensor(v), *ref_leaves, proj) for v in valid]
-    (Tensor(g) * stack(rows)).sum().backward()
+    ref_cells = [Tensor(v, requires_grad=True) for v in valid]
+    rows = [netvlad_tape(ref_cells[i], *ref_leaves, proj) for i in order]
+    sum((Tensor(g[m]) * row).sum() for m, row in enumerate(rows)).backward()
 
-    assert out.shape == (len(maps), d_out)
+    assert out.shape == (len(order), d_out)
     for m, row in enumerate(rows):
         assert np.abs(out.data[m] - row.data).max() <= 1e-12
     if case == "mixed":
         assert not out.data[1].any()
         assert np.array_equal(out.data[0], out.data[3])
-    for got, ref in zip(leaves, ref_leaves):
-        assert np.abs(got.grad - ref.grad).max() <= 1e-10 * np.abs(ref.grad).max()
+    want_cells = np.concatenate([t.grad for t in ref_cells])
+    pairs = [(cells.grad, want_cells)] + [
+        (got.grad, ref.grad) for got, ref in zip(leaves, ref_leaves)]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_netvlad_batch_zero_map_has_zero_gradient():
     rng = make_rng(32, 0)
     k, c = 3, 5
     leaves = _vlad_leaves(rng, k, c)
-    empty = np.zeros((0, c))
-    out = netvlad_batch(empty, np.array([0, 0]), *leaves,
+    out = netvlad_batch([np.zeros((0, c))], None, *leaves,
                         rng.normal(size=(7, k * c)))
     (Tensor(rng.normal(size=(1, 7))) * out).sum().backward()
     assert not out.data.any()

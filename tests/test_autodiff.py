@@ -6,7 +6,7 @@ compares against the backward pass at rtol 1e-5.
 import numpy as np
 import pytest
 
-from xpr.autodiff import Tensor, stack
+from xpr.autodiff import Tensor, row_max
 from xpr.config import make_rng
 
 
@@ -47,10 +47,6 @@ def test_sub_neg_rsub():
     check(lambda a, b: ((a - b) * (1.0 - a)).sum(), (5,), (5,))
 
 
-def test_div():
-    check(lambda a, b: (a / b).sum(), (3, 3), (3, 3), low=0.5, high=2.0)
-
-
 def test_matmul_2d():
     check(lambda a, b: (a @ b).sum(), (3, 4), (4, 2))
 
@@ -62,16 +58,12 @@ def test_matmul_vec_cases():
 
 
 def test_nonlinearities():
-    check(lambda a: a.tanh().sum(), (3, 3))
-    check(lambda a: a.sigmoid().sum(), (7,))
     check(lambda a: a.relu().sum(), (6, 2))
 
 
-def test_sum_axes_and_mean():
+def test_sum_axes():
     check(lambda a: (a.sum(axis=0, keepdims=True) * a).sum(), (3, 5))
     check(lambda a: a.sum(axis=1).sum(), (3, 5))
-    check(lambda a: a.mean(), (4, 4))
-    check(lambda a: (a.mean(axis=0) * a.mean(axis=0)).sum(), (3, 4))
 
 
 def test_getitem_reshape_transpose():
@@ -115,10 +107,6 @@ def test_normalize_vec():
     assert not z.grad.any()
 
 
-def test_stack():
-    check(lambda a, b: (stack([a, b]) * stack([b, a])).sum(), (3,), (3,))
-
-
 def test_grad_accumulates_through_reuse():
     # d/dx (x*x + x) = 2x + 1
     x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
@@ -134,8 +122,23 @@ def test_no_grad_leaf_stays_none():
 
 
 def test_diamond_graph():
-    # y = h + h with h = tanh(x): grad is 2*(1-tanh^2)
+    # y = h + h with h = x * x: grad is 2 * 2x
     x = Tensor(np.array([0.3, -0.7]), requires_grad=True)
-    h = x.tanh()
+    h = x * x
     (h + h).sum().backward()
-    assert np.allclose(x.grad, 2 * (1 - np.tanh(x.data) ** 2))
+    assert np.allclose(x.grad, 4 * x.data)
+
+
+def test_row_max_bit_equal_to_reduction():
+    rng = make_rng(3, 4)
+    a = rng.normal(size=(50, 9))
+    a[::3, 4] = a[::3, 1]                 # ties between columns
+    a[5] = 2.0                            # a row of equal values
+    a[7, :] = [-0.0, 0.0] * 4 + [-0.0]     # signed zeros
+    padded = np.array([[0.3, 0.1, -np.inf, -np.inf],    # contrastive padding
+                       [-np.inf, 0.2, -np.inf, -np.inf],
+                       [0.5, 0.5, 0.5, -np.inf]])
+    for x in (a, padded, a[:, :1], a[:0]):
+        got = row_max(x)
+        assert got.shape == (len(x), 1)
+        assert np.array_equal(got, x.max(axis=1, keepdims=True))

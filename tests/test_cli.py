@@ -209,6 +209,32 @@ def test_trailing_bytes_are_data_error(workspace, tmp_path, capsys, kind):
     assert f"trailing bytes from byte {end}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("defect", ["utf8", "json", "key"])
+@pytest.mark.parametrize("kind", ["index", "ckpt"])
+def test_bad_config_header_is_data_error(workspace, tmp_path, capsys, kind,
+                                         defect):
+    args, artifacts = artifact_copies(workspace, tmp_path)
+    target, loader = artifacts[kind]
+    with open(target, "rb") as fh:
+        data = bytearray(fh.read())
+    # the header starts after the 8-byte magic, version and length
+    if defect == "utf8":
+        data[14] = 0xFF
+    elif defect == "json":
+        data[15] = ord("x")
+    else:  # same length, so only the key is wrong
+        at = data.index(b'"seed"')
+        data[at:at + 6] = b'"sEEd"'
+    with open(target, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(FormatError, match="bad config header at byte 14: "):
+        loader(target)
+    capsys.readouterr()
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "bad config header at byte 14" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("defect", ["missing", "shape", "name"])
 def test_incomplete_checkpoint_is_data_error(workspace, tmp_path, capsys,
                                              monkeypatch, defect):

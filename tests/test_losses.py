@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from xpr.autodiff import Tensor, stack
+from xpr.aggregation import netvlad_tape
+from xpr.autodiff import Tensor
 from xpr.config import Config, make_rng
 from xpr.encoder import (QUERY_CHANNELS, LocalFeatureMap, QueryObservation)
 from xpr.losses import (SemanticFeatureSet, TrainBatch, TrainSample,
-                        contrastive_loss, contrastive_tape, nearest_viewpoint,
-                        segmentation_loss,
+                        contrastive_loss, contrastive_tape, lidar_maps,
+                        nearest_viewpoint, segmentation_loss,
                         semantic_consistency_loss, total_loss, train)
-from xpr.model import TRAINABLE, init_model_params
+from xpr.model import TRAINABLE, ModelParams, init_model_params
 from xpr.projection import SemanticImage
 
 # log(1 + e^-1), InfoNCE with one positive at logit 1 and one negative at 0
@@ -108,6 +109,44 @@ def test_contrastive_gradients_fd(kind):
     fd_check(fn, arrays, flat_grads)
 
 
+# ---------------------------------------------------- per-sample references
+# Generic tape ops that the per-sample references below need and the
+# library no longer has.
+
+def stack(tensors):
+    """Stack same-shape tensors along a new leading axis."""
+    def bw(g):
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t.grad += g[i]
+
+    return Tensor(np.stack([t.data for t in tensors]), _prev=tuple(tensors),
+                  _backward=bw)
+
+
+def mean(t, axis=None):
+    n = t.data.size if axis is None else t.data.shape[axis]
+    return t.sum(axis=axis) * (1.0 / n)
+
+
+def tanh(t):
+    y = np.tanh(t.data)
+
+    def bw(g):
+        t.grad += g * (1.0 - y * y)
+
+    return Tensor(y, _prev=(t,), _backward=bw)
+
+
+def sigmoid(t):
+    y = 1.0 / (1.0 + np.exp(-t.data))
+
+    def bw(g):
+        t.grad += g * y * (1.0 - y)
+
+    return Tensor(y, _prev=(t,), _backward=bw)
+
+
 def per_pair_contrastive(anchor, positives, negatives, cfg):
     """One anchor's loss from per-pair dot products: the reference for the
     batched (anchors, maps) similarity form."""
@@ -120,7 +159,7 @@ def per_pair_contrastive(anchor, positives, negatives, cfg):
             sp = dot(anchor, p)
             for n in negatives:
                 terms.append((cfg.margin - sp + dot(anchor, n)).relu())
-        return stack(terms).mean()
+        return mean(stack(terms))
     inv_t = 1.0 / cfg.temperature
     neg_logits = [dot(anchor, n) * inv_t for n in negatives]
     terms = []
@@ -128,7 +167,7 @@ def per_pair_contrastive(anchor, positives, negatives, cfg):
         sp = dot(anchor, p) * inv_t
         row = stack([sp] + neg_logits).reshape(1, -1)
         terms.append(row.logsumexp_rows().sum() - sp)
-    return stack(terms).mean()
+    return mean(stack(terms))
 
 
 @pytest.mark.parametrize("kind", ["triplet", "infonce"])
@@ -149,9 +188,9 @@ def test_batched_contrastive_matches_per_pair(kind):
 
     ra = [Tensor(x, requires_grad=True) for x in anchors]
     rm = [Tensor(x, requires_grad=True) for x in maps]
-    ref = stack([per_pair_contrastive(ra[b], [rm[j] for j in pos[b]],
-                                      [rm[j] for j in neg[b]], cfg)
-                 for b in range(n_anchors)]).mean()
+    ref = mean(stack([per_pair_contrastive(ra[b], [rm[j] for j in pos[b]],
+                                           [rm[j] for j in neg[b]], cfg)
+                      for b in range(n_anchors)]))
     ref.backward()
 
     assert float(loss.data) == pytest.approx(float(ref.data), abs=1e-12)
@@ -310,6 +349,128 @@ def test_total_loss_deterministic():
     assert r0.l_total == r1.l_total
     for name in TRAINABLE:
         assert np.array_equal(r0.grads[name], r1.grads[name])
+
+
+def reference_total_loss(batch, params, cfg):
+    """The total loss as a per-sample tape: one generic graph per anchor
+    and per LiDAR map, the formula the batched nodes must reproduce."""
+    leaves = params.leaf_tensors()
+    enc, att, vlad = leaves["enc"], leaves["att"], leaves["vlad"]
+    n_classes = cfg.n_classes
+
+    def describe(valid):
+        return netvlad_tape(valid, vlad["centroids"], vlad["assign_w"],
+                            vlad["assign_b"], vlad["proj"].data)
+
+    lid = {}
+    for s in batch.samples:
+        for f in (*s.positives, *s.negatives):
+            lid[id(f)] = describe(
+                Tensor(f.values.reshape(-1, f.channels)[f.mask.reshape(-1)]))
+
+    con, sem, seg = [], [], []
+    for s in batch.samples:
+        obs = s.anchor
+        mask = obs.mask.reshape(-1)
+        x = Tensor(obs.raw.reshape(mask.size, -1))
+        h = tanh(x @ enc["rgb_proj"] + enc["rgb_bias"]) * Tensor(
+            mask[:, None].astype(np.float64))
+        feat = h @ enc["desc_proj"]
+        logits = h @ enc["seg_head"] + enc["seg_bias"]
+        w = att["bilinear"] @ Tensor(batch.context)
+        attended = feat * sigmoid((feat @ w) * att["gain"]).reshape(-1, 1)
+        con.append(per_pair_contrastive(
+            describe(attended[mask]), [lid[id(f)] for f in s.positives],
+            [lid[id(f)] for f in s.negatives], cfg))
+
+        pred = np.argmax(logits.data, axis=1)
+        ref = s.positives[0]
+        ref_x = ref.values.reshape(-1, ref.channels)[ref.mask.reshape(-1)]
+        onehot = ref_x[:, 4:]
+        ref_labels = np.where(onehot.any(axis=1), np.argmax(onehot, axis=1), 0)
+        terms = []
+        for c in range(1, n_classes):
+            idx = np.flatnonzero(mask & (pred == c))
+            ref_idx = np.flatnonzero(ref_labels == c)
+            if idx.size and ref_idx.size:
+                d = mean(attended[idx], axis=0) - Tensor(ref_x[ref_idx].mean(axis=0))
+                terms.append((d * d).sum())
+        sem.append(mean(stack(terms)) if terms else Tensor(0.0))
+
+        gt = obs.gt_labels.labels.reshape(-1)
+        idx = np.flatnonzero(mask & (gt > 0))
+        if idx.size:
+            rows = logits[idx]
+            true = (rows * Tensor(np.eye(n_classes)[gt[idx]])).sum(axis=1)
+            seg.append(mean(rows.logsumexp_rows() - true))
+        else:
+            seg.append(Tensor(0.0))
+
+    l_tot = (mean(stack(con)) + cfg.lambda_sem * mean(stack(sem))
+             + mean(stack(seg)))
+    l_tot.backward()
+    return float(l_tot.data), {n: leaves["flat"][n].grad for n in TRAINABLE}
+
+
+def degenerate_batch(cfg):
+    """Ragged positives and negatives, a map shared by two anchors, a
+    smaller anchor, and three degenerate anchors: an all-false mask, no
+    non-void ground truth, and a positive with only void cells, so no
+    class in common."""
+    rng = make_rng(12, 1)
+    maps = [fake_fmap(rng, cfg) for _ in range(7)]
+    void = fake_fmap(rng, cfg)
+    void.values[..., 4:] = np.eye(cfg.n_classes)[0] * void.mask[..., None]
+    anchors = [fake_obs(rng, cfg) for _ in range(4)] + [fake_obs(rng, cfg, 3, 5)]
+    anchors[1] = QueryObservation(anchors[1].raw,
+                                  np.zeros_like(anchors[1].mask),
+                                  anchors[1].gt_labels)
+    anchors[2] = QueryObservation(
+        anchors[2].raw, anchors[2].mask,
+        SemanticImage(np.zeros_like(anchors[2].gt_labels.labels)))
+    samples = [TrainSample(anchors[0], [maps[0]], [maps[1], maps[2]]),
+               TrainSample(anchors[1], [maps[3], maps[4]], [maps[0]]),
+               TrainSample(anchors[2], [maps[0]], [maps[5], maps[6], maps[1]]),
+               TrainSample(anchors[3], [void], [maps[2], maps[3]]),
+               TrainSample(anchors[4], [maps[6], maps[2]], [maps[4]])]
+    context = rng.random(cfg.n_classes)
+    return TrainBatch(samples, context / context.sum())
+
+
+@pytest.mark.parametrize("kind", ["triplet", "infonce"])
+def test_total_loss_matches_per_sample_tape(kind):
+    cfg = dataclasses.replace(SMALL, loss_kind=kind, margin=1.0,
+                              temperature=0.5)
+    # off the initial point, where the gain is 1, the biases are 0 and the
+    # descriptor head is the identity
+    rng = make_rng(14, 1)
+    params = ModelParams.from_tensors({
+        name: arr + (rng.normal(0.0, 0.3, np.shape(arr)) if name in TRAINABLE
+                     else 0.0)
+        for name, arr in init_model_params(cfg).tensors().items()})
+    batch = degenerate_batch(cfg)
+    got = total_loss(batch, params, cfg)
+    want, want_grads = reference_total_loss(batch, params, cfg)
+    assert got.l_total == pytest.approx(want, abs=1e-12)
+    for name in TRAINABLE:
+        scale = np.abs(want_grads[name]).max()
+        assert scale > 0.0, name
+        assert np.abs(got.grads[name] - want_grads[name]).max() <= 1e-10 * scale, name
+
+
+def test_total_loss_reads_a_prebuilt_lidar_table():
+    cfg = SMALL
+    params = init_model_params(cfg)
+    batch = degenerate_batch(cfg)
+    spare = fake_fmap(make_rng(13, 1), cfg)
+    fmaps = {id(f): f for s in batch.samples
+             for f in (*s.positives, *s.negatives)}
+    table = lidar_maps([spare, *reversed(fmaps.values())], cfg.n_classes)
+    a = total_loss(batch, params, cfg)
+    b = total_loss(batch, params, cfg, table)
+    assert b.l_total == pytest.approx(a.l_total, abs=1e-12)
+    for name in TRAINABLE:
+        assert np.allclose(a.grads[name], b.grads[name], rtol=0, atol=1e-12)
 
 
 class FakeDataset:
