@@ -59,7 +59,12 @@ def init_netvlad_params(cfg: Config, n_clusters: int = DEFAULT_CLUSTERS,
     )
 
 
-# ------------------------------------------------------------------ tape core
+# ------------------------------------------------------------------ forwards
+
+def _safe(norms: np.ndarray) -> np.ndarray:
+    """Norms with zeros replaced by one, so that a zero row divides to zero."""
+    return np.where(norms > 0.0, norms, 1.0)
+
 
 def attention_forward(feat: np.ndarray, context: np.ndarray,
                       bilinear: np.ndarray, gain) -> tuple:
@@ -75,33 +80,19 @@ def attention_forward(feat: np.ndarray, context: np.ndarray,
     return feat * gate[:, None], gate, w, score
 
 
-def netvlad_tape(feat: Tensor, centroids: Tensor, assign_w: Tensor,
-                 assign_b: Tensor, proj: np.ndarray) -> Tensor:
-    """Soft-assign residual aggregation over valid cells, reduced to d_D."""
-    soft = (feat @ assign_w.T + assign_b).softmax_rows()        # (N, K)
-    v = soft.T @ feat - soft.sum(axis=0).reshape(-1, 1) * centroids  # (K, C)
-    v = v.normalize_rows()
-    d = Tensor(proj) @ v.reshape(-1)
-    return d.normalize_vec()
+def netvlad_forward(blocks: list, centroids: np.ndarray, assign_w: np.ndarray,
+                    assign_b: np.ndarray, proj: np.ndarray) -> tuple:
+    """Soft-assign residual aggregation of M maps, reduced to d_D.
 
-
-def netvlad_batch(cells, seg: np.ndarray | None, centroids: Tensor,
-                  assign_w: Tensor, assign_b: Tensor, proj: np.ndarray) -> Tensor:
-    """`netvlad_tape` over M maps at once, as one tape node (M, d_D).
-
-    Map m's valid cells are rows seg[m, 0]:seg[m, 1] of the Tensor `cells`
-    (N, C), which gets a gradient; maps may share rows. Constant maps come
-    instead as a list of M (n_m, C) arrays, with seg None. A map with no
-    cells, or whose descriptor normalizes to zero, gives a zero row with
-    zero gradient.
+    `blocks` holds each map's valid cells as an (n_m, C) array. Returns the
+    descriptors (M, d_D) and, for the backward, the soft-assignments (K, n_m)
+    of each map, the cluster masses (M, K), the intra-normalized residuals
+    (M, K, C) with their norms (M, K, 1), and the descriptor norms (M, 1).
+    A map with no cells, or whose descriptor normalizes to zero, gives a
+    zero row.
     """
-    if seg is None:
-        blocks, cells_grad = cells, False
-    else:
-        blocks = [cells.data[lo:hi] for lo, hi in seg]
-        cells_grad = cells.requires_grad
-    c, w, b = centroids.data, assign_w.data, assign_b.data[:, None]
-    m_n, (k_n, c_n) = len(blocks), c.shape
+    b = assign_b[:, None]
+    m_n, (k_n, c_n) = len(blocks), centroids.shape
     # soft-assignments are held transposed, (K, n_m), so that the max and
     # the sums over the K clusters reduce over the outer axis, which numpy
     # does several times faster than over a short last axis
@@ -109,7 +100,7 @@ def netvlad_batch(cells, seg: np.ndarray | None, centroids: Tensor,
     mass = np.empty((m_n, k_n))
     v = np.empty((m_n, k_n, c_n))
     for m, xm in enumerate(blocks):
-        soft = w @ xm.T
+        soft = assign_w @ xm.T
         soft += b
         soft -= soft.max(axis=0)
         np.exp(soft, out=soft)
@@ -117,22 +108,41 @@ def netvlad_batch(cells, seg: np.ndarray | None, centroids: Tensor,
         softs.append(soft)
         mass[m] = soft.sum(axis=1)
         v[m] = soft @ xm
-    v -= mass[:, :, None] * c
+    v -= mass[:, :, None] * centroids
     norms = np.sqrt((v ** 2).sum(axis=2, keepdims=True))         # (M, K, 1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    vn = v / safe
+    vn = v / _safe(norms)
     d = vn.reshape(m_n, -1) @ proj.T                              # (M, d_D)
     dnorm = np.sqrt((d ** 2).sum(axis=1, keepdims=True))
-    dsafe = np.where(dnorm > 0.0, dnorm, 1.0)
-    y = d / dsafe
+    y = d / _safe(dnorm)
+    return y, softs, mass, vn, norms, dnorm
+
+
+def netvlad_batch(cells, seg: np.ndarray | None, centroids: Tensor,
+                  assign_w: Tensor, assign_b: Tensor, proj: np.ndarray) -> Tensor:
+    """`netvlad_forward` as one tape node (M, d_D), with its backward.
+
+    Map m's valid cells are rows seg[m, 0]:seg[m, 1] of the Tensor `cells`
+    (N, C), which gets a gradient; maps may share rows. Constant maps come
+    instead as a list of M (n_m, C) arrays, with seg None. A zero row has
+    zero gradient.
+    """
+    if seg is None:
+        blocks, cells_grad = cells, False
+    else:
+        blocks = [cells.data[lo:hi] for lo, hi in seg]
+        cells_grad = cells.requires_grad
+    c, w = centroids.data, assign_w.data
+    y, softs, mass, vn, norms, dnorm = netvlad_forward(
+        blocks, c, w, assign_b.data, proj)
 
     def bw(g):
         gd = np.where(dnorm > 0.0,
-                      (g - y * (g * y).sum(axis=1, keepdims=True)) / dsafe, 0.0)
-        gvn = (gd @ proj).reshape(m_n, k_n, c_n)
-        gv = np.where(norms > 0.0,
-                      (gvn - vn * (gvn * vn).sum(axis=2, keepdims=True)) / safe,
+                      (g - y * (g * y).sum(axis=1, keepdims=True)) / _safe(dnorm),
                       0.0)
+        gvn = (gd @ proj).reshape(vn.shape)
+        gv = np.where(norms > 0.0,
+                      (gvn - vn * (gvn * vn).sum(axis=2, keepdims=True))
+                      / _safe(norms), 0.0)
         if centroids.requires_grad:
             centroids.grad -= np.einsum("mk,mkc->kc", mass, gv)
         if not (cells_grad or assign_w.requires_grad or assign_b.requires_grad):
@@ -174,12 +184,9 @@ def netvlad(feat: LocalFeatureMap, params: NetVladParams) -> GlobalDescriptor:
     valid = feat.values.reshape(-1, feat.channels)[feat.mask.reshape(-1)]
     if valid.shape[0] == 0:
         return GlobalDescriptor(np.zeros(params.proj.shape[0]), flagged=True)
-    d = netvlad_tape(Tensor(valid), Tensor(params.centroids),
-                     Tensor(params.assign_w), Tensor(params.assign_b),
-                     params.proj)
-    if not d.data.any():
-        return GlobalDescriptor(d.data.copy(), flagged=True)
-    return GlobalDescriptor(d.data.copy())
+    d = netvlad_forward([valid], params.centroids, params.assign_w,
+                        params.assign_b, params.proj)[0][0]
+    return GlobalDescriptor(d, flagged=not d.any())
 
 
 def describe_query(obs: QueryObservation, enc: EncoderParams,

@@ -139,14 +139,14 @@ def cmd_build_map(args) -> int:
     return EXIT_OK
 
 
-def _load_queries(path: str) -> list:
+def _load_queries(path: str, n_classes: int) -> list:
     from .io_datasets import load_query
     qdir = os.path.join(path, "queries")
     if os.path.isdir(qdir):
         path = qdir
     if not os.path.isdir(path):
         raise CliError(f"no query directory at {path}")
-    return [load_query(os.path.join(path, n))
+    return [load_query(os.path.join(path, n), n_classes)
             for n in sorted(os.listdir(path)) if n.endswith(".qry")]
 
 
@@ -154,7 +154,7 @@ def cmd_match(args) -> int:
     index = load_index(args.index)
     cfg = index.config
     params, cfg = _load_params(args.ckpt, cfg)
-    queries = _load_queries(args.queries)
+    queries = _load_queries(args.queries, cfg.n_classes)
     t0 = time.perf_counter()
     results = match_dataset_queries(queries, index, params, cfg)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
@@ -253,7 +253,7 @@ def cmd_bench(args) -> int:
     index = load_index(args.index)
     cfg = index.config
     params, cfg = _load_params(args.ckpt, cfg)
-    queries = _load_queries(args.queries)
+    queries = _load_queries(args.queries, cfg.n_classes)
     if not queries:
         raise CliError("no queries to benchmark")
     context = index.mean_histogram()

@@ -286,7 +286,8 @@ class QueryRecord:
     obs: QueryObservation
 
 
-def load_query(path) -> QueryRecord:
+def load_query(path, n_classes: int) -> QueryRecord:
+    """Read a query file whose ground-truth labels are all below n_classes."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 8, path)
         if magic != QUERY_MAGIC:
@@ -301,9 +302,15 @@ def load_query(path) -> QueryRecord:
                             dtype="<f4").astype(np.float64).reshape(h, w, c)
         mask = np.frombuffer(_read_exact(fh, h * w, path),
                              dtype=np.uint8).reshape(h, w) != 0
+        labels_at = fh.tell()
         labels = np.frombuffer(_read_exact(fh, 2 * h * w, path),
                                dtype="<u2").astype(np.uint16).reshape(h, w)
         _expect_end(fh, path)
+    bad = np.flatnonzero(labels >= n_classes)
+    if bad.size:
+        raise FormatError(f"{path}: label {labels.flat[bad[0]]} at byte "
+                          f"{labels_at + 2 * bad[0]} is not below "
+                          f"n_classes {n_classes}")
     obs = QueryObservation(raw, mask, SemanticImage(labels))
     return QueryRecord(qid, pid, heading, noise, gt, obs)
 
@@ -352,16 +359,31 @@ def save_dataset(root, cfg: Config, places, clouds, poses, queries,
 
 
 def load_dataset_config(root) -> tuple[Config, dict]:
-    """The dataset's config and its parsed meta.json, reading nothing else."""
-    with open(os.path.join(root, "meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return config_from_json(json.dumps(meta["config"])), meta
+    """The dataset's config and its parsed meta.json, reading nothing else.
+    A meta.json that is not UTF-8 JSON, lacks a `config`, `places` or
+    `class_map` key, or holds an invalid config is a FormatError."""
+    path = os.path.join(root, "meta.json")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        meta = json.loads(data.decode("utf-8"))
+        missing = [k for k in ("config", "places", "class_map") if k not in meta]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+        return config_from_json(json.dumps(meta["config"])), meta
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_dataset(root) -> Dataset:
     cfg, meta = load_dataset_config(root)
-    class_map = {int(k): int(v) for k, v in meta["class_map"].items()}
-    places = [(int(pid), np.array(pos)) for pid, pos in meta["places"]]
+    try:
+        class_map = {int(k): int(v) for k, v in meta["class_map"].items()}
+        places = [(int(pid), np.array(pos, dtype=np.float64).reshape(3))
+                  for pid, pos in meta["places"]]
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"{os.path.join(root, 'meta.json')}: bad places or "
+                          f"class_map: {exc}") from exc
     poses = load_poses(os.path.join(root, "poses.txt"))
     if len(poses) != len(places):
         raise FormatError(f"{root}: {len(poses)} poses for {len(places)} places")
@@ -373,6 +395,6 @@ def load_dataset(root) -> Dataset:
         clouds.append(LabeledPointCloud(pose.transform(cloud.points),
                                         cloud.labels, cloud.intensities))
     qdir = os.path.join(root, "queries")
-    queries = [load_query(os.path.join(qdir, name))
+    queries = [load_query(os.path.join(qdir, name), cfg.n_classes)
                for name in sorted(os.listdir(qdir)) if name.endswith(".qry")]
     return Dataset(str(root), cfg, class_map, places, clouds, poses, queries, meta)

@@ -1,5 +1,5 @@
 """Training objective: contrastive + semantic-consistency + segmentation
-terms as fused batch nodes and tape ops, plus a small deterministic trainer."""
+terms as fused batch nodes, plus a small deterministic trainer."""
 from __future__ import annotations
 
 import math
@@ -52,12 +52,13 @@ class TrainBatch:
 
 # ----------------------------------------------------------------- tape cores
 
-def contrastive_tape(sims: Tensor, positives: list, negatives: list,
-                     cfg: Config) -> Tensor:
-    """Mean over anchors of the per-anchor contrastive loss.
+def contrastive_tape(anchors: Tensor, maps: Tensor, positives: list,
+                     negatives: list, cfg: Config) -> Tensor:
+    """Mean over anchors of the per-anchor contrastive loss, one tape node.
 
-    `sims` (B, M) holds anchor-to-map similarities; positives[b] and
-    negatives[b] list the columns of anchor b's positive and negative maps.
+    The similarities are anchors (B, d) @ maps (M, d)^T; positives[b] and
+    negatives[b] list the rows of `maps` that are anchor b's positive and
+    negative maps.
     """
     if not all(positives) or not all(negatives):
         raise ValueError("need at least one positive and one negative")
@@ -75,15 +76,44 @@ def contrastive_tape(sims: Tensor, positives: list, negatives: list,
         weights += [1.0 / (len(positives) * len(picks))] * len(picks)
     width = max(len(p) for p in cols)
     pad = np.array([[0.0] * len(p) + [-np.inf] * (width - len(p)) for p in cols])
-    cols = np.array([list(p) + [p[0]] * (width - len(p)) for p in cols])
-    pick = sims[np.array(rows)[:, None], cols]          # (terms, width)
+    idx = (np.array(rows)[:, None],
+           np.array([list(p) + [p[0]] * (width - len(p)) for p in cols]))
+    weights = np.array(weights)
+    a, m = anchors.data, maps.data
+    pick = (a @ m.T)[idx]                                  # (terms, width)
     if cfg.loss_kind == "triplet":
-        terms = (cfg.margin - pick[:, 0] + pick[:, 1]).relu()
+        hinge = cfg.margin - pick[:, 0] + pick[:, 1]
+        active = hinge > 0.0
+        terms = np.where(active, hinge, 0.0)
     else:
         # padded slots hold -inf logits, which add nothing to the sum
         logits = pick * (1.0 / cfg.temperature) + pad
-        terms = logits.logsumexp_rows() - logits[:, 0]
-    return (terms * np.array(weights)).sum()
+        top = row_max(logits)
+        e = np.exp(logits - top)
+        s = e.sum(axis=1, keepdims=True)
+        terms = (top + np.log(s)).ravel() - logits[:, 0]
+        soft = e / s
+
+    def bw(g):
+        gterms = g * weights
+        if cfg.loss_kind == "triplet":
+            ghinge = gterms * active
+            gpick = np.column_stack([-ghinge, ghinge])
+        else:
+            gpick = gterms[:, None] * soft
+            gpick[:, 0] -= gterms
+            gpick *= 1.0 / cfg.temperature
+        # an anchor may pick one map several times; np.add.at sums the repeats
+        gsims = np.zeros((len(a), len(m)))
+        np.add.at(gsims, idx, gpick)
+        if anchors.requires_grad:
+            anchors.grad += gsims @ m
+        if maps.requires_grad:
+            # (A^T G)^T, not G^T A: BLAS sums the two in different orders,
+            # and this one reproduces the checkpoints trained so far
+            maps.grad += (a.T @ gsims).T
+
+    return Tensor((terms * weights).sum(), _prev=(anchors, maps), _backward=bw)
 
 
 def _consistency(rgb: np.ndarray, rgb_present: np.ndarray, lid: np.ndarray,
@@ -159,27 +189,19 @@ def segmentation_tape(logits: Tensor, gt: np.ndarray, seg: np.ndarray) -> Tensor
     return Tensor(value, _prev=(logits,), _backward=bw)
 
 
+def _weighted_total(l_con: Tensor, l_sem: Tensor, l_seg: Tensor,
+                    lambda_sem: float) -> Tensor:
+    """l_con + lambda_sem * l_sem + l_seg, one tape node."""
+    def bw(g):
+        l_con.grad += g
+        l_sem.grad += g * lambda_sem
+        l_seg.grad += g
+
+    return Tensor(l_con.data + l_sem.data * lambda_sem + l_seg.data,
+                  _prev=(l_con, l_sem, l_seg), _backward=bw)
+
+
 # ------------------------------------------------------------------ public API
-
-def _as_desc_array(d) -> np.ndarray:
-    return d.values if hasattr(d, "values") else np.asarray(d, dtype=np.float64)
-
-
-def contrastive_loss(anchor, positives, negatives, cfg: Config
-                     ) -> tuple[float, dict]:
-    """Loss value and gradients w.r.t. every descriptor entry."""
-    n_pos = len(positives)
-    a = Tensor(_as_desc_array(anchor)[None, :], requires_grad=True)
-    maps = Tensor(np.array([_as_desc_array(d) for d in [*positives, *negatives]]),
-                  requires_grad=True)
-    loss = contrastive_tape(a @ maps.T, [list(range(n_pos))],
-                            [list(range(n_pos, maps.shape[0]))], cfg)
-    loss.backward()
-    grads = {"anchor": a.grad[0],
-             "positives": list(maps.grad[:n_pos]),
-             "negatives": list(maps.grad[n_pos:])}
-    return float(loss.data), grads
-
 
 def semantic_consistency_loss(rgb_set: SemanticFeatureSet,
                               lidar_set: SemanticFeatureSet,
@@ -276,13 +298,13 @@ def total_loss(batch: TrainBatch, params: ModelParams, cfg: Config,
     raw, gt, seg = _anchor_cells([s.anchor for s in batch.samples])
     desc, attended, logits, pred = describe_query_tape(
         raw, seg, batch.context, enc_t, att_t, vlad_t)
-    l_con = contrastive_tape(desc @ lid_desc.T, pos_cols, neg_cols, cfg)
+    l_con = contrastive_tape(desc, lid_desc, pos_cols, neg_cols, cfg)
     # the consistency term compares each anchor with its first positive
     refs = [lidar.row[id(s.positives[0])] for s in batch.samples]
     l_sem = class_means_tape(attended, pred, seg, lidar.means[refs],
                              lidar.present[refs])
     l_seg = segmentation_tape(logits, gt, seg)
-    l_tot = l_con + cfg.lambda_sem * l_sem + l_seg
+    l_tot = _weighted_total(l_con, l_sem, l_seg, cfg.lambda_sem)
     l_tot.backward()
 
     grads = {}

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import describe_query, netvlad
+from .aggregation import GlobalDescriptor, describe_query, netvlad
 from .config import Config
 from .encoder import encode_lidar_local
 from .io_datasets import Dataset
@@ -44,13 +44,18 @@ def render_places(dataset: Dataset, cfg: Config) -> list:
 
 def build_index(dataset: Dataset, params: ModelParams, cfg: Config,
                 renders: list | None = None) -> MapIndex:
-    """Describe every (place, viewpoint) pair into a searchable index."""
+    """Describe every (place, viewpoint) pair into a searchable index.
+
+    Descriptors are rounded through float32, the precision `map.idx` stores,
+    so an index scores the same in memory as after a save and load."""
     renders = renders if renders is not None else render_places(dataset, cfg)
     entries = []
     for pr in renders:
         for k, fmap in enumerate(pr.fmaps):
             desc = netvlad(fmap, params.vlad)
-            entries.append(IndexEntry(pr.place_id, k, pr.poses[k], desc,
+            stored = desc.values.astype(np.float32).astype(np.float64)
+            entries.append(IndexEntry(pr.place_id, k, pr.poses[k],
+                                      GlobalDescriptor(stored, desc.flagged),
                                       pr.sem_images[k], pr.histograms[k]))
     places = [(pr.place_id, pr.position) for pr in renders]
     return MapIndex(entries, places, cfg).validate()

@@ -13,7 +13,7 @@ from .config import Config, make_rng
 from .core import LabeledPointCloud, identity_pose, yaw_rotation
 from .encoder import LocalFeatureMap, QueryObservation, QUERY_CHANNELS
 from .losses import (SemanticFeatureSet, TrainBatch, TrainSample,
-                     contrastive_loss, segmentation_loss,
+                     contrastive_tape, segmentation_loss,
                      semantic_consistency_loss, total_loss)
 from .matching import semantic_overlap
 from .model import ModelParams, TRAINABLE, init_model_params
@@ -61,16 +61,27 @@ def _unit(rng, d):
 # -------------------------------------------------------- gradient checks
 
 def check_contrastive_grad(seed: int, kind: str, corrupt: bool = False) -> CheckResult:
+    """Fused contrastive node: anchor and map gradients on a ragged batch
+    whose anchors share map columns, one map repeating within an anchor."""
     cfg = Config(loss_kind=kind, seed=seed)
     rng = make_rng(seed, 10)
     d = 16
-    a = _unit(rng, d)
-    ps = [_unit(rng, d)]
-    ns = [_unit(rng, d) for _ in range(3)]
-    _, grads = contrastive_loss(a, ps, ns, cfg)
-    ga = grads["anchor"] * (1.01 if corrupt else 1.0)
-    gn = central_diff(lambda x: contrastive_loss(x, ps, ns, cfg)[0], a.copy())
-    return CheckResult(f"grad_contrastive_{kind}", _rel_err(ga, gn), 1e-3)
+    anchors = np.array([_unit(rng, d) for _ in range(3)])
+    maps = np.array([_unit(rng, d) for _ in range(6)])
+    pos = [[0], [1, 2], [0]]
+    neg = [[3, 4], [0, 5, 5], [2, 3, 4, 5]]
+    a, m = Tensor(anchors, requires_grad=True), Tensor(maps, requires_grad=True)
+    contrastive_tape(a, m, pos, neg, cfg).backward()
+    scale = 1.01 if corrupt else 1.0
+
+    def loss(x, y):
+        return float(contrastive_tape(Tensor(x), Tensor(y), pos, neg, cfg).data)
+
+    ga = central_diff(lambda x: loss(x, maps), anchors.copy())
+    gm = central_diff(lambda y: loss(anchors, y), maps.copy())
+    return CheckResult(f"grad_contrastive_{kind}",
+                       max(_rel_err(a.grad * scale, ga),
+                           _rel_err(m.grad * scale, gm)), 1e-3)
 
 
 def check_semantic_consistency_grad(seed: int) -> CheckResult:
@@ -113,16 +124,13 @@ def check_netvlad_batch_grad(seed: int) -> CheckResult:
     inputs = [cells, rng.normal(size=(k, c)), rng.normal(size=(k, c)),
               rng.normal(size=k)]
 
-    def objective(p):
-        return (Tensor(g) * netvlad_batch(p[0], seg, *p[1:], proj)).sum()
-
     leaves = [Tensor(x, requires_grad=True) for x in inputs]
-    objective(leaves).backward()
+    netvlad_batch(leaves[0], seg, *leaves[1:], proj).backward(g)
     worst = 0.0
     for i, leaf in enumerate(leaves):
         def f(x, i=i):
-            return float(objective([Tensor(y) for y in
-                                    inputs[:i] + [x] + inputs[i + 1:]]).data)
+            p = [Tensor(y) for y in inputs[:i] + [x] + inputs[i + 1:]]
+            return float((g * netvlad_batch(p[0], seg, *p[1:], proj).data).sum())
         worst = max(worst, _rel_err(leaf.grad, central_diff(f, inputs[i].copy())))
     return CheckResult("grad_netvlad_batch", worst, 1e-3)
 

@@ -1,12 +1,18 @@
-"""Finite-difference checks for every op in the reverse-mode tape.
+"""Finite-difference checks for every op of the reference tape, and the
+graph walk of `xpr.autodiff` that it and the library's fused nodes share.
 
 Each check perturbs inputs with a central difference at step 1e-6 and
 compares against the backward pass at rtol 1e-5.
 """
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from xpr.autodiff import Tensor, row_max
+from reference_tape import Tensor
+from xpr import autodiff
+from xpr.autodiff import row_max
 from xpr.config import make_rng
 
 
@@ -127,6 +133,41 @@ def test_diamond_graph():
     h = x * x
     (h + h).sum().backward()
     assert np.allclose(x.grad, 4 * x.data)
+
+
+def test_backward_seeds_a_non_scalar_node():
+    # a fused node y = 3x with a hand-written backward, seeded with g
+    x = autodiff.Tensor(np.array([[1.0, -2.0], [0.5, 4.0]]), requires_grad=True)
+
+    def bw(g):
+        x.grad += 3.0 * g
+
+    y = autodiff.Tensor(3.0 * x.data, _prev=(x,), _backward=bw)
+    g = np.array([[0.25, -1.0], [2.0, 0.0]])
+    y.backward(g)
+    assert np.array_equal(x.grad, 3.0 * g)
+    assert np.array_equal(y.grad, g) and y.grad is not g
+    y.backward()
+    assert np.array_equal(x.grad, np.full((2, 2), 3.0))
+
+
+def test_backward_leaves_no_reference_cycle():
+    # a graph must die with its last reference, not wait for the cyclic
+    # collector, or a training step's arrays outlive it
+    x = autodiff.Tensor(np.ones(3), requires_grad=True)
+
+    def bw(g):
+        x.grad += g
+
+    y = autodiff.Tensor(np.ones(3), _prev=(x,), _backward=bw)
+    alive = weakref.ref(y.data)
+    gc.disable()
+    try:
+        y.backward()
+        del y
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_row_max_bit_equal_to_reduction():

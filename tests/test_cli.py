@@ -9,11 +9,12 @@ import pytest
 
 from xpr.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from xpr.io_datasets import (FormatError, load_checkpoint, load_dataset,
-                             load_index, load_query, save_checkpoint)
+                             load_dataset_config, load_index, load_query,
+                             save_checkpoint, save_index)
 from xpr.config import Config
 from xpr.losses import train
 from xpr.model import ModelParams, init_model_params
-from xpr.pipeline import training_set
+from xpr.pipeline import build_index, match_dataset_queries, training_set
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +174,7 @@ def artifact_copies(workspace, tmp_path):
     return args, {
         "index": (idx, load_index),
         "query": (os.path.join(queries, sorted(os.listdir(queries))[0]),
-                  load_query),
+                  lambda path: load_query(path, cfg.n_classes)),
         "ckpt": (ckpt, load_checkpoint)}
 
 
@@ -235,6 +236,77 @@ def test_bad_config_header_is_data_error(workspace, tmp_path, capsys, kind,
     assert "bad config header at byte 14" in err and "Traceback" not in err
 
 
+def _train_args(data, tmp_path):
+    return ["train", "--data", data, "--epochs", "1",
+            "--out", str(tmp_path / "model.ckpt")]
+
+
+def _broken_meta(raw: bytes, defect: str) -> bytes:
+    if defect == "utf8":
+        return raw.replace(b'"config"', b'"c\xffnfig"')
+    if defect == "cut":
+        return raw[:len(raw) // 2]
+    meta = json.loads(raw)
+    if defect == "bad-config":
+        meta["config"]["temperature"] = 0.0
+    elif defect == "bad-place":
+        meta["places"][1] = [1, [0.0, 2.0]]
+    elif defect == "bad-class_map":
+        meta["class_map"] = [0, 1]
+    else:  # a missing key
+        del meta[defect]
+    return json.dumps(meta).encode()
+
+
+@pytest.mark.parametrize("defect", ["utf8", "cut", "config", "places",
+                                    "class_map", "bad-config", "bad-place",
+                                    "bad-class_map"])
+def test_bad_meta_json_is_data_error(workspace, tmp_path, capsys, defect):
+    data = str(tmp_path / "data")
+    shutil.copytree(workspace["data"], data)
+    path = os.path.join(data, "meta.json")
+    with open(path, "rb") as fh:
+        raw = _broken_meta(fh.read(), defect)
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    with pytest.raises(FormatError, match="meta.json: "):
+        load_dataset(data)
+    capsys.readouterr()
+    assert main(_train_args(data, tmp_path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "meta.json: " in err and "Traceback" not in err
+
+
+def test_query_label_out_of_range_is_data_error(workspace, tmp_path, capsys):
+    data = str(tmp_path / "data")
+    shutil.copytree(workspace["data"], data)
+    qdir = os.path.join(data, "queries")
+    path = os.path.join(qdir, sorted(os.listdir(qdir))[0])
+    n_classes = load_dataset_config(data)[0].n_classes
+    rec = load_query(path, n_classes)
+    h, w, c = rec.obs.raw.shape
+    labels_at = 64 + 4 * h * w * c + h * w   # after the header, raw and mask
+    labels = rec.obs.gt_labels.labels.reshape(-1)
+    first = int(np.flatnonzero(labels > 0)[0])
+    with open(path, "rb") as fh:
+        raw = bytearray(fh.read())
+    for i in np.flatnonzero(labels > 0):
+        raw[labels_at + 2 * i:labels_at + 2 * i + 2] = (200).to_bytes(2, "little")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    msg = f"label 200 at byte {labels_at + 2 * first} is not below n_classes {n_classes}"
+    with pytest.raises(FormatError, match=msg):
+        load_query(path, n_classes)
+    match = ["match", "--index", workspace["idx"], "--queries", data,
+             "--out", str(tmp_path / "r.csv")]
+    for args in (_train_args(data, tmp_path), match):
+        capsys.readouterr()
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert os.path.basename(path) in err and msg in err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("defect", ["missing", "shape", "name"])
 def test_incomplete_checkpoint_is_data_error(workspace, tmp_path, capsys,
                                              monkeypatch, defect):
@@ -281,6 +353,27 @@ def test_checkpoint_round_trip_is_exact(workspace, tmp_path, model):
     assert set(got) == set(want)
     for name in want:
         assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("model", ["seeded", "trained"])
+def test_index_round_trip_scores_the_same(workspace, tmp_path, model):
+    """An index built in memory holds the descriptors map.idx stores, so it
+    ranks every query exactly as after a save and load."""
+    ds = load_dataset(workspace["data"])
+    cfg = ds.config
+    params = init_model_params(cfg)
+    if model == "trained":
+        params, _ = train(training_set(ds, cfg), cfg, 2, 0.05)
+    index = build_index(ds, params, cfg)
+    path = str(tmp_path / "map.idx")
+    save_index(path, index)
+    back = load_index(path)
+    assert len(back.entries) == len(index.entries)
+    for e, f in zip(index.entries, back.entries):
+        assert np.array_equal(e.descriptor.values, f.descriptor.values)
+        assert e.descriptor.flagged == f.descriptor.flagged
+    assert (match_dataset_queries(ds.queries, index, params, cfg)
+            == match_dataset_queries(ds.queries, back, params, cfg))
 
 
 def test_empty_world_scores_zero(tmp_path):

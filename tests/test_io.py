@@ -239,7 +239,7 @@ def test_query_round_trip(tmp_path):
     path = tmp_path / "q.qry"
     save_query(path, q.query_id, q.place_id, q.heading, q.noise_level,
                q.gt_position, q.obs)
-    back = load_query(path)
+    back = load_query(path, CFG.n_classes)
     assert (back.query_id, back.place_id) == (q.query_id, q.place_id)
     assert back.heading == q.heading and back.noise_level == q.noise_level
     assert np.array_equal(back.gt_position, q.gt_position)
@@ -253,7 +253,7 @@ def test_query_save_load_save_idempotent(tmp_path):
     p1, p2 = tmp_path / "a.qry", tmp_path / "b.qry"
     save_query(p1, q.query_id, q.place_id, q.heading, q.noise_level,
                q.gt_position, q.obs)
-    b = load_query(p1)
+    b = load_query(p1, CFG.n_classes)
     save_query(p2, b.query_id, b.place_id, b.heading, b.noise_level,
                b.gt_position, b.obs)
     assert filecmp.cmp(p1, p2, shallow=False)
@@ -263,7 +263,7 @@ def test_query_bad_magic(tmp_path):
     path = tmp_path / "bad.qry"
     path.write_bytes(b"XPRIDX01" + b"\x00" * 40)
     with pytest.raises(FormatError, match="magic"):
-        load_query(path)
+        load_query(path, CFG.n_classes)
 
 
 # ------------------------------------------------------------------ dataset

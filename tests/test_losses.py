@@ -4,20 +4,35 @@ import math
 import numpy as np
 import pytest
 
-from xpr.aggregation import netvlad_tape
-from xpr.autodiff import Tensor
+from reference_tape import Tensor, mean, netvlad_tape, sigmoid, stack, tanh
 from xpr.config import Config, make_rng
 from xpr.encoder import (QUERY_CHANNELS, LocalFeatureMap, QueryObservation)
 from xpr.losses import (SemanticFeatureSet, TrainBatch, TrainSample,
-                        contrastive_loss, contrastive_tape, lidar_maps,
-                        nearest_viewpoint, segmentation_loss,
-                        semantic_consistency_loss, total_loss, train)
+                        contrastive_tape, lidar_maps, nearest_viewpoint,
+                        segmentation_loss, semantic_consistency_loss,
+                        total_loss, train)
 from xpr.model import TRAINABLE, ModelParams, init_model_params
 from xpr.projection import SemanticImage
 
 # log(1 + e^-1), InfoNCE with one positive at logit 1 and one negative at 0
 LOG1P_EXP_NEG1 = 0.31326168751822286
 LN8 = 2.0794415416798357
+
+
+def contrastive_loss(anchor, positives, negatives, cfg):
+    """One anchor's loss through the fused node, and its gradients w.r.t.
+    the anchor and every map descriptor."""
+    n_pos = len(positives)
+    a = Tensor(np.asarray(anchor, dtype=np.float64)[None, :], requires_grad=True)
+    descs = [np.asarray(d, dtype=np.float64) for d in [*positives, *negatives]]
+    maps = Tensor(np.array(descs), requires_grad=True)
+    loss = contrastive_tape(a, maps, [list(range(n_pos))],
+                            [list(range(n_pos, len(descs)))], cfg)
+    loss.backward()
+    grads = {"anchor": a.grad[0],
+             "positives": list(maps.grad[:n_pos]),
+             "negatives": list(maps.grad[n_pos:])}
+    return float(loss.data), grads
 
 
 def test_triplet_worked_example():
@@ -110,42 +125,6 @@ def test_contrastive_gradients_fd(kind):
 
 
 # ---------------------------------------------------- per-sample references
-# Generic tape ops that the per-sample references below need and the
-# library no longer has.
-
-def stack(tensors):
-    """Stack same-shape tensors along a new leading axis."""
-    def bw(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t.grad += g[i]
-
-    return Tensor(np.stack([t.data for t in tensors]), _prev=tuple(tensors),
-                  _backward=bw)
-
-
-def mean(t, axis=None):
-    n = t.data.size if axis is None else t.data.shape[axis]
-    return t.sum(axis=axis) * (1.0 / n)
-
-
-def tanh(t):
-    y = np.tanh(t.data)
-
-    def bw(g):
-        t.grad += g * (1.0 - y * y)
-
-    return Tensor(y, _prev=(t,), _backward=bw)
-
-
-def sigmoid(t):
-    y = 1.0 / (1.0 + np.exp(-t.data))
-
-    def bw(g):
-        t.grad += g * y * (1.0 - y)
-
-    return Tensor(y, _prev=(t,), _backward=bw)
-
 
 def per_pair_contrastive(anchor, positives, negatives, cfg):
     """One anchor's loss from per-pair dot products: the reference for the
@@ -183,7 +162,7 @@ def test_batched_contrastive_matches_per_pair(kind):
 
     a = Tensor(anchors, requires_grad=True)
     m = Tensor(maps, requires_grad=True)
-    loss = contrastive_tape(a @ m.T, pos, neg, cfg)
+    loss = contrastive_tape(a, m, pos, neg, cfg)
     loss.backward()
 
     ra = [Tensor(x, requires_grad=True) for x in anchors]
@@ -354,8 +333,11 @@ def test_total_loss_deterministic():
 def reference_total_loss(batch, params, cfg):
     """The total loss as a per-sample tape: one generic graph per anchor
     and per LiDAR map, the formula the batched nodes must reproduce."""
-    leaves = params.leaf_tensors()
-    enc, att, vlad = leaves["enc"], leaves["att"], leaves["vlad"]
+    flat = {name: Tensor(arr, requires_grad=name in TRAINABLE)
+            for name, arr in params.tensors().items()}
+    enc, att, vlad = ({name.split(".", 1)[1]: t for name, t in flat.items()
+                       if name.startswith(group + ".")}
+                      for group in ("enc", "att", "vlad"))
     n_classes = cfg.n_classes
 
     def describe(valid):
@@ -409,7 +391,7 @@ def reference_total_loss(batch, params, cfg):
     l_tot = (mean(stack(con)) + cfg.lambda_sem * mean(stack(sem))
              + mean(stack(seg)))
     l_tot.backward()
-    return float(l_tot.data), {n: leaves["flat"][n].grad for n in TRAINABLE}
+    return float(l_tot.data), {n: flat[n].grad for n in TRAINABLE}
 
 
 def degenerate_batch(cfg):
