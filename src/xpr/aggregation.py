@@ -11,7 +11,11 @@ from .encoder import (EncoderParams, LocalFeatureMap, QueryObservation,
                       encode_query, query_forward)
 from .projection import SemanticImage
 
-DEFAULT_CLUSTERS = 8
+N_CLUSTERS = 8
+# seed streams of the initial attention and NetVLAD parameters
+ATTENTION_SEED_STREAM = 102
+NETVLAD_SEED_STREAM = 103
+PROJECTION_SEED_STREAM = 104
 
 
 @dataclass(frozen=True)
@@ -38,23 +42,22 @@ class NetVladParams:
         return self.centroids.shape[0]
 
 
-def init_attention_params(cfg: Config, seed_stream: int = 102) -> AttentionParams:
-    rng = make_rng(cfg.seed, seed_stream)
+def init_attention_params(cfg: Config) -> AttentionParams:
+    rng = make_rng(cfg.seed, ATTENTION_SEED_STREAM)
     return AttentionParams(bilinear=rng.normal(0.0, 1.0, (cfg.feature_dim, cfg.n_classes)),
                            gain=1.0)
 
 
-def init_netvlad_params(cfg: Config, n_clusters: int = DEFAULT_CLUSTERS,
-                        seed_stream: int = 103) -> NetVladParams:
-    rng = make_rng(cfg.seed, seed_stream)
+def init_netvlad_params(cfg: Config) -> NetVladParams:
+    rng = make_rng(cfg.seed, NETVLAD_SEED_STREAM)
     c = cfg.feature_dim
     # the random projection is derived from the config seed and never trained
-    proj_rng = make_rng(cfg.seed, 104)
+    proj_rng = make_rng(cfg.seed, PROJECTION_SEED_STREAM)
     return NetVladParams(
-        centroids=rng.normal(0.0, 0.5, (n_clusters, c)),
-        assign_w=rng.normal(0.0, 1.0, (n_clusters, c)),
-        assign_b=np.zeros(n_clusters),
-        proj=proj_rng.normal(0.0, 1.0, (cfg.descriptor_dim, n_clusters * c))
+        centroids=rng.normal(0.0, 0.5, (N_CLUSTERS, c)),
+        assign_w=rng.normal(0.0, 1.0, (N_CLUSTERS, c)),
+        assign_b=np.zeros(N_CLUSTERS),
+        proj=proj_rng.normal(0.0, 1.0, (cfg.descriptor_dim, N_CLUSTERS * c))
         / np.sqrt(cfg.descriptor_dim),
     )
 

@@ -18,7 +18,8 @@ from .config import Config, config_to_json, make_rng, validate_config, with_over
 from .encoder import encode_lidar_local
 from .io_datasets import (FormatError, QueryRecord, load_checkpoint,
                           load_dataset, load_dataset_config, load_index,
-                          save_checkpoint, save_dataset, save_index)
+                          load_queries, save_checkpoint, save_dataset,
+                          save_index)
 from .losses import TrainingDiverged, train
 from .matching import match_query, rank_of_truth, recall_from_ranks
 from .model import init_model_params
@@ -139,22 +140,11 @@ def cmd_build_map(args) -> int:
     return EXIT_OK
 
 
-def _load_queries(path: str, n_classes: int) -> list:
-    from .io_datasets import load_query
-    qdir = os.path.join(path, "queries")
-    if os.path.isdir(qdir):
-        path = qdir
-    if not os.path.isdir(path):
-        raise CliError(f"no query directory at {path}")
-    return [load_query(os.path.join(path, n), n_classes)
-            for n in sorted(os.listdir(path)) if n.endswith(".qry")]
-
-
 def cmd_match(args) -> int:
     index = load_index(args.index)
     cfg = index.config
     params, cfg = _load_params(args.ckpt, cfg)
-    queries = _load_queries(args.queries, cfg.n_classes)
+    queries = load_queries(args.queries, cfg)
     t0 = time.perf_counter()
     results = match_dataset_queries(queries, index, params, cfg)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
@@ -253,7 +243,7 @@ def cmd_bench(args) -> int:
     index = load_index(args.index)
     cfg = index.config
     params, cfg = _load_params(args.ckpt, cfg)
-    queries = _load_queries(args.queries, cfg.n_classes)
+    queries = load_queries(args.queries, cfg)
     if not queries:
         raise CliError("no queries to benchmark")
     context = index.mean_histogram()

@@ -15,6 +15,8 @@ from .projection import RangeImage, SemanticImage
 
 #: raw query channels: depth, normal xyz, 3 appearance channels
 QUERY_CHANNELS = 7
+#: seed stream of the initial encoder parameters
+ENCODER_SEED_STREAM = 101
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,9 @@ class QueryObservation:
     gt_labels: SemanticImage     # supervision for the segmentation branch
 
 
-def init_encoder_params(cfg: Config, seed_stream: int = 101) -> EncoderParams:
+def init_encoder_params(cfg: Config) -> EncoderParams:
     c = cfg.feature_dim
-    rng = make_rng(cfg.seed, seed_stream)
+    rng = make_rng(cfg.seed, ENCODER_SEED_STREAM)
     return EncoderParams(
         rgb_proj=rng.normal(0.0, 1.0 / np.sqrt(QUERY_CHANNELS), (QUERY_CHANNELS, c)),
         rgb_bias=np.zeros(c),

@@ -17,10 +17,10 @@ import numpy as np
 from .aggregation import GlobalDescriptor
 from .config import Config, config_from_json, config_to_json
 from .core import LabeledPointCloud, Pose
-from .encoder import QueryObservation
+from .encoder import QUERY_CHANNELS, QueryObservation
 from .matching import IndexEntry, MapIndex
 from .model import ModelParams, init_model_params
-from .projection import SemanticImage
+from .projection import SemanticImage, frustum_window
 
 log = logging.getLogger(__name__)
 
@@ -177,15 +177,34 @@ def load_index(path) -> MapIndex:
         if version != 1:
             raise FormatError(f"{path}: unsupported index version {version}")
         cfg = _read_config(fh, cfg_len, path)
+        counts_at = fh.tell()
         n_places, n_entries, rows, cols = struct.unpack(
             "<IIHH", _read_exact(fh, 12, path))
+        n_v = cfg.n_viewpoints
+        if n_entries % n_v:
+            raise FormatError(f"{path}: {n_entries} entries at byte {counts_at} "
+                              f"are not whole places of {n_v} viewpoints")
         places = []
         for _ in range(n_places):
             pid, x, y, z = struct.unpack("<I3d", _read_exact(fh, 28, path))
             places.append((pid, np.array([x, y, z])))
+        unseen = {pid for pid, _ in places}
         entries = []
-        for _ in range(n_entries):
+        for i in range(n_entries):
+            offset = fh.tell()
             pid, k = struct.unpack("<IH", _read_exact(fh, 6, path))
+            # each place's entries are viewpoints 0..n_v-1 back to back
+            want = i % n_v
+            if want:
+                prev = entries[-1].place_id
+                ok, owner = pid == prev, f"place {prev}"
+            else:
+                ok, owner = pid in unseen, "a new known place"
+            if not ok or k != want:
+                raise FormatError(f"{path}: entry at byte {offset} is place "
+                                  f"{pid} viewpoint {k}, expected viewpoint "
+                                  f"{want} of {owner}")
+            unseen.discard(pid)
             m = np.frombuffer(_read_exact(fh, 96, path),
                               dtype="<f8").reshape(3, 4)
             flagged = _read_exact(fh, 1, path)[0] != 0
@@ -200,7 +219,7 @@ def load_index(path) -> MapIndex:
                 GlobalDescriptor(desc, flagged),
                 SemanticImage(labels.astype(np.uint16)), hist))
         _expect_end(fh, path)
-    return MapIndex(entries, places, cfg).validate()
+    return MapIndex(entries, places, cfg)
 
 
 # ------------------------------------------------------------- checkpoints
@@ -286,8 +305,9 @@ class QueryRecord:
     obs: QueryObservation
 
 
-def load_query(path, n_classes: int) -> QueryRecord:
-    """Read a query file whose ground-truth labels are all below n_classes."""
+def load_query(path, cfg: Config) -> QueryRecord:
+    """Read a query file of QUERY_CHANNELS channels over the config's
+    frustum window, whose ground-truth labels are all below n_classes."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 8, path)
         if magic != QUERY_MAGIC:
@@ -297,7 +317,12 @@ def load_query(path, n_classes: int) -> QueryRecord:
             raise FormatError(f"{path}: unsupported query version {version}")
         heading, noise = struct.unpack("<2d", _read_exact(fh, 16, path))
         gt = np.array(struct.unpack("<3d", _read_exact(fh, 24, path)))
+        shape_at = fh.tell()
         h, w, c = struct.unpack("<HHH", _read_exact(fh, 6, path))
+        want = (cfg.range_rows, frustum_window(cfg.range_cols)[1], QUERY_CHANNELS)
+        if (h, w, c) != want:
+            raise FormatError(f"{path}: shape {(h, w, c)} at byte {shape_at} "
+                              f"is not (rows, frustum width, channels) {want}")
         raw = np.frombuffer(_read_exact(fh, 4 * h * w * c, path),
                             dtype="<f4").astype(np.float64).reshape(h, w, c)
         mask = np.frombuffer(_read_exact(fh, h * w, path),
@@ -306,11 +331,11 @@ def load_query(path, n_classes: int) -> QueryRecord:
         labels = np.frombuffer(_read_exact(fh, 2 * h * w, path),
                                dtype="<u2").astype(np.uint16).reshape(h, w)
         _expect_end(fh, path)
-    bad = np.flatnonzero(labels >= n_classes)
+    bad = np.flatnonzero(labels >= cfg.n_classes)
     if bad.size:
         raise FormatError(f"{path}: label {labels.flat[bad[0]]} at byte "
                           f"{labels_at + 2 * bad[0]} is not below "
-                          f"n_classes {n_classes}")
+                          f"n_classes {cfg.n_classes}")
     obs = QueryObservation(raw, mask, SemanticImage(labels))
     return QueryRecord(qid, pid, heading, noise, gt, obs)
 
@@ -394,7 +419,17 @@ def load_dataset(root) -> Dataset:
                             cloud, class_map)
         clouds.append(LabeledPointCloud(pose.transform(cloud.points),
                                         cloud.labels, cloud.intensities))
-    qdir = os.path.join(root, "queries")
-    queries = [load_query(os.path.join(qdir, name), cfg.n_classes)
-               for name in sorted(os.listdir(qdir)) if name.endswith(".qry")]
+    queries = load_queries(os.path.join(root, "queries"), cfg)
     return Dataset(str(root), cfg, class_map, places, clouds, poses, queries, meta)
+
+
+def load_queries(path, cfg: Config) -> list:
+    """The .qry files of a directory, or of its queries/ subdirectory when
+    it has one, in name order."""
+    qdir = os.path.join(path, "queries")
+    if os.path.isdir(qdir):
+        path = qdir
+    if not os.path.isdir(path):
+        raise FileNotFoundError(f"no query directory at {path}")
+    return [load_query(os.path.join(path, name), cfg)
+            for name in sorted(os.listdir(path)) if name.endswith(".qry")]

@@ -10,9 +10,7 @@ import numpy as np
 from .aggregation import describe_lidar_tape, describe_query_tape
 from .autodiff import Tensor, row_max
 from .config import Config, make_rng
-from .encoder import QueryObservation
-from .model import ModelParams, TRAINABLE
-from .projection import SemanticImage
+from .model import ModelParams, TRAINABLE, init_model_params
 
 
 class TrainingDiverged(RuntimeError):
@@ -31,23 +29,46 @@ class LossReport:
 
 
 @dataclass
-class SemanticFeatureSet:
-    """Per-class mean feature vectors; absent classes are flagged off."""
-    means: np.ndarray    # (n_classes, C)
-    present: np.ndarray  # (n_classes,) bool
+class TrainTable:
+    """Everything training reads, built once by `train_table`.
+
+    Anchor a owns query cells raw[a] and their ground truth gt[a]; LiDAR
+    map m owns cells[m], means[m] and present[m]. Place p owns map rows
+    p * n_viewpoints .. p * n_viewpoints + n_viewpoints - 1, in yaw order.
+    """
+    raw: list             # (n_a, QUERY_CHANNELS) valid query cells of anchor a
+    gt: list              # (n_a,) their ground-truth labels
+    place: np.ndarray     # (A,) place index of anchor a
+    positive: np.ndarray  # (A,) map row of anchor a's nearest viewpoint
+    cells: list           # (n_m, C) valid cells of map m
+    means: np.ndarray     # (M, n_classes, C) class means of those cells
+    present: np.ndarray   # (M, n_classes) bool
+    context: np.ndarray   # semantic context vector shared by every anchor
 
 
-@dataclass
-class TrainSample:
-    anchor: QueryObservation
-    positives: list      # LocalFeatureMap viewpoint renders of the same place
-    negatives: list      # LocalFeatureMap renders of far-away places
-
-
-@dataclass
-class TrainBatch:
-    samples: list
-    context: np.ndarray  # semantic context vector shared across the batch
+def train_table(places: list, context: np.ndarray, cfg: Config) -> TrainTable:
+    """The table of `places`, each a pair of its (QueryObservation, heading)
+    queries and its n_viewpoints LocalFeatureMaps in yaw order. Anchors keep
+    place-major order. The class of a LiDAR cell is its one-hot in channels
+    4: of the LiDAR encoding."""
+    anchors = [(p, obs, heading) for p, (queries, _) in enumerate(places)
+               for obs, heading in queries]
+    cells = [f.values.reshape(-1, f.channels).compress(f.mask.reshape(-1), axis=0)
+             for _, fmaps in places for f in fmaps]
+    means = np.empty((len(cells), cfg.n_classes, cells[0].shape[1]))
+    present = np.empty((len(cells), cfg.n_classes), dtype=bool)
+    for m, x in enumerate(cells):
+        onehot = x[:, 4:4 + cfg.n_classes]
+        count = onehot.sum(axis=0)
+        present[m] = count > 0
+        means[m] = (onehot.T @ x) / np.where(present[m], count, 1.0)[:, None]
+    return TrainTable(
+        [obs.raw[obs.mask] for _, obs, _ in anchors],
+        [obs.gt_labels.labels[obs.mask] for _, obs, _ in anchors],
+        np.array([p for p, _, _ in anchors], dtype=np.intp),
+        np.array([p * cfg.n_viewpoints + nearest_viewpoint(h, cfg.n_viewpoints)
+                  for p, _, h in anchors], dtype=np.intp),
+        cells, means, present, context)
 
 
 # ----------------------------------------------------------------- tape cores
@@ -203,106 +224,39 @@ def _weighted_total(l_con: Tensor, l_sem: Tensor, l_seg: Tensor,
 
 # ------------------------------------------------------------------ public API
 
-def semantic_consistency_loss(rgb_set: SemanticFeatureSet,
-                              lidar_set: SemanticFeatureSet,
-                              cfg: Config) -> tuple[float, dict]:
-    """Mean squared distance between the class means of classes
-    1..n_classes-1 shared by both modalities."""
-    k = cfg.n_classes
-    value, grad = _consistency(rgb_set.means[None, :k], rgb_set.present[None, :k],
-                               lidar_set.means[None, :k],
-                               lidar_set.present[None, :k])
-    grads = {"rgb": np.zeros_like(rgb_set.means),
-             "lidar": np.zeros_like(lidar_set.means)}
-    grads["rgb"][:k], grads["lidar"][:k] = grad[0], -grad[0]
-    return value, grads
-
-
-def segmentation_loss(logit_grid: np.ndarray, gt: SemanticImage
-                      ) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over non-void cells; grad w.r.t. logits."""
-    h, w, n_classes = logit_grid.shape
-    value, grad = _cross_entropy(logit_grid.reshape(h * w, n_classes),
-                                 gt.labels.reshape(-1), _segments([h * w]))
-    return value, grad.reshape(h, w, n_classes)
-
-
-def _segments(counts) -> np.ndarray:
-    """Row ranges (M, 2) of M blocks of the given sizes laid back to back."""
-    ends = np.cumsum(counts, dtype=np.intp)
-    return np.stack([ends - counts, ends], axis=1)
-
-
-@dataclass
-class LidarMaps:
-    """The fixed data of constant LiDAR feature maps that training reads:
-    each map's valid cells and class means."""
-    cells: list          # (n_m, C) valid cells of map m
-    means: np.ndarray    # (M, n_classes, C) class means of the valid cells
-    present: np.ndarray  # (M, n_classes) bool
-    row: dict            # id(LocalFeatureMap) -> m
-
-
-def lidar_maps(fmaps: list, n_classes: int) -> LidarMaps:
-    """Valid cells and class means of each map. The class of a cell is its
-    one-hot in channels 4: of the LiDAR encoding."""
-    cells = [f.values.reshape(-1, f.channels).compress(f.mask.reshape(-1), axis=0)
-             for f in fmaps]
-    means = np.empty((len(fmaps), n_classes, fmaps[0].channels))
-    present = np.empty((len(fmaps), n_classes), dtype=bool)
-    for m, x in enumerate(cells):
-        onehot = x[:, 4:4 + n_classes]
-        count = onehot.sum(axis=0)
-        present[m] = count > 0
-        means[m] = (onehot.T @ x) / np.where(present[m], count, 1.0)[:, None]
-    return LidarMaps(cells, means, present,
-                     {id(f): m for m, f in enumerate(fmaps)})
-
-
-def _anchor_cells(anchors: list) -> tuple:
-    """Raw values (R, QUERY_CHANNELS) and ground truth (R,) of the valid
-    cells of every anchor, back to back, and each anchor's row range."""
-    raw = np.concatenate([a.raw[a.mask] for a in anchors])
-    gt = np.concatenate([a.gt_labels.labels[a.mask] for a in anchors])
-    return raw, gt, _segments([np.count_nonzero(a.mask) for a in anchors])
-
-
-def total_loss(batch: TrainBatch, params: ModelParams, cfg: Config,
-               lidar: LidarMaps | None = None) -> LossReport:
+def total_loss(table: TrainTable, anchors, positives: list, negatives: list,
+               params: ModelParams, cfg: Config) -> LossReport:
     """Full forward pipeline over a batch with gradients for every
     trainable parameter.
 
-    The anchors go through the query pipeline as one stack, and each
-    distinct LiDAR map (by identity) is described once; the contrastive
-    term reads one (anchors, maps) similarity matrix. `lidar` must hold
-    every map of the batch; without it, it is built from the batch."""
+    The batch is the table rows `anchors`; positives[b] and negatives[b]
+    list the map rows of anchor b. The anchors go through the query pipeline
+    as one stack, and each distinct map is described once; the contrastive
+    term reads one (anchors, maps) similarity matrix, and the consistency
+    term compares each anchor with its first positive."""
     leaves = params.leaf_tensors()
     enc_t, att_t, vlad_t = leaves["enc"], leaves["att"], leaves["vlad"]
 
-    if lidar is None:
-        lidar = lidar_maps(list({id(f): f for s in batch.samples
-                                 for f in (*s.positives, *s.negatives)}.values()),
-                           cfg.n_classes)
-    rows, col = [], {}
-    pos_cols, neg_cols = [], []
-    for sample in batch.samples:
-        for maps, cols in ((sample.positives, pos_cols),
-                           (sample.negatives, neg_cols)):
-            for f in maps:
-                if id(f) not in col:
-                    col[id(f)] = len(rows)
-                    rows.append(lidar.row[id(f)])
-            cols.append([col[id(f)] for f in maps])
-    lid_desc = describe_lidar_tape([lidar.cells[m] for m in rows], vlad_t)
+    col: dict = {}
+    for ps, ns in zip(positives, negatives):
+        for m in (*ps, *ns):
+            col.setdefault(m, len(col))
+    lid_desc = describe_lidar_tape([table.cells[m] for m in col], vlad_t)
 
-    raw, gt, seg = _anchor_cells([s.anchor for s in batch.samples])
+    # anchor b's cells are rows seg[b, 0]:seg[b, 1] of the stack
+    raw = np.concatenate([table.raw[a] for a in anchors])
+    gt = np.concatenate([table.gt[a] for a in anchors])
+    counts = [len(table.gt[a]) for a in anchors]
+    ends = np.cumsum(counts, dtype=np.intp)
+    seg = np.stack([ends - counts, ends], axis=1)
     desc, attended, logits, pred = describe_query_tape(
-        raw, seg, batch.context, enc_t, att_t, vlad_t)
-    l_con = contrastive_tape(desc, lid_desc, pos_cols, neg_cols, cfg)
-    # the consistency term compares each anchor with its first positive
-    refs = [lidar.row[id(s.positives[0])] for s in batch.samples]
-    l_sem = class_means_tape(attended, pred, seg, lidar.means[refs],
-                             lidar.present[refs])
+        raw, seg, table.context, enc_t, att_t, vlad_t)
+    l_con = contrastive_tape(desc, lid_desc,
+                             [[col[m] for m in ps] for ps in positives],
+                             [[col[m] for m in ns] for ns in negatives], cfg)
+    refs = [ps[0] for ps in positives]
+    l_sem = class_means_tape(attended, pred, seg, table.means[refs],
+                             table.present[refs])
     l_seg = segmentation_tape(logits, gt, seg)
     l_tot = _weighted_total(l_con, l_sem, l_seg, cfg.lambda_sem)
     l_tot.backward()
@@ -317,59 +271,55 @@ def total_loss(batch: TrainBatch, params: ModelParams, cfg: Config,
 
 # -------------------------------------------------------------------- trainer
 
-def train(dataset, cfg: Config, epochs: int, lr: float,
-          params: ModelParams | None = None, batch_size: int = 0,
-          negatives_per_anchor: int = 4) -> tuple[ModelParams, list]:
-    """Seeded mini-batch gradient descent with a fixed learning rate.
+NEGATIVES_PER_ANCHOR = 4
 
-    `dataset` must expose `places`: a list of objects with `place_id`,
-    `queries` (QueryObservation + heading pairs), `viewpoint_fmaps`
-    (LocalFeatureMap per viewpoint, yaw order), and the shared `context`
-    vector. Bit-reproducible for a fixed config seed.
+
+def train(table: TrainTable, cfg: Config, epochs: int, lr: float,
+          batch_size: int = 0) -> tuple[ModelParams, list]:
+    """Seeded mini-batch gradient descent with a fixed learning rate, from
+    `init_model_params(cfg)`.
+
+    Each epoch visits the anchors of `table` in a seeded random order, in
+    batches of `batch_size` (all of them for 0). An anchor's positive is its
+    place's nearest viewpoint; its NEGATIVES_PER_ANCHOR negatives are
+    seeded random viewpoints of other places. Returns the trained
+    parameters and the per-epoch mean losses. Bit-reproducible for a fixed
+    config seed.
     """
-    places = dataset.places
-    if len(places) < 2:
+    n_places = len(table.cells) // cfg.n_viewpoints
+    if n_places < 2:
         raise ValueError("training needs at least two places")
-    if params is None:
-        from .model import init_model_params
-        params = init_model_params(cfg)
-    tensors = {k: v.copy() for k, v in params.tensors().items()}
+    tensors = {k: v.copy() for k, v in init_model_params(cfg).tensors().items()}
 
-    anchors = [(pi, qi) for pi, pl in enumerate(places)
-               for qi in range(len(pl.queries))]
-    lidar = lidar_maps([f for pl in places for f in pl.viewpoint_fmaps],
-                       cfg.n_classes)
+    n_anchors = len(table.raw)
+    bsz = batch_size if batch_size > 0 else n_anchors
     history = []
     for epoch in range(epochs):
         rng = make_rng(cfg.seed, 7000, epoch)
-        order = rng.permutation(len(anchors))
-        bsz = batch_size if batch_size > 0 else len(anchors)
+        order = rng.permutation(n_anchors)
         sums = np.zeros(4)
-        for start in range(0, len(anchors), bsz):
-            samples = []
-            for j in order[start:start + bsz]:
-                pi, qi = anchors[j]
-                place = places[pi]
-                obs, heading = place.queries[qi]
-                k = nearest_viewpoint(heading, cfg.n_viewpoints)
-                positives = [place.viewpoint_fmaps[k]]
-                negatives = []
-                for _ in range(negatives_per_anchor):
-                    other = int(rng.integers(len(places) - 1))
-                    if other >= pi:
+        for start in range(0, n_anchors, bsz):
+            anchors = order[start:start + bsz]
+            negatives = []
+            for a in anchors:
+                rows = []
+                for _ in range(NEGATIVES_PER_ANCHOR):
+                    other = int(rng.integers(n_places - 1))
+                    if other >= table.place[a]:
                         other += 1
-                    nk = int(rng.integers(cfg.n_viewpoints))
-                    negatives.append(places[other].viewpoint_fmaps[nk])
-                samples.append(TrainSample(obs, positives, negatives))
-            report = total_loss(TrainBatch(samples, dataset.context),
-                                ModelParams.from_tensors(tensors), cfg, lidar)
+                    rows.append(other * cfg.n_viewpoints
+                                + int(rng.integers(cfg.n_viewpoints)))
+                negatives.append(rows)
+            report = total_loss(table, anchors,
+                                [[table.positive[a]] for a in anchors],
+                                negatives, ModelParams.from_tensors(tensors), cfg)
             if not math.isfinite(report.l_total):
                 raise TrainingDiverged(epoch)
             for name in TRAINABLE:
                 tensors[name] = tensors[name] - lr * report.grads[name]
             sums += (report.l_contrastive, report.l_sem, report.l_seg,
                      report.l_total)
-        n_batches = (len(anchors) + bsz - 1) // bsz
+        n_batches = (n_anchors + bsz - 1) // bsz
         avg = sums / n_batches
         history.append(LossReport(float(avg[0]), float(avg[1]),
                                   float(avg[2]), float(avg[3])))

@@ -9,6 +9,7 @@ from .aggregation import GlobalDescriptor, describe_query, netvlad
 from .config import Config
 from .encoder import encode_lidar_local
 from .io_datasets import Dataset
+from .losses import TrainTable, train_table
 from .matching import IndexEntry, MapIndex, MatchResult, match_query
 from .model import ModelParams
 from .projection import semantic_histogram
@@ -74,29 +75,16 @@ def match_dataset_queries(dataset_queries: list, index: MapIndex,
     return results
 
 
-@dataclass
-class TrainPlace:
-    place_id: int
-    position: np.ndarray
-    queries: list          # (QueryObservation, heading)
-    viewpoint_fmaps: list
-
-
-@dataclass
-class TrainingSet:
-    places: list
-    context: np.ndarray
-
-
 def training_set(dataset: Dataset, cfg: Config,
-                 renders: list | None = None) -> TrainingSet:
+                 renders: list | None = None) -> TrainTable:
+    """The training table of a dataset: each place's queries and viewpoint
+    feature maps, place-major in render order, and the mean class histogram
+    of all viewpoints as the semantic context."""
     renders = renders if renders is not None else render_places(dataset, cfg)
-    by_place = {pr.place_id: pr for pr in renders}
-    queries: dict = {pid: [] for pid in by_place}
+    queries: dict = {pr.place_id: [] for pr in renders}
     for q in dataset.queries:
         queries[q.place_id].append((q.obs, q.heading))
-    places = [TrainPlace(pr.place_id, pr.position, queries[pr.place_id],
-                         pr.fmaps) for pr in renders]
     hists = np.array([h for pr in renders for h in pr.histograms])
     context = hists.mean(axis=0)
-    return TrainingSet(places, context / context.sum())
+    return train_table([(queries[pr.place_id], pr.fmaps) for pr in renders],
+                       context / context.sum(), cfg)

@@ -12,9 +12,8 @@ from .autodiff import Tensor
 from .config import Config, make_rng
 from .core import LabeledPointCloud, identity_pose, yaw_rotation
 from .encoder import LocalFeatureMap, QueryObservation, QUERY_CHANNELS
-from .losses import (SemanticFeatureSet, TrainBatch, TrainSample,
-                     contrastive_tape, segmentation_loss,
-                     semantic_consistency_loss, total_loss)
+from .losses import (TrainTable, class_means_tape, contrastive_tape,
+                     segmentation_tape, total_loss, train_table)
 from .matching import semantic_overlap
 from .model import ModelParams, TRAINABLE, init_model_params
 from .projection import (RangeImage, SemanticImage, estimate_normals,
@@ -84,31 +83,40 @@ def check_contrastive_grad(seed: int, kind: str, corrupt: bool = False) -> Check
                            _rel_err(m.grad * scale, gm)), 1e-3)
 
 
+def _node_grad_err(node, x: np.ndarray) -> float:
+    """Relative error of the gradient that the tape node node(Tensor(x))
+    gives x, against central differences."""
+    t = Tensor(x, requires_grad=True)
+    node(t).backward()
+    return _rel_err(t.grad, central_diff(lambda y: float(node(Tensor(y)).data),
+                                         x.copy()))
+
+
+RAGGED = np.array([[0, 5], [5, 14]])  # row ranges of anchors of 5 and 9 cells
+
+
 def check_semantic_consistency_grad(seed: int) -> CheckResult:
-    cfg = Config(n_classes=5, seed=seed)
+    """Class-means node: attended-feature gradient on a ragged two-anchor
+    batch whose anchors share some classes with their LiDAR means."""
     rng = make_rng(seed, 11)
-    c = cfg.feature_dim
-    present = np.array([False, True, True, False, True])
-    rgb = SemanticFeatureSet(rng.normal(size=(5, c)), present)
-    lid = SemanticFeatureSet(rng.normal(size=(5, c)), present)
-    _, grads = semantic_consistency_loss(rgb, lid, cfg)
-
-    def f(x):
-        return semantic_consistency_loss(
-            SemanticFeatureSet(x, present), lid, cfg)[0]
-
-    gn = central_diff(f, rgb.means.copy())
-    return CheckResult("grad_semantic_consistency",
-                       _rel_err(grads["rgb"], gn), 1e-3)
+    labels = rng.integers(0, 5, 14)
+    lid_means = rng.normal(size=(2, 5, 6))
+    lid_present = np.array([[False, True, True, False, True],
+                            [True, False, True, True, True]])
+    err = _node_grad_err(lambda t: class_means_tape(t, labels, RAGGED, lid_means,
+                                                    lid_present),
+                         rng.normal(size=(14, 6)))
+    return CheckResult("grad_semantic_consistency", err, 1e-3)
 
 
 def check_segmentation_grad(seed: int) -> CheckResult:
+    """Segmentation node: logit gradient on a ragged two-anchor batch with
+    void cells."""
     rng = make_rng(seed, 12)
-    logits = rng.normal(size=(4, 5, 6))
-    gt = SemanticImage(rng.integers(0, 6, size=(4, 5)).astype(np.uint16))
-    _, ga = segmentation_loss(logits, gt)
-    gn = central_diff(lambda x: segmentation_loss(x, gt)[0], logits.copy())
-    return CheckResult("grad_segmentation", _rel_err(ga, gn), 1e-3)
+    gt = rng.integers(0, 6, 14)
+    err = _node_grad_err(lambda t: segmentation_tape(t, gt, RAGGED),
+                         rng.normal(size=(14, 6)))
+    return CheckResult("grad_segmentation", err, 1e-3)
 
 
 def check_netvlad_batch_grad(seed: int) -> CheckResult:
@@ -147,30 +155,33 @@ def _toy_fmap(rng, h, w, cfg: Config) -> LocalFeatureMap:
     return LocalFeatureMap(values, mask)
 
 
-def toy_batch(cfg: Config, rng) -> TrainBatch:
+def _toy_table(cfg: Config, rng) -> TrainTable:
+    """Two places of one query and three viewpoint maps each."""
     h, w = 3, 4
-    samples = []
+    places = []
     for _ in range(2):
         raw = rng.normal(0.0, 0.4, size=(h, w, QUERY_CHANNELS))
         mask = rng.random((h, w)) > 0.15
         gt = SemanticImage(rng.integers(0, cfg.n_classes,
                                         size=(h, w)).astype(np.uint16))
-        obs = QueryObservation(raw, mask, gt)
-        positives = [_toy_fmap(rng, h, w, cfg)]
-        negatives = [_toy_fmap(rng, h, w, cfg) for _ in range(2)]
-        samples.append(TrainSample(obs, positives, negatives))
+        fmaps = [_toy_fmap(rng, h, w, cfg) for _ in range(cfg.n_viewpoints)]
+        places.append(([(QueryObservation(raw, mask, gt), 0.0)], fmaps))
     context = rng.random(cfg.n_classes)
-    return TrainBatch(samples, context / context.sum())
+    return train_table(places, context / context.sum(), cfg)
 
 
 def check_total_grad(seed: int, n_params: int = 20,
                      corrupt: bool = False) -> CheckResult:
-    cfg = Config(n_classes=5, descriptor_dim=12, seed=seed)
+    cfg = Config(n_classes=5, descriptor_dim=12, n_viewpoints=3, seed=seed)
     rng = make_rng(seed, 13)
     params = init_model_params(cfg)
-    batch = toy_batch(cfg, rng)
-    report = total_loss(batch, params, cfg)
+    table = _toy_table(cfg, rng)
 
+    def loss(p):
+        # anchor 1's negatives include anchor 0's positive
+        return total_loss(table, [0, 1], [[0], [3]], [[4, 5], [0, 1, 2]], p, cfg)
+
+    report = loss(params)
     tensors = {k: v.copy() for k, v in params.tensors().items()}
     picks = []
     for _ in range(n_params):
@@ -188,8 +199,7 @@ def check_total_grad(seed: int, n_params: int = 20,
         for sgn in (+1.0, -1.0):
             t = {k: v.copy() for k, v in tensors.items()}
             t[name].reshape(-1)[idx] += sgn * step
-            vals.append(total_loss(batch, ModelParams.from_tensors(t),
-                                   cfg).l_total)
+            vals.append(loss(ModelParams.from_tensors(t)).l_total)
         numeric[j] = (vals[0] - vals[1]) / (2.0 * step)
     return CheckResult("grad_total_loss", _rel_err(analytic, numeric), 1e-3)
 

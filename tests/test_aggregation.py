@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reference_tape import Tensor, netvlad_tape
-from xpr.aggregation import (DEFAULT_CLUSTERS, init_attention_params,
+from xpr.aggregation import (N_CLUSTERS, init_attention_params,
                              init_netvlad_params, netvlad, netvlad_batch,
                              semantic_attention)
 from xpr.config import Config, make_rng
@@ -160,9 +160,9 @@ def test_netvlad_ignores_masked_cells():
 
 def test_netvlad_default_cluster_count():
     params = init_netvlad_params(CFG)
-    assert params.n_clusters == DEFAULT_CLUSTERS
+    assert params.n_clusters == N_CLUSTERS
     assert params.proj.shape == (CFG.descriptor_dim,
-                                 DEFAULT_CLUSTERS * CFG.feature_dim)
+                                 N_CLUSTERS * CFG.feature_dim)
 
 
 def test_attention_gates_in_zero_one():

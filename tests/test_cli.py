@@ -2,7 +2,9 @@ import csv
 import filecmp
 import json
 import os
+import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ import pytest
 from xpr.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from xpr.io_datasets import (FormatError, load_checkpoint, load_dataset,
                              load_dataset_config, load_index, load_query,
-                             save_checkpoint, save_index)
+                             save_checkpoint, save_index, save_query)
 from xpr.config import Config
+from xpr.encoder import QueryObservation
 from xpr.losses import train
 from xpr.model import ModelParams, init_model_params
 from xpr.pipeline import build_index, match_dataset_queries, training_set
+from xpr.projection import SemanticImage
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +178,7 @@ def artifact_copies(workspace, tmp_path):
     return args, {
         "index": (idx, load_index),
         "query": (os.path.join(queries, sorted(os.listdir(queries))[0]),
-                  lambda path: load_query(path, cfg.n_classes)),
+                  lambda path: load_query(path, cfg)),
         "ckpt": (ckpt, load_checkpoint)}
 
 
@@ -236,6 +240,59 @@ def test_bad_config_header_is_data_error(workspace, tmp_path, capsys, kind,
     assert "bad config header at byte 14" in err and "Traceback" not in err
 
 
+def _expect_data_error(args, capsys, target, loader, msg):
+    """Loading `target` and running `args` both fail on it with `msg`."""
+    with pytest.raises(FormatError, match=re.escape(msg)):
+        loader(target)
+    capsys.readouterr()
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{target}: " in err and msg in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["place", "viewpoint"])
+def test_bad_index_entry_is_data_error(workspace, tmp_path, capsys, field):
+    args, artifacts = artifact_copies(workspace, tmp_path)
+    target, loader = artifacts["index"]
+    with open(target, "rb") as fh:
+        data = bytearray(fh.read())
+    # after the magic, version and config length come the config, the
+    # counts and the places, then equal-sized entries
+    (cfg_len,) = struct.unpack_from("<I", data, 10)
+    n_places, n_entries = struct.unpack_from("<II", data, 14 + cfg_len)
+    first = 14 + cfg_len + 12 + 28 * n_places
+    at = first + 10 * (len(data) - first) // n_entries
+    pid, k = struct.unpack_from("<IH", data, at)
+    if field == "place":
+        struct.pack_into("<I", data, at, 77)
+        msg = f"entry at byte {at} is place 77 viewpoint {k}, expected " \
+              f"viewpoint {k} of place {pid}"
+    else:
+        struct.pack_into("<H", data, at + 4, 9)
+        msg = f"entry at byte {at} is place {pid} viewpoint 9, expected " \
+              f"viewpoint {k} of place {pid}"
+    with open(target, "wb") as fh:
+        fh.write(data)
+    _expect_data_error(args, capsys, target, loader, msg)
+
+
+@pytest.mark.parametrize("defect", ["channels", "width"])
+def test_bad_query_shape_is_data_error(workspace, tmp_path, capsys, defect):
+    args, artifacts = artifact_copies(workspace, tmp_path)
+    target, loader = artifacts["query"]
+    q = loader(target)
+    raw, mask, labels = q.obs.raw, q.obs.mask, q.obs.gt_labels.labels
+    if defect == "channels":
+        raw = raw[..., :3]
+    else:
+        raw, mask, labels = raw[:, :30], mask[:, :30], labels[:, :30]
+    save_query(target, q.query_id, q.place_id, q.heading, q.noise_level,
+               q.gt_position, QueryObservation(raw, mask, SemanticImage(labels)))
+    # the shape follows the magic, ids, heading, noise and position
+    _expect_data_error(args, capsys, target, loader,
+                       f"shape {raw.shape} at byte 58 is not")
+
+
 def _train_args(data, tmp_path):
     return ["train", "--data", data, "--epochs", "1",
             "--out", str(tmp_path / "model.ckpt")]
@@ -282,8 +339,9 @@ def test_query_label_out_of_range_is_data_error(workspace, tmp_path, capsys):
     shutil.copytree(workspace["data"], data)
     qdir = os.path.join(data, "queries")
     path = os.path.join(qdir, sorted(os.listdir(qdir))[0])
-    n_classes = load_dataset_config(data)[0].n_classes
-    rec = load_query(path, n_classes)
+    cfg = load_dataset_config(data)[0]
+    n_classes = cfg.n_classes
+    rec = load_query(path, cfg)
     h, w, c = rec.obs.raw.shape
     labels_at = 64 + 4 * h * w * c + h * w   # after the header, raw and mask
     labels = rec.obs.gt_labels.labels.reshape(-1)
@@ -296,7 +354,7 @@ def test_query_label_out_of_range_is_data_error(workspace, tmp_path, capsys):
         fh.write(raw)
     msg = f"label 200 at byte {labels_at + 2 * first} is not below n_classes {n_classes}"
     with pytest.raises(FormatError, match=msg):
-        load_query(path, n_classes)
+        load_query(path, cfg)
     match = ["match", "--index", workspace["idx"], "--queries", data,
              "--out", str(tmp_path / "r.csv")]
     for args in (_train_args(data, tmp_path), match):

@@ -223,6 +223,10 @@ def test_checkpoint_bad_magic(tmp_path):
 
 # ------------------------------------------------------------- query files
 
+# a 4-row image whose frontal window is 9 columns wide
+QUERY_CFG = Config(range_rows=4, range_cols=36)
+
+
 def random_query(seed, qid=3):
     rng = make_rng(seed, 3)
     h, w = 4, 9
@@ -239,7 +243,7 @@ def test_query_round_trip(tmp_path):
     path = tmp_path / "q.qry"
     save_query(path, q.query_id, q.place_id, q.heading, q.noise_level,
                q.gt_position, q.obs)
-    back = load_query(path, CFG.n_classes)
+    back = load_query(path, QUERY_CFG)
     assert (back.query_id, back.place_id) == (q.query_id, q.place_id)
     assert back.heading == q.heading and back.noise_level == q.noise_level
     assert np.array_equal(back.gt_position, q.gt_position)
@@ -253,7 +257,7 @@ def test_query_save_load_save_idempotent(tmp_path):
     p1, p2 = tmp_path / "a.qry", tmp_path / "b.qry"
     save_query(p1, q.query_id, q.place_id, q.heading, q.noise_level,
                q.gt_position, q.obs)
-    b = load_query(p1, CFG.n_classes)
+    b = load_query(p1, QUERY_CFG)
     save_query(p2, b.query_id, b.place_id, b.heading, b.noise_level,
                b.gt_position, b.obs)
     assert filecmp.cmp(p1, p2, shallow=False)
@@ -263,13 +267,13 @@ def test_query_bad_magic(tmp_path):
     path = tmp_path / "bad.qry"
     path.write_bytes(b"XPRIDX01" + b"\x00" * 40)
     with pytest.raises(FormatError, match="magic"):
-        load_query(path, CFG.n_classes)
+        load_query(path, QUERY_CFG)
 
 
 # ------------------------------------------------------------------ dataset
 
 def test_dataset_round_trip(tmp_path):
-    cfg = Config()
+    cfg = QUERY_CFG
     root = tmp_path / "ds"
     rng = make_rng(11, 1)
     places = [(0, np.zeros(3)), (1, np.array([40.0, 0.0, 0.0]))]

@@ -7,11 +7,11 @@ import pytest
 from reference_tape import Tensor, mean, netvlad_tape, sigmoid, stack, tanh
 from xpr.config import Config, make_rng
 from xpr.encoder import (QUERY_CHANNELS, LocalFeatureMap, QueryObservation)
-from xpr.losses import (SemanticFeatureSet, TrainBatch, TrainSample,
-                        contrastive_tape, lidar_maps, nearest_viewpoint,
-                        segmentation_loss, semantic_consistency_loss,
-                        total_loss, train)
+from xpr.io_datasets import Dataset, QueryRecord
+from xpr.losses import (class_means_tape, contrastive_tape, nearest_viewpoint,
+                        segmentation_tape, total_loss, train, train_table)
 from xpr.model import TRAINABLE, ModelParams, init_model_params
+from xpr.pipeline import PlaceRenders, training_set
 from xpr.projection import SemanticImage
 
 # log(1 + e^-1), InfoNCE with one positive at logit 1 and one negative at 0
@@ -178,91 +178,99 @@ def test_batched_contrastive_matches_per_pair(kind):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+def class_means(attended, labels, seg, lid_means, lid_present):
+    """A batch's consistency term through the fused node, and its gradient
+    w.r.t. the attended features."""
+    a = Tensor(np.asarray(attended, dtype=np.float64), requires_grad=True)
+    loss = class_means_tape(a, np.asarray(labels), np.asarray(seg),
+                            np.asarray(lid_means, dtype=np.float64),
+                            np.asarray(lid_present))
+    loss.backward()
+    return float(loss.data), a.grad
+
+
 def test_semantic_consistency_worked_example():
-    cfg = Config(n_classes=4)
-    rgb = np.zeros((4, 3))
-    lid = np.zeros((4, 3))
-    rgb[1] = [1.0, 0.0, 0.0]
-    lid[1] = [0.0, 1.0, 0.0]          # squared distance 2
-    rgb[2] = lid[2] = [0.5, 0.5, 0.5]  # squared distance 0
-    present = np.array([False, True, True, False])
-    val, _ = semantic_consistency_loss(SemanticFeatureSet(rgb, present),
-                                       SemanticFeatureSet(lid, present), cfg)
+    # one anchor; its class-1 cells average to [1, 0, 0]
+    attended = [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.5]]
+    lid = np.zeros((1, 4, 3))
+    lid[0, 1] = [0.0, 1.0, 0.0]         # squared distance 2
+    lid[0, 2] = [0.5, 0.5, 0.5]         # squared distance 0
+    present = [[False, True, True, False]]
+    val, _ = class_means(attended, [1, 1, 2], [[0, 3]], lid, present)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_semantic_consistency_no_shared_classes():
-    cfg = Config(n_classes=4)
-    a = SemanticFeatureSet(np.ones((4, 3)), np.array([False, True, False, False]))
-    b = SemanticFeatureSet(np.ones((4, 3)), np.array([False, False, True, False]))
-    val, grads = semantic_consistency_loss(a, b, cfg)
+    # the anchor has only class 1, the LiDAR map only class 2
+    val, grad = class_means(np.ones((1, 3)), [1], [[0, 1]], np.ones((1, 4, 3)),
+                            [[False, False, True, False]])
     assert val == 0.0
-    assert not grads["rgb"].any() and not grads["lidar"].any()
+    assert not grad.any()
 
 
 def test_semantic_consistency_gradients_fd():
-    cfg = Config(n_classes=5)
     rng = make_rng(2, 1)
-    rgb = rng.normal(size=(5, 4))
-    lid = rng.normal(size=(5, 4))
-    present_r = np.array([False, True, True, False, True])
-    present_l = np.array([False, True, False, True, True])
-    _, grads = semantic_consistency_loss(SemanticFeatureSet(rgb, present_r),
-                                         SemanticFeatureSet(lid, present_l), cfg)
+    attended = rng.normal(size=(7, 4))
+    # anchors of 4 and 3 cells predicting classes 1, 2 and 4
+    labels = np.array([1, 2, 4, 1, 2, 4, 4])
+    seg = np.array([[0, 4], [4, 7]])
+    lid = rng.normal(size=(2, 5, 4))
+    present = np.array([[False, True, False, True, True]] * 2)
+    _, grad = class_means(attended, labels, seg, lid, present)
+    fd_check(lambda arrs: class_means(arrs[0], labels, seg, lid, present)[0],
+             [attended], [grad])
 
-    def fn(arrs):
-        return semantic_consistency_loss(
-            SemanticFeatureSet(arrs[0], present_r),
-            SemanticFeatureSet(arrs[1], present_l), cfg)[0]
 
-    fd_check(fn, [rgb, lid], [grads["rgb"], grads["lidar"]])
+def segmentation(logits, gt, seg=None):
+    """A batch's segmentation term through the fused node, one anchor
+    unless `seg` says otherwise, and its gradient w.r.t. the logits."""
+    t = Tensor(np.asarray(logits, dtype=np.float64), requires_grad=True)
+    seg = np.array([[0, len(gt)]]) if seg is None else seg
+    loss = segmentation_tape(t, np.asarray(gt), seg)
+    loss.backward()
+    return float(loss.data), t.grad
 
 
 def test_segmentation_uniform_logits():
-    gt = SemanticImage(np.ones((3, 4), dtype=np.uint16))
-    val, _ = segmentation_loss(np.zeros((3, 4, 8)), gt)
+    val, _ = segmentation(np.zeros((12, 8)), np.ones(12, dtype=np.uint16))
     assert val == pytest.approx(LN8, abs=1e-12)
 
 
 def test_segmentation_confident_correct_near_zero():
-    h, w, k = 2, 3, 8
-    gt_labels = np.full((h, w), 5, dtype=np.uint16)
-    logits = np.zeros((h, w, k))
-    logits[..., 5] = 50.0
-    val, _ = segmentation_loss(logits, SemanticImage(gt_labels))
+    logits = np.zeros((6, 8))
+    logits[:, 5] = 50.0
+    val, _ = segmentation(logits, np.full(6, 5, dtype=np.uint16))
     assert val < 1e-12
 
 
 def test_segmentation_void_cells_excluded():
     rng = make_rng(3, 1)
-    logits = rng.normal(size=(4, 5, 8))
-    gt = rng.integers(0, 8, (4, 5)).astype(np.uint16)
-    gt[0, 0] = 0
-    val, _ = segmentation_loss(logits, SemanticImage(gt))
+    logits = rng.normal(size=(20, 8))
+    gt = rng.integers(0, 8, 20).astype(np.uint16)
+    gt[0] = 0
+    val, _ = segmentation(logits, gt)
     # loop oracle over non-void cells only
     total, n = 0.0, 0
-    for i in range(4):
-        for j in range(5):
-            if gt[i, j] == 0:
-                continue
-            z = logits[i, j]
-            total += math.log(np.exp(z - z.max()).sum()) + z.max() - z[gt[i, j]]
-            n += 1
+    for z, label in zip(logits, gt):
+        if label == 0:
+            continue
+        total += math.log(np.exp(z - z.max()).sum()) + z.max() - z[label]
+        n += 1
     assert val == pytest.approx(total / n, abs=1e-10)
 
 
 def test_segmentation_all_void_zero():
-    val, grad = segmentation_loss(np.ones((2, 2, 8)),
-                                  SemanticImage(np.zeros((2, 2), dtype=np.uint16)))
+    val, grad = segmentation(np.ones((4, 8)), np.zeros(4, dtype=np.uint16))
     assert val == 0.0 and not grad.any()
 
 
 def test_segmentation_gradients_fd():
     rng = make_rng(4, 1)
-    logits = rng.normal(size=(2, 3, 5))
-    gt = SemanticImage(rng.integers(0, 5, (2, 3)).astype(np.uint16))
-    _, grad = segmentation_loss(logits, gt)
-    fd_check(lambda arrs: segmentation_loss(arrs[0], gt)[0], [logits], [grad])
+    logits = rng.normal(size=(6, 5))
+    gt = rng.integers(0, 5, 6).astype(np.uint16)
+    seg = np.array([[0, 2], [2, 6]])
+    _, grad = segmentation(logits, gt, seg)
+    fd_check(lambda arrs: segmentation(arrs[0], gt, seg)[0], [logits], [grad])
 
 
 def test_nearest_viewpoint_rounding():
@@ -297,20 +305,27 @@ def fake_obs(rng, cfg, h=4, w=6):
     return QueryObservation(raw, mask, SemanticImage(gt))
 
 
-def fake_batch(seed, cfg, n_samples=2):
-    rng = make_rng(seed, 1)
-    samples = [TrainSample(fake_obs(rng, cfg),
-                           [fake_fmap(rng, cfg)],
-                           [fake_fmap(rng, cfg), fake_fmap(rng, cfg)])
-               for _ in range(n_samples)]
-    context = np.full(cfg.n_classes, 1.0 / cfg.n_classes)
-    return TrainBatch(samples, context)
+def fake_table(seed, cfg, n_places=3, queries_per_place=1):
+    rng = make_rng(seed, 2)
+    places = [([(fake_obs(rng, cfg), float(rng.uniform(0, 2 * math.pi)))
+                for _ in range(queries_per_place)],
+               [fake_fmap(rng, cfg) for _ in range(cfg.n_viewpoints)])
+              for _ in range(n_places)]
+    return train_table(places, np.full(cfg.n_classes, 1.0 / cfg.n_classes), cfg)
+
+
+def fake_batch(seed, cfg):
+    """A three-place table and a batch of its first two anchors, each with
+    its positive and two maps of other places as negatives."""
+    table = fake_table(seed, cfg)
+    return (table, [0, 1], [[table.positive[0]], [table.positive[1]]],
+            [[2, 4], [0, 5]])
 
 
 def test_total_loss_composition():
     cfg = SMALL
     params = init_model_params(cfg)
-    r = total_loss(fake_batch(1, cfg), params, cfg)
+    r = total_loss(*fake_batch(1, cfg), params, cfg)
     assert r.l_total == pytest.approx(
         r.l_contrastive + cfg.lambda_sem * r.l_sem + r.l_seg, abs=1e-12)
     assert set(r.grads) == set(TRAINABLE)
@@ -323,16 +338,19 @@ def test_total_loss_composition():
 def test_total_loss_deterministic():
     cfg = SMALL
     params = init_model_params(cfg)
-    r0 = total_loss(fake_batch(2, cfg), params, cfg)
-    r1 = total_loss(fake_batch(2, cfg), params, cfg)
+    r0 = total_loss(*fake_batch(2, cfg), params, cfg)
+    r1 = total_loss(*fake_batch(2, cfg), params, cfg)
     assert r0.l_total == r1.l_total
     for name in TRAINABLE:
         assert np.array_equal(r0.grads[name], r1.grads[name])
 
 
-def reference_total_loss(batch, params, cfg):
+def reference_total_loss(anchors, fmaps, positives, negatives, context,
+                         params, cfg):
     """The total loss as a per-sample tape: one generic graph per anchor
-    and per LiDAR map, the formula the batched nodes must reproduce."""
+    and per LiDAR map, the formula the batched nodes must reproduce.
+    anchors[b] is the QueryObservation of batch anchor b, and positives[b]
+    and negatives[b] index `fmaps`."""
     flat = {name: Tensor(arr, requires_grad=name in TRAINABLE)
             for name, arr in params.tensors().items()}
     enc, att, vlad = ({name.split(".", 1)[1]: t for name, t in flat.items()
@@ -345,28 +363,27 @@ def reference_total_loss(batch, params, cfg):
                             vlad["assign_b"], vlad["proj"].data)
 
     lid = {}
-    for s in batch.samples:
-        for f in (*s.positives, *s.negatives):
-            lid[id(f)] = describe(
-                Tensor(f.values.reshape(-1, f.channels)[f.mask.reshape(-1)]))
+    for m in {m for rows in (*positives, *negatives) for m in rows}:
+        f = fmaps[m]
+        lid[m] = describe(
+            Tensor(f.values.reshape(-1, f.channels)[f.mask.reshape(-1)]))
 
     con, sem, seg = [], [], []
-    for s in batch.samples:
-        obs = s.anchor
+    for obs, ps, ns in zip(anchors, positives, negatives):
         mask = obs.mask.reshape(-1)
         x = Tensor(obs.raw.reshape(mask.size, -1))
         h = tanh(x @ enc["rgb_proj"] + enc["rgb_bias"]) * Tensor(
             mask[:, None].astype(np.float64))
         feat = h @ enc["desc_proj"]
         logits = h @ enc["seg_head"] + enc["seg_bias"]
-        w = att["bilinear"] @ Tensor(batch.context)
+        w = att["bilinear"] @ Tensor(context)
         attended = feat * sigmoid((feat @ w) * att["gain"]).reshape(-1, 1)
         con.append(per_pair_contrastive(
-            describe(attended[mask]), [lid[id(f)] for f in s.positives],
-            [lid[id(f)] for f in s.negatives], cfg))
+            describe(attended[mask]), [lid[m] for m in ps],
+            [lid[m] for m in ns], cfg))
 
         pred = np.argmax(logits.data, axis=1)
-        ref = s.positives[0]
+        ref = fmaps[ps[0]]
         ref_x = ref.values.reshape(-1, ref.channels)[ref.mask.reshape(-1)]
         onehot = ref_x[:, 4:]
         ref_labels = np.where(onehot.any(axis=1), np.argmax(onehot, axis=1), 0)
@@ -398,11 +415,15 @@ def degenerate_batch(cfg):
     """Ragged positives and negatives, a map shared by two anchors, a
     smaller anchor, and three degenerate anchors: an all-false mask, no
     non-void ground truth, and a positive with only void cells, so no
-    class in common."""
+    class in common.
+
+    Returns the table, the observations of its anchors 0..4, its maps by
+    row, and each anchor's positive and negative rows."""
     rng = make_rng(12, 1)
     maps = [fake_fmap(rng, cfg) for _ in range(7)]
     void = fake_fmap(rng, cfg)
     void.values[..., 4:] = np.eye(cfg.n_classes)[0] * void.mask[..., None]
+    maps.append(void)
     anchors = [fake_obs(rng, cfg) for _ in range(4)] + [fake_obs(rng, cfg, 3, 5)]
     anchors[1] = QueryObservation(anchors[1].raw,
                                   np.zeros_like(anchors[1].mask),
@@ -410,13 +431,16 @@ def degenerate_batch(cfg):
     anchors[2] = QueryObservation(
         anchors[2].raw, anchors[2].mask,
         SemanticImage(np.zeros_like(anchors[2].gt_labels.labels)))
-    samples = [TrainSample(anchors[0], [maps[0]], [maps[1], maps[2]]),
-               TrainSample(anchors[1], [maps[3], maps[4]], [maps[0]]),
-               TrainSample(anchors[2], [maps[0]], [maps[5], maps[6], maps[1]]),
-               TrainSample(anchors[3], [void], [maps[2], maps[3]]),
-               TrainSample(anchors[4], [maps[6], maps[2]], [maps[4]])]
     context = rng.random(cfg.n_classes)
-    return TrainBatch(samples, context / context.sum())
+    # SMALL has two viewpoints per place: four places of two maps each
+    places = [([(anchors[0], 0.0), (anchors[1], 0.0)], maps[0:2]),
+              ([(anchors[2], 0.0)], maps[2:4]),
+              ([(anchors[3], 0.0)], maps[4:6]),
+              ([(anchors[4], 0.0)], maps[6:8])]
+    table = train_table(places, context / context.sum(), cfg)
+    positives = [[0], [3, 4], [0], [7], [6, 2]]
+    negatives = [[1, 2], [0], [5, 6, 1], [2, 3], [4]]
+    return table, anchors, maps, positives, negatives
 
 
 @pytest.mark.parametrize("kind", ["triplet", "infonce"])
@@ -430,9 +454,10 @@ def test_total_loss_matches_per_sample_tape(kind):
         name: arr + (rng.normal(0.0, 0.3, np.shape(arr)) if name in TRAINABLE
                      else 0.0)
         for name, arr in init_model_params(cfg).tensors().items()})
-    batch = degenerate_batch(cfg)
-    got = total_loss(batch, params, cfg)
-    want, want_grads = reference_total_loss(batch, params, cfg)
+    table, anchors, maps, positives, negatives = degenerate_batch(cfg)
+    got = total_loss(table, range(5), positives, negatives, params, cfg)
+    want, want_grads = reference_total_loss(anchors, maps, positives, negatives,
+                                            table.context, params, cfg)
     assert got.l_total == pytest.approx(want, abs=1e-12)
     for name in TRAINABLE:
         scale = np.abs(want_grads[name]).max()
@@ -440,50 +465,41 @@ def test_total_loss_matches_per_sample_tape(kind):
         assert np.abs(got.grads[name] - want_grads[name]).max() <= 1e-10 * scale, name
 
 
-def test_total_loss_reads_a_prebuilt_lidar_table():
+def test_training_set_is_place_major():
     cfg = SMALL
-    params = init_model_params(cfg)
-    batch = degenerate_batch(cfg)
-    spare = fake_fmap(make_rng(13, 1), cfg)
-    fmaps = {id(f): f for s in batch.samples
-             for f in (*s.positives, *s.negatives)}
-    table = lidar_maps([spare, *reversed(fmaps.values())], cfg.n_classes)
-    a = total_loss(batch, params, cfg)
-    b = total_loss(batch, params, cfg, table)
-    assert b.l_total == pytest.approx(a.l_total, abs=1e-12)
-    for name in TRAINABLE:
-        assert np.allclose(a.grads[name], b.grads[name], rtol=0, atol=1e-12)
-
-
-class FakeDataset:
-    def __init__(self, places, context):
-        self.places = places
-        self.context = context
-
-
-class FakePlace:
-    def __init__(self, place_id, queries, fmaps):
-        self.place_id = place_id
-        self.queries = queries
-        self.viewpoint_fmaps = fmaps
-
-
-def fake_dataset(seed, cfg, n_places=3, queries_per_place=1):
-    rng = make_rng(seed, 2)
-    places = []
-    for pid in range(n_places):
-        queries = [(fake_obs(rng, cfg), float(rng.uniform(0, 2 * math.pi)))
-                   for _ in range(queries_per_place)]
-        fmaps = [fake_fmap(rng, cfg) for _ in range(cfg.n_viewpoints)]
-        places.append(FakePlace(pid, queries, fmaps))
-    return FakeDataset(places, np.full(cfg.n_classes, 1.0 / cfg.n_classes))
+    rng = make_rng(15, 1)
+    # renders in place-id order 30, 10, 20; queries listed in another order
+    renders = [PlaceRenders(pid, np.zeros(3), [],
+                            [fake_fmap(rng, cfg) for _ in range(cfg.n_viewpoints)],
+                            [], [rng.random(cfg.n_classes)
+                                 for _ in range(cfg.n_viewpoints)])
+               for pid in (30, 10, 20)]
+    step = 2 * math.pi / cfg.n_viewpoints
+    queries = [QueryRecord(qid, pid, heading, 0.0, np.zeros(3), fake_obs(rng, cfg))
+               for qid, (pid, heading) in enumerate(
+                   [(20, 0.1), (30, 1.1 * step), (20, 0.9 * step), (10, 0.2)])]
+    ds = Dataset("", cfg, {}, [], [], [], queries, {})
+    table = training_set(ds, cfg, renders=renders)
+    order = [1, 3, 0, 2]  # place 30, then 10, then 20 in dataset order
+    assert list(table.place) == [0, 1, 2, 2]
+    # place * n_viewpoints + the viewpoint nearest the heading
+    assert list(table.positive) == [0 * 2 + 1, 1 * 2 + 0, 2 * 2 + 0, 2 * 2 + 1]
+    for a, q in enumerate(order):
+        obs = queries[q].obs
+        assert np.array_equal(table.raw[a], obs.raw[obs.mask])
+        assert np.array_equal(table.gt[a], obs.gt_labels.labels[obs.mask])
+    fmaps = [f for pr in renders for f in pr.fmaps]
+    for f, cells in zip(fmaps, table.cells, strict=True):
+        assert np.array_equal(cells, f.values[f.mask])
+    hist = np.mean([h for pr in renders for h in pr.histograms], axis=0)
+    assert np.allclose(table.context, hist / hist.sum(), rtol=0, atol=1e-15)
 
 
 def test_train_reproducible_and_updates_params():
     cfg = SMALL
-    ds = fake_dataset(7, cfg)
-    p0, h0 = train(ds, cfg, epochs=2, lr=1e-2)
-    p1, h1 = train(ds, cfg, epochs=2, lr=1e-2)
+    table = fake_table(7, cfg)
+    p0, h0 = train(table, cfg, epochs=2, lr=1e-2)
+    p1, h1 = train(table, cfg, epochs=2, lr=1e-2)
     t0, t1 = p0.tensors(), p1.tensors()
     for name in t0:
         assert np.array_equal(t0[name], t1[name])
@@ -495,23 +511,23 @@ def test_train_reproducible_and_updates_params():
 
 def test_train_untrainable_projection_frozen():
     cfg = SMALL
-    ds = fake_dataset(8, cfg)
-    p, _ = train(ds, cfg, epochs=1, lr=1e-2)
+    table = fake_table(8, cfg)
+    p, _ = train(table, cfg, epochs=1, lr=1e-2)
     assert np.array_equal(p.vlad.proj, init_model_params(cfg).vlad.proj)
 
 
 def test_train_single_place_rejected():
     cfg = SMALL
-    ds = fake_dataset(9, cfg, n_places=1)
+    table = fake_table(9, cfg, n_places=1)
     with pytest.raises(ValueError, match="two places"):
-        train(ds, cfg, epochs=1, lr=1e-2)
+        train(table, cfg, epochs=1, lr=1e-2)
 
 
 def test_train_minibatch_reproducible():
     cfg = SMALL
-    ds = fake_dataset(10, cfg, n_places=3, queries_per_place=2)
-    p0, _ = train(ds, cfg, epochs=1, lr=1e-2, batch_size=2)
-    p1, _ = train(ds, cfg, epochs=1, lr=1e-2, batch_size=2)
+    table = fake_table(10, cfg, n_places=3, queries_per_place=2)
+    p0, _ = train(table, cfg, epochs=1, lr=1e-2, batch_size=2)
+    p1, _ = train(table, cfg, epochs=1, lr=1e-2, batch_size=2)
     t0, t1 = p0.tensors(), p1.tensors()
     for name in t0:
         assert np.array_equal(t0[name], t1[name])
