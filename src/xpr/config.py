@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -39,6 +41,13 @@ class Config:
 def validate_config(cfg: Config) -> Config:
     """Return cfg unchanged if every invariant holds, else raise ConfigError
     naming the first offending field."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(f.default, int) and not isinstance(value, Integral):
+            raise ConfigError(f"{f.name} must be an integer")
+        if isinstance(f.default, float) and not (
+                isinstance(value, Real) and math.isfinite(value)):
+            raise ConfigError(f"{f.name} must be a finite number")
     if cfg.n_classes < 2:
         raise ConfigError("n_classes must be >= 2 (class 0 is reserved for void)")
     if cfg.n_classes > 256:
@@ -67,8 +76,6 @@ def validate_config(cfg: Config) -> Config:
         raise ConfigError("match_threshold_m must be positive")
     if not cfg.max_range_m > 0:
         raise ConfigError("max_range_m must be positive")
-    if not isinstance(cfg.seed, int):
-        raise ConfigError("seed must be an integer")
     return cfg
 
 

@@ -111,9 +111,10 @@ def encode_lidar_local(rng_img: RangeImage, sem_img: SemanticImage,
     h, w = rng_img.depth.shape
     mask = rng_img.depth > 0.0
     values = np.zeros((h, w, cfg.feature_dim))
-    values[..., 0] = np.clip(rng_img.depth / cfg.max_range_m, 0.0, 1.0)
-    values[..., 1:4] = rng_img.normals
-    onehot = np.eye(cfg.n_classes)[sem_img.labels]
-    values[..., 4:] = onehot
-    values[~mask] = 0.0
+    values[..., 0] = np.where(
+        mask, np.clip(rng_img.depth / cfg.max_range_m, 0.0, 1.0), 0.0)
+    values[..., 1:4] = np.where(mask[..., None], rng_img.normals, 0.0)
+    # one-hot: 1 at each filled cell's class channel, every other channel 0
+    np.put_along_axis(values[..., 4:], sem_img.labels[..., None].astype(np.intp),
+                      mask[..., None], axis=-1)
     return LocalFeatureMap(values, mask)

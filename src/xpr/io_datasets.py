@@ -118,29 +118,37 @@ def save_poses(path, poses: list) -> None:
 
 
 def load_poses(path) -> list:
+    """One 3x4 [R | t] row-major pose per non-blank line of UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from exc
     poses = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 12:
-                raise FormatError(f"{path}:{lineno}: expected 12 values, "
-                                  f"got {len(parts)}")
-            try:
-                vals = np.array([float(v) for v in parts]).reshape(3, 4)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            rot, t = vals[:, :3], vals[:, 3]
-            if np.abs(rot @ rot.T - np.eye(3)).max() > 1e-6:
-                log.warning("%s:%d: re-orthonormalizing drifted rotation",
-                            path, lineno)
-                u, _, vt = np.linalg.svd(rot)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 12:
+            raise FormatError(f"{path}:{lineno}: expected 12 values, "
+                              f"got {len(parts)}")
+        try:
+            vals = np.array([float(v) for v in parts]).reshape(3, 4)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        if not np.isfinite(vals).all():
+            raise FormatError(f"{path}:{lineno}: non-finite value")
+        rot, t = vals[:, :3], vals[:, 3]
+        if np.abs(rot @ rot.T - np.eye(3)).max() > 1e-6:
+            log.warning("%s:%d: re-orthonormalizing drifted rotation",
+                        path, lineno)
+            u, _, vt = np.linalg.svd(rot)
+            rot = u @ vt
+            if np.linalg.det(rot) < 0:
+                u[:, -1] *= -1
                 rot = u @ vt
-                if np.linalg.det(rot) < 0:
-                    u[:, -1] *= -1
-                    rot = u @ vt
-            poses.append(Pose(rot, t))
+        poses.append(Pose(rot, t))
     return poses
 
 
@@ -180,6 +188,11 @@ def load_index(path) -> MapIndex:
         counts_at = fh.tell()
         n_places, n_entries, rows, cols = struct.unpack(
             "<IIHH", _read_exact(fh, 12, path))
+        want = (cfg.range_rows, cfg.range_cols)
+        if n_entries and (rows, cols) != want:
+            raise FormatError(f"{path}: label image shape {(rows, cols)} at "
+                              f"byte {counts_at + 8} is not the config's "
+                              f"(range_rows, range_cols) {want}")
         n_v = cfg.n_viewpoints
         if n_entries % n_v:
             raise FormatError(f"{path}: {n_entries} entries at byte {counts_at} "
@@ -307,7 +320,8 @@ class QueryRecord:
 
 def load_query(path, cfg: Config) -> QueryRecord:
     """Read a query file of QUERY_CHANNELS channels over the config's
-    frustum window, whose ground-truth labels are all below n_classes."""
+    frustum window, whose raw values are all finite and whose ground-truth
+    labels are all below n_classes."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 8, path)
         if magic != QUERY_MAGIC:
@@ -323,20 +337,25 @@ def load_query(path, cfg: Config) -> QueryRecord:
         if (h, w, c) != want:
             raise FormatError(f"{path}: shape {(h, w, c)} at byte {shape_at} "
                               f"is not (rows, frustum width, channels) {want}")
-        raw = np.frombuffer(_read_exact(fh, 4 * h * w * c, path),
-                            dtype="<f4").astype(np.float64).reshape(h, w, c)
+        raw_at = fh.tell()
+        raw = np.frombuffer(_read_exact(fh, 4 * h * w * c, path), dtype="<f4")
         mask = np.frombuffer(_read_exact(fh, h * w, path),
                              dtype=np.uint8).reshape(h, w) != 0
         labels_at = fh.tell()
         labels = np.frombuffer(_read_exact(fh, 2 * h * w, path),
                                dtype="<u2").astype(np.uint16).reshape(h, w)
         _expect_end(fh, path)
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise FormatError(f"{path}: non-finite raw value {raw[bad[0]]} at "
+                          f"byte {raw_at + 4 * bad[0]}")
     bad = np.flatnonzero(labels >= cfg.n_classes)
     if bad.size:
         raise FormatError(f"{path}: label {labels.flat[bad[0]]} at byte "
                           f"{labels_at + 2 * bad[0]} is not below "
                           f"n_classes {cfg.n_classes}")
-    obs = QueryObservation(raw, mask, SemanticImage(labels))
+    obs = QueryObservation(raw.astype(np.float64).reshape(h, w, c), mask,
+                           SemanticImage(labels))
     return QueryRecord(qid, pid, heading, noise, gt, obs)
 
 
@@ -406,7 +425,11 @@ def load_dataset(root) -> Dataset:
         class_map = {int(k): int(v) for k, v in meta["class_map"].items()}
         places = [(int(pid), np.array(pos, dtype=np.float64).reshape(3))
                   for pid, pos in meta["places"]]
-    except (AttributeError, TypeError, ValueError) as exc:
+        if any(not 0 <= v < cfg.n_classes for v in class_map.values()):
+            raise ValueError(f"a class is not below n_classes {cfg.n_classes}")
+        if any(not np.isfinite(pos).all() for _, pos in places):
+            raise ValueError("non-finite place position")
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{os.path.join(root, 'meta.json')}: bad places or "
                           f"class_map: {exc}") from exc
     poses = load_poses(os.path.join(root, "poses.txt"))

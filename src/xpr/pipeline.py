@@ -13,7 +13,7 @@ from .losses import TrainTable, train_table
 from .matching import IndexEntry, MapIndex, MatchResult, match_query
 from .model import ModelParams
 from .projection import semantic_histogram
-from .viewpoints import make_viewpoints, render_viewpoint
+from .viewpoints import make_viewpoints, render_viewpoints
 
 
 @dataclass
@@ -31,14 +31,12 @@ def render_places(dataset: Dataset, cfg: Config) -> list:
     out = []
     for (pid, pos), cloud, anchor in zip(dataset.places, dataset.clouds,
                                          dataset.poses):
-        vps = make_viewpoints(anchor, cfg)
-        fmaps, sems, hists, poses = [], [], [], []
-        for pose in vps.poses:
-            rng_img, sem_img = render_viewpoint(cloud, pose, cfg)
+        poses = make_viewpoints(anchor, cfg).poses
+        fmaps, sems, hists = [], [], []
+        for rng_img, sem_img in render_viewpoints(cloud, poses, cfg):
             fmaps.append(encode_lidar_local(rng_img, sem_img, cfg))
             sems.append(sem_img)
             hists.append(semantic_histogram(sem_img, cfg))
-            poses.append(pose)
         out.append(PlaceRenders(pid, pos, poses, fmaps, sems, hists))
     return out
 

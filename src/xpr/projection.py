@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,13 +41,18 @@ class SemanticImage:
         return self.labels.shape[1]
 
 
-def _cell_angles(rows: int, cols: int, vfov_up: float, vfov_down: float):
-    """Azimuth per column and elevation per row at cell centers, radians."""
+@lru_cache(maxsize=8)
+def _cell_trig(rows: int, cols: int, vfov_up: float, vfov_down: float):
+    """cos/sin of the azimuth per column and of the elevation per row at cell
+    centers, as read-only arrays (cos_az, sin_az, cos_el, sin_el)."""
     az = -math.pi + (np.arange(cols) + 0.5) * (2.0 * math.pi / cols)
     up = math.radians(vfov_up)
     down = math.radians(vfov_down)
     el = up - (np.arange(rows) + 0.5) * ((up - down) / rows)
-    return az, el
+    trig = (np.cos(az), np.sin(az), np.cos(el), np.sin(el))
+    for arr in trig:
+        arr.flags.writeable = False
+    return trig
 
 
 def project_spherical(cloud: LabeledPointCloud, sensor_pose: Pose,
@@ -55,31 +61,28 @@ def project_spherical(cloud: LabeledPointCloud, sensor_pose: Pose,
 
     Azimuth [-pi, pi) maps linearly to columns with azimuth 0 at the image
     center; elevation [vfov_down, vfov_up] maps linearly to rows (top row =
-    vfov_up). Points outside the vertical FOV are dropped. Ties on range are
-    broken by the lower point index.
+    vfov_up). Points at the sensor or outside the vertical FOV are dropped.
+    `kernels.fill_grid` scatters the rest with a scatter-min over range; ties
+    on range go to the lower point index.
     """
     h, w = cfg.range_rows, cfg.range_cols
     depth = np.zeros((h, w), dtype=np.float64)
     labels = np.zeros((h, w), dtype=np.uint16)
     if cloud.count:
         pts = sensor_pose.inverse().transform(cloud.points)
-        rng = np.linalg.norm(pts, axis=1)
-        keep = rng > 0.0
-        pts, rng = pts[keep], rng[keep]
-        lab = cloud.labels[keep]
-
-        az = np.arctan2(pts[:, 1], pts[:, 0])
-        el = np.arcsin(np.clip(pts[:, 2] / rng, -1.0, 1.0))
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+        rng = np.sqrt(x * x + y * y + z * z)
         up = math.radians(cfg.vfov_up)
         down = math.radians(cfg.vfov_down)
-        keep = (el >= down) & (el <= up)
-        az, el, rng, lab = az[keep], el[keep], rng[keep], lab[keep]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            el = np.arcsin(np.clip(z / rng, -1.0, 1.0))
+            keep = np.flatnonzero((rng > 0.0) & (el >= down) & (el <= up))
+        el, rng, lab = el[keep], rng[keep], cloud.labels[keep]
+        az = np.arctan2(y[keep], x[keep])
 
         cols = np.floor((az + math.pi) / (2.0 * math.pi) * w).astype(np.int64) % w
         rows = np.minimum(np.floor((up - el) / (up - down) * h).astype(np.int64), h - 1)
-        depth, labels = kernels.fill_grid(
-            rows.astype(np.int64), cols, np.ascontiguousarray(rng),
-            np.ascontiguousarray(lab), h, w)
+        depth, labels = kernels.fill_grid(rows, cols, rng, lab, h, w)
 
     img = RangeImage(depth, np.zeros((h, w, 3)), cfg.vfov_up, cfg.vfov_down)
     return img, SemanticImage(labels)
@@ -92,18 +95,18 @@ def estimate_normals(img: RangeImage) -> RangeImage:
     the unit direction from the point back toward the sensor. Normals are
     oriented to face the sensor.
     """
-    az, el = _cell_angles(img.rows, img.cols, img.vfov_up, img.vfov_down)
     normals = kernels.compute_normals(
-        img.depth, np.cos(az), np.sin(az), np.cos(el), np.sin(el))
+        img.depth, *_cell_trig(img.rows, img.cols, img.vfov_up, img.vfov_down))
     return RangeImage(img.depth, normals, img.vfov_up, img.vfov_down)
 
 
 def unproject(img: RangeImage) -> np.ndarray:
     """Sensor-frame 3D point per cell (zero where empty), (H, W, 3)."""
-    az, el = _cell_angles(img.rows, img.cols, img.vfov_up, img.vfov_down)
-    x = (img.depth * np.cos(el)[:, None]) * np.cos(az)[None, :]
-    y = (img.depth * np.cos(el)[:, None]) * np.sin(az)[None, :]
-    z = img.depth * np.sin(el)[:, None]
+    cos_az, sin_az, cos_el, sin_el = _cell_trig(img.rows, img.cols,
+                                                img.vfov_up, img.vfov_down)
+    x = (img.depth * cos_el[:, None]) * cos_az
+    y = (img.depth * cos_el[:, None]) * sin_az
+    z = img.depth * sin_el[:, None]
     return np.stack([x, y, z], axis=-1)
 
 

@@ -32,14 +32,31 @@ def crop_to_radius(cloud: LabeledPointCloud, center: np.ndarray,
                    radius: float) -> LabeledPointCloud:
     if not cloud.count:
         return cloud
-    keep = np.linalg.norm(cloud.points - center, axis=1) <= radius
+    x, y, z = (cloud.points - center).T
+    keep = np.sqrt(x * x + y * y + z * z) <= radius
     inten = cloud.intensities[keep] if cloud.intensities.size else cloud.intensities
     return LabeledPointCloud(cloud.points[keep], cloud.labels[keep], inten)
+
+
+def render_viewpoints(map_cloud: LabeledPointCloud, poses: list,
+                      cfg: Config) -> list:
+    """(RangeImage, SemanticImage) with normals per pose, for poses that share
+    one position, as a place's viewpoints do: the map is cropped around that
+    position once, then each pose is projected."""
+    if not poses:
+        return []
+    center = poses[0].translation
+    if any(not np.array_equal(p.translation, center) for p in poses[1:]):
+        raise ValueError("viewpoints to render do not share one position")
+    cropped = crop_to_radius(map_cloud, center, cfg.max_range_m)
+    out = []
+    for pose in poses:
+        rng_img, sem_img = project_spherical(cropped, pose, cfg)
+        out.append((estimate_normals(rng_img), sem_img))
+    return out
 
 
 def render_viewpoint(map_cloud: LabeledPointCloud, pose: Pose,
                      cfg: Config) -> tuple[RangeImage, SemanticImage]:
     """Crop the map around the pose, project, and fill in normals."""
-    cropped = crop_to_radius(map_cloud, pose.translation, cfg.max_range_m)
-    rng_img, sem_img = project_spherical(cropped, pose, cfg)
-    return estimate_normals(rng_img), sem_img
+    return render_viewpoints(map_cloud, [pose], cfg)[0]

@@ -384,7 +384,9 @@ def test_criterion_9_round_trips(tmp_path):
         from xpr.core import identity_pose
         from xpr.matching import IndexEntry, MapIndex
         from xpr.projection import SemanticImage
-        cfg = dataclasses.replace(CFG, n_viewpoints=2, descriptor_dim=8)
+        # label images must have the config's (range_rows, range_cols)
+        cfg = dataclasses.replace(CFG, n_viewpoints=2, descriptor_dim=8,
+                                  range_rows=3, range_cols=5)
         entries, places = [], []
         for pid in range(2):
             places.append((pid, rng.uniform(-10, 10, 3)))
@@ -393,7 +395,8 @@ def test_criterion_9_round_trips(tmp_path):
                 hist = rng.random(cfg.n_classes)
                 entries.append(IndexEntry(
                     pid, k, identity_pose(), GlobalDescriptor(d),
-                    SemanticImage(rng.integers(0, 8, (3, 5))
+                    SemanticImage(rng.integers(0, 8, (cfg.range_rows,
+                                                      cfg.range_cols))
                                   .astype(np.uint16)),
                     hist / hist.sum()))
         i1, i2 = tmp_path / "a.idx", tmp_path / "b.idx"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import json
 import os
@@ -16,6 +17,7 @@ from xpr.io_datasets import (FormatError, load_checkpoint, load_dataset,
 from xpr.config import Config
 from xpr.encoder import QueryObservation
 from xpr.losses import train
+from xpr.matching import MapIndex
 from xpr.model import ModelParams, init_model_params
 from xpr.pipeline import build_index, match_dataset_queries, training_set
 from xpr.projection import SemanticImage
@@ -310,6 +312,14 @@ def _broken_meta(raw: bytes, defect: str) -> bytes:
         meta["places"][1] = [1, [0.0, 2.0]]
     elif defect == "bad-class_map":
         meta["class_map"] = [0, 1]
+    elif defect == "nan-config":
+        meta["config"]["alpha"] = float("nan")
+    elif defect == "nan-place":
+        meta["places"][1][1][2] = float("nan")
+    elif defect == "inf-class":
+        meta["class_map"]["1"] = float("inf")
+    elif defect == "class-range":
+        meta["class_map"]["1"] = meta["config"]["n_classes"]
     else:  # a missing key
         del meta[defect]
     return json.dumps(meta).encode()
@@ -317,7 +327,8 @@ def _broken_meta(raw: bytes, defect: str) -> bytes:
 
 @pytest.mark.parametrize("defect", ["utf8", "cut", "config", "places",
                                     "class_map", "bad-config", "bad-place",
-                                    "bad-class_map"])
+                                    "bad-class_map", "nan-config", "nan-place",
+                                    "inf-class", "class-range"])
 def test_bad_meta_json_is_data_error(workspace, tmp_path, capsys, defect):
     data = str(tmp_path / "data")
     shutil.copytree(workspace["data"], data)
@@ -363,6 +374,53 @@ def test_query_label_out_of_range_is_data_error(workspace, tmp_path, capsys):
         err = capsys.readouterr().err
         assert os.path.basename(path) in err and msg in err
         assert "Traceback" not in err
+
+
+def test_query_nonfinite_raw_is_data_error(workspace, tmp_path, capsys):
+    data = str(tmp_path / "data")
+    shutil.copytree(workspace["data"], data)
+    qdir = os.path.join(data, "queries")
+    path = os.path.join(qdir, sorted(os.listdir(qdir))[0])
+    cfg = load_dataset_config(data)[0]
+    rec = load_query(path, cfg)
+    c = rec.obs.raw.shape[2]
+    raw_at = 64   # the raw values follow the 64-byte header
+    valid = np.flatnonzero(rec.obs.mask.reshape(-1))
+    with open(path, "rb") as fh:
+        raw = bytearray(fh.read())
+    for cell in valid:   # every channel of every valid cell
+        for ch in range(c):
+            struct.pack_into("<f", raw, raw_at + 4 * (cell * c + ch), np.nan)
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    msg = f"non-finite raw value nan at byte {raw_at + 4 * c * int(valid[0])}"
+    with pytest.raises(FormatError, match=msg):
+        load_query(path, cfg)
+    match = ["match", "--index", workspace["idx"], "--queries", data,
+             "--out", str(tmp_path / "r.csv")]
+    for args in (_train_args(data, tmp_path), match):
+        capsys.readouterr()
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert os.path.basename(path) in err and msg in err
+        assert "Traceback" not in err
+
+
+def test_index_label_shape_mismatch_is_data_error(workspace, tmp_path, capsys):
+    args, artifacts = artifact_copies(workspace, tmp_path)
+    target, loader = artifacts["index"]
+    index = load_index(target)
+    cut = [dataclasses.replace(
+        e, sem_image=SemanticImage(e.sem_image.labels[:, :-1]))
+        for e in index.entries]
+    save_index(target, MapIndex(cut, index.places, index.config))
+    with open(target, "rb") as fh:
+        (cfg_len,) = struct.unpack_from("<I", fh.read(14), 10)
+    # rows and cols follow the config and the place and entry counts
+    rows, cols = index.config.range_rows, index.config.range_cols
+    _expect_data_error(args, capsys, target, loader,
+                       f"label image shape {(rows, cols - 1)} at byte "
+                       f"{14 + cfg_len + 8} is not the config's")
 
 
 @pytest.mark.parametrize("defect", ["missing", "shape", "name"])

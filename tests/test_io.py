@@ -96,6 +96,18 @@ def test_poses_bad_line_reports_number(tmp_path):
         load_poses(path)
 
 
+@pytest.mark.parametrize("line, msg", [
+    (b"1 0 0 0 0 1 0 0 0 0 1 nan\n", ":3: non-finite value"),
+    (b"1 0 0 inf 0 1 0 0 0 0 1 0\n", ":3: non-finite value"),
+    (b"1 0 0 0 0 1 0 0 0 0 1 \xff\n", "not UTF-8 at byte 70")],
+    ids=["nan", "inf", "utf8"])
+def test_poses_non_finite_or_non_text_rejected(tmp_path, line, msg):
+    path = tmp_path / "poses.txt"
+    path.write_bytes(b"1 0 0 0 0 1 0 0 0 0 1 0\n" * 2 + line)
+    with pytest.raises(FormatError, match=msg):
+        load_poses(path)
+
+
 def test_poses_drifted_rotation_reorthonormalized(tmp_path, caplog):
     rot = yaw_rotation(0.5)
     rot[0, 0] += 1e-3  # visible drift
@@ -115,7 +127,7 @@ def test_poses_drifted_rotation_reorthonormalized(tmp_path, caplog):
 def make_index(seed, cfg, n_places=2):
     rng = make_rng(seed, 2)
     entries, places = [], []
-    rows, cols = 4, 6
+    rows, cols = cfg.range_rows, cfg.range_cols
     for pid in range(n_places):
         places.append((pid, rng.uniform(-10, 10, 3)))
         for k in range(cfg.n_viewpoints):

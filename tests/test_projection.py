@@ -39,6 +39,22 @@ def test_empty_cloud_gives_empty_images():
     assert not img.depth.any() and not sem.labels.any()
 
 
+def test_equal_range_tie_goes_to_lower_index():
+    """Points on one ray at equal range tie; the lowest point index wins,
+    and a nearer point beats every tie whatever its index."""
+    r, c = CFG.range_rows // 2, CFG.range_cols // 2
+    pts = [[10.0, 0.0, 0.0]] * 3 + [[12.0, 0.0, 0.0]]
+    for labels, want in (([1, 2, 3, 4], 1), ([3, 1, 2, 4], 3),
+                         ([5, 6, 7, 4], 5)):
+        img, sem = project(pts, labels)
+        assert img.depth[r, c] == 10.0 and sem.labels[r, c] == want
+    img, sem = project([[12.0, 0.0, 0.0]] + [[10.0, 0.0, 0.0]] * 2
+                       + [[9.0, 0.0, 0.0]], [4, 2, 3, 6])
+    assert img.depth[r, c] == 9.0 and sem.labels[r, c] == 6
+    img, sem = project([[12.0, 0.0, 0.0]] + [[10.0, 0.0, 0.0]] * 2, [4, 2, 3])
+    assert img.depth[r, c] == 10.0 and sem.labels[r, c] == 2
+
+
 def test_out_of_fov_dropped():
     img, _ = project([[1.0, 0.0, 5.0]], [1])  # far above vfov_up
     assert not img.depth.any()
@@ -264,3 +280,24 @@ def test_kernels_match_scalar_reference():
     for d in (depth, holed):
         assert np.array_equal(_normals_reference(d, *trig),
                               kernels.compute_normals(d, *trig))
+
+
+@pytest.mark.parametrize("case", ["empty", "one-cell", "one-per-cell"])
+def test_fill_grid_edge_cases_match_reference(case):
+    rng = make_rng(101, 1)
+    h, w = 16, 180
+    if case == "empty":
+        rows = cols = np.empty(0, dtype=np.int64)
+    elif case == "one-cell":   # every point in one cell, with range ties
+        rows = np.full(300, 7)
+        cols = np.full(300, 42)
+    else:                      # each cell exactly once, in shuffled order
+        cells = rng.permutation(h * w)
+        rows, cols = cells // w, cells % w
+    n = rows.shape[0]
+    ranges = np.floor(rng.uniform(1, 20, n))
+    labels = rng.integers(0, 8, n).astype(np.uint16)
+    d0, l0 = _fill_grid_reference(rows, cols, ranges, labels, h, w)
+    d1, l1 = kernels.fill_grid(rows, cols, ranges, labels, h, w)
+    assert np.array_equal(d0, d1) and np.array_equal(l0, l1)
+    assert np.count_nonzero(d1) == min(n, len(set(zip(rows, cols))))

@@ -5,7 +5,9 @@ import pytest
 
 from xpr.config import Config, make_rng
 from xpr.core import LabeledPointCloud, Pose, identity_pose, yaw_rotation
-from xpr.viewpoints import crop_to_radius, make_viewpoints, render_viewpoint
+from xpr.projection import estimate_normals, project_spherical
+from xpr.viewpoints import (crop_to_radius, make_viewpoints, render_viewpoint,
+                            render_viewpoints)
 
 CFG = Config()
 
@@ -102,3 +104,46 @@ def test_render_fills_normals():
     assert filled.any()
     norms = np.linalg.norm(img.normals[filled], axis=-1)
     assert np.abs(norms - 1.0).max() < 1e-4
+
+
+def _cloud(points):
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    return LabeledPointCloud(points, 1 + np.arange(len(points)) % 7)
+
+
+@pytest.mark.parametrize("case", ["beyond-range", "empty", "cropped-to-nothing"])
+def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
+    """Cropping once per place renders every viewpoint exactly as cropping
+    around each viewpoint's own pose does."""
+    cfg = Config()
+    anchor = Pose(yaw_rotation(0.7), np.array([3.0, -2.0, 1.0]))
+    if case == "beyond-range":   # about half the points lie past max_range_m
+        cloud = random_cloud(6, n=4000, extent=1.2 * cfg.max_range_m)
+        cloud = LabeledPointCloud(cloud.points + anchor.translation,
+                                  cloud.labels)
+    elif case == "empty":
+        cloud = _cloud(np.empty((0, 3)))
+    else:
+        cloud = _cloud(anchor.translation + [[cfg.max_range_m + 1.0, 0, 0],
+                                             [0, -cfg.max_range_m - 5.0, 0]])
+    poses = make_viewpoints(anchor, cfg).poses
+    renders = render_viewpoints(cloud, poses, cfg)
+    assert len(renders) == len(poses)
+    for pose, (img, sem) in zip(poses, renders):
+        cropped = crop_to_radius(cloud, pose.translation, cfg.max_range_m)
+        ref_img, ref_sem = project_spherical(cropped, pose, cfg)
+        ref_img = estimate_normals(ref_img)
+        for got_img, got_sem in ((img, sem),
+                                 render_viewpoint(cloud, pose, cfg)):
+            assert np.array_equal(got_img.depth, ref_img.depth)
+            assert np.array_equal(got_img.normals, ref_img.normals)
+            assert np.array_equal(got_sem.labels, ref_sem.labels)
+    assert (np.count_nonzero(renders[0][0].depth) > 0) == (case == "beyond-range")
+
+
+def test_render_viewpoints_need_one_position():
+    cfg = Config()
+    assert render_viewpoints(random_cloud(7), [], cfg) == []
+    poses = [identity_pose(), Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))]
+    with pytest.raises(ValueError, match="share one position"):
+        render_viewpoints(random_cloud(7), poses, cfg)
