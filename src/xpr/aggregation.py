@@ -37,10 +37,6 @@ class NetVladParams:
     assign_b: np.ndarray   # (K,)
     proj: np.ndarray       # (descriptor_dim, K*C) fixed seeded projection
 
-    @property
-    def n_clusters(self) -> int:
-        return self.centroids.shape[0]
-
 
 def init_attention_params(cfg: Config) -> AttentionParams:
     rng = make_rng(cfg.seed, ATTENTION_SEED_STREAM)

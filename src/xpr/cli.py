@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 import numpy as np
 
-from . import kernels, synth
+from . import synth
 from .aggregation import describe_query, netvlad
 from .config import Config, config_to_json, make_rng, validate_config, with_overrides
 from .encoder import encode_lidar_local
@@ -289,7 +289,7 @@ def cmd_bench(args) -> int:
               f"p95 {p95:.3f} ms")
     write_manifest(out, "bench", cfg,
                    {"index": args.index, "queries": args.queries,
-                    "repeat": args.repeat, "backend": kernels.backend_name()},
+                    "repeat": args.repeat},
                    [out], {stage: mean for stage, mean, _md, _p in rows})
     return EXIT_OK
 

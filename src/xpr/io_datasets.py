@@ -14,17 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import GlobalDescriptor
 from .config import Config, config_from_json, config_to_json
 from .core import LabeledPointCloud, Pose
 from .encoder import QUERY_CHANNELS, QueryObservation
-from .matching import IndexEntry, MapIndex
+from .matching import MapIndex
 from .model import ModelParams, init_model_params
 from .projection import SemanticImage, frustum_window
 
 log = logging.getLogger(__name__)
 
 INDEX_MAGIC = b"XPRIDX01"
+INDEX_VERSION = 2  # v2 stores blocks; v1 stored per-entry records
+# a place table record: place id, then its (x, y, z) world position
+PLACE_RECORD = np.dtype([("id", "<u4"), ("pos", "<f8", (3,))])
 CKPT_MAGIC = b"XPRCKPT1"
 CKPT_VERSION = 2  # v2 stores float64 tensors; v1 stored them as float32
 QUERY_MAGIC = b"XPRQRY01"
@@ -36,9 +38,9 @@ class FormatError(ValueError):
 
 def _read_exact(fh, n: int, path) -> bytes:
     """Read exactly n bytes or raise FormatError at the offset where the
-    file ends short."""
+    file ends short, reading no more than the file holds."""
     offset = fh.tell()
-    data = fh.read(n)
+    data = fh.read(min(n, max(os.fstat(fh.fileno()).st_size - offset, 0)))
     if len(data) != n:
         raise FormatError(f"{path}: truncated at byte {offset + len(data)}, "
                           f"expected {n} bytes from byte {offset}")
@@ -155,84 +157,82 @@ def load_poses(path) -> list:
 # -------------------------------------------------------------- map index
 
 def save_index(path, index: MapIndex) -> None:
+    """Write map.idx v2: the header, the place table of (id, x, y, z)
+    records, the descriptor block as <f4 and the label block as uint8."""
     cfg_bytes = config_to_json(index.config).encode()
-    rows = index.entries[0].sem_image.rows if index.entries else 0
-    cols = index.entries[0].sem_image.cols if index.entries else 0
+    table = np.empty(len(index.places), dtype=PLACE_RECORD)
+    table["id"] = [pid for pid, _ in index.places]
+    table["pos"] = np.reshape([pos for _, pos in index.places], (-1, 3))
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<HI", 1, len(cfg_bytes)))
+        fh.write(struct.pack("<HI", INDEX_VERSION, len(cfg_bytes)))
         fh.write(cfg_bytes)
-        fh.write(struct.pack("<IIHH", len(index.places), len(index.entries),
-                             rows, cols))
-        for pid, pos in index.places:
-            fh.write(struct.pack("<I3d", pid, *np.asarray(pos, dtype=np.float64)))
-        for e in index.entries:
-            fh.write(struct.pack("<IH", e.place_id, e.viewpoint))
-            m = np.hstack([e.pose.rotation, e.pose.translation[:, None]])
-            fh.write(m.astype("<f8").tobytes())
-            fh.write(struct.pack("<B", 1 if e.descriptor.flagged else 0))
-            fh.write(e.descriptor.values.astype("<f4").tobytes())
-            fh.write(e.sem_image.labels.astype(np.uint8).tobytes())
-            fh.write(e.histogram.astype("<f8").tobytes())
+        fh.write(struct.pack("<IIHH", len(index.places), len(index.labels),
+                             *index.labels.shape[1:]))
+        fh.write(table.tobytes())
+        fh.write(index.descriptors.astype("<f4").tobytes())
+        fh.write(index.labels.tobytes())
 
 
 def load_index(path) -> MapIndex:
+    """Read map.idx v2. Every place id is distinct, every place position and
+    descriptor value finite, and every label below n_classes."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 8, path)
         if magic != INDEX_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
         version, cfg_len = struct.unpack("<HI", _read_exact(fh, 6, path))
-        if version != 1:
+        if version != INDEX_VERSION:
             raise FormatError(f"{path}: unsupported index version {version}")
         cfg = _read_config(fh, cfg_len, path)
         counts_at = fh.tell()
         n_places, n_entries, rows, cols = struct.unpack(
             "<IIHH", _read_exact(fh, 12, path))
         want = (cfg.range_rows, cfg.range_cols)
-        if n_entries and (rows, cols) != want:
+        if (rows, cols) != want:
             raise FormatError(f"{path}: label image shape {(rows, cols)} at "
                               f"byte {counts_at + 8} is not the config's "
                               f"(range_rows, range_cols) {want}")
         n_v = cfg.n_viewpoints
-        if n_entries % n_v:
-            raise FormatError(f"{path}: {n_entries} entries at byte {counts_at} "
-                              f"are not whole places of {n_v} viewpoints")
-        places = []
-        for _ in range(n_places):
-            pid, x, y, z = struct.unpack("<I3d", _read_exact(fh, 28, path))
-            places.append((pid, np.array([x, y, z])))
-        unseen = {pid for pid, _ in places}
-        entries = []
-        for i in range(n_entries):
-            offset = fh.tell()
-            pid, k = struct.unpack("<IH", _read_exact(fh, 6, path))
-            # each place's entries are viewpoints 0..n_v-1 back to back
-            want = i % n_v
-            if want:
-                prev = entries[-1].place_id
-                ok, owner = pid == prev, f"place {prev}"
-            else:
-                ok, owner = pid in unseen, "a new known place"
-            if not ok or k != want:
-                raise FormatError(f"{path}: entry at byte {offset} is place "
-                                  f"{pid} viewpoint {k}, expected viewpoint "
-                                  f"{want} of {owner}")
-            unseen.discard(pid)
-            m = np.frombuffer(_read_exact(fh, 96, path),
-                              dtype="<f8").reshape(3, 4)
-            flagged = _read_exact(fh, 1, path)[0] != 0
-            desc = np.frombuffer(_read_exact(fh, 4 * cfg.descriptor_dim, path),
-                                 dtype="<f4").astype(np.float64)
-            labels = np.frombuffer(_read_exact(fh, rows * cols, path),
-                                   dtype=np.uint8).reshape(rows, cols)
-            hist = np.frombuffer(_read_exact(fh, 8 * cfg.n_classes, path),
-                                 dtype="<f8").copy()
-            entries.append(IndexEntry(
-                pid, k, Pose(m[:, :3].copy(), m[:, 3].copy()),
-                GlobalDescriptor(desc, flagged),
-                SemanticImage(labels.astype(np.uint16)), hist))
+        if n_entries != n_places * n_v:
+            raise FormatError(f"{path}: {n_entries} entries at byte "
+                              f"{counts_at + 4} are not {n_places} places of "
+                              f"{n_v} viewpoints")
+        places_at = fh.tell()
+        table = np.frombuffer(_read_exact(fh, PLACE_RECORD.itemsize * n_places,
+                                          path), dtype=PLACE_RECORD)
+        desc_at = fh.tell()
+        desc = np.frombuffer(_read_exact(fh, 4 * n_entries * cfg.descriptor_dim,
+                                         path), dtype="<f4")
+        labels_at = fh.tell()
+        labels = np.frombuffer(_read_exact(fh, n_entries * rows * cols, path),
+                               dtype=np.uint8)
         _expect_end(fh, path)
-    return MapIndex(entries, places, cfg)
+    ids, pos = table["id"], table["pos"]
+    order = np.argsort(ids, kind="stable")
+    repeat = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if repeat.size:
+        i = int(repeat.min())
+        raise FormatError(f"{path}: place id {ids[i]} at byte "
+                          f"{places_at + PLACE_RECORD.itemsize * i} repeats "
+                          f"an earlier place")
+    bad = np.flatnonzero(~np.isfinite(pos))
+    if bad.size:
+        i, j = divmod(int(bad[0]), 3)
+        raise FormatError(f"{path}: non-finite place position at byte "
+                          f"{places_at + PLACE_RECORD.itemsize * i + 4 + 8 * j}")
+    bad = np.flatnonzero(~np.isfinite(desc))
+    if bad.size:
+        raise FormatError(f"{path}: non-finite descriptor value "
+                          f"{desc[bad[0]]} at byte {desc_at + 4 * bad[0]}")
+    bad = np.flatnonzero(labels >= cfg.n_classes)
+    if bad.size:
+        raise FormatError(f"{path}: label {labels[bad[0]]} at byte "
+                          f"{labels_at + bad[0]} is not below n_classes "
+                          f"{cfg.n_classes}")
+    places = list(zip(ids.tolist(), pos.astype(np.float64)))
+    return MapIndex(places, desc.reshape(n_entries, cfg.descriptor_dim),
+                    labels.reshape(n_entries, rows, cols), cfg)
 
 
 # ------------------------------------------------------------- checkpoints

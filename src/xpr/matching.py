@@ -2,75 +2,77 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .aggregation import GlobalDescriptor
 from .config import Config
-from .core import Pose
-from .projection import SemanticImage, frustum_window
+from .projection import SemanticImage, frustum_window, semantic_context
 
 
 @dataclass(frozen=True)
 class IndexEntry:
+    """One (place, viewpoint) row of a MapIndex, viewing its blocks."""
     place_id: int
     viewpoint: int
-    pose: Pose
     descriptor: GlobalDescriptor
     sem_image: SemanticImage
-    histogram: np.ndarray
 
 
-@dataclass(frozen=True)
-class IndexColumns:
-    """The index as stacked arrays, one row per entry in `entries` order."""
-    place_id: np.ndarray      # (E,) int64
-    viewpoint: np.ndarray     # (E,) int64
-    descriptors: np.ndarray   # (E, D) float64; a flagged row is all zeros
-    windows: np.ndarray       # (E, H*w) uint8 frontal-window labels
-    counts: np.ndarray        # (E, 256) int64 cells of each label per window
-
-
-@dataclass
 class MapIndex:
-    entries: list                 # IndexEntry, grouped by place, k ascending
-    places: list                  # (place_id, (x, y, z) world position)
-    config: Config
-    # IndexColumns per query label shape, built on first match; entries must
-    # not change after that
-    _columns: dict = field(default_factory=dict, repr=False, compare=False)
+    """Every viewpoint of every place as two read-only blocks, place-major in
+    `places` order with viewpoints 0..n_viewpoints-1 within a place:
 
-    def validate(self) -> "MapIndex":
-        ids = {pid for pid, _ in self.places}
-        per_place: dict = {}
-        for e in self.entries:
-            if e.place_id not in ids:
-                raise ValueError(f"entry references unknown place {e.place_id}")
-            per_place[e.place_id] = per_place.get(e.place_id, 0) + 1
-        for pid, n in per_place.items():
-            if n != self.config.n_viewpoints:
-                raise ValueError(f"place {pid} has {n} entries, "
-                                 f"expected {self.config.n_viewpoints}")
-        return self
+    - descriptors (E, D) float64 holding float32-exact values, the precision
+      map.idx stores; a flagged descriptor is an all-zero row, as `netvlad`
+      gives it;
+    - labels (E, range_rows, range_cols) uint8 360-degree label images.
+
+    The constructor derives what scoring reads once: each image's frontal
+    window, the per-label cell counts of the windows and the mean class
+    histogram.
+    """
+
+    def __init__(self, places: list, descriptors, labels, config: Config):
+        n = len(places) * config.n_viewpoints
+        descriptors = np.asarray(descriptors, dtype=np.float32).astype(np.float64)
+        labels = np.asarray(labels)
+        want = (n, config.descriptor_dim), (n, config.range_rows, config.range_cols)
+        if (descriptors.shape, labels.shape) != want:
+            raise ValueError(f"blocks of shapes {descriptors.shape} and "
+                             f"{labels.shape}, expected {want[0]} and "
+                             f"{want[1]} for {len(places)} places")
+        if labels.size and not 0 <= labels.min() <= labels.max() < config.n_classes:
+            raise ValueError(f"a label is not in [0, n_classes "
+                             f"{config.n_classes})")
+        if len({pid for pid, _ in places}) != len(places):
+            raise ValueError("duplicate place id")
+        self.places = places          # (place_id, (x, y, z) world position)
+        self.config = config
+        self.descriptors = descriptors
+        self.labels = labels.astype(np.uint8)
+        rows, (c0, width) = config.range_rows, frustum_window(config.range_cols)
+        self._place_ids = np.array([pid for pid, _ in places], dtype=np.int64)
+        self._query_shape = (rows, width)
+        self._windows = self.labels[:, :, c0:c0 + width].reshape(n, rows * width)
+        self._counts = _label_counts(self._windows)
+        self._context = semantic_context(self.labels, config)
+        for block in (self.descriptors, self.labels, self._context):
+            block.flags.writeable = False
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The IndexEntry of every row, in block order."""
+        n_v = self.config.n_viewpoints
+        return tuple(
+            IndexEntry(int(self._place_ids[i // n_v]), i % n_v,
+                       GlobalDescriptor(d, not d.any()), SemanticImage(lab))
+            for i, (d, lab) in enumerate(zip(self.descriptors, self.labels)))
 
     def mean_histogram(self) -> np.ndarray:
         """Database-average class histogram, used as the query-time context."""
-        h = np.mean([e.histogram for e in self.entries], axis=0)
-        return h / h.sum()
-
-    def columns(self, query_shape: tuple) -> IndexColumns:
-        """The entries as IndexColumns, windows cropped for query_shape."""
-        cols = self._columns.get(query_shape)
-        if cols is None:
-            windows = _windows([e.sem_image for e in self.entries], query_shape)
-            cols = IndexColumns(
-                np.array([e.place_id for e in self.entries], dtype=np.int64),
-                np.array([e.viewpoint for e in self.entries], dtype=np.int64),
-                np.array([e.descriptor.values for e in self.entries],
-                         dtype=np.float64),
-                windows, _label_counts(windows))
-            self._columns[query_shape] = cols
-        return cols
+        return self._context
 
 
 @dataclass
@@ -84,25 +86,18 @@ class MatchResult:
     ranked: list = field(default_factory=list)  # (place_id, best score) desc
 
 
-def _windows(cand_sems: list, query_shape: tuple) -> np.ndarray:
-    """Each candidate's labels over the query's cells, flattened, as uint8.
-
-    A candidate wider than the query (a 360-degree image) is cropped to its
-    90-degree frustum window, which must then be as wide as the query.
-    """
-    out = np.empty((len(cand_sems), query_shape[0] * query_shape[1]),
-                   dtype=np.uint8)
-    for i, sem in enumerate(cand_sems):
-        c = sem.labels
-        if c.shape[1] != query_shape[1]:
-            c0, width = frustum_window(c.shape[1])
-            if width != query_shape[1]:
-                raise ValueError("query width does not match the frustum window")
-            c = c[:, c0:c0 + width]
-        if c.shape != query_shape:
-            raise ValueError("row counts differ")
-        out[i] = c.ravel()
-    return out
+def _window(labels: np.ndarray, query_shape: tuple) -> np.ndarray:
+    """A candidate's labels over the query's cells. A candidate wider than
+    the query (a 360-degree image) is cropped to its 90-degree frustum
+    window, which must then be as wide as the query."""
+    if labels.shape[1] != query_shape[1]:
+        c0, width = frustum_window(labels.shape[1])
+        if width != query_shape[1]:
+            raise ValueError("query width does not match the frustum window")
+        labels = labels[:, c0:c0 + width]
+    if labels.shape != query_shape:
+        raise ValueError("row counts differ")
+    return labels
 
 
 def _label_counts(windows: np.ndarray) -> np.ndarray:
@@ -151,9 +146,8 @@ def semantic_overlap(query_sem: SemanticImage, cand_sem: SemanticImage,
     an IoU term over all window cells. No co-visible labeled cells -> 0.
     """
     q = query_sem.labels
-    windows = _windows([cand_sem], q.shape)
-    return float(_overlaps(q, windows, _label_counts(windows),
-                           cfg.n_classes)[0])
+    window = _window(cand_sem.labels, q.shape).astype(np.uint8).reshape(1, -1)
+    return float(_overlaps(q, window, _label_counts(window), cfg.n_classes)[0])
 
 
 def match_query(q_desc: GlobalDescriptor, q_sem: SemanticImage,
@@ -164,22 +158,28 @@ def match_query(q_desc: GlobalDescriptor, q_sem: SemanticImage,
     Ties break deterministically toward the smaller place id, then the
     smaller viewpoint index.
     """
-    if not index.entries:
+    if not len(index.descriptors):
         raise ValueError("empty map index")
-    cols = index.columns(q_sem.labels.shape)
-    phi = np.vecdot(cols.descriptors, q_desc.values)
-    psi = _overlaps(q_sem.labels, cols.windows, cols.counts, cfg.n_classes)
+    q = q_sem.labels
+    if q.shape[1] != index._query_shape[1]:
+        raise ValueError("query width does not match the frustum window")
+    if q.shape != index._query_shape:
+        raise ValueError("row counts differ")
+    phi = np.vecdot(index.descriptors, q_desc.values)
+    psi = _overlaps(q, index._windows, index._counts, cfg.n_classes)
     score = cfg.alpha * phi + cfg.beta * psi
-    # stable: of equal (place, score, viewpoint) rows the first entry wins
-    order = np.lexsort((cols.viewpoint, -score, cols.place_id))
-    pids = cols.place_id[order]
-    best = order[np.r_[True, pids[1:] != pids[:-1]]]
-    best = best[np.lexsort((cols.place_id[best], -score[best]))]
-    top = best[0]
-    return MatchResult(query_id, int(cols.place_id[top]),
-                       int(cols.viewpoint[top]), float(score[top]),
-                       float(phi[top]), float(psi[top]),
-                       [(int(cols.place_id[i]), float(score[i])) for i in best])
+    # per place, the first of its best-scoring viewpoints; then places by
+    # score, ties to the smaller place id
+    n_v = index.config.n_viewpoints
+    view = np.argmax(score.reshape(-1, n_v), axis=1)
+    row = np.arange(len(view)) * n_v + view
+    order = np.lexsort((index._place_ids, -score[row]))
+    top = row[order[0]]
+    return MatchResult(query_id, int(index._place_ids[order[0]]),
+                       int(view[order[0]]), float(score[top]), float(phi[top]),
+                       float(psi[top]),
+                       list(zip(index._place_ids[order].tolist(),
+                                score[row[order]].tolist())))
 
 
 def rank_of_truth(result: MatchResult, index: MapIndex, gt_position,

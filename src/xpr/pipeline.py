@@ -5,14 +5,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import GlobalDescriptor, describe_query, netvlad
+from .aggregation import describe_query, netvlad
 from .config import Config
 from .encoder import encode_lidar_local
 from .io_datasets import Dataset
 from .losses import TrainTable, train_table
-from .matching import IndexEntry, MapIndex, MatchResult, match_query
+from .matching import MapIndex, MatchResult, match_query
 from .model import ModelParams
-from .projection import semantic_histogram
+from .projection import semantic_context
 from .viewpoints import make_viewpoints, render_viewpoints
 
 
@@ -20,10 +20,8 @@ from .viewpoints import make_viewpoints, render_viewpoints
 class PlaceRenders:
     place_id: int
     position: np.ndarray
-    poses: list            # viewpoint Pose per k
     fmaps: list            # LocalFeatureMap per k
     sem_images: list       # SemanticImage per k
-    histograms: list       # class histogram per k
 
 
 def render_places(dataset: Dataset, cfg: Config) -> list:
@@ -31,33 +29,26 @@ def render_places(dataset: Dataset, cfg: Config) -> list:
     out = []
     for (pid, pos), cloud, anchor in zip(dataset.places, dataset.clouds,
                                          dataset.poses):
-        poses = make_viewpoints(anchor, cfg).poses
-        fmaps, sems, hists = [], [], []
-        for rng_img, sem_img in render_viewpoints(cloud, poses, cfg):
+        fmaps, sems = [], []
+        for rng_img, sem_img in render_viewpoints(
+                cloud, make_viewpoints(anchor, cfg), cfg):
             fmaps.append(encode_lidar_local(rng_img, sem_img, cfg))
             sems.append(sem_img)
-            hists.append(semantic_histogram(sem_img, cfg))
-        out.append(PlaceRenders(pid, pos, poses, fmaps, sems, hists))
+        out.append(PlaceRenders(pid, pos, fmaps, sems))
     return out
 
 
 def build_index(dataset: Dataset, params: ModelParams, cfg: Config,
                 renders: list | None = None) -> MapIndex:
-    """Describe every (place, viewpoint) pair into a searchable index.
-
-    Descriptors are rounded through float32, the precision `map.idx` stores,
-    so an index scores the same in memory as after a save and load."""
+    """Describe every (place, viewpoint) pair into a searchable index."""
     renders = renders if renders is not None else render_places(dataset, cfg)
-    entries = []
-    for pr in renders:
-        for k, fmap in enumerate(pr.fmaps):
-            desc = netvlad(fmap, params.vlad)
-            stored = desc.values.astype(np.float32).astype(np.float64)
-            entries.append(IndexEntry(pr.place_id, k, pr.poses[k],
-                                      GlobalDescriptor(stored, desc.flagged),
-                                      pr.sem_images[k], pr.histograms[k]))
-    places = [(pr.place_id, pr.position) for pr in renders]
-    return MapIndex(entries, places, cfg).validate()
+    descriptors = [netvlad(f, params.vlad).values for pr in renders
+                   for f in pr.fmaps]
+    labels = [s.labels for pr in renders for s in pr.sem_images]
+    return MapIndex([(pr.place_id, pr.position) for pr in renders],
+                    np.reshape(descriptors, (-1, cfg.descriptor_dim)),
+                    np.reshape(labels, (-1, cfg.range_rows, cfg.range_cols)),
+                    cfg)
 
 
 def match_dataset_queries(dataset_queries: list, index: MapIndex,
@@ -82,7 +73,7 @@ def training_set(dataset: Dataset, cfg: Config,
     queries: dict = {pr.place_id: [] for pr in renders}
     for q in dataset.queries:
         queries[q.place_id].append((q.obs, q.heading))
-    hists = np.array([h for pr in renders for h in pr.histograms])
-    context = hists.mean(axis=0)
+    context = semantic_context(
+        [s.labels for pr in renders for s in pr.sem_images], cfg)
     return train_table([(queries[pr.place_id], pr.fmaps) for pr in renders],
-                       context / context.sum(), cfg)
+                       context, cfg)

@@ -130,3 +130,15 @@ def semantic_histogram(sem: SemanticImage, cfg: Config) -> np.ndarray:
         hist[0] = 0.0
         return hist
     return counts / total
+
+
+def semantic_context(labels, cfg: Config) -> np.ndarray:
+    """Database-average class histogram of label images (N, H, W): the mean
+    of their `semantic_histogram`s, divided by its sum. No images read as
+    one all-void image."""
+    hists = [semantic_histogram(SemanticImage(lab), cfg) for lab in labels]
+    if not hists:
+        hists = [semantic_histogram(SemanticImage(np.zeros((1, 1), np.uint16)),
+                                    cfg)]
+    mean = np.mean(hists, axis=0)
+    return mean / mean.sum()

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,21 +10,13 @@ from .core import LabeledPointCloud, Pose, yaw_rotation
 from .projection import RangeImage, SemanticImage, estimate_normals, project_spherical
 
 
-@dataclass(frozen=True)
-class ViewpointSet:
-    anchor: Pose
-    poses: list          # n_viewpoints Poses sharing the anchor translation
-    yaw_step: float      # radians
-
-
-def make_viewpoints(anchor: Pose, cfg: Config) -> ViewpointSet:
-    """Compose the anchor with yaw rotations k*2pi/N about its own position."""
-    n = cfg.n_viewpoints
-    step = 2.0 * math.pi / n
+def make_viewpoints(anchor: Pose, cfg: Config) -> list:
+    """The n_viewpoints Poses of the anchor composed with yaw rotations
+    k*2pi/N about its own position, k ascending."""
+    step = 2.0 * math.pi / cfg.n_viewpoints
     # rotate about the world vertical axis through the anchor position
-    poses = [Pose(yaw_rotation(k * step) @ anchor.rotation, anchor.translation)
-             for k in range(n)]
-    return ViewpointSet(anchor, poses, step)
+    return [Pose(yaw_rotation(k * step) @ anchor.rotation, anchor.translation)
+            for k in range(cfg.n_viewpoints)]
 
 
 def crop_to_radius(cloud: LabeledPointCloud, center: np.ndarray,

@@ -192,32 +192,30 @@ def _reference_ranking(q_desc, q_sem, entries, cfg):
 
 def test_criterion_4_retrieval_oracle():
     from xpr.aggregation import GlobalDescriptor
-    from xpr.core import identity_pose
-    from xpr.matching import IndexEntry, MapIndex
+    from xpr.matching import MapIndex
     from xpr.projection import SemanticImage, frustum_window
 
     t0 = time.time()
-    cfg = dataclasses.replace(CFG, n_viewpoints=4, descriptor_dim=16)
+    cfg = dataclasses.replace(CFG, n_viewpoints=4, descriptor_dim=16,
+                              range_rows=4)
     _, width = frustum_window(cfg.range_cols)
     mismatches = 0
     for i in range(50):
         rng = make_rng(900, i)
-        entries, places = [], []
+        descs, labels, places = [], [], []
         for pid in range(20):
             places.append((pid, rng.uniform(-100, 100, 3)))
             for k in range(4):
                 d = rng.normal(size=cfg.descriptor_dim)
                 d /= np.linalg.norm(d)
                 # duplicated descriptors force score ties on some instances
-                if rng.random() < 0.1 and entries:
-                    d = entries[-1].descriptor.values.copy()
-                sem = SemanticImage(rng.integers(0, cfg.n_classes,
-                                                 (4, cfg.range_cols))
-                                    .astype(np.uint16))
-                hist = np.full(cfg.n_classes, 1.0 / cfg.n_classes)
-                entries.append(IndexEntry(pid, k, identity_pose(),
-                                          GlobalDescriptor(d), sem, hist))
-        index = MapIndex(entries, places, cfg).validate()
+                if rng.random() < 0.1 and descs:
+                    d = descs[-1].copy()
+                descs.append(d)
+                labels.append(rng.integers(0, cfg.n_classes,
+                                           (4, cfg.range_cols)))
+        index = MapIndex(places, descs, labels, cfg)
+        entries = index.entries
         qd = rng.normal(size=cfg.descriptor_dim)
         q_desc = GlobalDescriptor(qd / np.linalg.norm(qd))
         q_sem = SemanticImage(rng.integers(0, cfg.n_classes, (4, width))
@@ -380,27 +378,19 @@ def test_criterion_9_round_trips(tmp_path):
         failures += not filecmp.cmp(q1, q2, shallow=False)
 
         # index
-        from xpr.aggregation import GlobalDescriptor
-        from xpr.core import identity_pose
-        from xpr.matching import IndexEntry, MapIndex
-        from xpr.projection import SemanticImage
+        from xpr.matching import MapIndex
         # label images must have the config's (range_rows, range_cols)
         cfg = dataclasses.replace(CFG, n_viewpoints=2, descriptor_dim=8,
                                   range_rows=3, range_cols=5)
-        entries, places = [], []
+        places, descs, labels = [], [], []
         for pid in range(2):
             places.append((pid, rng.uniform(-10, 10, 3)))
-            for k in range(2):
-                d = rng.normal(size=8).astype(np.float32).astype(float)
-                hist = rng.random(cfg.n_classes)
-                entries.append(IndexEntry(
-                    pid, k, identity_pose(), GlobalDescriptor(d),
-                    SemanticImage(rng.integers(0, 8, (cfg.range_rows,
-                                                      cfg.range_cols))
-                                  .astype(np.uint16)),
-                    hist / hist.sum()))
+            for _ in range(2):
+                descs.append(rng.normal(size=8))
+                labels.append(rng.integers(0, 8, (cfg.range_rows,
+                                                  cfg.range_cols)))
         i1, i2 = tmp_path / "a.idx", tmp_path / "b.idx"
-        save_index(i1, MapIndex(entries, places, cfg).validate())
+        save_index(i1, MapIndex(places, descs, labels, cfg))
         save_index(i2, load_index(i1))
         failures += not filecmp.cmp(i1, i2, shallow=False)
 

@@ -160,7 +160,7 @@ def test_netvlad_ignores_masked_cells():
 
 def test_netvlad_default_cluster_count():
     params = init_netvlad_params(CFG)
-    assert params.n_clusters == N_CLUSTERS
+    assert params.centroids.shape == (N_CLUSTERS, CFG.feature_dim)
     assert params.proj.shape == (CFG.descriptor_dim,
                                  N_CLUSTERS * CFG.feature_dim)
 

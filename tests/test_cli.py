@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import filecmp
 import json
 import os
@@ -17,7 +16,6 @@ from xpr.io_datasets import (FormatError, load_checkpoint, load_dataset,
 from xpr.config import Config
 from xpr.encoder import QueryObservation
 from xpr.losses import train
-from xpr.matching import MapIndex
 from xpr.model import ModelParams, init_model_params
 from xpr.pipeline import build_index, match_dataset_queries, training_set
 from xpr.projection import SemanticImage
@@ -252,27 +250,62 @@ def _expect_data_error(args, capsys, target, loader, msg):
     assert f"{target}: " in err and msg in err and "Traceback" not in err
 
 
+def _index_layout(data):
+    """Byte offsets of the counts and the place table of map.idx bytes,
+    with the place and entry counts: the magic, version and config length
+    come first, then the config and the counts."""
+    (cfg_len,) = struct.unpack_from("<I", data, 10)
+    counts_at = 14 + cfg_len
+    n_places, n_entries = struct.unpack_from("<II", data, counts_at)
+    return counts_at, counts_at + 12, n_places, n_entries
+
+
 @pytest.mark.parametrize("field", ["place", "viewpoint"])
 def test_bad_index_entry_is_data_error(workspace, tmp_path, capsys, field):
+    """An entry's place and viewpoint follow from its row in the blocks, so
+    the place table must hold distinct ids and the entry count must be whole
+    places of n_viewpoints."""
     args, artifacts = artifact_copies(workspace, tmp_path)
     target, loader = artifacts["index"]
     with open(target, "rb") as fh:
         data = bytearray(fh.read())
-    # after the magic, version and config length come the config, the
-    # counts and the places, then equal-sized entries
-    (cfg_len,) = struct.unpack_from("<I", data, 10)
-    n_places, n_entries = struct.unpack_from("<II", data, 14 + cfg_len)
-    first = 14 + cfg_len + 12 + 28 * n_places
-    at = first + 10 * (len(data) - first) // n_entries
-    pid, k = struct.unpack_from("<IH", data, at)
-    if field == "place":
-        struct.pack_into("<I", data, at, 77)
-        msg = f"entry at byte {at} is place 77 viewpoint {k}, expected " \
-              f"viewpoint {k} of place {pid}"
+    counts_at, places_at, n_places, n_entries = _index_layout(data)
+    if field == "place":   # the second place takes the first's id
+        (pid,) = struct.unpack_from("<I", data, places_at)
+        struct.pack_into("<I", data, places_at + 28, pid)
+        msg = f"place id {pid} at byte {places_at + 28} repeats an earlier place"
+    else:                  # one viewpoint more than whole places
+        struct.pack_into("<I", data, counts_at + 4, n_entries + 1)
+        msg = (f"{n_entries + 1} entries at byte {counts_at + 4} are not "
+               f"{n_places} places of {n_entries // n_places} viewpoints")
+    with open(target, "wb") as fh:
+        fh.write(data)
+    _expect_data_error(args, capsys, target, loader, msg)
+
+
+@pytest.mark.parametrize("defect", ["nan-descriptor", "label-range"])
+def test_bad_index_value_is_data_error(workspace, tmp_path, capsys, defect):
+    """A NaN descriptor would score nan for every query, and a label of
+    n_classes or more would lengthen the index's class histogram."""
+    args, artifacts = artifact_copies(workspace, tmp_path)
+    target, loader = artifacts["index"]
+    index = loader(target)
+    with open(target, "rb") as fh:
+        data = bytearray(fh.read())
+    # the stored bytes of the first entry's descriptor or the last entry's
+    # labels, found by their value
+    if defect == "nan-descriptor":
+        stored = index.entries[0].descriptor.values.astype("<f4").tobytes()
+        at = data.index(stored)
+        data[at:at + len(stored)] = np.full(len(stored) // 4, np.nan,
+                                            dtype="<f4").tobytes()
+        msg = f"non-finite descriptor value nan at byte {at}"
     else:
-        struct.pack_into("<H", data, at + 4, 9)
-        msg = f"entry at byte {at} is place {pid} viewpoint 9, expected " \
-              f"viewpoint {k} of place {pid}"
+        n_classes = index.config.n_classes
+        stored = index.entries[-1].sem_image.labels.astype(np.uint8).tobytes()
+        at = data.rindex(stored)
+        data[at:at + len(stored)] = bytes([n_classes]) * len(stored)
+        msg = f"label {n_classes} at byte {at} is not below n_classes {n_classes}"
     with open(target, "wb") as fh:
         fh.write(data)
     _expect_data_error(args, capsys, target, loader, msg)
@@ -409,18 +442,18 @@ def test_query_nonfinite_raw_is_data_error(workspace, tmp_path, capsys):
 def test_index_label_shape_mismatch_is_data_error(workspace, tmp_path, capsys):
     args, artifacts = artifact_copies(workspace, tmp_path)
     target, loader = artifacts["index"]
-    index = load_index(target)
-    cut = [dataclasses.replace(
-        e, sem_image=SemanticImage(e.sem_image.labels[:, :-1]))
-        for e in index.entries]
-    save_index(target, MapIndex(cut, index.places, index.config))
     with open(target, "rb") as fh:
-        (cfg_len,) = struct.unpack_from("<I", fh.read(14), 10)
-    # rows and cols follow the config and the place and entry counts
-    rows, cols = index.config.range_rows, index.config.range_cols
+        data = bytearray(fh.read())
+    counts_at, _, _, n_entries = _index_layout(data)
+    # rows and cols follow the place and entry counts; the label block is
+    # cut to match, so only the header's shape is wrong
+    rows, cols = struct.unpack_from("<HH", data, counts_at + 8)
+    struct.pack_into("<H", data, counts_at + 10, cols - 1)
+    with open(target, "wb") as fh:
+        fh.write(data[:len(data) - n_entries * rows])
     _expect_data_error(args, capsys, target, loader,
                        f"label image shape {(rows, cols - 1)} at byte "
-                       f"{14 + cfg_len + 8} is not the config's")
+                       f"{counts_at + 8} is not the config's")
 
 
 @pytest.mark.parametrize("defect", ["missing", "shape", "name"])

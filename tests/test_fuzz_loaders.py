@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xpr.aggregation import GlobalDescriptor
 from xpr.config import Config, make_rng
 from xpr.core import LabeledPointCloud, Pose, yaw_rotation
 from xpr.encoder import QUERY_CHANNELS, QueryObservation
@@ -17,7 +16,7 @@ from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint,
                              load_labels, load_poses, load_query,
                              save_checkpoint, save_dataset, save_index,
                              save_query)
-from xpr.matching import IndexEntry, MapIndex
+from xpr.matching import MapIndex
 from xpr.model import init_model_params
 from xpr.projection import SemanticImage, frustum_window
 
@@ -29,19 +28,13 @@ N_POINTS = 6
 
 
 def write_index(path, rng):
-    rows, cols = CFG.range_rows, CFG.range_cols
     places = [(pid, rng.uniform(-10, 10, 3)) for pid in (3, 5)]
-    entries = []
-    for pid, _ in places:
-        for k in range(CFG.n_viewpoints):
-            d = rng.normal(size=CFG.descriptor_dim)
-            entries.append(IndexEntry(
-                pid, k, Pose(yaw_rotation(0.3 * k), rng.uniform(-5, 5, 3)),
-                GlobalDescriptor(d / np.linalg.norm(d)),
-                SemanticImage(rng.integers(0, CFG.n_classes, (rows, cols))
-                              .astype(np.uint16)),
-                np.full(CFG.n_classes, 1.0 / CFG.n_classes)))
-    save_index(path, MapIndex(entries, places, CFG))
+    n = len(places) * CFG.n_viewpoints
+    d = rng.normal(size=(n, CFG.descriptor_dim))
+    labels = rng.integers(0, CFG.n_classes, (n, CFG.range_rows, CFG.range_cols))
+    save_index(path, MapIndex(places, d / np.linalg.norm(d, axis=1,
+                                                         keepdims=True),
+                              labels, CFG))
 
 
 def make_obs(rng):

@@ -1,11 +1,12 @@
 import filecmp
 import math
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from xpr.aggregation import GlobalDescriptor
 from xpr.config import Config, make_rng
 from xpr.core import LabeledPointCloud, Pose, identity_pose, yaw_rotation
 from xpr.encoder import QUERY_CHANNELS, QueryObservation
@@ -13,7 +14,7 @@ from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint, load_clo
                              load_index, load_labels, load_poses, load_query,
                              save_checkpoint, save_cloud_bin, save_dataset,
                              save_index, save_labels, save_poses, save_query)
-from xpr.matching import IndexEntry, MapIndex
+from xpr.matching import MapIndex
 from xpr.model import init_model_params
 from xpr.projection import SemanticImage
 
@@ -125,23 +126,16 @@ def test_poses_drifted_rotation_reorthonormalized(tmp_path, caplog):
 # ---------------------------------------------------------------- map index
 
 def make_index(seed, cfg, n_places=2):
+    """Random float32 unit descriptors, the first place's last one flagged
+    (all zeros), and random labels of the config's shape."""
     rng = make_rng(seed, 2)
-    entries, places = [], []
-    rows, cols = cfg.range_rows, cfg.range_cols
-    for pid in range(n_places):
-        places.append((pid, rng.uniform(-10, 10, 3)))
-        for k in range(cfg.n_viewpoints):
-            d = rng.normal(size=cfg.descriptor_dim).astype(np.float32).astype(float)
-            d /= np.linalg.norm(d)
-            hist = rng.random(cfg.n_classes)
-            hist /= hist.sum()
-            entries.append(IndexEntry(
-                pid, k, Pose(yaw_rotation(0.1 * k), rng.uniform(-5, 5, 3)),
-                GlobalDescriptor(d),
-                SemanticImage(rng.integers(0, cfg.n_classes, (rows, cols))
-                              .astype(np.uint16)),
-                hist))
-    return MapIndex(entries, places, cfg).validate()
+    n = n_places * cfg.n_viewpoints
+    places = [(pid, rng.uniform(-10, 10, 3)) for pid in range(n_places)]
+    d = rng.normal(size=(n, cfg.descriptor_dim)).astype(np.float32)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    d[cfg.n_viewpoints - 1] = 0.0
+    labels = rng.integers(0, cfg.n_classes, (n, cfg.range_rows, cfg.range_cols))
+    return MapIndex(places, d, labels, cfg)
 
 
 def test_index_round_trip(tmp_path):
@@ -154,14 +148,71 @@ def test_index_round_trip(tmp_path):
     assert len(back.entries) == len(idx.entries)
     for a, b in zip(idx.entries, back.entries):
         assert (a.place_id, a.viewpoint) == (b.place_id, b.viewpoint)
-        assert np.allclose(a.descriptor.values, b.descriptor.values, atol=1e-7)
+        assert np.array_equal(a.descriptor.values, b.descriptor.values)
         assert a.descriptor.flagged == b.descriptor.flagged
         assert np.array_equal(a.sem_image.labels, b.sem_image.labels)
-        assert np.array_equal(a.histogram, b.histogram)
-        assert np.array_equal(a.pose.rotation, b.pose.rotation)
-        assert np.array_equal(a.pose.translation, b.pose.translation)
-    for (pa, xa), (pb, xb) in zip(idx.places, back.places):
+    assert [e.descriptor.flagged for e in back.entries] == [False, True,
+                                                            False, False]
+    for (pa, xa), (pb, xb) in zip(idx.places, back.places, strict=True):
         assert pa == pb and np.array_equal(xa, xb)
+    assert np.array_equal(back.mean_histogram(), idx.mean_histogram())
+
+
+def _index_bytes(tmp_path, cfg):
+    """A saved index's path and bytes, with the byte offsets of its place
+    table, descriptor block and label block."""
+    path = tmp_path / "map.idx"
+    idx = make_index(6, cfg)
+    save_index(path, idx)
+    data = bytearray(path.read_bytes())
+    (cfg_len,) = struct.unpack_from("<I", data, 10)
+    places_at = 14 + cfg_len + 12
+    desc_at = places_at + 28 * len(idx.places)
+    labels_at = desc_at + 4 * len(idx.entries) * cfg.descriptor_dim
+    return path, data, places_at, desc_at, labels_at
+
+
+def test_index_v1_rejected(tmp_path):
+    path, data, *_ = _index_bytes(tmp_path, Config(n_viewpoints=2,
+                                                   descriptor_dim=16))
+    data[8:10] = (1).to_bytes(2, "little")  # the per-entry record format
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="unsupported index version 1$"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("defect", ["repeated-place", "inf-position",
+                                    "nan-descriptor", "label-range",
+                                    "entry-count", "huge-counts"])
+def test_index_bad_values_rejected(tmp_path, defect):
+    cfg = Config(n_viewpoints=2, descriptor_dim=16)
+    path, data, places_at, desc_at, labels_at = _index_bytes(tmp_path, cfg)
+    if defect == "repeated-place":   # the second place takes the first's id
+        data[places_at + 28:places_at + 32] = data[places_at:places_at + 4]
+        msg = f"place id 0 at byte {places_at + 28} repeats an earlier place"
+    elif defect == "inf-position":   # z of the second place
+        struct.pack_into("<d", data, places_at + 28 + 4 + 16, math.inf)
+        msg = f"non-finite place position at byte {places_at + 28 + 20}"
+    elif defect == "nan-descriptor":  # the third value of the second row
+        at = desc_at + 4 * (cfg.descriptor_dim + 2)
+        struct.pack_into("<f", data, at, math.nan)
+        msg = f"non-finite descriptor value nan at byte {at}"
+    elif defect == "label-range":
+        at = labels_at + 1000
+        data[at] = cfg.n_classes
+        msg = (f"label {cfg.n_classes} at byte {at} is not below n_classes "
+               f"{cfg.n_classes}")
+    elif defect == "entry-count":    # one entry more than 2 places of 2
+        (cfg_len,) = struct.unpack_from("<I", data, 10)
+        struct.pack_into("<I", data, 14 + cfg_len + 4, 5)
+        msg = f"5 entries at byte {14 + cfg_len + 4} are not 2 places of 2"
+    else:   # counts whose blocks would need terabytes: read no more than the file
+        (cfg_len,) = struct.unpack_from("<I", data, 10)
+        struct.pack_into("<II", data, 14 + cfg_len, 1 << 30, 1 << 31)
+        msg = f"truncated at byte {len(data)}, expected {28 << 30} bytes"
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match=re.escape(msg)):
+        load_index(path)
 
 
 def test_index_bad_magic(tmp_path):

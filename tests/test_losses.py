@@ -10,9 +10,10 @@ from xpr.encoder import (QUERY_CHANNELS, LocalFeatureMap, QueryObservation)
 from xpr.io_datasets import Dataset, QueryRecord
 from xpr.losses import (class_means_tape, contrastive_tape, nearest_viewpoint,
                         segmentation_tape, total_loss, train, train_table)
+from xpr.matching import MapIndex
 from xpr.model import TRAINABLE, ModelParams, init_model_params
 from xpr.pipeline import PlaceRenders, training_set
-from xpr.projection import SemanticImage
+from xpr.projection import SemanticImage, semantic_histogram
 
 # log(1 + e^-1), InfoNCE with one positive at logit 1 and one negative at 0
 LOG1P_EXP_NEG1 = 0.31326168751822286
@@ -298,6 +299,13 @@ def fake_fmap(rng, cfg, h=4, w=6):
     return LocalFeatureMap(values, mask)
 
 
+def fake_sem(rng, cfg):
+    """A 360-degree label image with about half its cells void."""
+    labels = rng.integers(0, cfg.n_classes, (cfg.range_rows, cfg.range_cols))
+    labels[rng.random(labels.shape) < 0.5] = 0
+    return SemanticImage(labels.astype(np.uint16))
+
+
 def fake_obs(rng, cfg, h=4, w=6):
     mask = rng.random((h, w)) < 0.85
     raw = rng.normal(size=(h, w, QUERY_CHANNELS))
@@ -469,10 +477,9 @@ def test_training_set_is_place_major():
     cfg = SMALL
     rng = make_rng(15, 1)
     # renders in place-id order 30, 10, 20; queries listed in another order
-    renders = [PlaceRenders(pid, np.zeros(3), [],
+    renders = [PlaceRenders(pid, np.zeros(3),
                             [fake_fmap(rng, cfg) for _ in range(cfg.n_viewpoints)],
-                            [], [rng.random(cfg.n_classes)
-                                 for _ in range(cfg.n_viewpoints)])
+                            [fake_sem(rng, cfg) for _ in range(cfg.n_viewpoints)])
                for pid in (30, 10, 20)]
     step = 2 * math.pi / cfg.n_viewpoints
     queries = [QueryRecord(qid, pid, heading, 0.0, np.zeros(3), fake_obs(rng, cfg))
@@ -491,8 +498,31 @@ def test_training_set_is_place_major():
     fmaps = [f for pr in renders for f in pr.fmaps]
     for f, cells in zip(fmaps, table.cells, strict=True):
         assert np.array_equal(cells, f.values[f.mask])
-    hist = np.mean([h for pr in renders for h in pr.histograms], axis=0)
-    assert np.allclose(table.context, hist / hist.sum(), rtol=0, atol=1e-15)
+    hist = np.mean([semantic_histogram(s, cfg) for pr in renders
+                    for s in pr.sem_images], axis=0)
+    assert np.array_equal(table.context, hist / hist.sum())
+
+
+def test_context_is_mean_of_semantic_histograms():
+    """training_set's context and the index's mean_histogram() are, bit for
+    bit, the mean of the per-image semantic_histograms over its sum."""
+    cfg = dataclasses.replace(SMALL, range_rows=3, range_cols=8)
+    rng = make_rng(16, 1)
+    renders = [PlaceRenders(pid, np.zeros(3),
+                            [fake_fmap(rng, cfg) for _ in range(cfg.n_viewpoints)],
+                            [fake_sem(rng, cfg) for _ in range(cfg.n_viewpoints)])
+               for pid in range(5)]
+    # an all-void image counts as uniform over the non-void classes
+    renders[2].sem_images[1] = SemanticImage(np.zeros((3, 8), dtype=np.uint16))
+    sems = [s for pr in renders for s in pr.sem_images]
+    hist = np.mean([semantic_histogram(s, cfg) for s in sems], axis=0)
+    want = hist / hist.sum()
+    ds = Dataset("", cfg, {}, [], [], [], [], {})
+    assert np.array_equal(training_set(ds, cfg, renders=renders).context, want)
+    index = MapIndex([(pr.place_id, pr.position) for pr in renders],
+                     np.zeros((len(sems), cfg.descriptor_dim)),
+                     [s.labels for s in sems], cfg)
+    assert np.array_equal(index.mean_histogram(), want)
 
 
 def test_train_reproducible_and_updates_params():

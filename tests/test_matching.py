@@ -3,8 +3,7 @@ import pytest
 
 from xpr.aggregation import GlobalDescriptor
 from xpr.config import Config, make_rng
-from xpr.core import identity_pose
-from xpr.matching import (IndexEntry, MapIndex, geometric_similarity,
+from xpr.matching import (MapIndex, geometric_similarity,
                           match_query, recall_at_k, semantic_overlap)
 from xpr.projection import SemanticImage, frustum_window
 from xpr.selfcheck import iou_reference
@@ -94,24 +93,22 @@ def test_overlap_wrong_query_width_rejected():
         semantic_overlap(q, c, CFG)
 
 
-def make_entry(pid, k, desc, sem):
-    hist = np.full(CFG.n_classes, 1.0 / CFG.n_classes)
-    return IndexEntry(pid, k, identity_pose(), desc, sem, hist)
-
-
 def small_index(descs, sems, cfg):
-    """One entry per viewpoint per place from parallel nested lists."""
-    entries = []
-    places = []
-    for pid, (dd, ss) in enumerate(zip(descs, sems)):
-        places.append((pid, np.array([10.0 * pid, 0.0, 0.0])))
-        for k, (d, s) in enumerate(zip(dd, ss)):
-            entries.append(make_entry(pid, k, d, s))
-    return MapIndex(entries, places, cfg).validate()
+    """One place per row of the parallel nested lists, 10 m apart along x,
+    one viewpoint per item. Each label image becomes the frontal window of a
+    360-degree image that is void elsewhere."""
+    c0, width = frustum_window(cfg.range_cols)
+    flat = [s.labels for ss in sems for s in ss]
+    labels = np.zeros((len(flat), cfg.range_rows, cfg.range_cols), np.uint16)
+    labels[:, :, c0:c0 + width] = flat
+    return MapIndex([(pid, np.array([10.0 * pid, 0.0, 0.0]))
+                     for pid in range(len(descs))],
+                    [d.values for dd in descs for d in dd], labels, cfg)
 
 
 def test_hybrid_mixes_components():
-    cfg = Config(alpha=0.7, beta=0.3, n_viewpoints=1)
+    cfg = Config(alpha=0.7, beta=0.3, n_viewpoints=1, range_rows=4,
+                 descriptor_dim=8)
     rng = make_rng(5, 1)
     q = rng.integers(1, 4, (4, 45)).astype(np.uint16)
     c = q.copy()
@@ -130,12 +127,10 @@ def scalar_match(q_desc, q_sem, entries, cfg):
     viewpoint. Returns (ranked, {place: (score, viewpoint, phi, psi)})."""
     best = {}
     for e in entries:
-        c = e.sem_image.labels
-        if c.shape[1] != q_sem.cols:
-            c0, width = frustum_window(c.shape[1])
-            c = c[:, c0:c0 + width]
+        c0, width = frustum_window(e.sem_image.cols)
         phi = float(q_desc.values @ e.descriptor.values)
-        psi = iou_reference(q_sem.labels, c, cfg.n_classes)
+        psi = iou_reference(q_sem.labels, e.sem_image.labels[:, c0:c0 + width],
+                            cfg.n_classes)
         sim = cfg.alpha * phi + cfg.beta * psi
         cur = best.get(e.place_id)
         if cur is None or sim > cur[0] or (sim == cur[0] and e.viewpoint < cur[1]):
@@ -145,41 +140,40 @@ def scalar_match(q_desc, q_sem, entries, cfg):
 
 
 def test_match_query_bit_equal_to_scalar_reference():
-    cfg = Config(n_viewpoints=4, descriptor_dim=16)
-    rows, full, width = 4, 48, frustum_window(48)[1]
+    cfg = Config(n_viewpoints=4, descriptor_dim=16, range_rows=4, range_cols=48)
+    rows, full = cfg.range_rows, cfg.range_cols
+    c0, width = frustum_window(full)
     n_ties = 0
     for i in range(6):
         rng = make_rng(7, i)
-        entries, places = [], []
-        for pid in range(8):
-            places.append((pid, np.zeros(3)))
-            for k in range(4):
-                if entries and rng.random() < 0.25:
-                    # a copy of the previous entry forces an exact score tie
-                    desc, sem = entries[-1].descriptor, entries[-1].sem_image
-                else:
-                    d = rng.normal(size=cfg.descriptor_dim)
-                    desc = GlobalDescriptor(d / np.linalg.norm(d))
-                    cols = full if rng.random() < 0.5 else width
-                    labels = rng.integers(0, cfg.n_classes, (rows, cols))
-                    labels[rng.random((rows, cols)) < 0.3] = 0
-                    sem = SemanticImage(labels.astype(np.uint16))
-                if pid == 3 and k == 1:
-                    desc = GlobalDescriptor(np.zeros(cfg.descriptor_dim),
-                                            flagged=True)
-                entries.append(make_entry(pid, k, desc, sem))
-        index = MapIndex(entries, places, cfg).validate()
-        for j in range(3):  # later queries reuse the cached columns
+        descs, labels = [], []
+        for e in range(8 * cfg.n_viewpoints):
+            if e and rng.random() < 0.25:
+                # a copy of the previous entry forces an exact score tie
+                descs.append(descs[-1])
+                labels.append(labels[-1])
+            else:
+                d = rng.normal(size=cfg.descriptor_dim)
+                descs.append(d / np.linalg.norm(d))
+                lab = rng.integers(0, cfg.n_classes, (rows, full))
+                lab[rng.random((rows, full)) < 0.3] = 0
+                labels.append(lab)
+        descs[3 * cfg.n_viewpoints + 1] = np.zeros(cfg.descriptor_dim)
+        # place ids out of order in the place table
+        places = [(pid, np.zeros(3)) for pid in (5, 2, 7, 0, 3, 6, 1, 4)]
+        index = MapIndex(places, descs, labels, cfg)
+        entries = index.entries
+        assert entries[3 * cfg.n_viewpoints + 1].descriptor.flagged
+        for j in range(3):
             d = rng.normal(size=cfg.descriptor_dim)
             q_desc = GlobalDescriptor(d / np.linalg.norm(d))
             q_sem = SemanticImage(rng.integers(0, cfg.n_classes, (rows, width))
                                   .astype(np.uint16))
             if j == 2:
                 # the query itself copies an entry: exact phi and psi ties
-                q_desc, q_sem = entries[5].descriptor, entries[5].sem_image
-                if q_sem.cols != width:
-                    c0 = frustum_window(full)[0]
-                    q_sem = SemanticImage(q_sem.labels[:, c0:c0 + width].copy())
+                q_desc = entries[5].descriptor
+                q_sem = SemanticImage(entries[5].sem_image.labels[:, c0:c0 + width]
+                                      .astype(np.uint16))
             res = match_query(q_desc, q_sem, index, cfg)
             ranked, best = scalar_match(q_desc, q_sem, entries, cfg)
             assert res.ranked == ranked
@@ -192,7 +186,7 @@ def test_match_query_bit_equal_to_scalar_reference():
 
 
 def test_match_query_picks_best_place_and_ranks_all():
-    cfg = Config(n_viewpoints=2)
+    cfg = Config(n_viewpoints=2, range_rows=4, descriptor_dim=3)
     rng = make_rng(6, 1)
     q_desc = unit([1.0, 0.0, 0.0])
     sem = SemanticImage(rng.integers(1, 8, (4, 45)).astype(np.uint16))
@@ -212,7 +206,7 @@ def test_match_query_picks_best_place_and_ranks_all():
 
 
 def test_match_query_tie_prefers_smaller_ids():
-    cfg = Config(n_viewpoints=2)
+    cfg = Config(n_viewpoints=2, range_rows=4, descriptor_dim=2)
     sem = SemanticImage(np.ones((4, 45), dtype=np.uint16))
     d = unit([1.0, 0.0])
     descs = [[d, d], [d, d]]
@@ -225,20 +219,67 @@ def test_match_query_tie_prefers_smaller_ids():
 def test_match_query_empty_index_rejected():
     with pytest.raises(ValueError, match="empty"):
         match_query(unit([1.0, 0.0]), SemanticImage(np.ones((2, 45), dtype=np.uint16)),
-                    MapIndex([], [], CFG), CFG)
+                    MapIndex([], np.zeros((0, CFG.descriptor_dim)),
+                             np.zeros((0, CFG.range_rows, CFG.range_cols)), CFG),
+                    CFG)
 
 
-def test_index_validate_counts_viewpoints():
-    cfg = Config(n_viewpoints=2)
-    sem = SemanticImage(np.ones((2, 45), dtype=np.uint16))
-    d = unit([1.0, 0.0])
-    idx = MapIndex([make_entry(0, 0, d, sem)], [(0, np.zeros(3))], cfg)
-    with pytest.raises(ValueError, match="expected 2"):
-        idx.validate()
+@pytest.mark.parametrize("shape, msg", [((4, 30), "window"),
+                                        ((4, 180), "window"),
+                                        ((3, 45), "row counts")])
+def test_match_query_wrong_query_shape_rejected(shape, msg):
+    cfg = Config(n_viewpoints=1, range_rows=4, descriptor_dim=2)
+    sem = SemanticImage(np.ones((4, 45), dtype=np.uint16))
+    idx = small_index([[unit([1.0, 0.0])]], [[sem]], cfg)
+    with pytest.raises(ValueError, match=msg):
+        match_query(unit([1.0, 0.0]), SemanticImage(np.ones(shape, np.uint16)),
+                    idx, cfg)
+
+
+def test_index_counts_viewpoints():
+    cfg = Config(n_viewpoints=2, descriptor_dim=2, range_rows=2)
+    with pytest.raises(ValueError, match=r"expected \(2, 2\)"):
+        MapIndex([(0, np.zeros(3))], np.ones((1, 2)), np.ones((1, 2, 180)), cfg)
+
+
+@pytest.mark.parametrize("defect", ["label", "place"])
+def test_index_rejects_bad_labels_and_repeated_places(defect):
+    cfg = Config(n_viewpoints=1, descriptor_dim=2, range_rows=2)
+    labels = np.ones((2, 2, 180), dtype=np.uint16)
+    places = [(0, np.zeros(3)), (1, np.zeros(3))]
+    if defect == "label":
+        labels[1, 0, 5] = cfg.n_classes
+        msg = "n_classes"
+    else:
+        places[1] = (0, np.ones(3))
+        msg = "duplicate place id"
+    with pytest.raises(ValueError, match=msg):
+        MapIndex(places, np.ones((2, 2)), labels, cfg)
+
+
+def test_index_entries_view_the_blocks():
+    cfg = Config(n_viewpoints=2, descriptor_dim=2, range_rows=2)
+    rng = make_rng(8, 1)
+    labels = rng.integers(0, cfg.n_classes, (4, 2, 180))
+    descs = rng.normal(size=(4, 2))
+    descs[2] = 0.0
+    idx = MapIndex([(9, np.zeros(3)), (4, np.ones(3))], descs, labels, cfg)
+    assert [(e.place_id, e.viewpoint) for e in idx.entries] == [
+        (9, 0), (9, 1), (4, 0), (4, 1)]
+    assert all(type(e.place_id) is int for e in idx.entries)
+    assert [e.descriptor.flagged for e in idx.entries] == [False, False, True,
+                                                           False]
+    for e, d, lab in zip(idx.entries, descs, labels):
+        # descriptors are held at float32 precision, as map.idx stores them
+        assert np.array_equal(e.descriptor.values,
+                              d.astype(np.float32).astype(np.float64))
+        assert np.array_equal(e.sem_image.labels, lab)
+    with pytest.raises(ValueError, match="read-only"):
+        idx.entries[0].descriptor.values[0] = 1.0
 
 
 def test_mean_histogram_normalized():
-    cfg = Config(n_viewpoints=1)
+    cfg = Config(n_viewpoints=1, range_rows=2, descriptor_dim=2)
     sem = SemanticImage(np.ones((2, 45), dtype=np.uint16))
     d = unit([1.0, 0.0])
     idx = small_index([[d]], [[sem]], cfg)
@@ -253,7 +294,8 @@ class FakeResult:
 
 
 def test_recall_at_k_counting():
-    cfg = Config(match_threshold_m=5.0, n_viewpoints=1)
+    cfg = Config(match_threshold_m=5.0, n_viewpoints=1, range_rows=2,
+                 descriptor_dim=2)
     sem = SemanticImage(np.ones((2, 45), dtype=np.uint16))
     d = unit([1.0, 0.0])
     idx = small_index([[d], [d], [d]], [[sem], [sem], [sem]], cfg)
@@ -269,7 +311,8 @@ def test_recall_at_k_counting():
 
 
 def test_recall_uses_horizontal_distance_only():
-    cfg = Config(match_threshold_m=5.0, n_viewpoints=1)
+    cfg = Config(match_threshold_m=5.0, n_viewpoints=1, range_rows=2,
+                 descriptor_dim=2)
     sem = SemanticImage(np.ones((2, 45), dtype=np.uint16))
     idx = small_index([[unit([1.0, 0.0])]], [[sem]], cfg)
     gt = [(0, np.array([0.0, 0.0, 50.0]))]  # large z offset is ignored
@@ -278,7 +321,7 @@ def test_recall_uses_horizontal_distance_only():
 
 
 def test_recall_empty_results():
-    cfg = Config(n_viewpoints=1)
+    cfg = Config(n_viewpoints=1, range_rows=2, descriptor_dim=2)
     sem = SemanticImage(np.ones((2, 45), dtype=np.uint16))
     idx = small_index([[unit([1.0, 0.0])]], [[sem]], cfg)
     assert recall_at_k([], idx, [], 1, cfg) == 0.0

@@ -19,21 +19,23 @@ def random_cloud(seed, n=1000, extent=60.0):
 
 
 def test_viewpoint_count_and_step():
-    vps = make_viewpoints(identity_pose(), CFG)
-    assert len(vps.poses) == CFG.n_viewpoints
-    assert vps.yaw_step == pytest.approx(2 * math.pi / CFG.n_viewpoints)
+    poses = make_viewpoints(Pose(yaw_rotation(2.9), np.zeros(3)), CFG)
+    assert len(poses) == CFG.n_viewpoints
+    for a, b in zip(poses, poses[1:] + poses[:1]):
+        assert math.remainder(b.yaw() - a.yaw(), 2 * math.pi) == pytest.approx(
+            2 * math.pi / CFG.n_viewpoints, abs=1e-12)
 
 
 def test_viewpoint_zero_is_anchor():
     anchor = Pose(yaw_rotation(0.4), np.array([1.0, 2.0, 3.0]))
-    vps = make_viewpoints(anchor, CFG)
-    assert np.array_equal(vps.poses[0].rotation, anchor.rotation)
-    assert np.array_equal(vps.poses[0].translation, anchor.translation)
+    pose = make_viewpoints(anchor, CFG)[0]
+    assert np.array_equal(pose.rotation, anchor.rotation)
+    assert np.array_equal(pose.translation, anchor.translation)
 
 
 def test_viewpoints_share_translation_and_are_valid_rotations():
     anchor = Pose(yaw_rotation(1.1), np.array([-4.0, 7.0, 0.5]))
-    for pose in make_viewpoints(anchor, CFG).poses:
+    for pose in make_viewpoints(anchor, CFG):
         assert np.array_equal(pose.translation, anchor.translation)
         assert np.allclose(pose.rotation @ pose.rotation.T, np.eye(3),
                            atol=1e-12)
@@ -41,10 +43,10 @@ def test_viewpoints_share_translation_and_are_valid_rotations():
 
 
 def test_viewpoint_yaws_uniform():
-    vps = make_viewpoints(identity_pose(), CFG)
-    for k, pose in enumerate(vps.poses):
-        assert pose.yaw() == pytest.approx(
-            math.remainder(k * vps.yaw_step, 2 * math.pi), abs=1e-12)
+    step = 2 * math.pi / CFG.n_viewpoints
+    for k, pose in enumerate(make_viewpoints(identity_pose(), CFG)):
+        assert pose.yaw() == pytest.approx(math.remainder(k * step, 2 * math.pi),
+                                           abs=1e-12)
 
 
 def test_crop_keeps_only_inside():
@@ -75,11 +77,11 @@ def test_render_viewpoints_are_column_shifts():
     assert cfg.range_cols % cfg.n_viewpoints == 0
     from xpr.selfcheck import shift_safe_scene
     cloud = shift_safe_scene(make_rng(9, 1), cfg, n_points=400)
-    vps = make_viewpoints(identity_pose(), cfg)
-    img0, sem0 = render_viewpoint(cloud, vps.poses[0], cfg)
+    poses = make_viewpoints(identity_pose(), cfg)
+    img0, sem0 = render_viewpoint(cloud, poses[0], cfg)
     cols_per_step = cfg.range_cols // cfg.n_viewpoints
     for k in (1, 3):
-        imgk, semk = render_viewpoint(cloud, vps.poses[k], cfg)
+        imgk, semk = render_viewpoint(cloud, poses[k], cfg)
         assert np.allclose(np.roll(img0.depth, -k * cols_per_step, axis=1),
                            imgk.depth, atol=1e-9)
         assert np.array_equal(np.roll(sem0.labels, -k * cols_per_step, axis=1),
@@ -126,7 +128,7 @@ def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
     else:
         cloud = _cloud(anchor.translation + [[cfg.max_range_m + 1.0, 0, 0],
                                              [0, -cfg.max_range_m - 5.0, 0]])
-    poses = make_viewpoints(anchor, cfg).poses
+    poses = make_viewpoints(anchor, cfg)
     renders = render_viewpoints(cloud, poses, cfg)
     assert len(renders) == len(poses)
     for pose, (img, sem) in zip(poses, renders):
