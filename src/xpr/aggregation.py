@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .config import Config, make_rng
 from .encoder import (EncoderParams, LocalFeatureMap, QueryObservation,
                       encode_query, query_forward)
@@ -116,25 +115,21 @@ def netvlad_forward(blocks: list, centroids: np.ndarray, assign_w: np.ndarray,
     return y, softs, mass, vn, norms, dnorm
 
 
-def netvlad_batch(cells, seg: np.ndarray | None, centroids: Tensor,
-                  assign_w: Tensor, assign_b: Tensor, proj: np.ndarray) -> Tensor:
-    """`netvlad_forward` as one tape node (M, d_D), with its backward.
+def netvlad_batch(blocks: list, centroids: np.ndarray, assign_w: np.ndarray,
+                  assign_b: np.ndarray, proj: np.ndarray) -> tuple:
+    """`netvlad_forward` over M maps, given as their valid cells (n_m, C),
+    with its backward.
 
-    Map m's valid cells are rows seg[m, 0]:seg[m, 1] of the Tensor `cells`
-    (N, C), which gets a gradient; maps may share rows. Constant maps come
-    instead as a list of M (n_m, C) arrays, with seg None. A zero row has
-    zero gradient.
+    Returns the descriptors (M, d_D) and backward(g, grads, gcells=None):
+    it adds the gradients of sum(g * descriptors) w.r.t. the centroids, the
+    assignment weights and the biases into grads["vlad.*"], map by map in
+    order, and when gcells is given adds map m's cell gradient into the
+    (n_m, C) array gcells[m]. A zero row has zero gradient.
     """
-    if seg is None:
-        blocks, cells_grad = cells, False
-    else:
-        blocks = [cells.data[lo:hi] for lo, hi in seg]
-        cells_grad = cells.requires_grad
-    c, w = centroids.data, assign_w.data
     y, softs, mass, vn, norms, dnorm = netvlad_forward(
-        blocks, c, w, assign_b.data, proj)
+        blocks, centroids, assign_w, assign_b, proj)
 
-    def bw(g):
+    def backward(g, grads, gcells=None):
         gd = np.where(dnorm > 0.0,
                       (g - y * (g * y).sum(axis=1, keepdims=True)) / _safe(dnorm),
                       0.0)
@@ -142,27 +137,19 @@ def netvlad_batch(cells, seg: np.ndarray | None, centroids: Tensor,
         gv = np.where(norms > 0.0,
                       (gvn - vn * (gvn * vn).sum(axis=2, keepdims=True))
                       / _safe(norms), 0.0)
-        if centroids.requires_grad:
-            centroids.grad -= np.einsum("mk,mkc->kc", mass, gv)
-        if not (cells_grad or assign_w.requires_grad or assign_b.requires_grad):
-            return
-        gmass = (gv * c).sum(axis=2)                              # (M, K)
+        grads["vlad.centroids"] -= np.einsum("mk,mkc->kc", mass, gv)
+        gmass = (gv * centroids).sum(axis=2)                      # (M, K)
         for m, (soft, xm) in enumerate(zip(softs, blocks)):
             gz = gv[m] @ xm.T
             gz -= gmass[m][:, None]
             gz -= (gz * soft).sum(axis=0)
             gz *= soft                                            # (K, n_m)
-            if assign_w.requires_grad:
-                assign_w.grad += gz @ xm
-            if assign_b.requires_grad:
-                assign_b.grad += gz.sum(axis=1)
-            if cells_grad:
-                lo, hi = seg[m]
-                cells.grad[lo:hi] += soft.T @ gv[m] + gz.T @ w
+            grads["vlad.assign_w"] += gz @ xm
+            grads["vlad.assign_b"] += gz.sum(axis=1)
+            if gcells is not None:
+                gcells[m] += soft.T @ gv[m] + gz.T @ assign_w
 
-    prev = (cells, centroids, assign_w, assign_b) if cells_grad else (
-        centroids, assign_w, assign_b)
-    return Tensor(y, _prev=prev, _backward=bw)
+    return y, backward
 
 
 # ------------------------------------------------------------------ public API
@@ -197,57 +184,47 @@ def describe_query(obs: QueryObservation, enc: EncoderParams,
 
 
 def describe_query_tape(raw: np.ndarray, seg: np.ndarray, context: np.ndarray,
-                        enc_t: dict, att_t: dict, vlad_t: dict
-                        ) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
+                        enc: EncoderParams, att: AttentionParams,
+                        vlad: NetVladParams) -> tuple:
     """Differentiable query pipeline over a batch of B anchors.
 
     `raw` (R, QUERY_CHANNELS) holds the valid cells of every anchor back to
-    back, anchor b owning rows seg[b, 0]:seg[b, 1]. Returns the descriptors
-    Tensor (B, d_D), the attended features Tensor (R, C), the logits Tensor
-    (R, n_classes) and the predicted labels (R,). Parameter dicts hold leaf
-    Tensors keyed by field name. The encoder, the gated descriptor head and
-    the logit head are one tape node each, with hand-written backward passes.
+    back, anchor b owning rows seg[b, 0]:seg[b, 1]. Returns its three heads,
+    the descriptors (B, d_D), the attended features (R, C) and the logits
+    (R, n_classes), then the predicted labels (R,) and
+    backward(g_desc, g_attended, g_logits, grads), which adds the gradient
+    of every trainable encoder, attention and NetVLAD parameter into grads.
+    g_attended is the gradient from outside the descriptor head; backward
+    adds that head's own share into it.
     """
-    enc = EncoderParams(**{k: t.data for k, t in enc_t.items()})
-    bilinear, gain = att_t["bilinear"], att_t["gain"]
     h, feat, logits = query_forward(raw, enc)
-    attended, gate, w, score = attention_forward(feat, context, bilinear.data,
-                                                 gain.data)
+    attended, gate, w, score = attention_forward(feat, context, att.bilinear,
+                                                 att.gain)
+    desc, vlad_bw = netvlad_batch([attended[lo:hi] for lo, hi in seg],
+                                  vlad.centroids, vlad.assign_w,
+                                  vlad.assign_b, vlad.proj)
 
-    def h_bw(g):
-        gpre = g * (1.0 - h * h)
-        enc_t["rgb_proj"].grad += raw.T @ gpre
-        enc_t["rgb_bias"].grad += gpre.sum(axis=0)
+    def backward(g_desc, g_attended, g_logits, grads):
+        grads["enc.seg_head"] += h.T @ g_logits
+        grads["enc.seg_bias"] += g_logits.sum(axis=0)
+        gh = g_logits @ enc.seg_head.T
+        vlad_bw(g_desc, grads, [g_attended[lo:hi] for lo, hi in seg])
+        gscore = np.einsum("rc,rc->r", g_attended, feat) * gate * (1.0 - gate)
+        grads["att.gain"] += (gscore * score).sum()
+        gscore = gscore * att.gain
+        grads["att.bilinear"] += np.outer(feat.T @ gscore, context)
+        gfeat = g_attended * gate[:, None] + gscore[:, None] * w
+        grads["enc.desc_proj"] += h.T @ gfeat
+        gh += gfeat @ enc.desc_proj.T
+        gpre = gh * (1.0 - h * h)
+        grads["enc.rgb_proj"] += raw.T @ gpre
+        grads["enc.rgb_bias"] += gpre.sum(axis=0)
 
-    h_t = Tensor(h, _prev=(enc_t["rgb_proj"], enc_t["rgb_bias"]),
-                 _backward=h_bw)
-
-    def attended_bw(g):
-        gscore = np.einsum("rc,rc->r", g, feat) * gate * (1.0 - gate)
-        gain.grad += (gscore * score).sum()
-        gscore = gscore * gain.data
-        bilinear.grad += np.outer(feat.T @ gscore, context)
-        gfeat = g * gate[:, None] + gscore[:, None] * w
-        enc_t["desc_proj"].grad += h.T @ gfeat
-        h_t.grad += gfeat @ enc.desc_proj.T
-
-    att_out = Tensor(attended, _prev=(h_t, enc_t["desc_proj"], bilinear, gain),
-                     _backward=attended_bw)
-
-    def logits_bw(g):
-        enc_t["seg_head"].grad += h.T @ g
-        enc_t["seg_bias"].grad += g.sum(axis=0)
-        h_t.grad += g @ enc.seg_head.T
-
-    logit_out = Tensor(logits, _prev=(h_t, enc_t["seg_head"], enc_t["seg_bias"]),
-                       _backward=logits_bw)
-    desc = netvlad_batch(att_out, seg, vlad_t["centroids"], vlad_t["assign_w"],
-                         vlad_t["assign_b"], vlad_t["proj"].data)
-    return desc, att_out, logit_out, np.argmax(logits, axis=1)
+    return desc, attended, logits, np.argmax(logits, axis=1), backward
 
 
-def describe_lidar_tape(cells: list, vlad_t: dict) -> Tensor:
+def describe_lidar_tape(cells: list, vlad: NetVladParams) -> tuple:
     """Descriptors (M, d_D) of M constant LiDAR maps, given as their valid
-    cells (n_m, C), one tape node."""
-    return netvlad_batch(cells, None, vlad_t["centroids"], vlad_t["assign_w"],
-                         vlad_t["assign_b"], vlad_t["proj"].data)
+    cells (n_m, C), and their `netvlad_batch` backward."""
+    return netvlad_batch(cells, vlad.centroids, vlad.assign_w, vlad.assign_b,
+                         vlad.proj)

@@ -1,26 +1,12 @@
-"""Minimal reverse-mode tape over numpy arrays.
-
-Every node is a fused op with a hand-written backward pass: it holds its
-value, its parents and a closure that adds its gradient into theirs. This
-module only walks the graph. Gradients are checked against central finite
-differences in the test suite and by `xpr selfcheck`.
+"""Minimal reverse-mode tape over numpy arrays: a node holds its value, its
+parents and a closure that adds its gradient into theirs, and `backward`
+walks the graph. The library does not import it; `tests/reference_tape.py`
+extends it as the tests' reference, and it stays in the package because the
+benchmark's per-layer trace still looks up `Tensor.backward`.
 """
 from __future__ import annotations
 
 import numpy as np
-
-
-def row_max(a: np.ndarray) -> np.ndarray:
-    """Row maxima of a 2-D array with at least one column, as (N, 1).
-
-    Bit-equal to `a.max(axis=1, keepdims=True)`: a maximum is exact, so the
-    order does not matter. A loop of `np.maximum` over the few columns runs
-    several times faster than numpy's reduction over a short last axis.
-    """
-    m = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        np.maximum(m, a[:, j], out=m)
-    return m[:, None]
 
 
 def _visit(t, topo: list, seen: set) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -198,12 +199,35 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _read_ranks(path: str) -> list:
+    """The rank_of_truth column of a `match` results file. Text that is not
+    UTF-8, or a rank that is missing or not an integer >= 0, is a
+    FormatError naming the byte or the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        rows = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from exc
+    ranks = []
+    for row in rows:
+        value = row.get("rank_of_truth") or ""
+        if not (value.isascii() and value.isdigit()):
+            raise FormatError(f"{path}: line {rows.line_num}: rank_of_truth "
+                              f"{value!r} is not an integer >= 0")
+        ranks.append(int(value))
+    return ranks
+
+
 def cmd_eval(args) -> int:
     cfg, _meta = load_dataset_config(args.data)
-    with open(args.results, "r", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    ks = [int(v) for v in args.k.split(",")]
-    ranks = [int(r["rank_of_truth"]) for r in rows]
+    try:
+        ks = [int(v) for v in args.k.split(",")]
+    except ValueError:
+        ks = []
+    if not ks or min(ks) < 1:
+        raise CliError(f"--k must list integers >= 1, got {args.k!r}", EXIT_USAGE)
+    ranks = _read_ranks(args.results)
     table = [(k, recall_from_ranks(ranks, k)) for k in ks]
     out = args.out or os.path.splitext(args.results)[0] + "_recall.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -240,6 +264,8 @@ def _stats(samples_ms) -> tuple:
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise CliError("--repeat must be >= 1", EXIT_USAGE)
     index = load_index(args.index)
     cfg = index.config
     params, cfg = _load_params(args.ckpt, cfg)

@@ -421,6 +421,7 @@ def load_dataset_config(root) -> tuple[Config, dict]:
 
 def load_dataset(root) -> Dataset:
     cfg, meta = load_dataset_config(root)
+    meta_path = os.path.join(root, "meta.json")
     try:
         class_map = {int(k): int(v) for k, v in meta["class_map"].items()}
         places = [(int(pid), np.array(pos, dtype=np.float64).reshape(3))
@@ -429,9 +430,11 @@ def load_dataset(root) -> Dataset:
             raise ValueError(f"a class is not below n_classes {cfg.n_classes}")
         if any(not np.isfinite(pos).all() for _, pos in places):
             raise ValueError("non-finite place position")
+        ids = {pid for pid, _ in places}
+        if len(ids) != len(places):
+            raise ValueError("a place id repeats")
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{os.path.join(root, 'meta.json')}: bad places or "
-                          f"class_map: {exc}") from exc
+        raise FormatError(f"{meta_path}: bad places or class_map: {exc}") from exc
     poses = load_poses(os.path.join(root, "poses.txt"))
     if len(poses) != len(places):
         raise FormatError(f"{root}: {len(poses)} poses for {len(places)} places")
@@ -443,6 +446,10 @@ def load_dataset(root) -> Dataset:
         clouds.append(LabeledPointCloud(pose.transform(cloud.points),
                                         cloud.labels, cloud.intensities))
     queries = load_queries(os.path.join(root, "queries"), cfg)
+    for q in queries:
+        if q.place_id not in ids:
+            raise FormatError(f"{meta_path}: query {q.query_id} names place "
+                              f"{q.place_id}, which is not a place")
     return Dataset(str(root), cfg, class_map, places, clouds, poses, queries, meta)
 
 

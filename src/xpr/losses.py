@@ -1,5 +1,6 @@
 """Training objective: contrastive + semantic-consistency + segmentation
-terms as fused batch nodes, plus a small deterministic trainer."""
+terms as fused batch nodes, each returning its value and a hand-written
+backward, plus a small deterministic trainer."""
 from __future__ import annotations
 
 import math
@@ -8,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import describe_lidar_tape, describe_query_tape
-from .autodiff import Tensor, row_max
 from .config import Config, make_rng
 from .model import ModelParams, TRAINABLE, init_model_params
 
@@ -71,11 +71,25 @@ def train_table(places: list, context: np.ndarray, cfg: Config) -> TrainTable:
         cells, means, present, context)
 
 
-# ----------------------------------------------------------------- tape cores
+# ------------------------------------------------------------------- nodes
 
-def contrastive_tape(anchors: Tensor, maps: Tensor, positives: list,
-                     negatives: list, cfg: Config) -> Tensor:
-    """Mean over anchors of the per-anchor contrastive loss, one tape node.
+def row_max(a: np.ndarray) -> np.ndarray:
+    """Row maxima of a 2-D array with at least one column, as (N, 1).
+
+    Bit-equal to `a.max(axis=1, keepdims=True)`: a maximum is exact, so the
+    order does not matter. A loop of `np.maximum` over the few columns runs
+    several times faster than numpy's reduction over a short last axis.
+    """
+    m = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(m, a[:, j], out=m)
+    return m[:, None]
+
+
+def contrastive_tape(anchors: np.ndarray, maps: np.ndarray, positives: list,
+                     negatives: list, cfg: Config) -> tuple:
+    """Mean over anchors of the per-anchor contrastive loss, and
+    backward(g) -> (gradient w.r.t. anchors, gradient w.r.t. maps).
 
     The similarities are anchors (B, d) @ maps (M, d)^T; positives[b] and
     negatives[b] list the rows of `maps` that are anchor b's positive and
@@ -100,8 +114,7 @@ def contrastive_tape(anchors: Tensor, maps: Tensor, positives: list,
     idx = (np.array(rows)[:, None],
            np.array([list(p) + [p[0]] * (width - len(p)) for p in cols]))
     weights = np.array(weights)
-    a, m = anchors.data, maps.data
-    pick = (a @ m.T)[idx]                                  # (terms, width)
+    pick = (anchors @ maps.T)[idx]                         # (terms, width)
     if cfg.loss_kind == "triplet":
         hinge = cfg.margin - pick[:, 0] + pick[:, 1]
         active = hinge > 0.0
@@ -115,7 +128,7 @@ def contrastive_tape(anchors: Tensor, maps: Tensor, positives: list,
         terms = (top + np.log(s)).ravel() - logits[:, 0]
         soft = e / s
 
-    def bw(g):
+    def backward(g):
         gterms = g * weights
         if cfg.loss_kind == "triplet":
             ghinge = gterms * active
@@ -125,16 +138,13 @@ def contrastive_tape(anchors: Tensor, maps: Tensor, positives: list,
             gpick[:, 0] -= gterms
             gpick *= 1.0 / cfg.temperature
         # an anchor may pick one map several times; np.add.at sums the repeats
-        gsims = np.zeros((len(a), len(m)))
+        gsims = np.zeros((len(anchors), len(maps)))
         np.add.at(gsims, idx, gpick)
-        if anchors.requires_grad:
-            anchors.grad += gsims @ m
-        if maps.requires_grad:
-            # (A^T G)^T, not G^T A: BLAS sums the two in different orders,
-            # and this one reproduces the checkpoints trained so far
-            maps.grad += (a.T @ gsims).T
+        # (A^T G)^T, not G^T A: BLAS sums the two in different orders, and
+        # this one reproduces the checkpoints trained so far
+        return gsims @ maps, (anchors.T @ gsims).T
 
-    return Tensor((terms * weights).sum(), _prev=(anchors, maps), _backward=bw)
+    return (terms * weights).sum(), backward
 
 
 def _consistency(rgb: np.ndarray, rgb_present: np.ndarray, lid: np.ndarray,
@@ -173,17 +183,17 @@ def _cross_entropy(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray
     return value, grad
 
 
-def class_means_tape(attended: Tensor, labels: np.ndarray, seg: np.ndarray,
-                     lid_means: np.ndarray, lid_present: np.ndarray) -> Tensor:
-    """Semantic-consistency term of a batch, one tape node: the class means
-    of each anchor's attended features by predicted label, against its
-    LiDAR class means (B, n_classes, C). attended (R, C) and labels (R,)
-    hold the valid cells of every anchor, anchor b owning rows
-    seg[b, 0]:seg[b, 1]."""
+def class_means_tape(attended: np.ndarray, labels: np.ndarray, seg: np.ndarray,
+                     lid_means: np.ndarray, lid_present: np.ndarray) -> tuple:
+    """Semantic-consistency term of a batch, and backward(g) -> its
+    gradient w.r.t. `attended`: the class means of each anchor's attended
+    features by predicted label, against its LiDAR class means
+    (B, n_classes, C). attended (R, C) and labels (R,) hold the valid cells
+    of every anchor, anchor b owning rows seg[b, 0]:seg[b, 1]."""
     n_classes = lid_means.shape[1]
     onehots = [(labels[lo:hi] == np.arange(n_classes)[:, None]).astype(np.float64)
                for lo, hi in seg]                                # (K, n_b) each
-    sums = np.array([oh @ attended.data[lo:hi]
+    sums = np.array([oh @ attended[lo:hi]
                      for oh, (lo, hi) in zip(onehots, seg)])
     counts = np.array([oh.sum(axis=1) for oh in onehots])
     present = counts > 0
@@ -191,35 +201,22 @@ def class_means_tape(attended: Tensor, labels: np.ndarray, seg: np.ndarray,
     value, gmeans = _consistency(sums * inv[..., None], present, lid_means,
                                  lid_present)
 
-    def bw(g):
+    def backward(g):
         gsums = g * gmeans * inv[..., None]
+        gattended = np.zeros_like(attended)
         for oh, gs, (lo, hi) in zip(onehots, gsums, seg):
-            attended.grad[lo:hi] += oh.T @ gs
+            gattended[lo:hi] += oh.T @ gs
+        return gattended
 
-    return Tensor(value, _prev=(attended,), _backward=bw)
-
-
-def segmentation_tape(logits: Tensor, gt: np.ndarray, seg: np.ndarray) -> Tensor:
-    """Segmentation term of a batch, one tape node: `_cross_entropy` over
-    logits (R, n_classes)."""
-    value, grad = _cross_entropy(logits.data, gt, seg)
-
-    def bw(g):
-        logits.grad += g * grad
-
-    return Tensor(value, _prev=(logits,), _backward=bw)
+    return value, backward
 
 
-def _weighted_total(l_con: Tensor, l_sem: Tensor, l_seg: Tensor,
-                    lambda_sem: float) -> Tensor:
-    """l_con + lambda_sem * l_sem + l_seg, one tape node."""
-    def bw(g):
-        l_con.grad += g
-        l_sem.grad += g * lambda_sem
-        l_seg.grad += g
-
-    return Tensor(l_con.data + l_sem.data * lambda_sem + l_seg.data,
-                  _prev=(l_con, l_sem, l_seg), _backward=bw)
+def segmentation_tape(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray
+                      ) -> tuple:
+    """Segmentation term of a batch, `_cross_entropy` over logits
+    (R, n_classes), and backward(g) -> its gradient w.r.t. the logits."""
+    value, grad = _cross_entropy(logits, gt, seg)
+    return value, lambda g: g * grad
 
 
 # ------------------------------------------------------------------ public API
@@ -234,14 +231,12 @@ def total_loss(table: TrainTable, anchors, positives: list, negatives: list,
     as one stack, and each distinct map is described once; the contrastive
     term reads one (anchors, maps) similarity matrix, and the consistency
     term compares each anchor with its first positive."""
-    leaves = params.leaf_tensors()
-    enc_t, att_t, vlad_t = leaves["enc"], leaves["att"], leaves["vlad"]
-
     col: dict = {}
     for ps, ns in zip(positives, negatives):
         for m in (*ps, *ns):
             col.setdefault(m, len(col))
-    lid_desc = describe_lidar_tape([table.cells[m] for m in col], vlad_t)
+    lid_desc, lid_bw = describe_lidar_tape([table.cells[m] for m in col],
+                                           params.vlad)
 
     # anchor b's cells are rows seg[b, 0]:seg[b, 1] of the stack
     raw = np.concatenate([table.raw[a] for a in anchors])
@@ -249,24 +244,29 @@ def total_loss(table: TrainTable, anchors, positives: list, negatives: list,
     counts = [len(table.gt[a]) for a in anchors]
     ends = np.cumsum(counts, dtype=np.intp)
     seg = np.stack([ends - counts, ends], axis=1)
-    desc, attended, logits, pred = describe_query_tape(
-        raw, seg, table.context, enc_t, att_t, vlad_t)
-    l_con = contrastive_tape(desc, lid_desc,
-                             [[col[m] for m in ps] for ps in positives],
-                             [[col[m] for m in ns] for ns in negatives], cfg)
+    desc, attended, logits, pred, query_bw = describe_query_tape(
+        raw, seg, table.context, params.enc, params.att, params.vlad)
+    l_con, con_bw = contrastive_tape(desc, lid_desc,
+                                     [[col[m] for m in ps] for ps in positives],
+                                     [[col[m] for m in ns] for ns in negatives],
+                                     cfg)
     refs = [ps[0] for ps in positives]
-    l_sem = class_means_tape(attended, pred, seg, table.means[refs],
-                             table.present[refs])
-    l_seg = segmentation_tape(logits, gt, seg)
-    l_tot = _weighted_total(l_con, l_sem, l_seg, cfg.lambda_sem)
-    l_tot.backward()
+    l_sem, sem_bw = class_means_tape(attended, pred, seg, table.means[refs],
+                                     table.present[refs])
+    l_seg, seg_bw = segmentation_tape(logits, gt, seg)
+    l_tot = l_con + l_sem * cfg.lambda_sem + l_seg
 
-    grads = {}
-    for name in TRAINABLE:
-        g = leaves["flat"][name].grad
-        grads[name] = g if g is not None else np.zeros_like(leaves["flat"][name].data)
-    return LossReport(float(l_con.data), float(l_sem.data), float(l_seg.data),
-                      float(l_tot.data), grads)
+    # the backwards in reverse order; the NetVLAD parameters sum the LiDAR
+    # maps' terms before the anchors', which fixes their float rounding
+    tensors = params.tensors()
+    grads = {name: np.zeros_like(tensors[name]) for name in TRAINABLE}
+    g_logits = seg_bw(1.0)
+    g_attended = sem_bw(cfg.lambda_sem)
+    g_desc, g_lid = con_bw(1.0)
+    lid_bw(g_lid, grads)
+    query_bw(g_desc, g_attended, g_logits, grads)
+    return LossReport(float(l_con), float(l_sem), float(l_seg), float(l_tot),
+                      grads)
 
 
 # -------------------------------------------------------------------- trainer

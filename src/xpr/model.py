@@ -7,7 +7,6 @@ import numpy as np
 
 from .aggregation import (AttentionParams, NetVladParams, init_attention_params,
                           init_netvlad_params)
-from .autodiff import Tensor
 from .config import Config
 from .encoder import EncoderParams, init_encoder_params
 
@@ -52,16 +51,6 @@ class ModelParams:
             vlad=NetVladParams(t["vlad.centroids"], t["vlad.assign_w"],
                                t["vlad.assign_b"], t["vlad.proj"]),
         )
-
-    def leaf_tensors(self) -> dict:
-        """Tape leaves split per module; trainable leaves require grad."""
-        leaves = {}
-        for name, arr in self.tensors().items():
-            leaves[name] = Tensor(arr, requires_grad=name in TRAINABLE)
-        enc_t = {k.split(".", 1)[1]: leaves[k] for k in leaves if k.startswith("enc.")}
-        att_t = {k.split(".", 1)[1]: leaves[k] for k in leaves if k.startswith("att.")}
-        vlad_t = {k.split(".", 1)[1]: leaves[k] for k in leaves if k.startswith("vlad.")}
-        return {"flat": leaves, "enc": enc_t, "att": att_t, "vlad": vlad_t}
 
 
 def init_model_params(cfg: Config) -> ModelParams:

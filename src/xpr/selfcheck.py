@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import NetVladParams, netvlad, netvlad_batch
-from .autodiff import Tensor
 from .config import Config, make_rng
 from .core import LabeledPointCloud, identity_pose, yaw_rotation
 from .encoder import LocalFeatureMap, QueryObservation, QUERY_CHANNELS
@@ -69,27 +68,24 @@ def check_contrastive_grad(seed: int, kind: str, corrupt: bool = False) -> Check
     maps = np.array([_unit(rng, d) for _ in range(6)])
     pos = [[0], [1, 2], [0]]
     neg = [[3, 4], [0, 5, 5], [2, 3, 4, 5]]
-    a, m = Tensor(anchors, requires_grad=True), Tensor(maps, requires_grad=True)
-    contrastive_tape(a, m, pos, neg, cfg).backward()
+    ga, gm = contrastive_tape(anchors, maps, pos, neg, cfg)[1](1.0)
     scale = 1.01 if corrupt else 1.0
 
     def loss(x, y):
-        return float(contrastive_tape(Tensor(x), Tensor(y), pos, neg, cfg).data)
+        return float(contrastive_tape(x, y, pos, neg, cfg)[0])
 
-    ga = central_diff(lambda x: loss(x, maps), anchors.copy())
-    gm = central_diff(lambda y: loss(anchors, y), maps.copy())
+    fa = central_diff(lambda x: loss(x, maps), anchors.copy())
+    fm = central_diff(lambda y: loss(anchors, y), maps.copy())
     return CheckResult(f"grad_contrastive_{kind}",
-                       max(_rel_err(a.grad * scale, ga),
-                           _rel_err(m.grad * scale, gm)), 1e-3)
+                       max(_rel_err(ga * scale, fa), _rel_err(gm * scale, fm)),
+                       1e-3)
 
 
 def _node_grad_err(node, x: np.ndarray) -> float:
-    """Relative error of the gradient that the tape node node(Tensor(x))
+    """Relative error of the gradient that node(x) -> (value, backward)
     gives x, against central differences."""
-    t = Tensor(x, requires_grad=True)
-    node(t).backward()
-    return _rel_err(t.grad, central_diff(lambda y: float(node(Tensor(y)).data),
-                                         x.copy()))
+    return _rel_err(node(x)[1](1.0),
+                    central_diff(lambda y: float(node(y)[0]), x.copy()))
 
 
 RAGGED = np.array([[0, 5], [5, 14]])  # row ranges of anchors of 5 and 9 cells
@@ -103,7 +99,7 @@ def check_semantic_consistency_grad(seed: int) -> CheckResult:
     lid_means = rng.normal(size=(2, 5, 6))
     lid_present = np.array([[False, True, True, False, True],
                             [True, False, True, True, True]])
-    err = _node_grad_err(lambda t: class_means_tape(t, labels, RAGGED, lid_means,
+    err = _node_grad_err(lambda x: class_means_tape(x, labels, RAGGED, lid_means,
                                                     lid_present),
                          rng.normal(size=(14, 6)))
     return CheckResult("grad_semantic_consistency", err, 1e-3)
@@ -114,7 +110,7 @@ def check_segmentation_grad(seed: int) -> CheckResult:
     void cells."""
     rng = make_rng(seed, 12)
     gt = rng.integers(0, 6, 14)
-    err = _node_grad_err(lambda t: segmentation_tape(t, gt, RAGGED),
+    err = _node_grad_err(lambda x: segmentation_tape(x, gt, RAGGED),
                          rng.normal(size=(14, 6)))
     return CheckResult("grad_segmentation", err, 1e-3)
 
@@ -132,14 +128,18 @@ def check_netvlad_batch_grad(seed: int) -> CheckResult:
     inputs = [cells, rng.normal(size=(k, c)), rng.normal(size=(k, c)),
               rng.normal(size=k)]
 
-    leaves = [Tensor(x, requires_grad=True) for x in inputs]
-    netvlad_batch(leaves[0], seg, *leaves[1:], proj).backward(g)
+    def node(x, *params):
+        return netvlad_batch([x[lo:hi] for lo, hi in seg], *params, proj)
+
+    names = ("vlad.centroids", "vlad.assign_w", "vlad.assign_b")
+    grads = {n: np.zeros_like(x) for n, x in zip(names, inputs[1:])}
+    gcells = np.zeros_like(cells)
+    node(*inputs)[1](g, grads, [gcells[lo:hi] for lo, hi in seg])
     worst = 0.0
-    for i, leaf in enumerate(leaves):
+    for i, analytic in enumerate([gcells] + [grads[n] for n in names]):
         def f(x, i=i):
-            p = [Tensor(y) for y in inputs[:i] + [x] + inputs[i + 1:]]
-            return float((g * netvlad_batch(p[0], seg, *p[1:], proj).data).sum())
-        worst = max(worst, _rel_err(leaf.grad, central_diff(f, inputs[i].copy())))
+            return float((g * node(*inputs[:i], x, *inputs[i + 1:])[0]).sum())
+        worst = max(worst, _rel_err(analytic, central_diff(f, inputs[i].copy())))
     return CheckResult("grad_netvlad_batch", worst, 1e-3)
 
 

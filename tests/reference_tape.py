@@ -10,7 +10,7 @@ Every op is checked against central finite differences in test_autodiff.py.
 import numpy as np
 
 from xpr import autodiff
-from xpr.autodiff import row_max
+from xpr.losses import row_max
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -70,9 +70,11 @@ def test_netvlad_matches_reference_many_instances():
     assert worst < 1e-10
 
 
-def _vlad_leaves(rng, k, c):
-    return [Tensor(rng.normal(size=shape), requires_grad=True)
-            for shape in ((k, c), (k, c), (k,))]
+VLAD_NAMES = ("vlad.centroids", "vlad.assign_w", "vlad.assign_b")
+
+
+def _vlad_params(rng, k, c):
+    return [rng.normal(size=shape) for shape in ((k, c), (k, c), (k,))]
 
 
 @pytest.mark.parametrize("case", ["mixed", "single"])
@@ -90,29 +92,32 @@ def test_netvlad_batch_matches_tape(case):
         maps = [random_fmap(rng, 4, 4, c)]
         order = [0]
     proj = rng.normal(size=(d_out, k * c))
-    leaves = _vlad_leaves(rng, k, c)
-    ref_leaves = [Tensor(t.data.copy(), requires_grad=True) for t in leaves]
+    params = _vlad_params(rng, k, c)
+    ref_leaves = [Tensor(p.copy(), requires_grad=True) for p in params]
     valid = [f.values.reshape(-1, c)[f.mask.reshape(-1)] for f in maps]
     ends = np.cumsum([v.shape[0] for v in valid])
     seg = np.stack([ends - [v.shape[0] for v in valid], ends], axis=1)[order]
     g = rng.normal(size=(len(order), d_out))
 
-    cells = Tensor(np.concatenate(valid), requires_grad=True)
-    out = netvlad_batch(cells, seg, *leaves, proj)
-    out.backward(g)
+    cells = np.concatenate(valid)
+    out, backward = netvlad_batch([cells[lo:hi] for lo, hi in seg], *params,
+                                  proj)
+    grads = {n: np.zeros_like(p) for n, p in zip(VLAD_NAMES, params)}
+    gcells = np.zeros_like(cells)
+    backward(g, grads, [gcells[lo:hi] for lo, hi in seg])
     ref_cells = [Tensor(v, requires_grad=True) for v in valid]
     rows = [netvlad_tape(ref_cells[i], *ref_leaves, proj) for i in order]
     sum((Tensor(g[m]) * row).sum() for m, row in enumerate(rows)).backward()
 
-    assert out.data.shape == (len(order), d_out)
+    assert out.shape == (len(order), d_out)
     for m, row in enumerate(rows):
-        assert np.abs(out.data[m] - row.data).max() <= 1e-12
+        assert np.abs(out[m] - row.data).max() <= 1e-12
     if case == "mixed":
-        assert not out.data[1].any()
-        assert np.array_equal(out.data[0], out.data[3])
+        assert not out[1].any()
+        assert np.array_equal(out[0], out[3])
     want_cells = np.concatenate([t.grad for t in ref_cells])
-    pairs = [(cells.grad, want_cells)] + [
-        (got.grad, ref.grad) for got, ref in zip(leaves, ref_leaves)]
+    pairs = [(gcells, want_cells)] + [
+        (grads[n], ref.grad) for n, ref in zip(VLAD_NAMES, ref_leaves)]
     for got, want in pairs:
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -120,12 +125,13 @@ def test_netvlad_batch_matches_tape(case):
 def test_netvlad_batch_zero_map_has_zero_gradient():
     rng = make_rng(32, 0)
     k, c = 3, 5
-    leaves = _vlad_leaves(rng, k, c)
-    out = netvlad_batch([np.zeros((0, c))], None, *leaves,
-                        rng.normal(size=(7, k * c)))
-    out.backward(rng.normal(size=(1, 7)))
-    assert not out.data.any()
-    assert all(not t.grad.any() for t in leaves)
+    params = _vlad_params(rng, k, c)
+    out, backward = netvlad_batch([np.zeros((0, c))], *params,
+                                  rng.normal(size=(7, k * c)))
+    grads = {n: np.zeros_like(p) for n, p in zip(VLAD_NAMES, params)}
+    backward(rng.normal(size=(1, 7)), grads)
+    assert not out.any()
+    assert all(not grad.any() for grad in grads.values())
 
 
 def test_netvlad_unit_norm():

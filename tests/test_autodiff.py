@@ -1,10 +1,13 @@
 """Finite-difference checks for every op of the reference tape, and the
-graph walk of `xpr.autodiff` that it and the library's fused nodes share.
+graph walk of `xpr.autodiff` that it extends.
 
 Each check perturbs inputs with a central difference at step 1e-6 and
 compares against the backward pass at rtol 1e-5.
 """
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -12,8 +15,8 @@ import pytest
 
 from reference_tape import Tensor
 from xpr import autodiff
-from xpr.autodiff import row_max
 from xpr.config import make_rng
+from xpr.losses import row_max
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -168,6 +171,21 @@ def test_backward_leaves_no_reference_cycle():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_library_does_not_import_the_tape():
+    # training runs explicit forward and backward functions; the graph walk
+    # is only the reference that the test tape extends
+    code = ("import sys\n"
+            "import xpr.losses, xpr.aggregation, xpr.model, xpr.selfcheck\n"
+            "import xpr.pipeline, xpr.cli\n"
+            "print('xpr.autodiff' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_row_max_bit_equal_to_reduction():

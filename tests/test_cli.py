@@ -101,6 +101,43 @@ def test_eval_recall(workspace, capsys):
     assert 0.0 <= r1 <= r3 <= 100.0
 
 
+@pytest.mark.parametrize("k", ["a", "1,x", "0", ""])
+def test_eval_bad_k_is_usage_error(workspace, tmp_path, capsys, k):
+    assert main(["eval", "--results", workspace["results"], "--data",
+                 workspace["data"], "--k", k,
+                 "--out", str(tmp_path / "recall.csv")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--k" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("defect", ["no-column", "not-integer", "negative",
+                                    "short-row", "utf8"])
+def test_eval_malformed_results_is_data_error(workspace, tmp_path, capsys,
+                                              defect):
+    with open(workspace["results"], newline="") as fh:
+        lines = fh.read().splitlines()
+    if defect == "no-column":
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    elif defect == "not-integer":
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",2.5"
+    elif defect == "negative":
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",-1"
+    elif defect == "short-row":
+        lines[2] = lines[2].split(",", 1)[0]
+    results = tmp_path / "results.csv"
+    text = "\n".join(lines) + "\n"
+    results.write_bytes(text.encode() if defect != "utf8"
+                        else text.encode().replace(b"phi", b"p\xffi"))
+    args = ["eval", "--results", str(results), "--data", workspace["data"],
+            "--out", str(tmp_path / "recall.csv")]
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    bad = text.encode().index(b"phi") + 1
+    where = {"no-column": "line 2", "utf8": f"not UTF-8 at byte {bad}"}
+    assert f"{results}: {where.get(defect, 'line 3')}" in err
+    assert "Traceback" not in err
+
+
 def test_match_deterministic_rerun(workspace, tmp_path):
     out2 = str(tmp_path / "results2.csv")
     assert main(["match", "--index", workspace["idx"],
@@ -353,6 +390,11 @@ def _broken_meta(raw: bytes, defect: str) -> bytes:
         meta["class_map"]["1"] = float("inf")
     elif defect == "class-range":
         meta["class_map"]["1"] = meta["config"]["n_classes"]
+    elif defect == "repeated-place":
+        meta["places"][1][0] = meta["places"][0][0]
+    elif defect == "unknown-place":
+        # place 1 keeps its query, whose place id is then no place's
+        meta["places"][1][0] = 7
     else:  # a missing key
         del meta[defect]
     return json.dumps(meta).encode()
@@ -361,7 +403,8 @@ def _broken_meta(raw: bytes, defect: str) -> bytes:
 @pytest.mark.parametrize("defect", ["utf8", "cut", "config", "places",
                                     "class_map", "bad-config", "bad-place",
                                     "bad-class_map", "nan-config", "nan-place",
-                                    "inf-class", "class-range"])
+                                    "inf-class", "class-range",
+                                    "repeated-place", "unknown-place"])
 def test_bad_meta_json_is_data_error(workspace, tmp_path, capsys, defect):
     data = str(tmp_path / "data")
     shutil.copytree(workspace["data"], data)
@@ -373,9 +416,11 @@ def test_bad_meta_json_is_data_error(workspace, tmp_path, capsys, defect):
     with pytest.raises(FormatError, match="meta.json: "):
         load_dataset(data)
     capsys.readouterr()
-    assert main(_train_args(data, tmp_path)) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert "meta.json: " in err and "Traceback" not in err
+    for args in (_train_args(data, tmp_path),
+                 ["build-map", "--data", data, "--out", str(tmp_path / "m.idx")]):
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "meta.json: " in err and "Traceback" not in err
 
 
 def test_query_label_out_of_range_is_data_error(workspace, tmp_path, capsys):
@@ -557,6 +602,16 @@ def test_bench_writes_stage_csv(workspace, tmp_path):
     for r in rows:
         assert float(r["mean_ms"]) >= 0.0
         assert float(r["p95_ms"]) >= float(r["median_ms"]) >= 0.0
+
+
+def test_bench_rejects_no_repeats(workspace, tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--index", workspace["idx"], "--queries",
+                 workspace["data"], "--repeat", "0",
+                 "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--repeat" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_selfcheck_passes(capsys):

@@ -24,16 +24,15 @@ def contrastive_loss(anchor, positives, negatives, cfg):
     """One anchor's loss through the fused node, and its gradients w.r.t.
     the anchor and every map descriptor."""
     n_pos = len(positives)
-    a = Tensor(np.asarray(anchor, dtype=np.float64)[None, :], requires_grad=True)
+    a = np.asarray(anchor, dtype=np.float64)[None, :]
     descs = [np.asarray(d, dtype=np.float64) for d in [*positives, *negatives]]
-    maps = Tensor(np.array(descs), requires_grad=True)
-    loss = contrastive_tape(a, maps, [list(range(n_pos))],
-                            [list(range(n_pos, len(descs)))], cfg)
-    loss.backward()
-    grads = {"anchor": a.grad[0],
-             "positives": list(maps.grad[:n_pos]),
-             "negatives": list(maps.grad[n_pos:])}
-    return float(loss.data), grads
+    loss, backward = contrastive_tape(a, np.array(descs), [list(range(n_pos))],
+                                      [list(range(n_pos, len(descs)))], cfg)
+    ga, gm = backward(1.0)
+    grads = {"anchor": ga[0],
+             "positives": list(gm[:n_pos]),
+             "negatives": list(gm[n_pos:])}
+    return float(loss), grads
 
 
 def test_triplet_worked_example():
@@ -161,10 +160,8 @@ def test_batched_contrastive_matches_per_pair(kind):
     pos = [[0], [1, 2], [0], [3]]
     neg = [[4, 5], [0, 6, 6], [2, 3, 4, 5], [6]]
 
-    a = Tensor(anchors, requires_grad=True)
-    m = Tensor(maps, requires_grad=True)
-    loss = contrastive_tape(a, m, pos, neg, cfg)
-    loss.backward()
+    loss, backward = contrastive_tape(anchors, maps, pos, neg, cfg)
+    ga, gm = backward(1.0)
 
     ra = [Tensor(x, requires_grad=True) for x in anchors]
     rm = [Tensor(x, requires_grad=True) for x in maps]
@@ -173,8 +170,8 @@ def test_batched_contrastive_matches_per_pair(kind):
                       for b in range(n_anchors)]))
     ref.backward()
 
-    assert float(loss.data) == pytest.approx(float(ref.data), abs=1e-12)
-    for got, refs in ((a.grad, ra), (m.grad, rm)):
+    assert float(loss) == pytest.approx(float(ref.data), abs=1e-12)
+    for got, refs in ((ga, ra), (gm, rm)):
         want = np.array([t.grad for t in refs])
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -182,12 +179,11 @@ def test_batched_contrastive_matches_per_pair(kind):
 def class_means(attended, labels, seg, lid_means, lid_present):
     """A batch's consistency term through the fused node, and its gradient
     w.r.t. the attended features."""
-    a = Tensor(np.asarray(attended, dtype=np.float64), requires_grad=True)
-    loss = class_means_tape(a, np.asarray(labels), np.asarray(seg),
-                            np.asarray(lid_means, dtype=np.float64),
-                            np.asarray(lid_present))
-    loss.backward()
-    return float(loss.data), a.grad
+    loss, backward = class_means_tape(np.asarray(attended, dtype=np.float64),
+                                      np.asarray(labels), np.asarray(seg),
+                                      np.asarray(lid_means, dtype=np.float64),
+                                      np.asarray(lid_present))
+    return float(loss), backward(1.0)
 
 
 def test_semantic_consistency_worked_example():
@@ -225,11 +221,10 @@ def test_semantic_consistency_gradients_fd():
 def segmentation(logits, gt, seg=None):
     """A batch's segmentation term through the fused node, one anchor
     unless `seg` says otherwise, and its gradient w.r.t. the logits."""
-    t = Tensor(np.asarray(logits, dtype=np.float64), requires_grad=True)
     seg = np.array([[0, len(gt)]]) if seg is None else seg
-    loss = segmentation_tape(t, np.asarray(gt), seg)
-    loss.backward()
-    return float(loss.data), t.grad
+    loss, backward = segmentation_tape(np.asarray(logits, dtype=np.float64),
+                                       np.asarray(gt), seg)
+    return float(loss), backward(1.0)
 
 
 def test_segmentation_uniform_logits():
