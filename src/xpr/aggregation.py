@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, make_rng
-from .encoder import (EncoderParams, LocalFeatureMap, QueryObservation,
-                      encode_query, query_forward)
+from .encoder import (EncoderParams, QueryObservation, encode_query,
+                      query_forward)
 from .projection import SemanticImage
 
 N_CLUSTERS = 8
@@ -20,7 +20,7 @@ PROJECTION_SEED_STREAM = 104
 @dataclass(frozen=True)
 class GlobalDescriptor:
     values: np.ndarray   # (descriptor_dim,) unit norm unless flagged
-    flagged: bool = False  # True only for empty feature maps (all-zero vector)
+    flagged: bool = False  # True only for the all-zero vector of no cells
 
 
 @dataclass
@@ -154,23 +154,21 @@ def netvlad_batch(blocks: list, centroids: np.ndarray, assign_w: np.ndarray,
 
 # ------------------------------------------------------------------ public API
 
-def semantic_attention(feat: LocalFeatureMap, context: np.ndarray,
-                       params: AttentionParams) -> LocalFeatureMap:
+def semantic_attention(feat: np.ndarray, context: np.ndarray,
+                       params: AttentionParams) -> np.ndarray:
+    """Gated features (R, C) of features (R, C); a zero row stays zero."""
     context = np.asarray(context, dtype=np.float64)
     if abs(context.sum() - 1.0) > 1e-6:
         raise ValueError("semantic context is not normalized")
-    flat = feat.values.reshape(-1, feat.channels)
-    out = attention_forward(flat, context, params.bilinear, params.gain)[0]
-    values = out.reshape(feat.values.shape)
-    values[~feat.mask] = 0.0
-    return LocalFeatureMap(values, feat.mask.copy())
+    return attention_forward(feat, context, params.bilinear, params.gain)[0]
 
 
-def netvlad(feat: LocalFeatureMap, params: NetVladParams) -> GlobalDescriptor:
-    valid = feat.values.reshape(-1, feat.channels)[feat.mask.reshape(-1)]
-    if valid.shape[0] == 0:
+def netvlad(cells: np.ndarray, params: NetVladParams) -> GlobalDescriptor:
+    """Descriptor of one map's valid cells (n, C); no cells, or a descriptor
+    that normalizes to zero, gives a flagged zero vector."""
+    if cells.shape[0] == 0:
         return GlobalDescriptor(np.zeros(params.proj.shape[0]), flagged=True)
-    d = netvlad_forward([valid], params.centroids, params.assign_w,
+    d = netvlad_forward([cells], params.centroids, params.assign_w,
                         params.assign_b, params.proj)[0][0]
     return GlobalDescriptor(d, flagged=not d.any())
 
@@ -178,9 +176,11 @@ def netvlad(feat: LocalFeatureMap, params: NetVladParams) -> GlobalDescriptor:
 def describe_query(obs: QueryObservation, enc: EncoderParams,
                    att: AttentionParams, vlad: NetVladParams,
                    context: np.ndarray) -> tuple[GlobalDescriptor, SemanticImage]:
-    fmap, pred, _ = encode_query(obs, enc)
-    attended = semantic_attention(fmap, context, att)
-    return netvlad(attended, vlad), pred
+    # the encoder and the gate run over the whole grid, then the valid rows
+    # go to NetVLAD: a gemv over a row subset can round differently
+    feat, pred = encode_query(obs, enc)
+    attended = semantic_attention(feat, context, att)
+    return netvlad(attended[obs.mask.reshape(-1)], vlad), pred
 
 
 def describe_query_tape(raw: np.ndarray, seg: np.ndarray, context: np.ndarray,

@@ -35,6 +35,8 @@ EXIT_DATA = 2
 EXIT_CHECK = 3
 
 ARTIFACT_VERSION = "0.1.0"
+#: config fields that only training reads; a checkpoint may differ in them
+TRAINING_ONLY = ("loss_kind", "lambda_sem", "margin", "temperature")
 
 
 class CliError(RuntimeError):
@@ -80,7 +82,8 @@ def _load_params(ckpt: str | None, cfg: Config):
     if ckpt is None:
         return init_model_params(cfg), cfg
     params, ck_cfg = load_checkpoint(ckpt)
-    if ck_cfg != cfg:
+    if with_overrides(ck_cfg,
+                      **{f: getattr(cfg, f) for f in TRAINING_ONLY}) != cfg:
         raise CliError("checkpoint config does not match the dataset config")
     return params, cfg
 

@@ -6,10 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Config
-
-ORTHO_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class LabeledPointCloud:
@@ -31,18 +27,6 @@ class LabeledPointCloud:
     def count(self) -> int:
         return self.points.shape[0]
 
-    def validate(self, cfg: Config) -> "LabeledPointCloud":
-        n = self.count
-        if self.labels.shape[0] != n:
-            raise ValueError(f"labels length {self.labels.shape[0]} != point count {n}")
-        if self.intensities.size and self.intensities.shape[0] != n:
-            raise ValueError(f"intensities length {self.intensities.shape[0]} != point count {n}")
-        if n and not np.isfinite(self.points).all():
-            raise ValueError("non-finite point coordinates")
-        if n and int(self.labels.max(initial=0)) >= cfg.n_classes:
-            raise ValueError(f"label >= n_classes ({cfg.n_classes})")
-        return self
-
 
 @dataclass(frozen=True)
 class Pose:
@@ -53,16 +37,6 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64).reshape(3, 3))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64).reshape(3))
-
-    def validate(self) -> "Pose":
-        r = self.rotation
-        if not np.isfinite(r).all() or not np.isfinite(self.translation).all():
-            raise ValueError("non-finite pose")
-        if np.abs(r @ r.T - np.eye(3)).max() > ORTHO_TOL:
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > ORTHO_TOL:
-            raise ValueError("rotation determinant is not +1")
-        return self
 
     def inverse(self) -> "Pose":
         rt = self.rotation.T
@@ -83,10 +57,6 @@ def identity_pose() -> Pose:
 def yaw_rotation(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def yaw_pose(theta: float, translation=(0.0, 0.0, 0.0)) -> Pose:
-    return Pose(yaw_rotation(theta), np.asarray(translation, dtype=np.float64))
 
 
 def canonical_heading(h: float) -> float:

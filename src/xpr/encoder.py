@@ -19,24 +19,6 @@ QUERY_CHANNELS = 7
 ENCODER_SEED_STREAM = 101
 
 
-@dataclass(frozen=True)
-class LocalFeatureMap:
-    values: np.ndarray   # (H, W, C), zero on masked cells
-    mask: np.ndarray     # (H, W) bool, True where a real observation exists
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[2]
-
-
 @dataclass
 class EncoderParams:
     rgb_proj: np.ndarray   # (QUERY_CHANNELS, C)
@@ -85,8 +67,9 @@ def query_forward(raw: np.ndarray, params: EncoderParams,
 
 
 def encode_query(obs: QueryObservation, params: EncoderParams
-                 ) -> tuple[LocalFeatureMap, SemanticImage, np.ndarray]:
-    """Forward pass: feature map, predicted labels, and the raw logit grid.
+                 ) -> tuple[np.ndarray, SemanticImage]:
+    """Forward pass over the whole grid: the (H*W, C) features, row-major
+    and zero on masked cells, and the predicted labels.
 
     Predicted label = argmax over logits (ties to the lowest class id) on
     valid cells, 0 elsewhere.
@@ -94,27 +77,23 @@ def encode_query(obs: QueryObservation, params: EncoderParams
     if not np.isfinite(obs.raw).all():
         raise ValueError("non-finite query observation")
     h, w, _ = obs.raw.shape
-    _, feat, logits = query_forward(obs.raw.reshape(h * w, -1), params,
-                                    obs.mask.reshape(-1))
-    logit_grid = logits.reshape(h, w, -1)
-    pred = np.argmax(logit_grid, axis=2).astype(np.uint16)
-    pred[~obs.mask] = 0
-    fmap = LocalFeatureMap(feat.reshape(h, w, -1), obs.mask.copy())
-    return fmap, SemanticImage(pred), logit_grid
+    mask = obs.mask.reshape(-1)
+    _, feat, logits = query_forward(obs.raw.reshape(h * w, -1), params, mask)
+    pred = np.argmax(logits, axis=1).astype(np.uint16)
+    pred[~mask] = 0
+    return feat, SemanticImage(pred.reshape(h, w))
 
 
 def encode_lidar_local(rng_img: RangeImage, sem_img: SemanticImage,
-                       cfg: Config) -> LocalFeatureMap:
-    """Concatenate normalized depth, normals, and one-hot labels per cell."""
+                       cfg: Config) -> np.ndarray:
+    """The filled cells (depth > 0) of a rendered viewpoint, row-major, as
+    an (n, C) block: normalized depth, normals, and the one-hot label."""
     if rng_img.depth.shape != sem_img.labels.shape:
         raise ValueError("range/semantic image shapes differ")
-    h, w = rng_img.depth.shape
     mask = rng_img.depth > 0.0
-    values = np.zeros((h, w, cfg.feature_dim))
-    values[..., 0] = np.where(
-        mask, np.clip(rng_img.depth / cfg.max_range_m, 0.0, 1.0), 0.0)
-    values[..., 1:4] = np.where(mask[..., None], rng_img.normals, 0.0)
-    # one-hot: 1 at each filled cell's class channel, every other channel 0
-    np.put_along_axis(values[..., 4:], sem_img.labels[..., None].astype(np.intp),
-                      mask[..., None], axis=-1)
-    return LocalFeatureMap(values, mask)
+    labels = sem_img.labels[mask]
+    cells = np.zeros((len(labels), cfg.feature_dim))
+    cells[:, 0] = np.clip(rng_img.depth[mask] / cfg.max_range_m, 0.0, 1.0)
+    cells[:, 1:4] = rng_img.normals[mask]
+    cells[np.arange(len(labels)), 4 + labels.astype(np.intp)] = 1.0
+    return cells

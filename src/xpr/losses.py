@@ -48,13 +48,12 @@ class TrainTable:
 
 def train_table(places: list, context: np.ndarray, cfg: Config) -> TrainTable:
     """The table of `places`, each a pair of its (QueryObservation, heading)
-    queries and its n_viewpoints LocalFeatureMaps in yaw order. Anchors keep
-    place-major order. The class of a LiDAR cell is its one-hot in channels
-    4: of the LiDAR encoding."""
+    queries and the valid cells (n, C) of its n_viewpoints maps in yaw order.
+    Anchors keep place-major order. The class of a LiDAR cell is its one-hot
+    in channels 4: of the LiDAR encoding."""
     anchors = [(p, obs, heading) for p, (queries, _) in enumerate(places)
                for obs, heading in queries]
-    cells = [f.values.reshape(-1, f.channels).compress(f.mask.reshape(-1), axis=0)
-             for _, fmaps in places for f in fmaps]
+    cells = [x for _, blocks in places for x in blocks]
     means = np.empty((len(cells), cfg.n_classes, cells[0].shape[1]))
     present = np.empty((len(cells), cfg.n_classes), dtype=bool)
     for m, x in enumerate(cells):

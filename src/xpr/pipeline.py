@@ -20,8 +20,8 @@ from .viewpoints import make_viewpoints, render_viewpoints
 class PlaceRenders:
     place_id: int
     position: np.ndarray
-    fmaps: list            # LocalFeatureMap per k
-    sem_images: list       # SemanticImage per k
+    cells: list            # (n, C) valid cells of viewpoint k
+    sem_images: list       # SemanticImage of viewpoint k
 
 
 def render_places(dataset: Dataset, cfg: Config) -> list:
@@ -29,12 +29,12 @@ def render_places(dataset: Dataset, cfg: Config) -> list:
     out = []
     for (pid, pos), cloud, anchor in zip(dataset.places, dataset.clouds,
                                          dataset.poses):
-        fmaps, sems = [], []
+        cells, sems = [], []
         for rng_img, sem_img in render_viewpoints(
                 cloud, make_viewpoints(anchor, cfg), cfg):
-            fmaps.append(encode_lidar_local(rng_img, sem_img, cfg))
+            cells.append(encode_lidar_local(rng_img, sem_img, cfg))
             sems.append(sem_img)
-        out.append(PlaceRenders(pid, pos, fmaps, sems))
+        out.append(PlaceRenders(pid, pos, cells, sems))
     return out
 
 
@@ -42,8 +42,8 @@ def build_index(dataset: Dataset, params: ModelParams, cfg: Config,
                 renders: list | None = None) -> MapIndex:
     """Describe every (place, viewpoint) pair into a searchable index."""
     renders = renders if renders is not None else render_places(dataset, cfg)
-    descriptors = [netvlad(f, params.vlad).values for pr in renders
-                   for f in pr.fmaps]
+    descriptors = [netvlad(x, params.vlad).values for pr in renders
+                   for x in pr.cells]
     labels = [s.labels for pr in renders for s in pr.sem_images]
     return MapIndex([(pr.place_id, pr.position) for pr in renders],
                     np.reshape(descriptors, (-1, cfg.descriptor_dim)),
@@ -67,7 +67,7 @@ def match_dataset_queries(dataset_queries: list, index: MapIndex,
 def training_set(dataset: Dataset, cfg: Config,
                  renders: list | None = None) -> TrainTable:
     """The training table of a dataset: each place's queries and viewpoint
-    feature maps, place-major in render order, and the mean class histogram
+    cells, place-major in render order, and the mean class histogram
     of all viewpoints as the semantic context."""
     renders = renders if renders is not None else render_places(dataset, cfg)
     queries: dict = {pr.place_id: [] for pr in renders}
@@ -75,5 +75,5 @@ def training_set(dataset: Dataset, cfg: Config,
         queries[q.place_id].append((q.obs, q.heading))
     context = semantic_context(
         [s.labels for pr in renders for s in pr.sem_images], cfg)
-    return train_table([(queries[pr.place_id], pr.fmaps) for pr in renders],
+    return train_table([(queries[pr.place_id], pr.cells) for pr in renders],
                        context, cfg)

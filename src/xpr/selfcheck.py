@@ -10,7 +10,7 @@ import numpy as np
 from .aggregation import NetVladParams, netvlad, netvlad_batch
 from .config import Config, make_rng
 from .core import LabeledPointCloud, identity_pose, yaw_rotation
-from .encoder import LocalFeatureMap, QueryObservation, QUERY_CHANNELS
+from .encoder import QueryObservation, QUERY_CHANNELS
 from .losses import (TrainTable, class_means_tape, contrastive_tape,
                      segmentation_tape, total_loss, train_table)
 from .matching import semantic_overlap
@@ -143,16 +143,17 @@ def check_netvlad_batch_grad(seed: int) -> CheckResult:
     return CheckResult("grad_netvlad_batch", worst, 1e-3)
 
 
-def _toy_fmap(rng, h, w, cfg: Config) -> LocalFeatureMap:
+def _toy_cells(rng, h, w, cfg: Config) -> np.ndarray:
+    """The valid cells of an (h, w) map: depth, unit normal, one-hot label."""
     mask = rng.random((h, w)) > 0.2
-    labels = rng.integers(1, cfg.n_classes, size=(h, w))
-    values = np.zeros((h, w, cfg.feature_dim))
-    values[..., 0] = rng.random((h, w))
-    n = rng.normal(size=(h, w, 3))
-    values[..., 1:4] = n / np.linalg.norm(n, axis=-1, keepdims=True)
-    values[..., 4:] = np.eye(cfg.n_classes)[labels]
-    values[~mask] = 0.0
-    return LocalFeatureMap(values, mask)
+    labels = rng.integers(1, cfg.n_classes, size=(h, w))[mask]
+    depth = rng.random((h, w))[mask]
+    n = rng.normal(size=(h, w, 3))[mask]
+    cells = np.empty((len(labels), cfg.feature_dim))
+    cells[:, 0] = depth
+    cells[:, 1:4] = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    cells[:, 4:] = np.eye(cfg.n_classes)[labels]
+    return cells
 
 
 def _toy_table(cfg: Config, rng) -> TrainTable:
@@ -164,8 +165,8 @@ def _toy_table(cfg: Config, rng) -> TrainTable:
         mask = rng.random((h, w)) > 0.15
         gt = SemanticImage(rng.integers(0, cfg.n_classes,
                                         size=(h, w)).astype(np.uint16))
-        fmaps = [_toy_fmap(rng, h, w, cfg) for _ in range(cfg.n_viewpoints)]
-        places.append(([(QueryObservation(raw, mask, gt), 0.0)], fmaps))
+        cells = [_toy_cells(rng, h, w, cfg) for _ in range(cfg.n_viewpoints)]
+        places.append(([(QueryObservation(raw, mask, gt), 0.0)], cells))
     context = rng.random(cfg.n_classes)
     return train_table(places, context / context.sum(), cfg)
 
@@ -206,12 +207,10 @@ def check_total_grad(seed: int, n_params: int = 20,
 
 # ----------------------------------------------------------- oracle checks
 
-def netvlad_reference(values: np.ndarray, mask: np.ndarray,
-                      params: NetVladParams) -> np.ndarray:
-    """Brute-force scalar-loop NetVLAD, independent of the library path."""
+def netvlad_reference(cells: np.ndarray, params: NetVladParams) -> np.ndarray:
+    """Brute-force scalar-loop NetVLAD of (n, C) cells, independent of the
+    library path."""
     k_n, c_n = params.centroids.shape
-    cells = [values[r, col] for r in range(values.shape[0])
-             for col in range(values.shape[1]) if mask[r, col]]
     vlad = np.zeros((k_n, c_n))
     for x in cells:
         logits = [sum(params.assign_w[k][j] * x[j] for j in range(c_n))
@@ -245,13 +244,12 @@ def check_netvlad_oracle(seed: int, n_instances: int = 100) -> CheckResult:
                                rng.normal(size=k),
                                rng.normal(size=(16, k * c)) / 4.0)
         values = rng.normal(size=(h, w, c))
-        mask = rng.random((h, w)) > 0.2
-        values[~mask] = 0.0
-        got = netvlad(LocalFeatureMap(values, mask), params)
-        if not mask.any():
+        cells = values[rng.random((h, w)) > 0.2]
+        got = netvlad(cells, params)
+        if not len(cells):
             worst = max(worst, float(np.abs(got.values).max()))
             continue
-        ref = netvlad_reference(values, mask, params)
+        ref = netvlad_reference(cells, params)
         worst = max(worst, float(np.abs(got.values - ref).max()))
         if not got.flagged:
             worst = max(worst, abs(float(np.linalg.norm(got.values)) - 1.0))

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from reference_tape import Tensor, netvlad_tape
-from xpr.aggregation import (N_CLUSTERS, init_attention_params,
-                             init_netvlad_params, netvlad, netvlad_batch,
+from xpr.aggregation import (N_CLUSTERS, attention_forward, describe_query,
+                             init_attention_params, init_netvlad_params,
+                             netvlad, netvlad_batch, netvlad_forward,
                              semantic_attention)
 from xpr.config import Config, make_rng
-from xpr.encoder import LocalFeatureMap
+from xpr.encoder import QUERY_CHANNELS, QueryObservation, query_forward
+from xpr.model import TRAINABLE, ModelParams, init_model_params
+from xpr.projection import SemanticImage
 
 CFG = Config()
 
@@ -37,11 +40,19 @@ def vlad_reference(valid, centroids, assign_w, assign_b, proj):
     return d / norm if norm > 0 else d
 
 
-def random_fmap(rng, h, w, channels, mask_prob=0.85):
+def random_grid(rng, h, w, channels, mask_prob=0.85):
+    """Row-major (h*w, channels) features, zero on masked cells, and the
+    (h*w,) mask."""
     mask = rng.random((h, w)) < mask_prob
     values = rng.normal(size=(h, w, channels))
     values[~mask] = 0.0
-    return LocalFeatureMap(values, mask)
+    return values.reshape(-1, channels), mask.reshape(-1)
+
+
+def random_cells(rng, h, w, channels, mask_prob=0.85):
+    """The valid cells (n, channels) of a `random_grid`."""
+    values, mask = random_grid(rng, h, w, channels, mask_prob)
+    return values[mask]
 
 
 def test_netvlad_matches_reference_many_instances():
@@ -58,13 +69,11 @@ def test_netvlad_matches_reference_many_instances():
         proj = rng.normal(size=(d_out, k * c))
         from xpr.aggregation import NetVladParams
         params = NetVladParams(centroids, assign_w, assign_b, proj)
-        fmap = random_fmap(rng, h, w, c, mask_prob=0.9)
-        if not fmap.mask.any():
+        cells = random_cells(rng, h, w, c, mask_prob=0.9)
+        if not len(cells):
             continue
-        got = netvlad(fmap, params)
-        ref = vlad_reference(
-            fmap.values.reshape(-1, c)[fmap.mask.reshape(-1)],
-            centroids, assign_w, assign_b, proj)
+        got = netvlad(cells, params)
+        ref = vlad_reference(cells, centroids, assign_w, assign_b, proj)
         worst = max(worst, float(np.abs(got.values - ref).max()))
         assert abs(np.linalg.norm(got.values) - 1.0) < 1e-10 or got.flagged
     assert worst < 1e-10
@@ -84,17 +93,15 @@ def test_netvlad_batch_matches_tape(case):
     rng = make_rng(31, 0 if case == "mixed" else 1)
     k, c, d_out = 4, 6, 10
     if case == "mixed":
-        maps = [random_fmap(rng, 3, 5, c) for _ in range(3)]
-        empty = LocalFeatureMap(np.zeros((2, 4, c)), np.zeros((2, 4), bool))
-        maps = [maps[0], empty, maps[1], maps[2]]
+        valid = [random_cells(rng, 3, 5, c) for _ in range(3)]
+        valid = [valid[0], np.zeros((0, c)), valid[1], valid[2]]
         order = [0, 1, 2, 0, 3]   # map 0 twice, over the same rows
     else:
-        maps = [random_fmap(rng, 4, 4, c)]
+        valid = [random_cells(rng, 4, 4, c)]
         order = [0]
     proj = rng.normal(size=(d_out, k * c))
     params = _vlad_params(rng, k, c)
     ref_leaves = [Tensor(p.copy(), requires_grad=True) for p in params]
-    valid = [f.values.reshape(-1, c)[f.mask.reshape(-1)] for f in maps]
     ends = np.cumsum([v.shape[0] for v in valid])
     seg = np.stack([ends - [v.shape[0] for v in valid], ends], axis=1)[order]
     g = rng.normal(size=(len(order), d_out))
@@ -136,8 +143,7 @@ def test_netvlad_batch_zero_map_has_zero_gradient():
 
 def test_netvlad_unit_norm():
     params = init_netvlad_params(CFG)
-    fmap = random_fmap(make_rng(3, 1), 8, 12, CFG.feature_dim)
-    d = netvlad(fmap, params)
+    d = netvlad(random_cells(make_rng(3, 1), 8, 12, CFG.feature_dim), params)
     assert not d.flagged
     assert np.linalg.norm(d.values) == pytest.approx(1.0, abs=1e-12)
     assert d.values.shape == (CFG.descriptor_dim,)
@@ -145,23 +151,77 @@ def test_netvlad_unit_norm():
 
 def test_netvlad_empty_map_flagged_zero():
     params = init_netvlad_params(CFG)
-    h, w = 4, 6
-    fmap = LocalFeatureMap(np.zeros((h, w, CFG.feature_dim)),
-                           np.zeros((h, w), dtype=bool))
-    d = netvlad(fmap, params)
+    d = netvlad(np.zeros((0, CFG.feature_dim)), params)
     assert d.flagged and not d.values.any()
     assert d.values.shape == (CFG.descriptor_dim,)
 
 
+def perturbed_params(seed):
+    """Model parameters off the initial point, so every gate and head
+    differs from its identity."""
+    rng = make_rng(seed, 1)
+    return ModelParams.from_tensors({
+        name: arr + (rng.normal(0.0, 0.3, np.shape(arr)) if name in TRAINABLE
+                     else 0.0)
+        for name, arr in init_model_params(CFG).tensors().items()})
+
+
+def random_query(rng, h, w, mask_prob):
+    raw = rng.normal(size=(h, w, QUERY_CHANNELS))
+    mask = rng.random((h, w)) < mask_prob
+    gt = SemanticImage(rng.integers(0, CFG.n_classes, (h, w)).astype(np.uint16))
+    return QueryObservation(raw, mask, gt)
+
+
+def grid_describe_query(obs, params, context):
+    """The query path as it ran on zero-padded (H, W, C) grids: features
+    and the gate over the whole grid, masked cells zeroed, the valid cells
+    compressed out of the grid for NetVLAD."""
+    h, w, _ = obs.raw.shape
+    _, feat, logits = query_forward(obs.raw.reshape(h * w, -1), params.enc,
+                                    obs.mask.reshape(-1))
+    pred = np.argmax(logits.reshape(h, w, -1), axis=2).astype(np.uint16)
+    pred[~obs.mask] = 0
+    values = attention_forward(feat, context, params.att.bilinear,
+                               params.att.gain)[0].reshape(h, w, -1)
+    values[~obs.mask] = 0.0
+    valid = values.reshape(h * w, -1)[obs.mask.reshape(-1)]
+    if not len(valid):
+        return np.zeros(params.vlad.proj.shape[0]), True, pred
+    d = netvlad_forward([valid], params.vlad.centroids, params.vlad.assign_w,
+                        params.vlad.assign_b, params.vlad.proj)[0][0]
+    return d, not d.any(), pred
+
+
+def test_describe_query_matches_grid_path():
+    params = perturbed_params(40)
+    rng = make_rng(41, 1)
+    context = rng.random(CFG.n_classes)
+    context /= context.sum()
+    queries = [random_query(rng, CFG.range_rows, 30, p)
+               for p in (0.9, 0.5, 0.2, 0.0)]
+    assert not queries[-1].mask.any()
+    for obs in queries:
+        desc, pred = describe_query(obs, params.enc, params.att, params.vlad,
+                                    context)
+        want, flagged, want_pred = grid_describe_query(obs, params, context)
+        assert np.array_equal(desc.values, want)
+        assert desc.flagged == flagged
+        assert np.array_equal(pred.labels, want_pred)
+    assert desc.flagged and not desc.values.any()
+
+
 def test_netvlad_ignores_masked_cells():
-    params = init_netvlad_params(CFG)
-    rng = make_rng(9, 1)
-    fmap = random_fmap(rng, 6, 9, CFG.feature_dim, mask_prob=0.6)
-    poisoned = fmap.values.copy()
-    poisoned[~fmap.mask] = 1e6  # must never be read
-    d0 = netvlad(fmap, params)
-    d1 = netvlad(LocalFeatureMap(poisoned, fmap.mask), params)
+    params = perturbed_params(42)
+    obs = random_query(make_rng(9, 1), 6, 9, 0.6)
+    poisoned = obs.raw.copy()
+    poisoned[~obs.mask] = 1e6  # must never be read
+    context = np.full(CFG.n_classes, 1.0 / CFG.n_classes)
+    d0, p0 = describe_query(obs, params.enc, params.att, params.vlad, context)
+    d1, p1 = describe_query(QueryObservation(poisoned, obs.mask, obs.gt_labels),
+                            params.enc, params.att, params.vlad, context)
     assert np.array_equal(d0.values, d1.values)
+    assert np.array_equal(p0.labels, p1.labels)
 
 
 def test_netvlad_default_cluster_count():
@@ -174,13 +234,12 @@ def test_netvlad_default_cluster_count():
 def test_attention_gates_in_zero_one():
     att = init_attention_params(CFG)
     rng = make_rng(4, 1)
-    fmap = random_fmap(rng, 5, 7, CFG.feature_dim)
+    feat = random_cells(rng, 5, 7, CFG.feature_dim)
     context = np.zeros(CFG.n_classes)
     context[2] = 1.0
-    out = semantic_attention(fmap, context, att)
+    out = semantic_attention(feat, context, att)
     # each output cell is the input scaled by a scalar in (0, 1)
-    for idx in zip(*np.nonzero(fmap.mask)):
-        x, y = fmap.values[idx], out.values[idx]
+    for x, y in zip(feat, out):
         nx = np.linalg.norm(x)
         a = np.linalg.norm(y) / nx if nx else 0.0
         assert 0.0 < a < 1.0
@@ -190,28 +249,29 @@ def test_attention_gates_in_zero_one():
 def test_attention_matches_formula():
     att = init_attention_params(CFG)
     rng = make_rng(6, 1)
-    fmap = random_fmap(rng, 4, 5, CFG.feature_dim)
+    feat, _ = random_grid(rng, 4, 5, CFG.feature_dim)
     context = np.full(CFG.n_classes, 1.0 / CFG.n_classes)
-    out = semantic_attention(fmap, context, att)
+    out = semantic_attention(feat, context, att)
     w = att.bilinear @ context
-    score = fmap.values.reshape(-1, CFG.feature_dim) @ w * att.gain
+    score = feat @ w * att.gain
     gate = 1.0 / (1.0 + np.exp(-score))
-    expect = fmap.values.reshape(-1, CFG.feature_dim) * gate[:, None]
-    expect = expect.reshape(fmap.values.shape)
-    expect[~fmap.mask] = 0.0
-    assert np.allclose(out.values, expect, atol=1e-12)
+    assert np.allclose(out, feat * gate[:, None], atol=1e-12)
 
 
 def test_attention_rejects_unnormalized_context():
     att = init_attention_params(CFG)
-    fmap = random_fmap(make_rng(8, 1), 3, 3, CFG.feature_dim)
+    feat = random_cells(make_rng(8, 1), 3, 3, CFG.feature_dim)
     with pytest.raises(ValueError, match="context"):
-        semantic_attention(fmap, np.full(CFG.n_classes, 0.5), att)
+        semantic_attention(feat, np.full(CFG.n_classes, 0.5), att)
 
 
 def test_attention_preserves_mask():
+    """A masked cell's zero row stays zero, so a grid's masked cells read
+    as masked after the gate too."""
     att = init_attention_params(CFG)
-    fmap = random_fmap(make_rng(10, 1), 5, 5, CFG.feature_dim, mask_prob=0.5)
-    out = semantic_attention(fmap, np.full(CFG.n_classes, 1.0 / CFG.n_classes), att)
-    assert np.array_equal(out.mask, fmap.mask)
-    assert not out.values[~out.mask].any()
+    feat, mask = random_grid(make_rng(10, 1), 5, 5, CFG.feature_dim,
+                             mask_prob=0.5)
+    out = semantic_attention(feat, np.full(CFG.n_classes, 1.0 / CFG.n_classes), att)
+    assert out.shape == feat.shape
+    assert not out[~mask].any()
+    assert out[mask].any(axis=1).all()

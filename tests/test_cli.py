@@ -173,14 +173,33 @@ def test_mismatched_checkpoint_config_rejected(workspace, tmp_path):
     other = str(tmp_path / "other")
     main(["synth", "--places", "2", "--density", "0.5", "--out", other,
           "--seed", "99"])
-    # same config (seed differs only in data, not Config defaults); force a
-    # mismatch by training with a loss-kind override baked into the ckpt
+    # the config seed differs (99 against 5); the loss-kind override baked
+    # into the ckpt is a training-only field and would not be rejected alone
     ckpt = str(tmp_path / "model.ckpt")
     main(["train", "--data", other, "--epochs", "1",
           "--loss-kind", "triplet", "--out", ckpt])
     out = str(tmp_path / "m.csv")
     assert main(["match", "--index", workspace["idx"], "--queries",
                  workspace["data"], "--ckpt", ckpt, "--out", out]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("override", [["--loss-kind", "triplet"],
+                                      ["--lambda-sem", "0.5"]],
+                         ids=["triplet", "lambda-sem"])
+def test_loss_override_checkpoint_builds_and_matches(tmp_path, override):
+    """The loss settings only matter to training: a checkpoint trained with
+    them overridden still builds a map and matches queries."""
+    data = str(tmp_path / "data")
+    assert main(["synth", "--places", "4", "--density", "2.0", "--seed", "11",
+                 "--queries-per-place", "1", "--noise", "0.3", "--aliased",
+                 "--out", data]) == EXIT_OK
+    ckpt, idx = str(tmp_path / "model.ckpt"), str(tmp_path / "map.idx")
+    assert main(["train", "--data", data, "--epochs", "1", "--lr", "0.5",
+                 *override, "--out", ckpt]) == EXIT_OK
+    assert main(["build-map", "--data", data, "--ckpt", ckpt,
+                 "--out", idx]) == EXIT_OK
+    assert main(["match", "--index", idx, "--queries", data, "--ckpt", ckpt,
+                 "--out", str(tmp_path / "r.csv")]) == EXIT_OK
 
 
 def test_lock_blocks_concurrent_writer(workspace, tmp_path):

@@ -3,11 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from xpr.config import Config, make_rng
-from xpr.core import (LabeledPointCloud, Pose, canonical_heading,
-                      identity_pose, yaw_pose, yaw_rotation)
-
-CFG = Config()
+from xpr.config import make_rng
+from xpr.core import LabeledPointCloud, Pose, canonical_heading, yaw_rotation
 
 
 def test_cloud_coerces_dtypes():
@@ -17,52 +14,18 @@ def test_cloud_coerces_dtypes():
     assert cloud.count == 1
 
 
-def test_cloud_validate_passes():
-    rng = make_rng(1, 1)
-    cloud = LabeledPointCloud(rng.normal(size=(10, 3)),
-                              rng.integers(0, 8, 10).astype(np.uint16))
-    assert cloud.validate(CFG) is cloud
-
-
-def test_cloud_validate_label_range():
-    cloud = LabeledPointCloud(np.zeros((1, 3)), np.array([8], dtype=np.uint16))
-    with pytest.raises(ValueError, match="n_classes"):
-        cloud.validate(CFG)
-
-
-def test_cloud_validate_non_finite():
-    cloud = LabeledPointCloud(np.array([[np.inf, 0, 0]]),
-                              np.array([1], dtype=np.uint16))
-    with pytest.raises(ValueError, match="finite"):
-        cloud.validate(CFG)
-
-
-def test_cloud_validate_intensity_length():
-    cloud = LabeledPointCloud(np.zeros((2, 3)),
-                              np.zeros(2, dtype=np.uint16), np.array([0.1]))
-    with pytest.raises(ValueError, match="intensities"):
-        cloud.validate(CFG)
-
-
 def test_pose_inverse_round_trip():
     rng = make_rng(2, 1)
-    pose = yaw_pose(1.3, rng.normal(size=3))
+    pose = Pose(yaw_rotation(1.3), rng.normal(size=3))
     pts = rng.normal(size=(20, 3))
     back = pose.inverse().transform(pose.transform(pts))
     assert np.abs(back - pts).max() < 1e-12
 
 
-def test_pose_validate_rejects_non_rotation():
-    with pytest.raises(ValueError, match="orthonormal"):
-        Pose(np.eye(3) * 2.0, np.zeros(3)).validate()
-    reflect = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(ValueError, match="determinant"):
-        Pose(reflect, np.zeros(3)).validate()
-
-
 def test_yaw_extraction():
     for theta in (-2.5, -0.3, 0.0, 0.7, 3.0):
-        assert yaw_pose(theta).yaw() == pytest.approx(theta, abs=1e-12)
+        pose = Pose(yaw_rotation(theta), np.zeros(3))
+        assert pose.yaw() == pytest.approx(theta, abs=1e-12)
 
 
 def test_yaw_rotation_rotates_x_axis():

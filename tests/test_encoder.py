@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xpr.aggregation import init_netvlad_params, netvlad
 from xpr.config import Config, make_rng
 from xpr.encoder import (QUERY_CHANNELS, QueryObservation, encode_lidar_local,
                          encode_query, init_encoder_params)
@@ -38,13 +39,11 @@ def test_init_deterministic_in_seed():
 def test_encode_query_matches_direct_formula():
     p = init_encoder_params(CFG)
     obs = random_obs(2)
-    fmap, pred, logits = encode_query(obs, p)
+    feat, pred = encode_query(obs, p)
     flat = obs.raw.reshape(-1, QUERY_CHANNELS)
     h = np.tanh(flat @ p.rgb_proj + p.rgb_bias) * obs.mask.reshape(-1, 1)
-    assert np.allclose(fmap.values.reshape(-1, CFG.feature_dim),
-                       h @ p.desc_proj, atol=1e-12)
-    assert np.allclose(logits.reshape(-1, CFG.n_classes),
-                       h @ p.seg_head + p.seg_bias, atol=1e-12)
+    assert np.allclose(feat, h @ p.desc_proj, atol=1e-12)
+    logits = (h @ p.seg_head + p.seg_bias).reshape(*obs.mask.shape, -1)
     assert np.array_equal(
         pred.labels[obs.mask],
         np.argmax(logits, axis=2).astype(np.uint16)[obs.mask])
@@ -53,18 +52,19 @@ def test_encode_query_matches_direct_formula():
 def test_encode_query_masked_cells_zero_and_label_zero():
     p = init_encoder_params(CFG)
     obs = random_obs(5, mask_prob=0.5)
-    fmap, pred, _ = encode_query(obs, p)
-    assert not fmap.values[~obs.mask].any()
+    feat, pred = encode_query(obs, p)
+    assert feat.shape == (obs.mask.size, CFG.feature_dim)
+    assert not feat[~obs.mask.reshape(-1)].any()
     assert not pred.labels[~obs.mask].any()
-    assert np.array_equal(fmap.mask, obs.mask)
+    assert pred.labels.shape == obs.mask.shape
 
 
 def test_encode_query_values_bounded_by_tanh():
     p = init_encoder_params(CFG)
     obs = random_obs(6)
-    fmap, _, _ = encode_query(obs, p)
+    feat, _ = encode_query(obs, p)
     # desc_proj is identity at init so features are raw tanh activations
-    assert np.abs(fmap.values).max() <= 1.0
+    assert np.abs(feat).max() <= 1.0
 
 
 def test_encode_query_rejects_non_finite():
@@ -87,24 +87,51 @@ def lidar_images(seed, h=6, w=10):
             SemanticImage(labels))
 
 
+def grid_lidar_cells(rng_img, sem_img, cfg):
+    """The LiDAR encoding as a zero-padded (H, W, C) grid, compressed to
+    its filled cells in row-major order."""
+    h, w = rng_img.depth.shape
+    mask = rng_img.depth > 0.0
+    values = np.zeros((h, w, cfg.feature_dim))
+    values[..., 0] = np.where(
+        mask, np.clip(rng_img.depth / cfg.max_range_m, 0.0, 1.0), 0.0)
+    values[..., 1:4] = np.where(mask[..., None], rng_img.normals, 0.0)
+    np.put_along_axis(values[..., 4:], sem_img.labels[..., None].astype(np.intp),
+                      mask[..., None], axis=-1)
+    return values.reshape(h * w, -1).compress(mask.reshape(-1), axis=0)
+
+
 def test_lidar_channels_layout():
     rng_img, sem_img = lidar_images(1)
-    fmap = encode_lidar_local(rng_img, sem_img, CFG)
-    assert fmap.channels == CFG.feature_dim == 4 + CFG.n_classes
+    cells = encode_lidar_local(rng_img, sem_img, CFG)
     mask = rng_img.depth > 0
-    assert np.array_equal(fmap.mask, mask)
-    assert np.allclose(fmap.values[mask, 0],
+    assert cells.shape == (mask.sum(), CFG.feature_dim)
+    assert CFG.feature_dim == 4 + CFG.n_classes
+    assert np.allclose(cells[:, 0],
                        np.clip(rng_img.depth[mask] / CFG.max_range_m, 0, 1))
-    assert np.array_equal(fmap.values[mask][:, 1:4], rng_img.normals[mask])
-    onehot = fmap.values[mask][:, 4:]
+    assert np.array_equal(cells[:, 1:4], rng_img.normals[mask])
+    onehot = cells[:, 4:]
     assert np.array_equal(onehot.argmax(axis=1), sem_img.labels[mask])
     assert np.array_equal(onehot.sum(axis=1), np.ones(mask.sum()))
 
 
-def test_lidar_masked_cells_zero():
-    rng_img, sem_img = lidar_images(2)
-    fmap = encode_lidar_local(rng_img, sem_img, CFG)
-    assert not fmap.values[~fmap.mask].any()
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_lidar_cells_match_grid_reference(seed):
+    rng_img, sem_img = lidar_images(seed)
+    cells = encode_lidar_local(rng_img, sem_img, CFG)
+    assert cells.dtype == np.float64 and cells.flags.c_contiguous
+    assert np.array_equal(cells, grid_lidar_cells(rng_img, sem_img, CFG))
+
+
+def test_lidar_empty_render_is_flagged():
+    h, w = 3, 5
+    img = RangeImage(np.zeros((h, w)), np.zeros((h, w, 3)), CFG.vfov_up,
+                     CFG.vfov_down)
+    cells = encode_lidar_local(img, SemanticImage(np.zeros((h, w), np.uint16)),
+                               CFG)
+    assert cells.shape == (0, CFG.feature_dim)
+    d = netvlad(cells, init_netvlad_params(CFG))
+    assert d.flagged and not d.values.any()
 
 
 def test_lidar_shape_mismatch_rejected():
@@ -118,5 +145,5 @@ def test_lidar_depth_clipped_at_max_range():
     h, w = 2, 3
     depth = np.full((h, w), 200.0)
     img = RangeImage(depth, np.zeros((h, w, 3)), CFG.vfov_up, CFG.vfov_down)
-    fmap = encode_lidar_local(img, SemanticImage(np.ones((h, w), dtype=np.uint16)), CFG)
-    assert np.array_equal(fmap.values[..., 0], np.ones((h, w)))
+    cells = encode_lidar_local(img, SemanticImage(np.ones((h, w), dtype=np.uint16)), CFG)
+    assert np.array_equal(cells[:, 0], np.ones(h * w))

@@ -6,7 +6,7 @@ import pytest
 
 from reference_tape import Tensor, mean, netvlad_tape, sigmoid, stack, tanh
 from xpr.config import Config, make_rng
-from xpr.encoder import (QUERY_CHANNELS, LocalFeatureMap, QueryObservation)
+from xpr.encoder import QUERY_CHANNELS, QueryObservation
 from xpr.io_datasets import Dataset, QueryRecord
 from xpr.losses import (class_means_tape, contrastive_tape, nearest_viewpoint,
                         segmentation_tape, total_loss, train, train_table)
@@ -283,15 +283,15 @@ def test_nearest_viewpoint_rounding():
 SMALL = Config(n_classes=5, descriptor_dim=12, n_viewpoints=2)
 
 
-def fake_fmap(rng, cfg, h=4, w=6):
+def fake_cells(rng, cfg, h=4, w=6):
+    """The valid cells (n, C) of an (h, w) LiDAR map."""
     mask = rng.random((h, w)) < 0.8
     values = np.zeros((h, w, cfg.feature_dim))
     values[..., 0] = rng.uniform(0, 1, (h, w))
     values[..., 1:4] = rng.normal(size=(h, w, 3))
     labels = rng.integers(1, cfg.n_classes, (h, w))
     values[..., 4:] = np.eye(cfg.n_classes)[labels]
-    values[~mask] = 0.0
-    return LocalFeatureMap(values, mask)
+    return values[mask]
 
 
 def fake_sem(rng, cfg):
@@ -312,7 +312,7 @@ def fake_table(seed, cfg, n_places=3, queries_per_place=1):
     rng = make_rng(seed, 2)
     places = [([(fake_obs(rng, cfg), float(rng.uniform(0, 2 * math.pi)))
                 for _ in range(queries_per_place)],
-               [fake_fmap(rng, cfg) for _ in range(cfg.n_viewpoints)])
+               [fake_cells(rng, cfg) for _ in range(cfg.n_viewpoints)])
               for _ in range(n_places)]
     return train_table(places, np.full(cfg.n_classes, 1.0 / cfg.n_classes), cfg)
 
@@ -348,12 +348,12 @@ def test_total_loss_deterministic():
         assert np.array_equal(r0.grads[name], r1.grads[name])
 
 
-def reference_total_loss(anchors, fmaps, positives, negatives, context,
+def reference_total_loss(anchors, maps, positives, negatives, context,
                          params, cfg):
     """The total loss as a per-sample tape: one generic graph per anchor
     and per LiDAR map, the formula the batched nodes must reproduce.
     anchors[b] is the QueryObservation of batch anchor b, and positives[b]
-    and negatives[b] index `fmaps`."""
+    and negatives[b] index `maps`, the valid cells of each LiDAR map."""
     flat = {name: Tensor(arr, requires_grad=name in TRAINABLE)
             for name, arr in params.tensors().items()}
     enc, att, vlad = ({name.split(".", 1)[1]: t for name, t in flat.items()
@@ -367,9 +367,7 @@ def reference_total_loss(anchors, fmaps, positives, negatives, context,
 
     lid = {}
     for m in {m for rows in (*positives, *negatives) for m in rows}:
-        f = fmaps[m]
-        lid[m] = describe(
-            Tensor(f.values.reshape(-1, f.channels)[f.mask.reshape(-1)]))
+        lid[m] = describe(Tensor(maps[m]))
 
     con, sem, seg = [], [], []
     for obs, ps, ns in zip(anchors, positives, negatives):
@@ -386,8 +384,7 @@ def reference_total_loss(anchors, fmaps, positives, negatives, context,
             [lid[m] for m in ns], cfg))
 
         pred = np.argmax(logits.data, axis=1)
-        ref = fmaps[ps[0]]
-        ref_x = ref.values.reshape(-1, ref.channels)[ref.mask.reshape(-1)]
+        ref_x = maps[ps[0]]
         onehot = ref_x[:, 4:]
         ref_labels = np.where(onehot.any(axis=1), np.argmax(onehot, axis=1), 0)
         terms = []
@@ -423,9 +420,9 @@ def degenerate_batch(cfg):
     Returns the table, the observations of its anchors 0..4, its maps by
     row, and each anchor's positive and negative rows."""
     rng = make_rng(12, 1)
-    maps = [fake_fmap(rng, cfg) for _ in range(7)]
-    void = fake_fmap(rng, cfg)
-    void.values[..., 4:] = np.eye(cfg.n_classes)[0] * void.mask[..., None]
+    maps = [fake_cells(rng, cfg) for _ in range(7)]
+    void = fake_cells(rng, cfg)
+    void[:, 4:] = np.eye(cfg.n_classes)[0]
     maps.append(void)
     anchors = [fake_obs(rng, cfg) for _ in range(4)] + [fake_obs(rng, cfg, 3, 5)]
     anchors[1] = QueryObservation(anchors[1].raw,
@@ -473,7 +470,7 @@ def test_training_set_is_place_major():
     rng = make_rng(15, 1)
     # renders in place-id order 30, 10, 20; queries listed in another order
     renders = [PlaceRenders(pid, np.zeros(3),
-                            [fake_fmap(rng, cfg) for _ in range(cfg.n_viewpoints)],
+                            [fake_cells(rng, cfg) for _ in range(cfg.n_viewpoints)],
                             [fake_sem(rng, cfg) for _ in range(cfg.n_viewpoints)])
                for pid in (30, 10, 20)]
     step = 2 * math.pi / cfg.n_viewpoints
@@ -490,9 +487,9 @@ def test_training_set_is_place_major():
         obs = queries[q].obs
         assert np.array_equal(table.raw[a], obs.raw[obs.mask])
         assert np.array_equal(table.gt[a], obs.gt_labels.labels[obs.mask])
-    fmaps = [f for pr in renders for f in pr.fmaps]
-    for f, cells in zip(fmaps, table.cells, strict=True):
-        assert np.array_equal(cells, f.values[f.mask])
+    blocks = [x for pr in renders for x in pr.cells]
+    for x, cells in zip(blocks, table.cells, strict=True):
+        assert cells is x
     hist = np.mean([semantic_histogram(s, cfg) for pr in renders
                     for s in pr.sem_images], axis=0)
     assert np.array_equal(table.context, hist / hist.sum())
@@ -504,7 +501,7 @@ def test_context_is_mean_of_semantic_histograms():
     cfg = dataclasses.replace(SMALL, range_rows=3, range_cols=8)
     rng = make_rng(16, 1)
     renders = [PlaceRenders(pid, np.zeros(3),
-                            [fake_fmap(rng, cfg) for _ in range(cfg.n_viewpoints)],
+                            [fake_cells(rng, cfg) for _ in range(cfg.n_viewpoints)],
                             [fake_sem(rng, cfg) for _ in range(cfg.n_viewpoints)])
                for pid in range(5)]
     # an all-void image counts as uniform over the non-void classes

@@ -1,0 +1,47 @@
+"""Every public top-level function and class of the library has a caller in
+the library or the benchmark: a helper that only a test calls is dead code
+that the tests keep alive.
+
+A name counts as used where a module outside the definition itself reads
+it, imports it or spells it as a string (the benchmark looks its traced
+functions up by name).
+"""
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "xpr").glob("*.py"))
+USERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _names(tree):
+    """(name, line) of every name a module reads, imports or spells."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def unused_public_names():
+    uses = {path: list(_names(ast.parse(path.read_text()))) for path in USERS}
+    unused = []
+    for path in LIBRARY:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and (user != path or line not in own)
+                       for user, names in uses.items() for name, line in names):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_every_public_helper_has_a_library_caller():
+    assert unused_public_names() == []

@@ -5,7 +5,7 @@ import pytest
 
 from xpr import kernels
 from xpr.config import Config, make_rng
-from xpr.core import LabeledPointCloud, identity_pose, yaw_pose
+from xpr.core import LabeledPointCloud, identity_pose, yaw_rotation
 from xpr.projection import (RangeImage, SemanticImage, estimate_normals,
                             project_spherical, semantic_histogram, unproject)
 from xpr.selfcheck import shift_safe_scene
@@ -108,7 +108,7 @@ def test_yaw_shift_property():
     shift = 17
     theta = shift * 2 * math.pi / cfg.range_cols
     img0, sem0 = project_spherical(cloud, identity_pose(), cfg)
-    rot = yaw_pose(theta).rotation
+    rot = yaw_rotation(theta)
     rotated = LabeledPointCloud(cloud.points @ rot.T, cloud.labels)
     img1, sem1 = project_spherical(rotated, identity_pose(), cfg)
     # rotation perturbs recomputed ranges in the last ulp; occupancy is exact

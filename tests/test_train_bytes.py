@@ -2,7 +2,9 @@
 
 A 4-place world trained with `xpr train` must reproduce, bit for bit, the
 checkpoint and history recorded before the training loss lost its generic
-graph walk. The parameters that two nodes feed (the NetVLAD centroids,
+graph walk, and the map index and match results built from it, untrained and
+from the full-batch checkpoint, the bytes recorded while feature maps were
+still zero-padded grids. The parameters that two nodes feed (the NetVLAD centroids,
 assignment weights and biases) add many per-map terms, and float addition is
 not associative: these digests hold only while the backward adds them in the
 same order, LiDAR maps first, then query anchors.
@@ -21,6 +23,12 @@ DIGESTS = {
               "5ecad924a675dc625aba6bad113dd0f64f2e5ea4bb1f20c6a3ecab4d5b0c78d0"),
     "triplet": ("0fed2a705b3cc8dedbf7951d90e07fb06a9e30d02473443511e65e4057e0a6df",
                 "d153be2d5470ce61947f588a874a07414b1b8133df98b33ef5305e13c6217e10"),
+}
+ARTIFACTS = {
+    "untrained": ("72f2752d723d85b53e3a647fd6b1cf9196724e70ea347a6e41da7ae7de75b4b1",
+                  "e335ddf18ef979f19175ec0382a84e685c26e9ac01a9477f10c95cd19c0e0925"),
+    "full": ("4c2d6d57595e89d761d0fde356253998ab3816050c2fe62ef0010671aedb90c7",
+             "2d39e22435728110959587ff152e85dcd2d85add66912035d4e1b055041cd2ab"),
 }
 MODES = {"full": [], "batch": ["--batch-size", "3"],
          "triplet": ["--loss-kind", "triplet"]}
@@ -46,3 +54,17 @@ def test_training_bytes_are_pinned(world, tmp_path, mode):
                  "--out", ckpt, *MODES[mode]]) == EXIT_OK
     history = os.path.splitext(ckpt)[0] + "_history.csv"
     assert (_sha256(ckpt), _sha256(history)) == DIGESTS[mode]
+
+
+@pytest.mark.parametrize("model", list(ARTIFACTS))
+def test_map_and_results_bytes_are_pinned(world, tmp_path, model):
+    ckpt = []
+    if model != "untrained":
+        ckpt = ["--ckpt", str(tmp_path / "model.ckpt")]
+        assert main(["train", "--data", world, "--epochs", "3", "--lr", "0.5",
+                     "--out", ckpt[1], *MODES[model]]) == EXIT_OK
+    idx, results = str(tmp_path / "map.idx"), str(tmp_path / "results.csv")
+    assert main(["build-map", "--data", world, "--out", idx, *ckpt]) == EXIT_OK
+    assert main(["match", "--index", idx, "--queries", world, "--out", results,
+                 *ckpt]) == EXIT_OK
+    assert (_sha256(idx), _sha256(results)) == ARTIFACTS[model]
