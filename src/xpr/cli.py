@@ -15,12 +15,11 @@ import numpy as np
 
 from . import synth
 from .aggregation import describe_query, netvlad
-from .config import Config, config_to_json, make_rng, validate_config, with_overrides
+from .config import Config, config_to_json, validate_config, with_overrides
 from .encoder import encode_lidar_local
-from .io_datasets import (FormatError, QueryRecord, load_checkpoint,
-                          load_dataset, load_dataset_config, load_index,
-                          load_queries, save_checkpoint, save_dataset,
-                          save_index)
+from .io_datasets import (FormatError, load_checkpoint, load_dataset,
+                          load_dataset_config, load_index, load_queries,
+                          save_checkpoint, save_dataset, save_index)
 from .losses import TrainingDiverged, train
 from .matching import match_query, rank_of_truth, recall_from_ranks
 from .model import init_model_params
@@ -103,18 +102,8 @@ def cmd_synth(args) -> int:
                                  aliased_pairs=args.aliased)
     clouds = [synth.canonical_cloud(world, p.place_id) for p in world.places]
     poses = [synth.anchor_pose(world, p.place_id) for p in world.places]
-    queries = []
-    qid = 0
-    for p in world.places:
-        for j in range(args.queries_per_place):
-            qrng = make_rng(world.seed, 400, p.place_id, j)
-            k = int(qrng.integers(cfg.n_viewpoints))
-            heading = k * 2.0 * math.pi / cfg.n_viewpoints
-            obs, gt = synth.make_query(world, p.place_id, heading,
-                                       args.noise, qrng, cfg)
-            queries.append(QueryRecord(qid, p.place_id, heading, args.noise,
-                                       gt, obs))
-            qid += 1
+    queries = synth.make_queries(world, cfg, 400, args.queries_per_place,
+                                 args.noise)
     with output_lock(out):
         places = [(p.place_id, p.position) for p in world.places]
         save_dataset(out, cfg, places, clouds, poses, queries,

@@ -45,10 +45,6 @@ class Pose:
     def transform(self, pts: np.ndarray) -> np.ndarray:
         return pts @ self.rotation.T + self.translation
 
-    def yaw(self) -> float:
-        """Heading about the world vertical axis, in (-pi, pi]."""
-        return math.atan2(self.rotation[1, 0], self.rotation[0, 0])
-
 
 def identity_pose() -> Pose:
     return Pose(np.eye(3), np.zeros(3))

@@ -80,10 +80,10 @@ def save_cloud_bin(path, cloud: LabeledPointCloud) -> None:
 
 def load_cloud_bin(path) -> LabeledPointCloud:
     """Parse (x, y, z, intensity) float32 quadruples; labels start at 0."""
-    data = np.fromfile(path, dtype="<f4")
-    if data.size % 4:
-        raise FormatError(f"{path}: truncated record at byte {(data.size // 4) * 16}")
-    rec = data.reshape(-1, 4)
+    data = np.fromfile(path, dtype=np.uint8)
+    if data.size % 16:
+        raise FormatError(f"{path}: truncated record at byte {data.size // 16 * 16}")
+    rec = data.view("<f4").reshape(-1, 4)
     bad = ~np.isfinite(rec)
     if bad.any():
         idx = int(np.flatnonzero(bad.any(axis=1))[0])
@@ -100,7 +100,10 @@ def save_labels(path, labels: np.ndarray) -> None:
 def load_labels(path, cloud: LabeledPointCloud,
                 class_map: dict) -> LabeledPointCloud:
     """Low 16 bits are the raw class id, remapped into [0, n_classes)."""
-    raw = np.fromfile(path, dtype="<u4")
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size % 4:
+        raise FormatError(f"{path}: truncated record at byte {raw.size // 4 * 4}")
+    raw = raw.view("<u4")
     if raw.size != cloud.count:
         raise FormatError(f"{path}: {raw.size} labels for {cloud.count} points")
     low = raw & 0xFFFF

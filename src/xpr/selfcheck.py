@@ -7,16 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import NetVladParams, netvlad, netvlad_batch
+from .aggregation import GlobalDescriptor, NetVladParams, netvlad, netvlad_batch
 from .config import Config, make_rng
 from .core import LabeledPointCloud, identity_pose, yaw_rotation
 from .encoder import QueryObservation, QUERY_CHANNELS
 from .losses import (TrainTable, class_means_tape, contrastive_tape,
                      segmentation_tape, total_loss, train_table)
-from .matching import semantic_overlap
+from .matching import MapIndex, match_query
 from .model import ModelParams, TRAINABLE, init_model_params
 from .projection import (RangeImage, SemanticImage, estimate_normals,
-                         project_spherical, unproject)
+                         frustum_window, project_spherical, unproject)
 
 
 @dataclass
@@ -324,13 +324,22 @@ def iou_reference(q: np.ndarray, c: np.ndarray, n_classes: int) -> float:
 
 
 def check_iou_oracle(seed: int, n_instances: int = 50) -> CheckResult:
-    cfg = Config(n_classes=6, seed=seed)
+    """The psi match_query scores, each candidate filling the frontal
+    window of an otherwise void 360-degree image in a one-place index."""
+    cfg = Config(n_classes=6, n_viewpoints=1, range_rows=6, range_cols=32,
+                 seed=seed)
+    c0, width = frustum_window(cfg.range_cols)
+    zero = np.zeros(cfg.descriptor_dim)
     worst = 0.0
     for i in range(n_instances):
         rng = make_rng(seed, 22, i)
-        q = rng.integers(0, 6, size=(6, 8)).astype(np.uint16)
-        c = rng.integers(0, 6, size=(6, 8)).astype(np.uint16)
-        got = semantic_overlap(SemanticImage(q), SemanticImage(c), cfg)
+        q = rng.integers(0, 6, size=(cfg.range_rows, width)).astype(np.uint16)
+        c = rng.integers(0, 6, size=(cfg.range_rows, width)).astype(np.uint16)
+        labels = np.zeros((1, cfg.range_rows, cfg.range_cols), dtype=np.uint8)
+        labels[0, :, c0:c0 + width] = c
+        index = MapIndex([(0, np.zeros(3))], [zero], labels, cfg)
+        got = match_query(GlobalDescriptor(zero), SemanticImage(q), index,
+                          cfg).psi
         worst = max(worst, abs(got - iou_reference(q, c, cfg.n_classes)))
     return CheckResult("iou_oracle", worst, 1e-12)
 

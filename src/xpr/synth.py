@@ -11,6 +11,7 @@ from .config import Config, make_rng
 from .core import LabeledPointCloud, Pose, canonical_heading, yaw_rotation
 from .projection import SemanticImage, frustum_window
 from .encoder import QueryObservation
+from .io_datasets import QueryRecord
 from .viewpoints import render_viewpoint
 
 CLASS_GROUND = 1
@@ -68,17 +69,15 @@ class SyntheticWorld:
         raise KeyError(f"unknown place {place_id}")
 
 
-def generate_world(n_places: int, rng, cfg: Config, density: float = 4.0,
+def generate_world(n_places: int, seed: int, cfg: Config, density: float = 4.0,
                    aliased_pairs: bool = False) -> SyntheticWorld:
     """Seeded world: places on a jittered grid, spacing >> match threshold.
 
-    `rng` may be a numpy Generator or an integer seed. With aliased_pairs,
-    consecutive places share a scene seed (identical geometry) but swap the
-    semantic classes of their primitives.
+    With aliased_pairs, consecutive places share a scene seed (identical
+    geometry) but swap the semantic classes of their primitives.
     """
     if n_places < 1:
         raise ValueError("n_places must be >= 1")
-    seed = rng if isinstance(rng, int) else int(rng.integers(2 ** 62))
     grid_rng = make_rng(seed, 1)
     spacing = max(8.0 * cfg.match_threshold_m, 40.0)
     side = math.ceil(math.sqrt(n_places))
@@ -140,22 +139,13 @@ def _sample_primitive(prim: Primitive, n: int, rng) -> np.ndarray:
     if prim.kind == "box":
         side_areas = np.array([sy * h, sy * h, sx * h, sx * h, sx * sy])
         face = rng.choice(5, size=n, p=side_areas / side_areas.sum())
-        u = rng.uniform(-0.5, 0.5, (n, 2))
-        pts = np.empty((n, 3))
-        for i in range(n):
-            a, b = u[i]
-            f = face[i]
-            if f == 0:
-                pts[i] = (cx - sx / 2, cy + a * sy, (b + 0.5) * h)
-            elif f == 1:
-                pts[i] = (cx + sx / 2, cy + a * sy, (b + 0.5) * h)
-            elif f == 2:
-                pts[i] = (cx + a * sx, cy - sy / 2, (b + 0.5) * h)
-            elif f == 3:
-                pts[i] = (cx + a * sx, cy + sy / 2, (b + 0.5) * h)
-            else:
-                pts[i] = (cx + a * sx, cy + b * sy, h)
-        return pts
+        a, b = rng.uniform(-0.5, 0.5, (n, 2)).T
+        # faces -x, +x, -y, +y (walls) and the roof
+        ax, ay = cx + a * sx, cy + a * sy
+        x = np.choose(face, (cx - sx / 2, cx + sx / 2, ax, ax, ax))
+        y = np.choose(face, (ay, ay, cy - sy / 2, cy + sy / 2, cy + b * sy))
+        z = np.where(face == 4, h, (b + 0.5) * h)
+        return np.column_stack([x, y, z])
     # cylinder lateral surface
     ang = rng.uniform(0.0, 2.0 * math.pi, n)
     z = rng.uniform(0.0, h, n)
@@ -166,17 +156,11 @@ def sample_cloud(world: SyntheticWorld, place_id: int, density: float,
                  rng) -> LabeledPointCloud:
     """Surface-sample every primitive of a place at points/m^2."""
     place = world.place(place_id)
-    if density <= 0.0:
-        return LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.uint16))
-    pts, labs = [], []
-    for prim in place_primitives(place):
-        n = int(round(prim.area() * density))
-        if n:
-            pts.append(_sample_primitive(prim, n, rng))
-            labs.append(np.full(n, prim.cls, dtype=np.uint16))
-    if not pts:
-        return LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.uint16))
-    return LabeledPointCloud(np.vstack(pts), np.concatenate(labs))
+    prims = place_primitives(place) if density > 0.0 else []
+    counts = [int(round(prim.area() * density)) for prim in prims]
+    pts = [_sample_primitive(prim, n, rng) for prim, n in zip(prims, counts) if n]
+    labels = np.repeat([prim.cls for prim in prims], counts).astype(np.uint16)
+    return LabeledPointCloud(np.vstack(pts) if pts else np.empty((0, 3)), labels)
 
 
 def canonical_cloud(world: SyntheticWorld, place_id: int) -> LabeledPointCloud:
@@ -224,3 +208,19 @@ def make_query(world: SyntheticWorld, place_id: int, heading: float,
     obs = observation_from_render(rng_img.depth[:, sl], rng_img.normals[:, sl],
                                   sem_img.labels[:, sl], noise_level, cfg, rng)
     return obs, world.place(place_id).position.copy()
+
+
+def make_queries(world: SyntheticWorld, cfg: Config, stream: int,
+                 per_place: int, noise: float) -> list:
+    """per_place queries per place, numbered in place order; query j of a
+    place takes its viewpoint heading, then its appearance noise, from
+    make_rng(world.seed, stream, place_id, j)."""
+    out = []
+    for p in world.places:
+        for j in range(per_place):
+            qrng = make_rng(world.seed, stream, p.place_id, j)
+            k = int(qrng.integers(cfg.n_viewpoints))
+            heading = k * 2.0 * math.pi / cfg.n_viewpoints
+            obs, gt = make_query(world, p.place_id, heading, noise, qrng, cfg)
+            out.append(QueryRecord(len(out), p.place_id, heading, noise, gt, obs))
+    return out

@@ -16,10 +16,10 @@ import pytest
 from xpr import synth
 from xpr.cli import EXIT_OK, main
 from xpr.config import Config, make_rng
-from xpr.io_datasets import (Dataset, QueryRecord, load_checkpoint,
-                             load_cloud_bin, load_index, load_labels,
-                             load_poses, save_checkpoint, save_cloud_bin,
-                             save_index, save_labels, save_poses)
+from xpr.io_datasets import (Dataset, load_checkpoint, load_cloud_bin,
+                             load_index, load_labels, load_poses,
+                             save_checkpoint, save_cloud_bin, save_index,
+                             save_labels, save_poses)
 from xpr.losses import train
 from xpr.matching import match_query, recall_at_k
 from xpr.model import init_model_params
@@ -34,6 +34,7 @@ from xpr.selfcheck import (check_contrastive_grad,
 CFG = Config()
 WORLD_SEED = 11
 EVAL_QUERIES_PER_PLACE = 4
+HELD_OUT_STREAM = 500  # disjoint from the dataset queries' stream, 400
 
 
 def verdict(num, name, ok, detail):
@@ -43,41 +44,15 @@ def verdict(num, name, ok, detail):
 
 # ------------------------------------------------------------ world plumbing
 
-def make_dataset(n_places, seed, cfg, density, noise, queries_per_place,
-                 aliased=False, query_stream=400):
-    world = synth.generate_world(n_places, seed, cfg, density=density,
+def make_dataset(queries_per_place, aliased=False):
+    """The 16-place density-2.0 acceptance world with noise-0.3 queries."""
+    world = synth.generate_world(16, WORLD_SEED, CFG, density=2.0,
                                  aliased_pairs=aliased)
     clouds = [synth.canonical_cloud(world, p.place_id) for p in world.places]
     poses = [synth.anchor_pose(world, p.place_id) for p in world.places]
-    queries, qid = [], 0
-    for p in world.places:
-        for j in range(queries_per_place):
-            qrng = make_rng(world.seed, query_stream, p.place_id, j)
-            k = int(qrng.integers(cfg.n_viewpoints))
-            heading = k * 2.0 * math.pi / cfg.n_viewpoints
-            obs, gt = synth.make_query(world, p.place_id, heading, noise,
-                                       qrng, cfg)
-            queries.append(QueryRecord(qid, p.place_id, heading, noise,
-                                       gt, obs))
-            qid += 1
+    queries = synth.make_queries(world, CFG, 400, queries_per_place, 0.3)
     places = [(p.place_id, p.position) for p in world.places]
-    return Dataset("", cfg, {}, places, clouds, poses, queries, {}), world
-
-
-def fresh_queries(world, cfg, noise, n_per=EVAL_QUERIES_PER_PLACE,
-                  stream=500):
-    """Held-out queries drawn from a stream disjoint from the training one."""
-    qs, qid = [], 0
-    for p in world.places:
-        for j in range(n_per):
-            qrng = make_rng(world.seed, stream, p.place_id, j)
-            k = int(qrng.integers(cfg.n_viewpoints))
-            heading = k * 2.0 * math.pi / cfg.n_viewpoints
-            obs, gt = synth.make_query(world, p.place_id, heading, noise,
-                                       qrng, cfg)
-            qs.append(QueryRecord(qid, p.place_id, heading, noise, gt, obs))
-            qid += 1
-    return qs
+    return Dataset("", CFG, {}, places, clouds, poses, queries, {}), world
 
 
 def eval_r1(dataset, params, cfg, renders, queries=None):
@@ -90,16 +65,14 @@ def eval_r1(dataset, params, cfg, renders, queries=None):
 
 @pytest.fixture(scope="module")
 def plain16():
-    ds, world = make_dataset(16, WORLD_SEED, CFG, density=2.0, noise=0.3,
-                             queries_per_place=2)
+    ds, world = make_dataset(queries_per_place=2)
     renders = render_places(ds, CFG)
     return {"ds": ds, "world": world, "renders": renders}
 
 
 @pytest.fixture(scope="module")
 def aliased16():
-    ds, world = make_dataset(16, WORLD_SEED, CFG, density=2.0, noise=0.3,
-                             queries_per_place=4, aliased=True)
+    ds, world = make_dataset(queries_per_place=4, aliased=True)
     renders = render_places(ds, CFG)
     ts = training_set(ds, CFG, renders=renders)
     cfg_nosem = dataclasses.replace(CFG, lambda_sem=0.0)
@@ -254,7 +227,8 @@ def test_criterion_6_ablation_trend(aliased16):
     t0 = time.time()
     ds, world, renders = (aliased16["ds"], aliased16["world"],
                           aliased16["renders"])
-    qs = fresh_queries(world, CFG, noise=0.3)
+    qs = synth.make_queries(world, CFG, HELD_OUT_STREAM,
+                            EVAL_QUERIES_PER_PLACE, 0.3)
     r_full = eval_r1(ds, aliased16["full40"], CFG, renders, queries=qs)
     r_beta0 = eval_r1(ds, aliased16["full40"],
                       dataclasses.replace(CFG, beta=0.0), renders, queries=qs)
@@ -278,7 +252,8 @@ def test_criterion_7_noise_robustness(aliased16):
     cfg_min = dataclasses.replace(CFG, beta=0.0)
     sweep, degraded = [], None
     for noise in (0.0, 0.3, 0.6):
-        qs = fresh_queries(world, CFG, noise=noise)
+        qs = synth.make_queries(world, CFG, HELD_OUT_STREAM,
+                                EVAL_QUERIES_PER_PLACE, noise)
         sweep.append(eval_r1(ds, aliased16["full60"], CFG, renders,
                              queries=qs))
         if noise == 0.6:

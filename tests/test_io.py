@@ -50,6 +50,16 @@ def test_cloud_truncated_rejected(tmp_path):
         load_cloud_bin(path)
 
 
+@pytest.mark.parametrize("size, load, offset", [
+    (34, load_cloud_bin, 32),  # 2 points and 2 stray bytes
+    (17, lambda p: load_labels(p, random_cloud(5, n=4), {}), 16),  # 4 + 1 byte
+], ids=["bin", "label"])
+def test_partial_trailing_record_rejected(tmp_path, size, load, offset):
+    (tmp_path / "f").write_bytes(bytes(size))
+    with pytest.raises(FormatError, match=f"truncated record at byte {offset}$"):
+        load(tmp_path / "f")
+
+
 def test_cloud_non_finite_rejected(tmp_path):
     path = tmp_path / "n.bin"
     rec = np.zeros((3, 4), dtype="<f4")

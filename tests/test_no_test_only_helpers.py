@@ -1,6 +1,6 @@
-"""Every public top-level function and class of the library has a caller in
-the library or the benchmark: a helper that only a test calls is dead code
-that the tests keep alive.
+"""Every public top-level function and class of the library, and every public
+method of its classes, has a caller in the library or the benchmark: a
+helper that only a test calls is dead code that the tests keep alive.
 
 A name counts as used where a module outside the definition itself reads
 it, imports it or spells it as a string (the benchmark looks its traced
@@ -31,7 +31,9 @@ def unused_public_names():
     uses = {path: list(_names(ast.parse(path.read_text()))) for path in USERS}
     unused = []
     for path in LIBRARY:
-        for node in ast.parse(path.read_text()).body:
+        top = ast.parse(path.read_text()).body
+        methods = [m for c in top if isinstance(c, ast.ClassDef) for m in c.body]
+        for node in top + methods:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("_"):

@@ -21,9 +21,9 @@ def random_cloud(seed, n=1000, extent=60.0):
 def test_viewpoint_count_and_step():
     poses = make_viewpoints(Pose(yaw_rotation(2.9), np.zeros(3)), CFG)
     assert len(poses) == CFG.n_viewpoints
+    step = yaw_rotation(2 * math.pi / CFG.n_viewpoints)
     for a, b in zip(poses, poses[1:] + poses[:1]):
-        assert math.remainder(b.yaw() - a.yaw(), 2 * math.pi) == pytest.approx(
-            2 * math.pi / CFG.n_viewpoints, abs=1e-12)
+        assert np.allclose(b.rotation, step @ a.rotation, atol=1e-12)
 
 
 def test_viewpoint_zero_is_anchor():
@@ -45,8 +45,7 @@ def test_viewpoints_share_translation_and_are_valid_rotations():
 def test_viewpoint_yaws_uniform():
     step = 2 * math.pi / CFG.n_viewpoints
     for k, pose in enumerate(make_viewpoints(identity_pose(), CFG)):
-        assert pose.yaw() == pytest.approx(math.remainder(k * step, 2 * math.pi),
-                                           abs=1e-12)
+        assert np.allclose(pose.rotation, yaw_rotation(k * step), atol=1e-12)
 
 
 def test_crop_keeps_only_inside():
