@@ -30,8 +30,8 @@ class MapIndex:
     - labels (E, range_rows, range_cols) uint8 360-degree label images.
 
     The constructor derives what scoring reads once: each image's frontal
-    window, the per-label cell counts of the windows and the mean class
-    histogram.
+    window as class bit planes with their per-class cell counts, and the
+    mean class histogram.
     """
 
     def __init__(self, places: list, descriptors, labels, config: Config):
@@ -55,10 +55,13 @@ class MapIndex:
         rows, (c0, width) = config.range_rows, frustum_window(config.range_cols)
         self._place_ids = np.array([pid for pid, _ in places], dtype=np.int64)
         self._query_shape = (rows, width)
-        self._windows = self.labels[:, :, c0:c0 + width].reshape(n, rows * width)
-        self._counts = _label_counts(self._windows)
+        self._planes = _class_planes(
+            self.labels[:, :, c0:c0 + width].reshape(n, rows * width),
+            config.n_classes)
+        self._counts = _popcounts(self._planes)
         self._context = semantic_context(self.labels, config)
-        for block in (self.descriptors, self.labels, self._context):
+        for block in (self.descriptors, self.labels, self._planes,
+                      self._counts, self._context):
             block.flags.writeable = False
 
     @cached_property
@@ -100,35 +103,41 @@ def _window(labels: np.ndarray, query_shape: tuple) -> np.ndarray:
     return labels
 
 
-def _label_counts(windows: np.ndarray) -> np.ndarray:
-    """(E, 256) cells of each uint8 label value per window row."""
-    rows = np.arange(len(windows))[:, None] * 256
-    return np.bincount((rows + windows).ravel(),
-                       minlength=256 * len(windows)).reshape(-1, 256)
+def _class_planes(cells: np.ndarray, n_classes: int) -> np.ndarray:
+    """Classes 1..n_classes-1 of each row of an (E, n) label block as bit
+    planes: a (words, n_classes - 1, E) uint64 array, each row's cells packed
+    little-endian into whole 64-cell words with zero bits as padding. A label
+    outside 1..n_classes-1 sets no bit."""
+    n_rows, n = cells.shape
+    hot = cells == np.arange(1, n_classes).reshape(-1, 1, 1)
+    n_bytes, n_words = -(-n // 8), -(-n // 64)
+    packed = np.zeros((n_classes - 1, n_rows, 8 * n_words), np.uint8)
+    packed[:, :, :n_bytes] = np.packbits(hot, axis=-1, bitorder="little")
+    return np.ascontiguousarray(packed.view(np.uint64).transpose(2, 0, 1))
 
 
-def _overlaps(q: np.ndarray, windows: np.ndarray, counts: np.ndarray,
-              n_classes: int) -> np.ndarray:
-    """Mean per-class IoU of the query labels against every window row.
+def _popcounts(planes: np.ndarray) -> np.ndarray:
+    """(n_classes - 1, E) set bits of each class plane of each row."""
+    return np.bitwise_count(planes).sum(axis=0, dtype=np.int64)
+
+
+def _overlaps(q: np.ndarray, planes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean per-class IoU of the query labels against every window row of
+    `planes`, whose per-class cell counts are `counts`.
 
     Classes 1..n_classes-1 present in the query or a window contribute an
     IoU term over all window cells, summed in ascending class order. A row
     with no co-visible labeled cell has no intersection in any class, so it
     scores exactly 0.0 without a separate test.
     """
-    q = q.ravel()
-    onehot = (q[:, None] == np.arange(n_classes)).astype(np.float32)
-    # exact integer counts: a float32 sum of ones is exact below 2**24 cells
-    inter = ((windows == q).astype(np.float32) @ onehot).astype(np.int64)
-    union = onehot.sum(axis=0).astype(np.int64) + counts[:, :n_classes] - inter
-    total = np.zeros(len(windows))
-    n_cls = np.zeros(len(windows), dtype=np.int64)
-    for cls in range(1, n_classes):
-        present = union[:, cls] > 0
-        total += np.where(present, inter[:, cls] / np.maximum(union[:, cls], 1),
-                          0.0)
-        n_cls += present
-    return total / np.maximum(n_cls, 1)
+    q_planes = _class_planes(q.reshape(1, -1), len(counts) + 1)
+    inter = _popcounts(planes & q_planes)
+    union = _popcounts(q_planes) + counts - inter
+    present = union > 0
+    # a sum over the outer axis adds the class rows one by one in ascending
+    # order, so psi rounds as a per-class loop does
+    total = np.where(present, inter / np.maximum(union, 1), 0.0).sum(axis=0)
+    return total / np.maximum(present.sum(axis=0), 1)
 
 
 def geometric_similarity(a: GlobalDescriptor, b: GlobalDescriptor) -> float:
@@ -146,8 +155,9 @@ def semantic_overlap(query_sem: SemanticImage, cand_sem: SemanticImage,
     an IoU term over all window cells. No co-visible labeled cells -> 0.
     """
     q = query_sem.labels
-    window = _window(cand_sem.labels, q.shape).astype(np.uint8).reshape(1, -1)
-    return float(_overlaps(q, window, _label_counts(window), cfg.n_classes)[0])
+    planes = _class_planes(_window(cand_sem.labels, q.shape).reshape(1, -1),
+                           cfg.n_classes)
+    return float(_overlaps(q, planes, _popcounts(planes))[0])
 
 
 def match_query(q_desc: GlobalDescriptor, q_sem: SemanticImage,
@@ -166,7 +176,7 @@ def match_query(q_desc: GlobalDescriptor, q_sem: SemanticImage,
     if q.shape != index._query_shape:
         raise ValueError("row counts differ")
     phi = np.vecdot(index.descriptors, q_desc.values)
-    psi = _overlaps(q, index._windows, index._counts, cfg.n_classes)
+    psi = _overlaps(q, index._planes, index._counts)
     score = cfg.alpha * phi + cfg.beta * psi
     # per place, the first of its best-scoring viewpoints; then places by
     # score, ties to the smaller place id

@@ -3,7 +3,7 @@ import pytest
 
 from xpr.aggregation import GlobalDescriptor
 from xpr.config import Config, make_rng
-from xpr.matching import (MapIndex, geometric_similarity,
+from xpr.matching import (MapIndex, _overlaps, geometric_similarity,
                           match_query, recall_at_k, semantic_overlap)
 from xpr.projection import SemanticImage, frustum_window
 from xpr.selfcheck import iou_reference
@@ -185,6 +185,115 @@ def test_match_query_bit_equal_to_scalar_reference():
     assert n_ties > 0
 
 
+def label_counts(windows: np.ndarray) -> np.ndarray:
+    """(E, 256) cells of each uint8 label value per window row."""
+    rows = np.arange(len(windows))[:, None] * 256
+    return np.bincount((rows + windows).ravel(),
+                       minlength=256 * len(windows)).reshape(-1, 256)
+
+
+def onehot_overlaps(q: np.ndarray, windows: np.ndarray, counts: np.ndarray,
+                    n_classes: int) -> np.ndarray:
+    """Mean per-class IoU of the query labels against every window row.
+
+    Classes 1..n_classes-1 present in the query or a window contribute an
+    IoU term over all window cells, summed in ascending class order. A row
+    with no co-visible labeled cell has no intersection in any class, so it
+    scores exactly 0.0 without a separate test.
+    """
+    q = q.ravel()
+    onehot = (q[:, None] == np.arange(n_classes)).astype(np.float32)
+    # exact integer counts: a float32 sum of ones is exact below 2**24 cells
+    inter = ((windows == q).astype(np.float32) @ onehot).astype(np.int64)
+    union = onehot.sum(axis=0).astype(np.int64) + counts[:, :n_classes] - inter
+    total = np.zeros(len(windows))
+    n_cls = np.zeros(len(windows), dtype=np.int64)
+    for cls in range(1, n_classes):
+        present = union[:, cls] > 0
+        total += np.where(present, inter[:, cls] / np.maximum(union[:, cls], 1),
+                          0.0)
+        n_cls += present
+    return total / np.maximum(n_cls, 1)
+
+
+def onehot_psi(q: np.ndarray, index: MapIndex) -> np.ndarray:
+    """The one-hot GEMM psi of a query against every row of an index."""
+    c0, width = frustum_window(index.config.range_cols)
+    windows = index.labels[:, :, c0:c0 + width].reshape(len(index.labels), -1)
+    return onehot_overlaps(q, windows, label_counts(windows),
+                           index.config.n_classes)
+
+
+# (range_rows, range_cols) whose frontal window holds that many cells: one
+# bit, a word short by one, one word, a word and one bit, and W100's window
+WINDOWS = {1: (1, 4), 63: (7, 36), 64: (8, 32), 65: (5, 52), 720: (16, 180)}
+
+
+@pytest.mark.parametrize("n_classes", [2, 8, 40, 256])
+@pytest.mark.parametrize("cells", sorted(WINDOWS))
+def test_psi_bit_equal_across_words_and_class_counts(cells, n_classes):
+    rows, cols = WINDOWS[cells]
+    cfg = Config(n_classes=n_classes, n_viewpoints=2, range_rows=rows,
+                 range_cols=cols, descriptor_dim=4, alpha=0.0, beta=1.0)
+    c0, width = frustum_window(cols)
+    assert rows * width == cells
+    rng = make_rng(9, cells, n_classes)
+    labels = rng.integers(0, n_classes, (6, rows, cols))
+    labels[rng.random(labels.shape) < 0.3] = 0
+    index = MapIndex([(pid, np.zeros(3)) for pid in range(3)],
+                     rng.normal(size=(6, 4)), labels, cfg)
+    for j in range(3):
+        q = rng.integers(0, n_classes, (rows, width)).astype(np.uint16)
+        if j == 2:
+            q = labels[3, :, c0:c0 + width].astype(np.uint16)
+        psi = _overlaps(q, index._planes, index._counts)
+        assert np.array_equal(psi, onehot_psi(q, index))
+        res = match_query(unit(rng.normal(size=4)), SemanticImage(q), index,
+                          cfg)
+        best = labels[2 * res.best_place_id + res.best_viewpoint]
+        assert res.psi == psi.max()
+        assert res.psi == iou_reference(q, best[:, c0:c0 + width], n_classes)
+
+
+def test_psi_padding_bits_count_for_nothing():
+    # 65 cells fill one word and one bit of a second
+    cfg = Config(n_viewpoints=1, range_rows=5, range_cols=52, descriptor_dim=2)
+    q = np.ones((5, 13), dtype=np.uint16)
+    idx = small_index([[unit([1.0, 0.0])]], [[SemanticImage(q)]], cfg)
+    assert idx._planes.shape == (2, cfg.n_classes - 1, 1)
+    res = match_query(unit([1.0, 0.0]), SemanticImage(q.copy()), idx, cfg)
+    assert res.psi == 1.0
+
+
+def test_psi_ignores_query_labels_outside_the_classes():
+    cfg = Config(n_viewpoints=1, range_rows=4, descriptor_dim=2)
+    rng = make_rng(10, 1)
+    c = rng.integers(0, cfg.n_classes, (4, 45)).astype(np.uint16)
+    q = rng.integers(0, cfg.n_classes, (4, 45)).astype(np.uint16)
+    q[0, :10] = cfg.n_classes
+    q[1, :10] = 300
+    clean = np.where(q < cfg.n_classes, q, 0).astype(np.uint16)
+    d = unit([1.0, 0.0])
+    idx = small_index([[d]], [[SemanticImage(c)]], cfg)
+    got = match_query(d, SemanticImage(q), idx, cfg).psi
+    assert 0.0 < got < 1.0
+    assert got == match_query(d, SemanticImage(clean), idx, cfg).psi
+    assert got == onehot_psi(q, idx)[0]
+
+
+def test_psi_all_void_query_scores_zero_on_every_row():
+    cfg = Config(n_viewpoints=2, range_rows=4, descriptor_dim=2)
+    rng = make_rng(11, 1)
+    d = unit([1.0, 0.0])
+    sems = [[SemanticImage(rng.integers(0, cfg.n_classes, (4, 45))
+                           .astype(np.uint16)) for _ in range(2)]
+            for _ in range(3)]
+    idx = small_index([[d, d]] * 3, sems, cfg)
+    q = np.zeros((4, 45), dtype=np.uint16)
+    assert np.array_equal(_overlaps(q, idx._planes, idx._counts), np.zeros(6))
+    assert match_query(d, SemanticImage(q), idx, cfg).psi == 0.0
+
+
 def test_match_query_picks_best_place_and_ranks_all():
     cfg = Config(n_viewpoints=2, range_rows=4, descriptor_dim=3)
     rng = make_rng(6, 1)
@@ -276,6 +385,13 @@ def test_index_entries_view_the_blocks():
         assert np.array_equal(e.sem_image.labels, lab)
     with pytest.raises(ValueError, match="read-only"):
         idx.entries[0].descriptor.values[0] = 1.0
+    for block in (idx.descriptors, idx.labels, idx._planes, idx._counts,
+                  idx.mean_histogram()):
+        assert not block.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        idx._planes[0, 0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        idx._counts[0, 0] = 1
 
 
 def test_mean_histogram_normalized():
