@@ -19,7 +19,7 @@ from .config import Config, config_to_json, validate_config, with_overrides
 from .encoder import encode_lidar_local
 from .io_datasets import (FormatError, load_checkpoint, load_dataset,
                           load_dataset_config, load_index, load_queries,
-                          save_checkpoint, save_dataset, save_index)
+                          read_text, save_checkpoint, save_dataset, save_index)
 from .losses import TrainingDiverged, train
 from .matching import match_query, rank_of_truth, recall_from_ranks
 from .model import init_model_params
@@ -87,6 +87,16 @@ def _load_params(ckpt: str | None, cfg: Config):
     return params, cfg
 
 
+def _match_inputs(args) -> tuple:
+    """The index, model, config and queries that `match` and `bench` read;
+    the index must have an entry to match against."""
+    index = load_index(args.index)
+    if not index.places:
+        raise CliError(f"{args.index}: the index has no entries")
+    params, cfg = _load_params(args.ckpt, index.config)
+    return index, params, cfg, load_queries(args.queries, cfg)
+
+
 # ------------------------------------------------------------------ commands
 
 def cmd_synth(args) -> int:
@@ -119,8 +129,7 @@ def cmd_synth(args) -> int:
 
 def cmd_build_map(args) -> int:
     dataset = load_dataset(args.data)
-    cfg = dataset.config
-    params, cfg = _load_params(args.ckpt, cfg)
+    params, cfg = _load_params(args.ckpt, dataset.config)
     t0 = time.perf_counter()
     index = build_index(dataset, params, cfg)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
@@ -134,10 +143,7 @@ def cmd_build_map(args) -> int:
 
 
 def cmd_match(args) -> int:
-    index = load_index(args.index)
-    cfg = index.config
-    params, cfg = _load_params(args.ckpt, cfg)
-    queries = load_queries(args.queries, cfg)
+    index, params, cfg, queries = _match_inputs(args)
     t0 = time.perf_counter()
     results = match_dataset_queries(queries, index, params, cfg)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
@@ -161,6 +167,10 @@ def cmd_match(args) -> int:
 
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
+    if len(dataset.places) < 2 or not dataset.queries:
+        raise CliError(f"{args.data}: training needs two places and a query, "
+                       f"found {len(dataset.places)} places and "
+                       f"{len(dataset.queries)} queries")
     cfg = dataset.config
     if args.loss_kind:
         cfg = with_overrides(cfg, loss_kind=args.loss_kind)
@@ -195,12 +205,7 @@ def _read_ranks(path: str) -> list:
     """The rank_of_truth column of a `match` results file. Text that is not
     UTF-8, or a rank that is missing or not an integer >= 0, is a
     FormatError naming the byte or the line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        rows = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from exc
+    rows = csv.DictReader(io.StringIO(read_text(path), newline=""))
     ranks = []
     for row in rows:
         value = row.get("rank_of_truth") or ""
@@ -258,10 +263,7 @@ def _stats(samples_ms) -> tuple:
 def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise CliError("--repeat must be >= 1", EXIT_USAGE)
-    index = load_index(args.index)
-    cfg = index.config
-    params, cfg = _load_params(args.ckpt, cfg)
-    queries = load_queries(args.queries, cfg)
+    index, params, cfg, queries = _match_inputs(args)
     if not queries:
         raise CliError("no queries to benchmark")
     context = index.mean_histogram()

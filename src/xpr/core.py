@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,17 +11,15 @@ import numpy as np
 class LabeledPointCloud:
     """Points in the sensor frame with one semantic class id per point.
 
-    points: (N, 3) float64 meters, intensities: (N,) in [0, 1] (may be
-    empty), labels: (N,) uint16 class ids in [0, n_classes).
+    points: (N, 3) float64 meters, labels: (N,) uint16 class ids in
+    [0, n_classes).
     """
     points: np.ndarray
     labels: np.ndarray
-    intensities: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=np.float64).reshape(-1, 3))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.uint16).reshape(-1))
-        object.__setattr__(self, "intensities", np.asarray(self.intensities, dtype=np.float64).reshape(-1))
 
     @property
     def count(self) -> int:

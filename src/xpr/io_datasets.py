@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -30,67 +31,121 @@ PLACE_RECORD = np.dtype([("id", "<u4"), ("pos", "<f8", (3,))])
 CKPT_MAGIC = b"XPRCKPT1"
 CKPT_VERSION = 2  # v2 stores float64 tensors; v1 stored them as float32
 QUERY_MAGIC = b"XPRQRY01"
+QUERY_VERSION = 1
 
 
 class FormatError(ValueError):
     pass
 
 
-def _read_exact(fh, n: int, path) -> bytes:
-    """Read exactly n bytes or raise FormatError at the offset where the
-    file ends short, reading no more than the file holds."""
-    offset = fh.tell()
-    data = fh.read(min(n, max(os.fstat(fh.fileno()).st_size - offset, 0)))
-    if len(data) != n:
-        raise FormatError(f"{path}: truncated at byte {offset + len(data)}, "
-                          f"expected {n} bytes from byte {offset}")
-    return data
-
-
-def _expect_end(fh, path) -> None:
-    """Raise FormatError at the offset of the first byte after the last
-    record, if there is one."""
-    offset = fh.tell()
-    if fh.read(1):
-        raise FormatError(f"{path}: trailing bytes from byte {offset}")
-
-
-def _read_config(fh, n: int, path) -> Config:
-    """Read an n-byte JSON config header, or raise FormatError at its byte
-    offset if it is not UTF-8, not JSON, or not a valid config."""
-    offset = fh.tell()
-    data = _read_exact(fh, n, path)
+def read_text(path) -> str:
+    """The text of a UTF-8 file, or a FormatError at its first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return config_from_json(data.decode())
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"{path}: bad config header at byte {offset}: "
-                          f"{exc}") from exc
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from exc
+
+
+class _Reader:
+    """A binary file read front to back. No read asks for more bytes than
+    the file holds, and every FormatError names the byte it is about."""
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            self.data = np.frombuffer(fh.read(), dtype=np.uint8)
+        self.at = 0     # the next byte to read
+        self.last = 0   # the first byte of the last read
+
+    def fail(self, message: str) -> FormatError:
+        return FormatError(f"{self.path}: {message}")
+
+    def block(self, dtype, count: int) -> np.ndarray:
+        """The next count values of dtype, as a read-only view of the file."""
+        dtype = np.dtype(dtype)
+        n = dtype.itemsize * count
+        if n > len(self.data) - self.at:
+            raise self.fail(f"truncated at byte {len(self.data)}, expected "
+                            f"{n} bytes from byte {self.at}")
+        self.last, self.at = self.at, self.at + n
+        return np.frombuffer(self.data, dtype, count, self.last)
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.block(np.uint8, struct.calcsize(fmt)))
+
+    def records(self, dtype) -> np.ndarray:
+        """The rest of the file as whole records of dtype; a partial last
+        record is a FormatError at its first byte."""
+        dtype = np.dtype(dtype)
+        count, partial = divmod(len(self.data) - self.at, dtype.itemsize)
+        if partial:
+            raise self.fail(f"truncated record at byte "
+                            f"{len(self.data) - partial}")
+        return self.block(dtype, count)
+
+    def header(self, magic: bytes, version: int, kind: str) -> None:
+        """The 8-byte magic and the <u2 format version after it."""
+        (got,) = self.unpack(f"{len(magic)}s")
+        if got != magic:
+            raise self.fail(f"bad magic {got!r} at byte 0")
+        (got,) = self.unpack("<H")
+        if got != version:
+            raise self.fail(f"unsupported {kind} version {got} at byte "
+                            f"{self.last}")
+
+    def config(self) -> Config:
+        """A <u4 byte count, then that many bytes of JSON config."""
+        (n,) = self.unpack("<I")
+        (data,) = self.unpack(f"{n}s")
+        try:
+            return config_from_json(data.decode())
+        except (ValueError, TypeError) as exc:
+            raise self.fail(f"bad config header at byte {self.last}: "
+                            f"{exc}") from exc
+
+    def check(self, values: np.ndarray, bad: np.ndarray, message: str,
+              **fields) -> None:
+        """Raise at the first value of `values`, a view of a block, where
+        `bad` is set; a `bad` over only the leading axes flags whole rows.
+        `message` formats that {value}, its byte {at} and `fields`."""
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            where = np.unravel_index(hits[0], bad.shape)
+            at = (values.ctypes.data - self.data.ctypes.data
+                  + sum(int(i) * s for i, s in zip(where, values.strides)))
+            raise self.fail(message.format(value=values[where], at=at,
+                                            **fields))
+
+    def end(self) -> None:
+        if self.at < len(self.data):
+            raise self.fail(f"trailing bytes from byte {self.at}")
+
+
+def _write_header(fh, magic: bytes, version: int, cfg: Config) -> None:
+    """The magic, <u2 version and config that `_Reader` reads back."""
+    cfg_bytes = config_to_json(cfg).encode()
+    fh.write(magic)
+    fh.write(struct.pack("<HI", version, len(cfg_bytes)))
+    fh.write(cfg_bytes)
 
 
 # ------------------------------------------------------------ point clouds
 
 def save_cloud_bin(path, cloud: LabeledPointCloud) -> None:
-    n = cloud.count
-    rec = np.zeros((n, 4), dtype="<f4")
+    """(x, y, z, intensity) float32 quadruples; the intensity is written 0."""
+    rec = np.zeros((cloud.count, 4), dtype="<f4")
     rec[:, :3] = cloud.points
-    if cloud.intensities.size:
-        rec[:, 3] = cloud.intensities
     rec.tofile(path)
 
 
 def load_cloud_bin(path) -> LabeledPointCloud:
-    """Parse (x, y, z, intensity) float32 quadruples; labels start at 0."""
-    data = np.fromfile(path, dtype=np.uint8)
-    if data.size % 16:
-        raise FormatError(f"{path}: truncated record at byte {data.size // 16 * 16}")
-    rec = data.view("<f4").reshape(-1, 4)
-    bad = ~np.isfinite(rec)
-    if bad.any():
-        idx = int(np.flatnonzero(bad.any(axis=1))[0])
-        raise FormatError(f"{path}: non-finite value at byte {idx * 16}")
-    return LabeledPointCloud(rec[:, :3].astype(np.float64),
-                             np.zeros(rec.shape[0], dtype=np.uint16),
-                             rec[:, 3].astype(np.float64))
+    """Parse finite (x, y, z, intensity) <f4 quadruples; labels start at 0."""
+    r = _Reader(path)
+    rec = r.records(("<f4", (4,)))
+    r.check(rec, ~np.isfinite(rec).all(1), "non-finite value at byte {at}")
+    return LabeledPointCloud(rec[:, :3], np.zeros(len(rec), dtype=np.uint16))
 
 
 def save_labels(path, labels: np.ndarray) -> None:
@@ -100,17 +155,16 @@ def save_labels(path, labels: np.ndarray) -> None:
 def load_labels(path, cloud: LabeledPointCloud,
                 class_map: dict) -> LabeledPointCloud:
     """Low 16 bits are the raw class id, remapped into [0, n_classes)."""
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size % 4:
-        raise FormatError(f"{path}: truncated record at byte {raw.size // 4 * 4}")
-    raw = raw.view("<u4")
+    r = _Reader(path)
+    raw = r.records("<u4")
     if raw.size != cloud.count:
-        raise FormatError(f"{path}: {raw.size} labels for {cloud.count} points")
+        raise r.fail(f"{raw.size} labels for {cloud.count} points at byte "
+                     f"{raw.itemsize * min(raw.size, cloud.count)}")
     low = raw & 0xFFFF
     mapped = np.zeros(raw.size, dtype=np.uint16)
     for src, dst in class_map.items():
         mapped[low == int(src)] = dst
-    return LabeledPointCloud(cloud.points, mapped, cloud.intensities)
+    return LabeledPointCloud(cloud.points, mapped)
 
 
 # ------------------------------------------------------------------- poses
@@ -124,14 +178,8 @@ def save_poses(path, poses: list) -> None:
 
 def load_poses(path) -> list:
     """One 3x4 [R | t] row-major pose per non-blank line of UTF-8 text."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from exc
     poses = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()
@@ -162,14 +210,11 @@ def load_poses(path) -> list:
 def save_index(path, index: MapIndex) -> None:
     """Write map.idx v2: the header, the place table of (id, x, y, z)
     records, the descriptor block as <f4 and the label block as uint8."""
-    cfg_bytes = config_to_json(index.config).encode()
     table = np.empty(len(index.places), dtype=PLACE_RECORD)
     table["id"] = [pid for pid, _ in index.places]
     table["pos"] = np.reshape([pos for _, pos in index.places], (-1, 3))
     with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<HI", INDEX_VERSION, len(cfg_bytes)))
-        fh.write(cfg_bytes)
+        _write_header(fh, INDEX_MAGIC, INDEX_VERSION, index.config)
         fh.write(struct.pack("<IIHH", len(index.places), len(index.labels),
                              *index.labels.shape[1:]))
         fh.write(table.tobytes())
@@ -180,73 +225,45 @@ def save_index(path, index: MapIndex) -> None:
 def load_index(path) -> MapIndex:
     """Read map.idx v2. Every place id is distinct, every place position and
     descriptor value finite, and every label below n_classes."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 8, path)
-        if magic != INDEX_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-        version, cfg_len = struct.unpack("<HI", _read_exact(fh, 6, path))
-        if version != INDEX_VERSION:
-            raise FormatError(f"{path}: unsupported index version {version}")
-        cfg = _read_config(fh, cfg_len, path)
-        counts_at = fh.tell()
-        n_places, n_entries, rows, cols = struct.unpack(
-            "<IIHH", _read_exact(fh, 12, path))
-        want = (cfg.range_rows, cfg.range_cols)
-        if (rows, cols) != want:
-            raise FormatError(f"{path}: label image shape {(rows, cols)} at "
-                              f"byte {counts_at + 8} is not the config's "
-                              f"(range_rows, range_cols) {want}")
-        n_v = cfg.n_viewpoints
-        if n_entries != n_places * n_v:
-            raise FormatError(f"{path}: {n_entries} entries at byte "
-                              f"{counts_at + 4} are not {n_places} places of "
-                              f"{n_v} viewpoints")
-        places_at = fh.tell()
-        table = np.frombuffer(_read_exact(fh, PLACE_RECORD.itemsize * n_places,
-                                          path), dtype=PLACE_RECORD)
-        desc_at = fh.tell()
-        desc = np.frombuffer(_read_exact(fh, 4 * n_entries * cfg.descriptor_dim,
-                                         path), dtype="<f4")
-        labels_at = fh.tell()
-        labels = np.frombuffer(_read_exact(fh, n_entries * rows * cols, path),
-                               dtype=np.uint8)
-        _expect_end(fh, path)
+    r = _Reader(path)
+    r.header(INDEX_MAGIC, INDEX_VERSION, "index")
+    cfg = r.config()
+    (n_places,) = r.unpack("<I")
+    (n_entries,) = r.unpack("<I")
+    if n_entries != n_places * cfg.n_viewpoints:
+        raise r.fail(f"{n_entries} entries at byte {r.last} are not "
+                     f"{n_places} places of {cfg.n_viewpoints} viewpoints")
+    shape = r.unpack("<HH")
+    want = (cfg.range_rows, cfg.range_cols)
+    if shape != want:
+        raise r.fail(f"label image shape {shape} at byte {r.last} is not the "
+                     f"config's (range_rows, range_cols) {want}")
+    table = r.block(PLACE_RECORD, n_places)
+    desc = r.block("<f4", n_entries * cfg.descriptor_dim)
+    labels = r.block(np.uint8, n_entries * cfg.range_rows * cfg.range_cols)
+    r.end()
     ids, pos = table["id"], table["pos"]
-    order = np.argsort(ids, kind="stable")
-    repeat = order[1:][ids[order[1:]] == ids[order[:-1]]]
-    if repeat.size:
-        i = int(repeat.min())
-        raise FormatError(f"{path}: place id {ids[i]} at byte "
-                          f"{places_at + PLACE_RECORD.itemsize * i} repeats "
-                          f"an earlier place")
-    bad = np.flatnonzero(~np.isfinite(pos))
-    if bad.size:
-        i, j = divmod(int(bad[0]), 3)
-        raise FormatError(f"{path}: non-finite place position at byte "
-                          f"{places_at + PLACE_RECORD.itemsize * i + 4 + 8 * j}")
-    bad = np.flatnonzero(~np.isfinite(desc))
-    if bad.size:
-        raise FormatError(f"{path}: non-finite descriptor value "
-                          f"{desc[bad[0]]} at byte {desc_at + 4 * bad[0]}")
-    bad = np.flatnonzero(labels >= cfg.n_classes)
-    if bad.size:
-        raise FormatError(f"{path}: label {labels[bad[0]]} at byte "
-                          f"{labels_at + bad[0]} is not below n_classes "
-                          f"{cfg.n_classes}")
+    repeat = np.ones(len(ids), dtype=bool)
+    repeat[np.unique(ids, return_index=True)[1]] = False
+    r.check(ids, repeat,
+            "place id {value} at byte {at} repeats an earlier place")
+    r.check(pos, ~np.isfinite(pos), "non-finite place position at byte {at}")
+    r.check(desc, ~np.isfinite(desc),
+            "non-finite descriptor value {value} at byte {at}")
+    r.check(labels, labels >= cfg.n_classes,
+            "label {value} at byte {at} is not below n_classes {n}",
+            n=cfg.n_classes)
     places = list(zip(ids.tolist(), pos.astype(np.float64)))
     return MapIndex(places, desc.reshape(n_entries, cfg.descriptor_dim),
-                    labels.reshape(n_entries, rows, cols), cfg)
+                    labels.reshape(n_entries, *want), cfg)
 
 
 # ------------------------------------------------------------- checkpoints
 
 def save_checkpoint(path, params: ModelParams, cfg: Config) -> None:
-    cfg_bytes = config_to_json(cfg).encode()
     tensors = params.tensors()
     with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<HI", CKPT_VERSION, len(cfg_bytes)))
-        fh.write(cfg_bytes)
+        _write_header(fh, CKPT_MAGIC, CKPT_VERSION, cfg)
         fh.write(struct.pack("<I", len(tensors)))
         for name in sorted(tensors):
             arr = np.atleast_1d(np.asarray(tensors[name]))
@@ -259,38 +276,30 @@ def save_checkpoint(path, params: ModelParams, cfg: Config) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, Config]:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 8, path)
-        if magic != CKPT_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-        version, cfg_len = struct.unpack("<HI", _read_exact(fh, 6, path))
-        if version != CKPT_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        cfg = _read_config(fh, cfg_len, path)
-        expected = {name: np.atleast_1d(arr).shape
-                    for name, arr in init_model_params(cfg).tensors().items()}
-        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        tensors = {}
-        for _ in range(n_tensors):
-            offset = fh.tell()
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path))
-            name = _read_exact(fh, name_len, path).decode(errors="replace")
-            if name not in expected or name in tensors:
-                raise FormatError(f"{path}: unexpected tensor {name!r} "
-                                  f"at byte {offset}")
-            ndim = _read_exact(fh, 1, path)[0]
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path))
-            if shape != expected[name]:
-                raise FormatError(f"{path}: tensor {name!r} at byte {offset} "
-                                  f"has shape {shape}, expected "
-                                  f"{expected[name]}")
-            count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(_read_exact(fh, 8 * count, path), dtype="<f8")
-            tensors[name] = arr.astype(np.float64).reshape(shape)
-        _expect_end(fh, path)
+    r = _Reader(path)
+    r.header(CKPT_MAGIC, CKPT_VERSION, "checkpoint")
+    cfg = r.config()
+    expected = {name: np.atleast_1d(arr).shape
+                for name, arr in init_model_params(cfg).tensors().items()}
+    (n_tensors,) = r.unpack("<I")
+    tensors = {}
+    for _ in range(n_tensors):
+        (name_len,) = r.unpack("<H")
+        at = r.last
+        name = r.unpack(f"{name_len}s")[0].decode(errors="replace")
+        if name not in expected or name in tensors:
+            raise r.fail(f"unexpected tensor {name!r} at byte {at}")
+        (ndim,) = r.unpack("<B")
+        shape = r.unpack(f"<{ndim}I")
+        if shape != expected[name]:
+            raise r.fail(f"tensor {name!r} at byte {at} has shape {shape}, "
+                         f"expected {expected[name]}")
+        values = r.block("<f8", math.prod(shape))
+        tensors[name] = values.astype(np.float64).reshape(shape)
+    r.end()
     missing = sorted(set(expected) - set(tensors))
     if missing:
-        raise FormatError(f"{path}: missing tensors {missing}")
+        raise r.fail(f"missing tensors {missing} at byte {r.at}")
     return ModelParams.from_tensors(tensors), cfg
 
 
@@ -302,7 +311,7 @@ def save_query(path, query_id: int, place_id: int, heading: float,
     h, w, c = obs.raw.shape
     with open(path, "wb") as fh:
         fh.write(QUERY_MAGIC)
-        fh.write(struct.pack("<HII", 1, query_id, place_id))
+        fh.write(struct.pack("<HII", QUERY_VERSION, query_id, place_id))
         fh.write(struct.pack("<2d", heading, noise_level))
         fh.write(struct.pack("<3d", *np.asarray(gt_position, dtype=np.float64)))
         fh.write(struct.pack("<HHH", h, w, c))
@@ -325,40 +334,28 @@ def load_query(path, cfg: Config) -> QueryRecord:
     """Read a query file of QUERY_CHANNELS channels over the config's
     frustum window, whose raw values are all finite and whose ground-truth
     labels are all below n_classes."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 8, path)
-        if magic != QUERY_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-        version, qid, pid = struct.unpack("<HII", _read_exact(fh, 10, path))
-        if version != 1:
-            raise FormatError(f"{path}: unsupported query version {version}")
-        heading, noise = struct.unpack("<2d", _read_exact(fh, 16, path))
-        gt = np.array(struct.unpack("<3d", _read_exact(fh, 24, path)))
-        shape_at = fh.tell()
-        h, w, c = struct.unpack("<HHH", _read_exact(fh, 6, path))
-        want = (cfg.range_rows, frustum_window(cfg.range_cols)[1], QUERY_CHANNELS)
-        if (h, w, c) != want:
-            raise FormatError(f"{path}: shape {(h, w, c)} at byte {shape_at} "
-                              f"is not (rows, frustum width, channels) {want}")
-        raw_at = fh.tell()
-        raw = np.frombuffer(_read_exact(fh, 4 * h * w * c, path), dtype="<f4")
-        mask = np.frombuffer(_read_exact(fh, h * w, path),
-                             dtype=np.uint8).reshape(h, w) != 0
-        labels_at = fh.tell()
-        labels = np.frombuffer(_read_exact(fh, 2 * h * w, path),
-                               dtype="<u2").astype(np.uint16).reshape(h, w)
-        _expect_end(fh, path)
-    bad = np.flatnonzero(~np.isfinite(raw))
-    if bad.size:
-        raise FormatError(f"{path}: non-finite raw value {raw[bad[0]]} at "
-                          f"byte {raw_at + 4 * bad[0]}")
-    bad = np.flatnonzero(labels >= cfg.n_classes)
-    if bad.size:
-        raise FormatError(f"{path}: label {labels.flat[bad[0]]} at byte "
-                          f"{labels_at + 2 * bad[0]} is not below "
-                          f"n_classes {cfg.n_classes}")
+    r = _Reader(path)
+    r.header(QUERY_MAGIC, QUERY_VERSION, "query")
+    qid, pid = r.unpack("<II")
+    heading, noise = r.unpack("<2d")
+    gt = np.array(r.unpack("<3d"))
+    shape = r.unpack("<HHH")
+    want = (cfg.range_rows, frustum_window(cfg.range_cols)[1], QUERY_CHANNELS)
+    if shape != want:
+        raise r.fail(f"shape {shape} at byte {r.last} is not (rows, frustum "
+                     f"width, channels) {want}")
+    h, w, c = shape
+    raw = r.block("<f4", h * w * c)
+    mask = r.block(np.uint8, h * w).reshape(h, w) != 0
+    labels = r.block("<u2", h * w).reshape(h, w)
+    r.end()
+    r.check(raw, ~np.isfinite(raw),
+            "non-finite raw value {value} at byte {at}")
+    r.check(labels, labels >= cfg.n_classes,
+            "label {value} at byte {at} is not below n_classes {n}",
+            n=cfg.n_classes)
     obs = QueryObservation(raw.astype(np.float64).reshape(h, w, c), mask,
-                           SemanticImage(labels))
+                           SemanticImage(labels.astype(np.uint16)))
     return QueryRecord(qid, pid, heading, noise, gt, obs)
 
 
@@ -380,12 +377,11 @@ def save_dataset(root, cfg: Config, places, clouds, poses, queries,
                  provenance: str = "synthetic") -> None:
     """Write the full directory layout; clouds arrive in world frame and are
     stored in each anchor's sensor frame alongside the anchor pose."""
-    os.makedirs(os.path.join(root, "velodyne"), exist_ok=True)
-    os.makedirs(os.path.join(root, "labels"), exist_ok=True)
-    os.makedirs(os.path.join(root, "queries"), exist_ok=True)
+    for sub in ("velodyne", "labels", "queries"):
+        os.makedirs(os.path.join(root, sub), exist_ok=True)
     for i, (cloud, pose) in enumerate(zip(clouds, poses)):
         local = LabeledPointCloud(pose.inverse().transform(cloud.points),
-                                  cloud.labels, cloud.intensities)
+                                  cloud.labels)
         save_cloud_bin(os.path.join(root, "velodyne", f"{i:06d}.bin"), local)
         save_labels(os.path.join(root, "labels", f"{i:06d}.label"),
                     local.labels.astype(np.uint32))
@@ -410,10 +406,9 @@ def load_dataset_config(root) -> tuple[Config, dict]:
     A meta.json that is not UTF-8 JSON, lacks a `config`, `places` or
     `class_map` key, or holds an invalid config is a FormatError."""
     path = os.path.join(root, "meta.json")
-    with open(path, "rb") as fh:
-        data = fh.read()
+    text = read_text(path)
     try:
-        meta = json.loads(data.decode("utf-8"))
+        meta = json.loads(text)
         missing = [k for k in ("config", "places", "class_map") if k not in meta]
         if missing:
             raise ValueError(f"missing keys {missing}")
@@ -447,7 +442,7 @@ def load_dataset(root) -> Dataset:
         cloud = load_labels(os.path.join(root, "labels", f"{i:06d}.label"),
                             cloud, class_map)
         clouds.append(LabeledPointCloud(pose.transform(cloud.points),
-                                        cloud.labels, cloud.intensities))
+                                        cloud.labels))
     queries = load_queries(os.path.join(root, "queries"), cfg)
     for q in queries:
         if q.place_id not in ids:

@@ -19,6 +19,14 @@ from .projection import (RangeImage, SemanticImage, estimate_normals,
                          frustum_window, project_spherical, unproject)
 
 
+FD_STEP = 1e-4            # central-difference step of the gradient checks
+GRAD_PICKS = 20           # parameter entries check_total_grad differentiates
+NETVLAD_INSTANCES = 100   # random problems check_netvlad_oracle compares
+SHIFT_SCENES = 20         # scenes check_projection_shift rotates
+SPHERE_RADIUS = 10.0      # meters, the sphere of check_sphere_normals
+IOU_INSTANCES = 50        # random window pairs check_iou_oracle scores
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -35,19 +43,19 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def central_diff(f, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
+def central_diff(f, x: np.ndarray) -> np.ndarray:
     """Dense central finite-difference gradient of a scalar function."""
     g = np.zeros_like(x, dtype=np.float64)
     flat = x.reshape(-1)
     gf = g.reshape(-1)
     for i in range(flat.size):
         old = flat[i]
-        flat[i] = old + step
+        flat[i] = old + FD_STEP
         fp = f(x)
-        flat[i] = old - step
+        flat[i] = old - FD_STEP
         fm = f(x)
         flat[i] = old
-        gf[i] = (fp - fm) / (2.0 * step)
+        gf[i] = (fp - fm) / (2.0 * FD_STEP)
     return g
 
 
@@ -171,8 +179,7 @@ def _toy_table(cfg: Config, rng) -> TrainTable:
     return train_table(places, context / context.sum(), cfg)
 
 
-def check_total_grad(seed: int, n_params: int = 20,
-                     corrupt: bool = False) -> CheckResult:
+def check_total_grad(seed: int, corrupt: bool = False) -> CheckResult:
     cfg = Config(n_classes=5, descriptor_dim=12, n_viewpoints=3, seed=seed)
     rng = make_rng(seed, 13)
     params = init_model_params(cfg)
@@ -185,7 +192,7 @@ def check_total_grad(seed: int, n_params: int = 20,
     report = loss(params)
     tensors = {k: v.copy() for k, v in params.tensors().items()}
     picks = []
-    for _ in range(n_params):
+    for _ in range(GRAD_PICKS):
         name = TRAINABLE[int(rng.integers(len(TRAINABLE)))]
         idx = int(rng.integers(tensors[name].size))
         picks.append((name, idx))
@@ -194,14 +201,13 @@ def check_total_grad(seed: int, n_params: int = 20,
     if corrupt:
         analytic = analytic * 1.01 + 1e-3
     numeric = np.empty(len(picks))
-    step = 1e-4
     for j, (name, idx) in enumerate(picks):
         vals = []
         for sgn in (+1.0, -1.0):
             t = {k: v.copy() for k, v in tensors.items()}
-            t[name].reshape(-1)[idx] += sgn * step
+            t[name].reshape(-1)[idx] += sgn * FD_STEP
             vals.append(loss(ModelParams.from_tensors(t)).l_total)
-        numeric[j] = (vals[0] - vals[1]) / (2.0 * step)
+        numeric[j] = (vals[0] - vals[1]) / (2.0 * FD_STEP)
     return CheckResult("grad_total_loss", _rel_err(analytic, numeric), 1e-3)
 
 
@@ -233,9 +239,9 @@ def netvlad_reference(cells: np.ndarray, params: NetVladParams) -> np.ndarray:
     return out / nrm if nrm > 0.0 else out
 
 
-def check_netvlad_oracle(seed: int, n_instances: int = 100) -> CheckResult:
+def check_netvlad_oracle(seed: int) -> CheckResult:
     worst = 0.0
-    for i in range(n_instances):
+    for i in range(NETVLAD_INSTANCES):
         rng = make_rng(seed, 20, i)
         k = int(rng.integers(1, 5))
         c = int(rng.integers(2, 9))
@@ -272,10 +278,10 @@ def shift_safe_scene(rng, cfg: Config, n_points: int = 200):
     return LabeledPointCloud(pts, labels)
 
 
-def check_projection_shift(seed: int, n_scenes: int = 20) -> CheckResult:
+def check_projection_shift(seed: int) -> CheckResult:
     cfg = Config(seed=seed)
     worst = 0.0
-    for i in range(n_scenes):
+    for i in range(SHIFT_SCENES):
         rng = make_rng(seed, 21, i)
         cloud = shift_safe_scene(rng, cfg)
         shift = int(rng.integers(1, cfg.range_cols))
@@ -292,13 +298,13 @@ def check_projection_shift(seed: int, n_scenes: int = 20) -> CheckResult:
     return CheckResult("projection_shift", worst, 1e-12)
 
 
-def check_sphere_normals(radius: float = 10.0) -> CheckResult:
+def check_sphere_normals() -> CheckResult:
     cfg = Config(range_rows=64, range_cols=360)
-    depth = np.full((64, 360), radius)
+    depth = np.full((64, 360), SPHERE_RADIUS)
     img = estimate_normals(RangeImage(depth, np.zeros((64, 360, 3)),
                                       cfg.vfov_up, cfg.vfov_down))
     pts = unproject(img)
-    radial = pts / radius
+    radial = pts / SPHERE_RADIUS
     cosang = np.clip(-(img.normals * radial).sum(axis=-1), -1.0, 1.0)
     return CheckResult("sphere_normals",
                        float(np.degrees(np.arccos(cosang)).max()), 2.0)
@@ -323,7 +329,7 @@ def iou_reference(q: np.ndarray, c: np.ndarray, n_classes: int) -> float:
     return total / n if n else 0.0
 
 
-def check_iou_oracle(seed: int, n_instances: int = 50) -> CheckResult:
+def check_iou_oracle(seed: int) -> CheckResult:
     """The psi match_query scores, each candidate filling the frontal
     window of an otherwise void 360-degree image in a one-place index."""
     cfg = Config(n_classes=6, n_viewpoints=1, range_rows=6, range_cols=32,
@@ -331,7 +337,7 @@ def check_iou_oracle(seed: int, n_instances: int = 50) -> CheckResult:
     c0, width = frustum_window(cfg.range_cols)
     zero = np.zeros(cfg.descriptor_dim)
     worst = 0.0
-    for i in range(n_instances):
+    for i in range(IOU_INSTANCES):
         rng = make_rng(seed, 22, i)
         q = rng.integers(0, 6, size=(cfg.range_rows, width)).astype(np.uint16)
         c = rng.integers(0, 6, size=(cfg.range_rows, width)).astype(np.uint16)

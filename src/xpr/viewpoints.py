@@ -21,12 +21,9 @@ def make_viewpoints(anchor: Pose, cfg: Config) -> list:
 
 def crop_to_radius(cloud: LabeledPointCloud, center: np.ndarray,
                    radius: float) -> LabeledPointCloud:
-    if not cloud.count:
-        return cloud
     x, y, z = (cloud.points - center).T
     keep = np.sqrt(x * x + y * y + z * z) <= radius
-    inten = cloud.intensities[keep] if cloud.intensities.size else cloud.intensities
-    return LabeledPointCloud(cloud.points[keep], cloud.labels[keep], inten)
+    return LabeledPointCloud(cloud.points[keep], cloud.labels[keep])
 
 
 def render_viewpoints(map_cloud: LabeledPointCloud, poses: list,

@@ -327,8 +327,7 @@ def test_criterion_9_round_trips(tmp_path):
         n = int(rng.integers(1, 400))
         cloud = LabeledPointCloud(
             rng.uniform(-80, 80, (n, 3)).astype(np.float32).astype(float),
-            rng.integers(0, 8, n).astype(np.uint16),
-            rng.random(n).astype(np.float32).astype(float))
+            rng.integers(0, 8, n).astype(np.uint16))
         p1, p2 = tmp_path / "c1.bin", tmp_path / "c2.bin"
         save_cloud_bin(p1, cloud)
         save_cloud_bin(p2, load_cloud_bin(p1))

@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 
 from xpr.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from xpr.io_datasets import (FormatError, load_checkpoint, load_dataset,
-                             load_dataset_config, load_index, load_query,
-                             save_checkpoint, save_index, save_query)
+from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint,
+                             load_dataset, load_dataset_config, load_index,
+                             load_query, save_checkpoint, save_dataset,
+                             save_index, save_query)
 from xpr.config import Config
-from xpr.encoder import QueryObservation
+from xpr.core import LabeledPointCloud, Pose
+from xpr.encoder import QUERY_CHANNELS, QueryObservation
 from xpr.losses import train
 from xpr.model import ModelParams, init_model_params
 from xpr.pipeline import build_index, match_dataset_queries, training_set
-from xpr.projection import SemanticImage
+from xpr.projection import SemanticImage, frustum_window
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +538,8 @@ def test_incomplete_checkpoint_is_data_error(workspace, tmp_path, capsys,
         message = "tensor 'att.bilinear' at byte [0-9]+ has shape"
     save_checkpoint(target, params, cfg)
     monkeypatch.undo()
+    if defect == "missing":  # reported where the last record ends
+        message += f" at byte {os.path.getsize(target)}$"
     if defect == "name":  # a tensor name that is not UTF-8
         with open(target, "rb") as fh:
             data = bytearray(fh.read())
@@ -606,6 +610,53 @@ def test_empty_world_scores_zero(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 8
     assert all(r[c] == "0.0" for r in rows for c in ("sim", "phi", "psi"))
+
+
+def _save_world(root, n_places, with_queries):
+    """A dataset of n_places places 40 m apart, each of one point, with one
+    empty query per place or none."""
+    cfg = Config()
+    shape = (cfg.range_rows, frustum_window(cfg.range_cols)[1])
+    obs = QueryObservation(np.zeros((*shape, QUERY_CHANNELS)),
+                           np.zeros(shape, dtype=bool),
+                           SemanticImage(np.zeros(shape, dtype=np.uint16)))
+    places = [(pid, np.array([40.0 * pid, 0.0, 0.0]))
+              for pid in range(n_places)]
+    save_dataset(root, cfg, places,
+                 [LabeledPointCloud(pos + [5.0, 0.0, 0.0], [1])
+                  for _, pos in places],
+                 [Pose(np.eye(3), pos) for _, pos in places],
+                 [QueryRecord(pid, pid, 0.0, 0.0, pos, obs)
+                  for pid, pos in places] if with_queries else [])
+
+
+# world: (places, whether each place has a query)
+DEGENERATE = {"no-places": (0, False), "one-place": (1, True),
+              "no-queries": (3, False), "empty-index": (0, False)}
+
+
+@pytest.mark.parametrize("world", list(DEGENERATE))
+def test_degenerate_world_is_data_error(tmp_path, capsys, world):
+    """Training needs two places and a query, and matching needs an index
+    entry: short of that, a command prints one error line and exits 2."""
+    data = str(tmp_path / "data")
+    _save_world(data, *DEGENERATE[world])
+    if world == "empty-index":
+        idx = str(tmp_path / "map.idx")
+        assert main(["build-map", "--data", data, "--out", idx]) == EXIT_OK
+        runs = [["match", "--index", idx, "--queries", data,
+                 "--out", str(tmp_path / "r.csv")],
+                ["bench", "--index", idx, "--queries", data, "--repeat", "1",
+                 "--out", str(tmp_path / "bench.csv")]]
+    else:
+        train_args = _train_args(data, tmp_path)
+        runs = [train_args, train_args + ["--batch-size", "2"]]
+    for args in runs:
+        capsys.readouterr()
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_bench_writes_stage_csv(workspace, tmp_path):

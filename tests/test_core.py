@@ -8,7 +8,7 @@ from xpr.core import LabeledPointCloud, Pose, canonical_heading, yaw_rotation
 
 
 def test_cloud_coerces_dtypes():
-    cloud = LabeledPointCloud([[1, 2, 3]], [4], [0.5])
+    cloud = LabeledPointCloud([[1, 2, 3]], [4])
     assert cloud.points.dtype == np.float64
     assert cloud.labels.dtype == np.uint16
     assert cloud.count == 1

@@ -1,6 +1,7 @@
 """Truncations, byte flips and non-finite values in the on-disk formats:
 every mutated map.idx, .ckpt, .qry, .bin, .label, poses.txt and meta.json
-loads or raises FormatError, never another exception."""
+loads or raises FormatError, never another exception, and a FormatError
+from a binary format names a byte offset within the mutated file."""
 import re
 import struct
 
@@ -53,8 +54,8 @@ def write_dataset(root, rng):
     """A two-place dataset of N_POINTS points per place and one query."""
     places = [(pid, rng.uniform(-10, 10, 3)) for pid in (3, 5)]
     clouds = [LabeledPointCloud(rng.uniform(-10, 10, (N_POINTS, 3)),
-                                rng.integers(0, CFG.n_classes, N_POINTS),
-                                rng.random(N_POINTS)) for _ in places]
+                                rng.integers(0, CFG.n_classes, N_POINTS))
+              for _ in places]
     poses = [Pose(yaw_rotation(0.3 * i), pos)
              for i, (_, pos) in enumerate(places)]
     query = QueryRecord(1, 3, 0.5, 0.1, np.zeros(3), make_obs(rng))
@@ -98,6 +99,7 @@ def originals(tmp_path_factory):
 
 
 NUMBER = re.compile(rb"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+OFFSET = re.compile(r"\bbyte (\d+)\b")
 
 
 def put_nonfinite(data: bytearray, at: int, value: str, text: bool) -> None:
@@ -138,5 +140,8 @@ def test_mutated_file_loads_or_is_format_error(originals, kind, flips, cut,
     path.write_bytes(bytes(mutated))
     try:
         load(path)
-    except FormatError:
-        pass
+    except FormatError as exc:
+        if not text:
+            offsets = [int(n) for n in OFFSET.findall(str(exc))]
+            assert offsets, str(exc)
+            assert all(0 <= n <= len(mutated) for n in offsets), str(exc)

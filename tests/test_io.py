@@ -24,8 +24,7 @@ CFG = Config()
 def random_cloud(seed, n=200):
     rng = make_rng(seed, 1)
     return LabeledPointCloud(rng.uniform(-50, 50, (n, 3)).astype(np.float32).astype(float),
-                             rng.integers(0, 8, n).astype(np.uint16),
-                             rng.random(n).astype(np.float32).astype(float))
+                             rng.integers(0, 8, n).astype(np.uint16))
 
 
 # ------------------------------------------------------------- point clouds
@@ -38,7 +37,6 @@ def test_cloud_round_trip(tmp_path):
     assert back.count == cloud.count
     # values were chosen representable in float32, so the trip is exact
     assert np.array_equal(back.points, cloud.points)
-    assert np.array_equal(back.intensities, cloud.intensities)
 
 
 def test_cloud_truncated_rejected(tmp_path):
@@ -82,7 +80,7 @@ def test_labels_low_bits_and_class_map(tmp_path):
 def test_labels_count_mismatch(tmp_path):
     path = tmp_path / "l.label"
     save_labels(path, np.arange(5, dtype=np.uint32))
-    with pytest.raises(FormatError, match="5 labels for 4 points"):
+    with pytest.raises(FormatError, match="5 labels for 4 points at byte 16$"):
         load_labels(path, random_cloud(4, n=4), {})
 
 
@@ -187,7 +185,8 @@ def test_index_v1_rejected(tmp_path):
                                                    descriptor_dim=16))
     data[8:10] = (1).to_bytes(2, "little")  # the per-entry record format
     path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="unsupported index version 1$"):
+    with pytest.raises(FormatError,
+                       match="unsupported index version 1 at byte 8$"):
         load_index(path)
 
 
@@ -283,7 +282,7 @@ def test_checkpoint_v1_rejected(tmp_path):
     data[8:10] = (1).to_bytes(2, "little")  # the float32 format
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError,
-                       match="unsupported checkpoint version 1$"):
+                       match="unsupported checkpoint version 1 at byte 8$"):
         load_checkpoint(path)
 
 
@@ -334,6 +333,19 @@ def test_query_save_load_save_idempotent(tmp_path):
     save_query(p2, b.query_id, b.place_id, b.heading, b.noise_level,
                b.gt_position, b.obs)
     assert filecmp.cmp(p1, p2, shallow=False)
+
+
+def test_query_unknown_version_rejected(tmp_path):
+    q = random_query(11)
+    path = tmp_path / "q.qry"
+    save_query(path, q.query_id, q.place_id, q.heading, q.noise_level,
+               q.gt_position, q.obs)
+    data = bytearray(path.read_bytes())
+    data[8:10] = (2).to_bytes(2, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError,
+                       match="unsupported query version 2 at byte 8$"):
+        load_query(path, QUERY_CFG)
 
 
 def test_query_bad_magic(tmp_path):
