@@ -166,8 +166,6 @@ def semantic_attention(feat: np.ndarray, context: np.ndarray,
 def netvlad(cells: np.ndarray, params: NetVladParams) -> GlobalDescriptor:
     """Descriptor of one map's valid cells (n, C); no cells, or a descriptor
     that normalizes to zero, gives a flagged zero vector."""
-    if cells.shape[0] == 0:
-        return GlobalDescriptor(np.zeros(params.proj.shape[0]), flagged=True)
     d = netvlad_forward([cells], params.centroids, params.assign_w,
                         params.assign_b, params.proj)[0][0]
     return GlobalDescriptor(d, flagged=not d.any())
@@ -176,8 +174,8 @@ def netvlad(cells: np.ndarray, params: NetVladParams) -> GlobalDescriptor:
 def describe_query(obs: QueryObservation, enc: EncoderParams,
                    att: AttentionParams, vlad: NetVladParams,
                    context: np.ndarray) -> tuple[GlobalDescriptor, SemanticImage]:
-    # the encoder and the gate run over the whole grid, then the valid rows
-    # go to NetVLAD: a gemv over a row subset can round differently
+    # the gate runs over the whole grid before the valid rows go to NetVLAD:
+    # its `feat @ w` is a gemv, and a gemv over a row subset rounds differently
     feat, pred = encode_query(obs, enc)
     attended = semantic_attention(feat, context, att)
     return netvlad(attended[obs.mask.reshape(-1)], vlad), pred

@@ -45,8 +45,9 @@ class CliError(RuntimeError):
 
 
 @contextmanager
-def output_lock(directory: str):
-    """One CLI instance per output directory."""
+def output_lock(out_path: str):
+    """One CLI instance per output directory, the one that holds out_path."""
+    directory = os.path.dirname(os.path.abspath(out_path))
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, ".xpr.lock")
     try:
@@ -79,12 +80,12 @@ def write_manifest(out_path: str, command: str, cfg: Config, inputs: dict,
 
 def _load_params(ckpt: str | None, cfg: Config):
     if ckpt is None:
-        return init_model_params(cfg), cfg
+        return init_model_params(cfg)
     params, ck_cfg = load_checkpoint(ckpt)
     if with_overrides(ck_cfg,
                       **{f: getattr(cfg, f) for f in TRAINING_ONLY}) != cfg:
         raise CliError("checkpoint config does not match the dataset config")
-    return params, cfg
+    return params
 
 
 def _match_inputs(args) -> tuple:
@@ -93,15 +94,19 @@ def _match_inputs(args) -> tuple:
     index = load_index(args.index)
     if not index.places:
         raise CliError(f"{args.index}: the index has no entries")
-    params, cfg = _load_params(args.ckpt, index.config)
+    cfg = index.config
+    params = _load_params(args.ckpt, cfg)
     return index, params, cfg, load_queries(args.queries, cfg)
 
 
 # ------------------------------------------------------------------ commands
 
 def cmd_synth(args) -> int:
-    if args.places < 1:
-        raise CliError("--places must be >= 1", EXIT_USAGE)
+    for flag, low in (("places", 1), ("queries_per_place", 0),
+                      ("density", 0), ("noise", 0)):
+        if not low <= getattr(args, flag) < math.inf:
+            raise CliError(f"--{flag.replace('_', '-')} must be a finite "
+                           f"number >= {low}", EXIT_USAGE)
     out = args.out
     if os.path.isdir(out) and os.listdir(out) and not args.force:
         raise CliError(f"{out} exists and is not empty (use --force)", EXIT_USAGE)
@@ -114,7 +119,7 @@ def cmd_synth(args) -> int:
     poses = [synth.anchor_pose(world, p.place_id) for p in world.places]
     queries = synth.make_queries(world, cfg, 400, args.queries_per_place,
                                  args.noise)
-    with output_lock(out):
+    with output_lock(os.path.join(out, "meta.json")):
         places = [(p.place_id, p.position) for p in world.places]
         save_dataset(out, cfg, places, clouds, poses, queries,
                      provenance=f"xpr synth seed={args.seed}")
@@ -129,11 +134,11 @@ def cmd_synth(args) -> int:
 
 def cmd_build_map(args) -> int:
     dataset = load_dataset(args.data)
-    params, cfg = _load_params(args.ckpt, dataset.config)
+    cfg = dataset.config
+    params = _load_params(args.ckpt, cfg)
     t0 = time.perf_counter()
     index = build_index(dataset, params, cfg)
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    with output_lock(out_dir):
+    with output_lock(args.out):
         save_index(args.out, index)
         write_manifest(args.out, "build-map", cfg,
                        {"data": args.data, "ckpt": args.ckpt},
@@ -146,8 +151,7 @@ def cmd_match(args) -> int:
     index, params, cfg, queries = _match_inputs(args)
     t0 = time.perf_counter()
     results = match_dataset_queries(queries, index, params, cfg)
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    with output_lock(out_dir):
+    with output_lock(args.out):
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["query_id", "best_place", "best_k", "sim", "phi",
@@ -183,9 +187,8 @@ def cmd_train(args) -> int:
                                 batch_size=args.batch_size)
     except TrainingDiverged as exc:
         raise CliError(str(exc), EXIT_DATA) from exc
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     hist_path = os.path.splitext(args.out)[0] + "_history.csv"
-    with output_lock(out_dir):
+    with output_lock(args.out):
         save_checkpoint(args.out, params, cfg)
         with open(hist_path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
@@ -227,16 +230,18 @@ def cmd_eval(args) -> int:
     ranks = _read_ranks(args.results)
     table = [(k, recall_from_ranks(ranks, k)) for k in ks]
     out = args.out or os.path.splitext(args.results)[0] + "_recall.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "value"])
-        for k, recall in table:
-            w.writerow([f"R@{k}", f"{recall:.2f}"])
+    with output_lock(out):
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["metric", "value"])
+            for k, recall in table:
+                w.writerow([f"R@{k}", f"{recall:.2f}"])
+        write_manifest(out, "eval", cfg,
+                       {"results": args.results, "data": args.data,
+                        "k": args.k},
+                       [out], {})
     for k, recall in table:
         print(f"R@{k}, {recall:.2f}")
-    write_manifest(out, "eval", cfg,
-                   {"results": args.results, "data": args.data, "k": args.k},
-                   [out], {})
     return EXIT_OK
 
 
@@ -299,18 +304,20 @@ def cmd_bench(args) -> int:
 
     rows = [(stage, *_stats(vals)) for stage, vals in timings.items()]
     out = args.out or "bench.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stage", "mean_ms", "median_ms", "p95_ms"])
-        for stage, mean, median, p95 in rows:
-            w.writerow([stage, f"{mean:.4f}", f"{median:.4f}", f"{p95:.4f}"])
+    with output_lock(out):
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["stage", "mean_ms", "median_ms", "p95_ms"])
+            for stage, mean, median, p95 in rows:
+                w.writerow([stage, f"{mean:.4f}", f"{median:.4f}",
+                            f"{p95:.4f}"])
+        write_manifest(out, "bench", cfg,
+                       {"index": args.index, "queries": args.queries,
+                        "repeat": args.repeat},
+                       [out], {stage: mean for stage, mean, _md, _p in rows})
     for stage, mean, median, p95 in rows:
         print(f"{stage}: mean {mean:.3f} ms, median {median:.3f} ms, "
               f"p95 {p95:.3f} ms")
-    write_manifest(out, "bench", cfg,
-                   {"index": args.index, "queries": args.queries,
-                    "repeat": args.repeat},
-                   [out], {stage: mean for stage, mean, _md, _p in rows})
     return EXIT_OK
 
 

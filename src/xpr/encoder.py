@@ -47,20 +47,16 @@ def init_encoder_params(cfg: Config) -> EncoderParams:
     )
 
 
-def query_forward(raw: np.ndarray, params: EncoderParams,
-                  mask: np.ndarray | None = None
+def query_forward(raw: np.ndarray, params: EncoderParams
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encoder forward over (R, QUERY_CHANNELS) raw cells: one query's grid
-    with its (R,) validity mask, or only valid cells, with no mask.
+    """Encoder forward over (R, QUERY_CHANNELS) valid raw cells.
 
-    Returns the masked tanh activations h (R, C), which the backward needs,
-    the features h @ desc_proj (R, C) and the class logits (R, n_classes).
+    Returns the tanh activations h (R, C), which the backward needs, the
+    features h @ desc_proj (R, C) and the class logits (R, n_classes).
     """
     h = raw @ params.rgb_proj
     h += params.rgb_bias
     np.tanh(h, out=h)
-    if mask is not None:
-        h *= mask[:, None]
     logits = h @ params.seg_head
     logits += params.seg_bias
     return h, h @ params.desc_proj, logits
@@ -68,20 +64,20 @@ def query_forward(raw: np.ndarray, params: EncoderParams,
 
 def encode_query(obs: QueryObservation, params: EncoderParams
                  ) -> tuple[np.ndarray, SemanticImage]:
-    """Forward pass over the whole grid: the (H*W, C) features, row-major
-    and zero on masked cells, and the predicted labels.
+    """Forward pass over the valid cells, written into the whole grid: the
+    (H*W, C) features, row-major and zero on masked cells, and the labels.
 
     Predicted label = argmax over logits (ties to the lowest class id) on
     valid cells, 0 elsewhere.
     """
     if not np.isfinite(obs.raw).all():
         raise ValueError("non-finite query observation")
-    h, w, _ = obs.raw.shape
-    mask = obs.mask.reshape(-1)
-    _, feat, logits = query_forward(obs.raw.reshape(h * w, -1), params, mask)
-    pred = np.argmax(logits, axis=1).astype(np.uint16)
-    pred[~mask] = 0
-    return feat, SemanticImage(pred.reshape(h, w))
+    _, valid_feat, logits = query_forward(obs.raw[obs.mask], params)
+    feat = np.zeros((obs.mask.size, valid_feat.shape[1]))
+    feat[obs.mask.reshape(-1)] = valid_feat
+    pred = np.zeros(obs.mask.shape, dtype=np.uint16)
+    pred[obs.mask] = np.argmax(logits, axis=1)
+    return feat, SemanticImage(pred)
 
 
 def encode_lidar_local(rng_img: RangeImage, sem_img: SemanticImage,

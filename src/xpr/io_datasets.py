@@ -40,12 +40,8 @@ class FormatError(ValueError):
 
 def read_text(path) -> str:
     """The text of a UTF-8 file, or a FormatError at its first bad byte."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from exc
+    r = _Reader(path)
+    return r.text(len(r.data))
 
 
 class _Reader:
@@ -75,6 +71,16 @@ class _Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.block(np.uint8, struct.calcsize(fmt)))
 
+    def text(self, n: int, what: str = "") -> str:
+        """The next n bytes as UTF-8 text. A bad byte is a FormatError at its
+        byte in the file, with `what` naming the text."""
+        data = self.block(np.uint8, n).tobytes()
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.fail(f"{what}not UTF-8 at byte "
+                            f"{self.last + exc.start}") from exc
+
     def records(self, dtype) -> np.ndarray:
         """The rest of the file as whole records of dtype; a partial last
         record is a FormatError at its first byte."""
@@ -98,9 +104,9 @@ class _Reader:
     def config(self) -> Config:
         """A <u4 byte count, then that many bytes of JSON config."""
         (n,) = self.unpack("<I")
-        (data,) = self.unpack(f"{n}s")
+        text = self.text(n, "config header ")
         try:
-            return config_from_json(data.decode())
+            return config_from_json(text)
         except (ValueError, TypeError) as exc:
             raise self.fail(f"bad config header at byte {self.last}: "
                             f"{exc}") from exc
@@ -286,7 +292,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Config]:
     for _ in range(n_tensors):
         (name_len,) = r.unpack("<H")
         at = r.last
-        name = r.unpack(f"{name_len}s")[0].decode(errors="replace")
+        name = r.text(name_len, "tensor name ")
         if name not in expected or name in tensors:
             raise r.fail(f"unexpected tensor {name!r} at byte {at}")
         (ndim,) = r.unpack("<B")

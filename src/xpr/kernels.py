@@ -21,8 +21,6 @@ def fill_grid(rows, cols, ranges, labels, h, w):
     n = rows.shape[0]
     depth = np.zeros((h, w), dtype=np.float64)
     label = np.zeros((h, w), dtype=np.uint16)
-    if n == 0:
-        return depth, label
     cell = rows.astype(np.int64) * w + cols
     best = np.full(h * w, np.inf)
     np.minimum.at(best, cell, ranges)

@@ -66,23 +66,20 @@ def project_spherical(cloud: LabeledPointCloud, sensor_pose: Pose,
     on range go to the lower point index.
     """
     h, w = cfg.range_rows, cfg.range_cols
-    depth = np.zeros((h, w), dtype=np.float64)
-    labels = np.zeros((h, w), dtype=np.uint16)
-    if cloud.count:
-        pts = sensor_pose.inverse().transform(cloud.points)
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        rng = np.sqrt(x * x + y * y + z * z)
-        up = math.radians(cfg.vfov_up)
-        down = math.radians(cfg.vfov_down)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            el = np.arcsin(np.clip(z / rng, -1.0, 1.0))
-            keep = np.flatnonzero((rng > 0.0) & (el >= down) & (el <= up))
-        el, rng, lab = el[keep], rng[keep], cloud.labels[keep]
-        az = np.arctan2(y[keep], x[keep])
+    pts = sensor_pose.inverse().transform(cloud.points)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    rng = np.sqrt(x * x + y * y + z * z)
+    up = math.radians(cfg.vfov_up)
+    down = math.radians(cfg.vfov_down)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        el = np.arcsin(np.clip(z / rng, -1.0, 1.0))
+        keep = np.flatnonzero((rng > 0.0) & (el >= down) & (el <= up))
+    el, rng, lab = el[keep], rng[keep], cloud.labels[keep]
+    az = np.arctan2(y[keep], x[keep])
 
-        cols = np.floor((az + math.pi) / (2.0 * math.pi) * w).astype(np.int64) % w
-        rows = np.minimum(np.floor((up - el) / (up - down) * h).astype(np.int64), h - 1)
-        depth, labels = kernels.fill_grid(rows, cols, rng, lab, h, w)
+    cols = np.floor((az + math.pi) / (2.0 * math.pi) * w).astype(np.int64) % w
+    rows = np.minimum(np.floor((up - el) / (up - down) * h).astype(np.int64), h - 1)
+    depth, labels = kernels.fill_grid(rows, cols, rng, lab, h, w)
 
     img = RangeImage(depth, np.zeros((h, w, 3)), cfg.vfov_up, cfg.vfov_down)
     return img, SemanticImage(labels)

@@ -9,7 +9,7 @@ from xpr.aggregation import (N_CLUSTERS, attention_forward, describe_query,
                              netvlad, netvlad_batch, netvlad_forward,
                              semantic_attention)
 from xpr.config import Config, make_rng
-from xpr.encoder import QUERY_CHANNELS, QueryObservation, query_forward
+from xpr.encoder import QUERY_CHANNELS, QueryObservation
 from xpr.model import TRAINABLE, ModelParams, init_model_params
 from xpr.projection import SemanticImage
 
@@ -178,8 +178,14 @@ def grid_describe_query(obs, params, context):
     and the gate over the whole grid, masked cells zeroed, the valid cells
     compressed out of the grid for NetVLAD."""
     h, w, _ = obs.raw.shape
-    _, feat, logits = query_forward(obs.raw.reshape(h * w, -1), params.enc,
-                                    obs.mask.reshape(-1))
+    enc = params.enc
+    hid = obs.raw.reshape(h * w, -1) @ enc.rgb_proj
+    hid += enc.rgb_bias
+    np.tanh(hid, out=hid)
+    hid *= obs.mask.reshape(-1)[:, None]
+    logits = hid @ enc.seg_head
+    logits += enc.seg_bias
+    feat = hid @ enc.desc_proj
     pred = np.argmax(logits.reshape(h, w, -1), axis=2).astype(np.uint16)
     pred[~obs.mask] = 0
     values = attention_forward(feat, context, params.att.bilinear,

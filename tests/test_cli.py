@@ -70,6 +70,19 @@ def test_synth_bad_places(tmp_path):
                  "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("option", [
+    ("--noise", "nan"), ("--noise", "-0.1"), ("--noise", "inf"),
+    ("--density", "inf"), ("--density", "-1"), ("--density", "nan"),
+    ("--queries-per-place", "-1")], ids=lambda o: f"{o[0][2:]}={o[1]}")
+def test_synth_rejects_out_of_range_option(tmp_path, capsys, option):
+    out = tmp_path / "x"
+    assert main(["synth", "--places", "2", "--out", str(out),
+                 *option]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{option[0]} must be a finite number >= 0" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_build_map_index(workspace):
     idx = load_index(workspace["idx"])
     assert len(idx.places) == 3
@@ -204,15 +217,22 @@ def test_loss_override_checkpoint_builds_and_matches(tmp_path, override):
                  "--out", str(tmp_path / "r.csv")]) == EXIT_OK
 
 
-def test_lock_blocks_concurrent_writer(workspace, tmp_path):
+@pytest.mark.parametrize("command", ["match", "eval", "bench"])
+def test_lock_blocks_concurrent_writer(workspace, tmp_path, command):
     out = str(tmp_path / "r.csv")
+    inputs = {"match": ["--index", workspace["idx"], "--queries",
+                        workspace["data"]],
+              "eval": ["--results", workspace["results"], "--data",
+                       workspace["data"]],
+              "bench": ["--index", workspace["idx"], "--queries",
+                        workspace["data"], "--repeat", "1"]}[command]
     lock = tmp_path / ".xpr.lock"
     lock.write_text("1234")
     try:
-        assert main(["match", "--index", workspace["idx"], "--queries",
-                     workspace["data"], "--out", out]) == EXIT_DATA
+        assert main([command, *inputs, "--out", out]) == EXIT_DATA
     finally:
         lock.unlink()
+    assert not os.listdir(tmp_path)
 
 
 def test_missing_input_is_data_error(tmp_path):
@@ -281,8 +301,10 @@ def test_bad_config_header_is_data_error(workspace, tmp_path, capsys, kind,
     with open(target, "rb") as fh:
         data = bytearray(fh.read())
     # the header starts after the 8-byte magic, version and length
-    if defect == "utf8":
-        data[14] = 0xFF
+    message = "bad config header at byte 14: "
+    if defect == "utf8":  # a bad byte is named at its own byte in the file
+        data[20] = 0xFF
+        message = f"{target}: config header not UTF-8 at byte 20"
     elif defect == "json":
         data[15] = ord("x")
     else:  # same length, so only the key is wrong
@@ -290,12 +312,12 @@ def test_bad_config_header_is_data_error(workspace, tmp_path, capsys, kind,
         data[at:at + 6] = b'"sEEd"'
     with open(target, "wb") as fh:
         fh.write(data)
-    with pytest.raises(FormatError, match="bad config header at byte 14: "):
+    with pytest.raises(FormatError, match=re.escape(message)):
         loader(target)
     capsys.readouterr()
     assert main(args) == EXIT_DATA
     err = capsys.readouterr().err
-    assert "bad config header at byte 14" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
 
 
 def _expect_data_error(args, capsys, target, loader, msg):
@@ -543,10 +565,11 @@ def test_incomplete_checkpoint_is_data_error(workspace, tmp_path, capsys,
     if defect == "name":  # a tensor name that is not UTF-8
         with open(target, "rb") as fh:
             data = bytearray(fh.read())
-        data[data.index(b"att.bilinear")] = 0xFF
+        bad = data.index(b"att.bilinear") + 1
+        data[bad] = 0xFF
         with open(target, "wb") as fh:
             fh.write(data)
-        message = "unexpected tensor '\ufffdtt.bilinear' at byte [0-9]+"
+        message = f"tensor name not UTF-8 at byte {bad}$"
     with pytest.raises(FormatError, match=message):
         loader(target)
     capsys.readouterr()

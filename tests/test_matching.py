@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from xpr.aggregation import GlobalDescriptor
+from xpr.aggregation import GlobalDescriptor, describe_query
 from xpr.config import Config, make_rng
+from xpr.encoder import QUERY_CHANNELS, QueryObservation, encode_query
 from xpr.matching import (MapIndex, _overlaps, geometric_similarity,
                           match_query, recall_at_k, semantic_overlap)
+from xpr.model import init_model_params
 from xpr.projection import SemanticImage, frustum_window
 from xpr.selfcheck import iou_reference
 
@@ -292,6 +294,37 @@ def test_psi_all_void_query_scores_zero_on_every_row():
     q = np.zeros((4, 45), dtype=np.uint16)
     assert np.array_equal(_overlaps(q, idx._planes, idx._counts), np.zeros(6))
     assert match_query(d, SemanticImage(q), idx, cfg).psi == 0.0
+
+
+def test_query_without_valid_cells_ranks_places_by_id():
+    """A query with no valid cell goes through the general path: zero
+    features, an all-void label image and a flagged zero descriptor, so
+    every entry scores phi = psi = 0 and the places rank by id."""
+    rng = make_rng(12, 1)
+    rows, width = CFG.range_rows, frustum_window(CFG.range_cols)[1]
+    obs = QueryObservation(rng.normal(size=(rows, width, QUERY_CHANNELS)),
+                           np.zeros((rows, width), dtype=bool),
+                           SemanticImage(np.ones((rows, width), np.uint16)))
+    n = 3 * CFG.n_viewpoints
+    desc = rng.normal(size=(n, CFG.descriptor_dim))
+    idx = MapIndex([(pid, np.zeros(3)) for pid in (5, 2, 9)],
+                   desc / np.linalg.norm(desc, axis=1, keepdims=True),
+                   rng.integers(0, CFG.n_classes,
+                                (n, rows, CFG.range_cols)), CFG)
+    params = init_model_params(CFG)
+    with np.errstate(all="raise"):
+        feat, pred = encode_query(obs, params.enc)
+        q_desc, q_sem = describe_query(obs, params.enc, params.att,
+                                       params.vlad, idx.mean_histogram())
+        res = match_query(q_desc, q_sem, idx, CFG)
+    assert feat.shape == (rows * width, CFG.feature_dim) and not feat.any()
+    assert pred.labels.shape == (rows, width) and not pred.labels.any()
+    assert np.array_equal(q_sem.labels, pred.labels)
+    assert q_desc.flagged and q_desc.values.shape == (CFG.descriptor_dim,)
+    assert not q_desc.values.any()
+    assert (res.phi, res.psi, res.score) == (0.0, 0.0, 0.0)
+    assert res.best_place_id == 2 and res.best_viewpoint == 0
+    assert res.ranked == [(2, 0.0), (5, 0.0), (9, 0.0)]
 
 
 def test_match_query_picks_best_place_and_ranks_all():

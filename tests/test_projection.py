@@ -39,6 +39,18 @@ def test_empty_cloud_gives_empty_images():
     assert not img.depth.any() and not sem.labels.any()
 
 
+@pytest.mark.parametrize("points", [[[0.0, 0.0, 0.0]] * 3,
+                                    [[1.0, 0.0, 5.0], [0.0, 0.0, 2.0]]],
+                         ids=["at-sensor", "above-fov"])
+def test_cloud_with_no_point_in_view_projects_to_zero_grids(points):
+    with np.errstate(all="raise"):
+        img, sem = project(points, [4] * len(points))
+    assert img.depth.dtype == np.float64 and sem.labels.dtype == np.uint16
+    assert img.depth.shape == sem.labels.shape == (CFG.range_rows,
+                                                   CFG.range_cols)
+    assert not img.depth.any() and not sem.labels.any()
+
+
 def test_equal_range_tie_goes_to_lower_index():
     """Points on one ray at equal range tie; the lowest point index wins,
     and a nearer point beats every tie whatever its index."""
