@@ -111,15 +111,16 @@ def cmd_synth(args) -> int:
     if os.path.isdir(out) and os.listdir(out) and not args.force:
         raise CliError(f"{out} exists and is not empty (use --force)", EXIT_USAGE)
     cfg = validate_config(Config(seed=args.seed))
-    t0 = time.perf_counter()
-    world = synth.generate_world(args.places, args.seed, cfg,
-                                 density=args.density,
-                                 aliased_pairs=args.aliased)
-    clouds = [synth.canonical_cloud(world, p.place_id) for p in world.places]
-    poses = [synth.anchor_pose(world, p.place_id) for p in world.places]
-    queries = synth.make_queries(world, cfg, 400, args.queries_per_place,
-                                 args.noise)
     with output_lock(os.path.join(out, "meta.json")):
+        t0 = time.perf_counter()
+        world = synth.generate_world(args.places, args.seed, cfg,
+                                     density=args.density,
+                                     aliased_pairs=args.aliased)
+        clouds = [synth.canonical_cloud(world, p.place_id)
+                  for p in world.places]
+        poses = [synth.anchor_pose(world, p.place_id) for p in world.places]
+        queries = synth.make_queries(world, cfg, 400, args.queries_per_place,
+                                     args.noise)
         places = [(p.place_id, p.position) for p in world.places]
         save_dataset(out, cfg, places, clouds, poses, queries,
                      provenance=f"xpr synth seed={args.seed}")
@@ -136,9 +137,9 @@ def cmd_build_map(args) -> int:
     dataset = load_dataset(args.data)
     cfg = dataset.config
     params = _load_params(args.ckpt, cfg)
-    t0 = time.perf_counter()
-    index = build_index(dataset, params, cfg)
     with output_lock(args.out):
+        t0 = time.perf_counter()
+        index = build_index(dataset, params, cfg)
         save_index(args.out, index)
         write_manifest(args.out, "build-map", cfg,
                        {"data": args.data, "ckpt": args.ckpt},
@@ -149,9 +150,9 @@ def cmd_build_map(args) -> int:
 
 def cmd_match(args) -> int:
     index, params, cfg, queries = _match_inputs(args)
-    t0 = time.perf_counter()
-    results = match_dataset_queries(queries, index, params, cfg)
     with output_lock(args.out):
+        t0 = time.perf_counter()
+        results = match_dataset_queries(queries, index, params, cfg)
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["query_id", "best_place", "best_k", "sim", "phi",
@@ -180,15 +181,15 @@ def cmd_train(args) -> int:
         cfg = with_overrides(cfg, loss_kind=args.loss_kind)
     if args.lambda_sem is not None:
         cfg = with_overrides(cfg, lambda_sem=args.lambda_sem)
-    t0 = time.perf_counter()
-    ts = training_set(dataset, cfg)
-    try:
-        params, history = train(ts, cfg, args.epochs, args.lr,
-                                batch_size=args.batch_size)
-    except TrainingDiverged as exc:
-        raise CliError(str(exc), EXIT_DATA) from exc
     hist_path = os.path.splitext(args.out)[0] + "_history.csv"
     with output_lock(args.out):
+        t0 = time.perf_counter()
+        ts = training_set(dataset, cfg)
+        try:
+            params, history = train(ts, cfg, args.epochs, args.lr,
+                                    batch_size=args.batch_size)
+        except TrainingDiverged as exc:
+            raise CliError(str(exc), EXIT_DATA) from exc
         save_checkpoint(args.out, params, cfg)
         with open(hist_path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
@@ -265,14 +266,10 @@ def _stats(samples_ms) -> tuple:
             float(arr[min(len(arr) - 1, int(math.ceil(0.95 * len(arr))) - 1)]))
 
 
-def cmd_bench(args) -> int:
-    if args.repeat < 1:
-        raise CliError("--repeat must be >= 1", EXIT_USAGE)
-    index, params, cfg, queries = _match_inputs(args)
-    if not queries:
-        raise CliError("no queries to benchmark")
+def _stage_timings(args, index, params, cfg, queries) -> dict:
+    """Per-stage wall times in ms of `--repeat` queries and, with `--data`,
+    of up to 50 viewpoint describes and projections."""
     context = index.mean_histogram()
-
     timings = {"query_encode": [], "match": [], "total": []}
     for i in range(args.repeat):
         q = queries[i % len(queries)]
@@ -301,10 +298,19 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             project_spherical(cloud, pose, cfg)
             timings["project"].append((time.perf_counter() - t0) * 1e3)
+    return timings
 
-    rows = [(stage, *_stats(vals)) for stage, vals in timings.items()]
+
+def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise CliError("--repeat must be >= 1", EXIT_USAGE)
+    index, params, cfg, queries = _match_inputs(args)
+    if not queries:
+        raise CliError("no queries to benchmark")
     out = args.out or "bench.csv"
     with output_lock(out):
+        rows = [(stage, *_stats(vals)) for stage, vals in
+                _stage_timings(args, index, params, cfg, queries).items()]
         with open(out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["stage", "mean_ms", "median_ms", "p95_ms"])

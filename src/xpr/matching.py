@@ -57,11 +57,12 @@ class MapIndex:
         self._query_shape = (rows, width)
         self._planes = _class_planes(
             self.labels[:, :, c0:c0 + width].reshape(n, rows * width),
-            config.n_classes)
+            np.arange(1, config.n_classes))
         self._counts = _popcounts(self._planes)
+        self._n_held = (self._counts > 0).sum(axis=0)
         self._context = semantic_context(self.labels, config)
         for block in (self.descriptors, self.labels, self._planes,
-                      self._counts, self._context):
+                      self._counts, self._n_held, self._context):
             block.flags.writeable = False
 
     @cached_property
@@ -103,41 +104,59 @@ def _window(labels: np.ndarray, query_shape: tuple) -> np.ndarray:
     return labels
 
 
-def _class_planes(cells: np.ndarray, n_classes: int) -> np.ndarray:
-    """Classes 1..n_classes-1 of each row of an (E, n) label block as bit
-    planes: a (words, n_classes - 1, E) uint64 array, each row's cells packed
+def _class_planes(cells: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The given classes of each row of an (E, n) label block as bit planes:
+    a (words, len(classes), E) uint64 array, each row's cells packed
     little-endian into whole 64-cell words with zero bits as padding. A label
-    outside 1..n_classes-1 sets no bit."""
+    outside `classes` sets no bit."""
     n_rows, n = cells.shape
-    hot = cells == np.arange(1, n_classes).reshape(-1, 1, 1)
+    hot = cells == classes.reshape(-1, 1, 1)
     n_bytes, n_words = -(-n // 8), -(-n // 64)
-    packed = np.zeros((n_classes - 1, n_rows, 8 * n_words), np.uint8)
+    packed = np.zeros((len(classes), n_rows, 8 * n_words), np.uint8)
     packed[:, :, :n_bytes] = np.packbits(hot, axis=-1, bitorder="little")
     return np.ascontiguousarray(packed.view(np.uint64).transpose(2, 0, 1))
 
 
 def _popcounts(planes: np.ndarray) -> np.ndarray:
-    """(n_classes - 1, E) set bits of each class plane of each row."""
-    return np.bitwise_count(planes).sum(axis=0, dtype=np.int64)
+    """(classes, E) set bits of each class plane of each row, in the
+    smallest unsigned type that holds a row's 64 * words cells."""
+    return np.bitwise_count(planes).sum(
+        axis=0, dtype=np.min_scalar_type(64 * len(planes)))
 
 
-def _overlaps(q: np.ndarray, planes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _overlaps(q: np.ndarray, planes: np.ndarray, counts: np.ndarray,
+              n_held: np.ndarray) -> np.ndarray:
     """Mean per-class IoU of the query labels against every window row of
-    `planes`, whose per-class cell counts are `counts`.
+    `planes`, whose per-class cell counts are `counts` and whose numbers of
+    classes with a cell are `n_held`.
 
     Classes 1..n_classes-1 present in the query or a window contribute an
     IoU term over all window cells, summed in ascending class order. A row
     with no co-visible labeled cell has no intersection in any class, so it
     scores exactly 0.0 without a separate test.
+
+    A class the query lacks has no intersection and adds exactly 0.0, so
+    only the query's own classes are intersected; the others count only in
+    the denominator, on the rows that hold them. The cost grows with the
+    classes the query holds, not with n_classes.
     """
-    q_planes = _class_planes(q.reshape(1, -1), len(counts) + 1)
-    inter = _popcounts(planes & q_planes)
-    union = _popcounts(q_planes) + counts - inter
-    present = union > 0
-    # a sum over the outer axis adds the class rows one by one in ascending
-    # order, so psi rounds as a per-class loop does
-    total = np.where(present, inter / np.maximum(union, 1), 0.0).sum(axis=0)
-    return total / np.maximum(present.sum(axis=0), 1)
+    n_classes = len(counts) + 1
+    q_counts = np.bincount(q.ravel(), minlength=n_classes)[1:n_classes]
+    cls = np.flatnonzero(q_counts)
+    sub = planes.take(cls, axis=1)
+    sub &= _class_planes(q.reshape(1, -1), cls + 1)
+    inter = _popcounts(sub)
+    held = counts.take(cls, axis=0)
+    union = held - inter + q_counts[cls, None]
+    # row by row in ascending class order, so psi rounds as a per-class
+    # loop does; a sum over a one-row block would add eight or more terms
+    # pairwise
+    total = np.zeros(planes.shape[2])
+    for ratio in inter / union:
+        total += ratio
+    # each query class counts on every row; n_held has those a row holds
+    n_present = n_held + (held == 0).sum(axis=0)
+    return total / np.maximum(n_present, 1)
 
 
 def geometric_similarity(a: GlobalDescriptor, b: GlobalDescriptor) -> float:
@@ -156,8 +175,9 @@ def semantic_overlap(query_sem: SemanticImage, cand_sem: SemanticImage,
     """
     q = query_sem.labels
     planes = _class_planes(_window(cand_sem.labels, q.shape).reshape(1, -1),
-                           cfg.n_classes)
-    return float(_overlaps(q, planes, _popcounts(planes))[0])
+                           np.arange(1, cfg.n_classes))
+    counts = _popcounts(planes)
+    return float(_overlaps(q, planes, counts, (counts > 0).sum(axis=0))[0])
 
 
 def match_query(q_desc: GlobalDescriptor, q_sem: SemanticImage,
@@ -176,7 +196,7 @@ def match_query(q_desc: GlobalDescriptor, q_sem: SemanticImage,
     if q.shape != index._query_shape:
         raise ValueError("row counts differ")
     phi = np.vecdot(index.descriptors, q_desc.values)
-    psi = _overlaps(q, index._planes, index._counts)
+    psi = _overlaps(q, index._planes, index._counts, index._n_held)
     score = cfg.alpha * phi + cfg.beta * psi
     # per place, the first of its best-scoring viewpoints; then places by
     # score, ties to the smaller place id

@@ -200,7 +200,14 @@ def make_query(world: SyntheticWorld, place_id: int, heading: float,
                noise_level: float, rng, cfg: Config
                ) -> tuple[QueryObservation, np.ndarray]:
     """Render the front-90-degree frustum at a heading and add appearance."""
-    cloud = canonical_cloud(world, place_id)
+    return _render_query(world, canonical_cloud(world, place_id), place_id,
+                         heading, noise_level, rng, cfg)
+
+
+def _render_query(world: SyntheticWorld, cloud: LabeledPointCloud,
+                  place_id: int, heading: float, noise_level: float, rng,
+                  cfg: Config) -> tuple[QueryObservation, np.ndarray]:
+    """make_query on the place's canonical cloud, sampled by the caller."""
     pose = query_pose(world, place_id, heading)
     rng_img, sem_img = render_viewpoint(cloud, pose, cfg)
     c0, width = frustum_window(cfg.range_cols)
@@ -214,13 +221,16 @@ def make_queries(world: SyntheticWorld, cfg: Config, stream: int,
                  per_place: int, noise: float) -> list:
     """per_place queries per place, numbered in place order; query j of a
     place takes its viewpoint heading, then its appearance noise, from
-    make_rng(world.seed, stream, place_id, j)."""
+    make_rng(world.seed, stream, place_id, j). Each place's canonical cloud
+    is sampled once for all its queries."""
     out = []
     for p in world.places:
+        cloud = canonical_cloud(world, p.place_id) if per_place else None
         for j in range(per_place):
             qrng = make_rng(world.seed, stream, p.place_id, j)
             k = int(qrng.integers(cfg.n_viewpoints))
             heading = k * 2.0 * math.pi / cfg.n_viewpoints
-            obs, gt = make_query(world, p.place_id, heading, noise, qrng, cfg)
+            obs, gt = _render_query(world, cloud, p.place_id, heading, noise,
+                                    qrng, cfg)
             out.append(QueryRecord(len(out), p.place_id, heading, noise, gt, obs))
     return out

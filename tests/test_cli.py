@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from xpr import cli
 from xpr.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint,
                              load_dataset, load_dataset_config, load_index,
@@ -233,6 +234,55 @@ def test_lock_blocks_concurrent_writer(workspace, tmp_path, command):
     finally:
         lock.unlink()
     assert not os.listdir(tmp_path)
+
+
+class WorkStarted(Exception):
+    pass
+
+
+# command: (what does its work, as a path from xpr.cli; its arguments but
+# --out)
+LOCKED_WORK = {
+    "synth": ("synth.generate_world", ["--places", "2", "--density", "1.0",
+                                       "--force"]),
+    "train": ("train", ["--data", "{data}", "--epochs", "40"]),
+    "build-map": ("build_index", ["--data", "{data}"]),
+    "match": ("match_dataset_queries", ["--index", "{idx}", "--queries",
+                                        "{data}"]),
+    "bench": ("describe_query", ["--index", "{idx}", "--queries", "{data}",
+                                 "--repeat", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", list(LOCKED_WORK))
+def test_locked_output_fails_before_work(workspace, tmp_path, capsys,
+                                         monkeypatch, command):
+    """A writing command takes the output lock before its work: a locked
+    directory exits 2 at once, and the work is never started."""
+    path, inputs = LOCKED_WORK[command]
+    *owners, name = path.split(".")
+    target = cli
+    for owner in owners:
+        target = getattr(target, owner)
+
+    def work(*args, **kwargs):
+        raise WorkStarted(command)
+
+    monkeypatch.setattr(target, name, work)
+    out = tmp_path / "out"
+    out.mkdir()
+    args = [command, *[a.format(**workspace) for a in inputs],
+            "--out", str(out if command == "synth" else out / "artifact")]
+    lock = out / ".xpr.lock"
+    lock.write_text("1234")
+    assert main(args) == EXIT_DATA
+    assert "output directory is locked" in capsys.readouterr().err
+    assert os.listdir(out) == [".xpr.lock"]
+    # unlocked, the same command reaches the patched work
+    lock.unlink()
+    with pytest.raises(WorkStarted):
+        main(args)
+    assert not os.listdir(out)
 
 
 def test_missing_input_is_data_error(tmp_path):

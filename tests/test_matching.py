@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xpr.aggregation import GlobalDescriptor, describe_query
 from xpr.config import Config, make_rng
@@ -226,6 +227,17 @@ def onehot_psi(q: np.ndarray, index: MapIndex) -> np.ndarray:
                            index.config.n_classes)
 
 
+def label_index(labels, cfg):
+    """A MapIndex over 360-degree label images, n_viewpoints rows a place."""
+    n = len(labels)
+    return MapIndex([(pid, np.zeros(3)) for pid in range(n // cfg.n_viewpoints)],
+                    np.ones((n, cfg.descriptor_dim)), labels, cfg)
+
+
+def index_psi(q, index):
+    return _overlaps(q, index._planes, index._counts, index._n_held)
+
+
 # (range_rows, range_cols) whose frontal window holds that many cells: one
 # bit, a word short by one, one word, a word and one bit, and W100's window
 WINDOWS = {1: (1, 4), 63: (7, 36), 64: (8, 32), 65: (5, 52), 720: (16, 180)}
@@ -248,13 +260,127 @@ def test_psi_bit_equal_across_words_and_class_counts(cells, n_classes):
         q = rng.integers(0, n_classes, (rows, width)).astype(np.uint16)
         if j == 2:
             q = labels[3, :, c0:c0 + width].astype(np.uint16)
-        psi = _overlaps(q, index._planes, index._counts)
+        psi = index_psi(q, index)
         assert np.array_equal(psi, onehot_psi(q, index))
         res = match_query(unit(rng.normal(size=4)), SemanticImage(q), index,
                           cfg)
         best = labels[2 * res.best_place_id + res.best_viewpoint]
         assert res.psi == psi.max()
         assert res.psi == iou_reference(q, best[:, c0:c0 + width], n_classes)
+
+
+def test_psi_of_a_one_class_query():
+    cfg = Config(n_viewpoints=2, range_rows=4, range_cols=48, descriptor_dim=2)
+    rng = make_rng(13, 1)
+    labels = rng.integers(0, cfg.n_classes, (6, 4, 48))
+    q = np.where(rng.random((4, 12)) < 0.5, 3, 0).astype(np.uint16)
+    index = label_index(labels, cfg)
+    psi = index_psi(q, index)
+    assert np.array_equal(psi, onehot_psi(q, index))
+    assert (psi > 0.0).all() and (psi < 1.0).all()
+
+
+def test_psi_of_classes_no_window_holds_is_zero():
+    cfg = Config(n_viewpoints=2, range_rows=4, range_cols=48, descriptor_dim=2)
+    rng = make_rng(13, 2)
+    index = label_index(rng.integers(0, 3, (6, 4, 48)), cfg)
+    q = rng.integers(5, 8, (4, 12)).astype(np.uint16)
+    psi = index_psi(q, index)
+    assert np.array_equal(psi, onehot_psi(q, index))
+    assert np.array_equal(psi, np.zeros(6))
+
+
+def test_psi_counts_window_classes_the_query_lacks():
+    # the query matches class 1 of the window exactly and holds neither of
+    # the window's classes 2 and 3: psi = (1 + 0 + 0) / 3
+    cfg = Config(n_viewpoints=1, range_rows=3, range_cols=48, descriptor_dim=2)
+    c0, width = frustum_window(cfg.range_cols)
+    window = np.zeros((3, width), dtype=np.uint16)
+    window[0], window[1, :5], window[2] = 1, 2, 3
+    labels = np.zeros((2, 3, 48), dtype=np.uint16)
+    labels[:, :, c0:c0 + width] = window
+    labels[1, 2, c0:c0 + width] = 0  # no class 3 in the second window
+    index = label_index(labels, cfg)
+    q = np.where(window == 1, 1, 0).astype(np.uint16)
+    psi = index_psi(q, index)
+    assert np.array_equal(psi, onehot_psi(q, index))
+    assert psi[0] == 1.0 / 3.0 and psi[1] == 1.0 / 2.0
+
+
+def test_psi_of_a_three_class_query_among_256_classes():
+    cfg = Config(n_classes=256, n_viewpoints=2, range_rows=4, range_cols=180,
+                 descriptor_dim=2)
+    c0, width = frustum_window(cfg.range_cols)
+    rng = make_rng(13, 3)
+    q = rng.choice(np.array([0, 7, 100, 255], np.uint16), (4, width))
+    labels = rng.integers(0, 256, (8, 4, 180))
+    # half the windows draw from the query's classes and a few others
+    labels[::2] = rng.choice([0, 7, 100, 255, 3, 200], (4, 4, 180))
+    labels[2, :, c0:c0 + width] = q
+    index = label_index(labels, cfg)
+    psi = index_psi(q, index)
+    assert np.array_equal(psi, onehot_psi(q, index))
+    assert psi[2] == 1.0 and (psi[::2] > 0.0).all()
+
+
+def test_psi_adds_one_row_classes_in_ascending_order():
+    # a query of 12 classes against one window: the class terms add one by
+    # one, not pairwise as a reduction over a single row would
+    cfg = Config(n_classes=40, n_viewpoints=1, range_rows=8, range_cols=32,
+                 descriptor_dim=2)
+    c0, width = frustum_window(cfg.range_cols)
+    for i in range(20):
+        rng = make_rng(13, 4, i)
+        q = rng.integers(0, 13, (8, width)).astype(np.uint16)
+        c = q.copy()
+        moved = rng.random(c.shape) < 0.3
+        c[moved] = rng.integers(0, 16, moved.sum())
+        labels = np.zeros((1, 8, cfg.range_cols), dtype=np.uint16)
+        labels[0, :, c0:c0 + width] = c
+        index = label_index(labels, cfg)
+        want = onehot_psi(q, index)
+        assert np.array_equal(index_psi(q, index), want)
+        assert semantic_overlap(SemanticImage(q), SemanticImage(c), cfg) == want[0]
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(cells=st.sampled_from(sorted(WINDOWS)),
+       n_classes=st.sampled_from([2, 3, 8, 40, 256]),
+       n_viewpoints=st.integers(1, 2), n_places=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_psi_over_class_subsets(cells, n_classes, n_viewpoints, n_places,
+                                seed, data):
+    """psi is bit-equal to the one-hot GEMM whatever classes the query and
+    the windows hold, including classes only one side holds."""
+    rows, cols = WINDOWS[cells]
+    cfg = Config(n_classes=n_classes, n_viewpoints=n_viewpoints,
+                 range_rows=rows, range_cols=cols, descriptor_dim=2)
+    classes = st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=12,
+                       unique=True)
+    q_classes, w_classes = data.draw(classes), data.draw(classes)
+    rng = make_rng(14, seed)
+    c0, width = frustum_window(cols)
+    q = rng.choice(q_classes, (rows, width)).astype(np.uint16)
+    labels = rng.choice(w_classes, (n_places * n_viewpoints, rows, cols))
+    # some windows share cells with the query
+    shared = rng.random(labels[:, :, c0:c0 + width].shape) < 0.5
+    labels[:, :, c0:c0 + width][shared] = np.broadcast_to(q, shared.shape)[shared]
+    index = label_index(labels, cfg)
+    assert np.array_equal(index_psi(q, index), onehot_psi(q, index))
+
+
+def test_psi_counts_a_65536_cell_window_without_wrapping():
+    cfg = Config(n_viewpoints=1, range_rows=2, range_cols=131072,
+                 descriptor_dim=2)
+    c0, width = frustum_window(cfg.range_cols)
+    assert 2 * width == 65536
+    index = label_index(np.full((1, 2, cfg.range_cols), 3, np.uint8), cfg)
+    q = np.full((2, width), 3, dtype=np.uint16)
+    psi = index_psi(q, index)
+    assert psi[0] == 1.0
+    assert np.array_equal(psi, onehot_psi(q, index))
+    res = match_query(unit([1.0, 0.0]), SemanticImage(q), index, cfg)
+    assert res.psi == 1.0
 
 
 def test_psi_padding_bits_count_for_nothing():
@@ -292,7 +418,7 @@ def test_psi_all_void_query_scores_zero_on_every_row():
             for _ in range(3)]
     idx = small_index([[d, d]] * 3, sems, cfg)
     q = np.zeros((4, 45), dtype=np.uint16)
-    assert np.array_equal(_overlaps(q, idx._planes, idx._counts), np.zeros(6))
+    assert np.array_equal(index_psi(q, idx), np.zeros(6))
     assert match_query(d, SemanticImage(q), idx, cfg).psi == 0.0
 
 
