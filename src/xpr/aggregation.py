@@ -174,11 +174,10 @@ def netvlad(cells: np.ndarray, params: NetVladParams) -> GlobalDescriptor:
 def describe_query(obs: QueryObservation, enc: EncoderParams,
                    att: AttentionParams, vlad: NetVladParams,
                    context: np.ndarray) -> tuple[GlobalDescriptor, SemanticImage]:
-    # the gate runs over the whole grid before the valid rows go to NetVLAD:
-    # its `feat @ w` is a gemv, and a gemv over a row subset rounds differently
+    """Descriptor and labels of one query's valid cells, computed exactly as
+    `describe_query_tape` computes one anchor."""
     feat, pred = encode_query(obs, enc)
-    attended = semantic_attention(feat, context, att)
-    return netvlad(attended[obs.mask.reshape(-1)], vlad), pred
+    return netvlad(semantic_attention(feat, context, att), vlad), pred
 
 
 def describe_query_tape(raw: np.ndarray, seg: np.ndarray, context: np.ndarray,

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import synth
 from .aggregation import describe_query, netvlad
-from .config import Config, config_to_json, validate_config, with_overrides
+from .config import (Config, ConfigError, config_to_json, validate_config,
+                     with_overrides)
 from .encoder import encode_lidar_local
 from .io_datasets import (FormatError, load_checkpoint, load_dataset,
                           load_dataset_config, load_index, load_queries,
@@ -171,6 +172,12 @@ def cmd_match(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if not 0 < args.lr < math.inf:
+        raise CliError("--lr must be a finite number > 0", EXIT_USAGE)
+    if args.epochs < 1:
+        raise CliError("--epochs must be >= 1", EXIT_USAGE)
+    if args.batch_size < 0:
+        raise CliError("--batch-size must be >= 0", EXIT_USAGE)
     dataset = load_dataset(args.data)
     if len(dataset.places) < 2 or not dataset.queries:
         raise CliError(f"{args.data}: training needs two places and a query, "
@@ -180,7 +187,10 @@ def cmd_train(args) -> int:
     if args.loss_kind:
         cfg = with_overrides(cfg, loss_kind=args.loss_kind)
     if args.lambda_sem is not None:
-        cfg = with_overrides(cfg, lambda_sem=args.lambda_sem)
+        try:
+            cfg = with_overrides(cfg, lambda_sem=args.lambda_sem)
+        except ConfigError as exc:
+            raise CliError(f"--lambda-sem: {exc}", EXIT_USAGE) from exc
     hist_path = os.path.splitext(args.out)[0] + "_history.csv"
     with output_lock(args.out):
         t0 = time.perf_counter()
@@ -266,9 +276,9 @@ def _stats(samples_ms) -> tuple:
             float(arr[min(len(arr) - 1, int(math.ceil(0.95 * len(arr))) - 1)]))
 
 
-def _stage_timings(args, index, params, cfg, queries) -> dict:
-    """Per-stage wall times in ms of `--repeat` queries and, with `--data`,
-    of up to 50 viewpoint describes and projections."""
+def _stage_timings(args, index, params, cfg, queries, dataset) -> dict:
+    """Per-stage wall times in ms of `--repeat` queries and, given the
+    `--data` dataset, of up to 50 viewpoint describes and projections."""
     context = index.mean_histogram()
     timings = {"query_encode": [], "match": [], "total": []}
     for i in range(args.repeat):
@@ -283,8 +293,7 @@ def _stage_timings(args, index, params, cfg, queries) -> dict:
         timings["match"].append((t2 - t1) * 1e3)
         timings["total"].append((t2 - t0) * 1e3)
 
-    if args.data:
-        dataset = load_dataset(args.data)
+    if dataset is not None:
         cloud = dataset.clouds[0]
         pose = dataset.poses[0]
         timings["viewpoint_describe"] = []
@@ -307,10 +316,14 @@ def cmd_bench(args) -> int:
     index, params, cfg, queries = _match_inputs(args)
     if not queries:
         raise CliError("no queries to benchmark")
+    dataset = load_dataset(args.data) if args.data else None
+    if dataset is not None and not dataset.places:
+        raise CliError(f"{args.data}: the dataset has no places to render")
     out = args.out or "bench.csv"
     with output_lock(out):
         rows = [(stage, *_stats(vals)) for stage, vals in
-                _stage_timings(args, index, params, cfg, queries).items()]
+                _stage_timings(args, index, params, cfg, queries,
+                               dataset).items()]
         with open(out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["stage", "mean_ms", "median_ms", "p95_ms"])

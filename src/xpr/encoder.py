@@ -64,17 +64,15 @@ def query_forward(raw: np.ndarray, params: EncoderParams
 
 def encode_query(obs: QueryObservation, params: EncoderParams
                  ) -> tuple[np.ndarray, SemanticImage]:
-    """Forward pass over the valid cells, written into the whole grid: the
-    (H*W, C) features, row-major and zero on masked cells, and the labels.
+    """Forward pass over the valid cells: their (n, C) features, the valid
+    rows in row-major order as `query_forward` gives them, and the labels.
 
     Predicted label = argmax over logits (ties to the lowest class id) on
     valid cells, 0 elsewhere.
     """
     if not np.isfinite(obs.raw).all():
         raise ValueError("non-finite query observation")
-    _, valid_feat, logits = query_forward(obs.raw[obs.mask], params)
-    feat = np.zeros((obs.mask.size, valid_feat.shape[1]))
-    feat[obs.mask.reshape(-1)] = valid_feat
+    _, feat, logits = query_forward(obs.raw[obs.mask], params)
     pred = np.zeros(obs.mask.shape, dtype=np.uint16)
     pred[obs.mask] = np.argmax(logits, axis=1)
     return feat, SemanticImage(pred)

@@ -301,6 +301,9 @@ def load_checkpoint(path) -> tuple[ModelParams, Config]:
             raise r.fail(f"tensor {name!r} at byte {at} has shape {shape}, "
                          f"expected {expected[name]}")
         values = r.block("<f8", math.prod(shape))
+        r.check(values, ~np.isfinite(values),
+                "non-finite value {value} of tensor {name!r} at byte {at}",
+                name=name)
         tensors[name] = values.astype(np.float64).reshape(shape)
     r.end()
     missing = sorted(set(expected) - set(tensors))

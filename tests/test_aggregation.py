@@ -5,9 +5,9 @@ import pytest
 
 from reference_tape import Tensor, netvlad_tape
 from xpr.aggregation import (N_CLUSTERS, attention_forward, describe_query,
-                             init_attention_params, init_netvlad_params,
-                             netvlad, netvlad_batch, netvlad_forward,
-                             semantic_attention)
+                             describe_query_tape, init_attention_params,
+                             init_netvlad_params, netvlad, netvlad_batch,
+                             netvlad_forward, semantic_attention)
 from xpr.config import Config, make_rng
 from xpr.encoder import QUERY_CHANNELS, QueryObservation
 from xpr.model import TRAINABLE, ModelParams, init_model_params
@@ -175,8 +175,8 @@ def random_query(rng, h, w, mask_prob):
 
 def grid_describe_query(obs, params, context):
     """The query path as it ran on zero-padded (H, W, C) grids: features
-    and the gate over the whole grid, masked cells zeroed, the valid cells
-    compressed out of the grid for NetVLAD."""
+    over the whole grid, masked cells zeroed, the valid cells compressed
+    out of the grid for the gate and NetVLAD."""
     h, w, _ = obs.raw.shape
     enc = params.enc
     hid = obs.raw.reshape(h * w, -1) @ enc.rgb_proj
@@ -188,10 +188,8 @@ def grid_describe_query(obs, params, context):
     feat = hid @ enc.desc_proj
     pred = np.argmax(logits.reshape(h, w, -1), axis=2).astype(np.uint16)
     pred[~obs.mask] = 0
-    values = attention_forward(feat, context, params.att.bilinear,
-                               params.att.gain)[0].reshape(h, w, -1)
-    values[~obs.mask] = 0.0
-    valid = values.reshape(h * w, -1)[obs.mask.reshape(-1)]
+    valid = attention_forward(feat[obs.mask.reshape(-1)], context,
+                              params.att.bilinear, params.att.gain)[0]
     if not len(valid):
         return np.zeros(params.vlad.proj.shape[0]), True, pred
     d = netvlad_forward([valid], params.vlad.centroids, params.vlad.assign_w,
@@ -215,6 +213,30 @@ def test_describe_query_matches_grid_path():
         assert desc.flagged == flagged
         assert np.array_equal(pred.labels, want_pred)
     assert desc.flagged and not desc.values.any()
+
+
+def test_describe_query_is_the_tape_forward_of_one_anchor():
+    """Inference and training describe a query with one formula: the
+    descriptor and labels of `describe_query` are, bit for bit, those of
+    `describe_query_tape` on the query's valid cells as a single anchor."""
+    params = perturbed_params(43)
+    rng = make_rng(44, 1)
+    context = rng.random(CFG.n_classes)
+    context /= context.sum()
+    for p in (0.9, 0.5, 0.2, 0.0):
+        for _ in range(5):
+            obs = random_query(rng, CFG.range_rows, 30, p)
+            raw = obs.raw[obs.mask]
+            desc, pred = describe_query(obs, params.enc, params.att,
+                                        params.vlad, context)
+            want, _, _, labels, _ = describe_query_tape(
+                raw, np.array([[0, len(raw)]]), context, params.enc,
+                params.att, params.vlad)
+            assert np.array_equal(desc.values, want[0])
+            assert desc.flagged == (not want[0].any())
+            assert np.array_equal(pred.labels[obs.mask], labels)
+            assert not pred.labels[~obs.mask].any()
+    assert not obs.mask.any() and desc.flagged
 
 
 def test_netvlad_ignores_masked_cells():

@@ -463,6 +463,19 @@ def _train_args(data, tmp_path):
             "--out", str(tmp_path / "model.ckpt")]
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-0.5"),
+    ("--epochs", "0"), ("--epochs", "-2"), ("--batch-size", "-4"),
+    ("--lambda-sem", "nan"), ("--lambda-sem", "-1")])
+def test_train_rejects_out_of_range_option(workspace, tmp_path, capsys, flag,
+                                           value):
+    assert main(_train_args(workspace["data"], tmp_path)
+                + [flag, value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not os.listdir(tmp_path)
+
+
 def _broken_meta(raw: bytes, defect: str) -> bytes:
     if defect == "utf8":
         return raw.replace(b'"config"', b'"c\xffnfig"')
@@ -627,6 +640,30 @@ def test_incomplete_checkpoint_is_data_error(workspace, tmp_path, capsys,
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_nonfinite_checkpoint_value_is_data_error(workspace, tmp_path,
+                                                  capsys):
+    """A NaN weight is named with its tensor and byte, and neither
+    build-map nor match reads past it."""
+    args, artifacts = artifact_copies(workspace, tmp_path)
+    target, loader = artifacts["ckpt"]
+    params, cfg = load_checkpoint(target)
+    params.att.bilinear[1, 2] = np.nan
+    save_checkpoint(target, params, cfg)
+    with open(target, "rb") as fh:
+        at = fh.read().index(np.array(np.nan, "<f8").tobytes())
+    message = f"non-finite value nan of tensor 'att.bilinear' at byte {at}"
+    with pytest.raises(FormatError, match=re.escape(message) + "$"):
+        loader(target)
+    build = ["build-map", "--data", workspace["data"], "--ckpt", target,
+             "--out", str(tmp_path / "built" / "map.idx")]
+    for command in (args, build):
+        capsys.readouterr()
+        assert main(command) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "built").exists()
+
+
 @pytest.mark.parametrize("model", ["seeded", "trained"])
 def test_checkpoint_round_trip_is_exact(workspace, tmp_path, model):
     cfg = Config()
@@ -745,6 +782,29 @@ def test_bench_writes_stage_csv(workspace, tmp_path):
     for r in rows:
         assert float(r["mean_ms"]) >= 0.0
         assert float(r["p95_ms"]) >= float(r["median_ms"]) >= 0.0
+
+
+@pytest.mark.parametrize("world", ["no-places", "missing"])
+def test_bench_checks_data_before_timing(workspace, tmp_path, capsys,
+                                         monkeypatch, world):
+    """`bench --data` reads its dataset first: one with no place to render,
+    or none at all, exits 2 before any query is timed or any output
+    directory is made."""
+    data = str(tmp_path / "data")
+    if world == "no-places":
+        _save_world(data, 0, False)
+
+    def work(*args, **kwargs):
+        raise WorkStarted("bench")
+
+    monkeypatch.setattr(cli, "describe_query", work)
+    out = tmp_path / "out"
+    assert main(["bench", "--index", workspace["idx"], "--queries",
+                 workspace["data"], "--data", data, "--repeat", "2",
+                 "--out", str(out / "bench.csv")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bench_rejects_no_repeats(workspace, tmp_path, capsys):

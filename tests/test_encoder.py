@@ -40,21 +40,21 @@ def test_encode_query_matches_direct_formula():
     p = init_encoder_params(CFG)
     obs = random_obs(2)
     feat, pred = encode_query(obs, p)
-    flat = obs.raw.reshape(-1, QUERY_CHANNELS)
-    h = np.tanh(flat @ p.rgb_proj + p.rgb_bias) * obs.mask.reshape(-1, 1)
+    h = np.tanh(obs.raw[obs.mask] @ p.rgb_proj + p.rgb_bias)
     assert np.allclose(feat, h @ p.desc_proj, atol=1e-12)
-    logits = (h @ p.seg_head + p.seg_bias).reshape(*obs.mask.shape, -1)
-    assert np.array_equal(
-        pred.labels[obs.mask],
-        np.argmax(logits, axis=2).astype(np.uint16)[obs.mask])
+    logits = h @ p.seg_head + p.seg_bias
+    assert np.array_equal(pred.labels[obs.mask],
+                          np.argmax(logits, axis=1).astype(np.uint16))
 
 
 def test_encode_query_masked_cells_zero_and_label_zero():
     p = init_encoder_params(CFG)
     obs = random_obs(5, mask_prob=0.5)
     feat, pred = encode_query(obs, p)
-    assert feat.shape == (obs.mask.size, CFG.feature_dim)
-    assert not feat[~obs.mask.reshape(-1)].any()
+    # a masked cell has no feature row: the rows are the valid cells' alone
+    h = np.tanh(obs.raw[obs.mask] @ p.rgb_proj + p.rgb_bias)
+    assert feat.shape == (obs.mask.sum(), CFG.feature_dim)
+    assert np.allclose(feat, h @ p.desc_proj, atol=1e-12)
     assert not pred.labels[~obs.mask].any()
     assert pred.labels.shape == obs.mask.shape
 

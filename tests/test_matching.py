@@ -423,8 +423,8 @@ def test_psi_all_void_query_scores_zero_on_every_row():
 
 
 def test_query_without_valid_cells_ranks_places_by_id():
-    """A query with no valid cell goes through the general path: zero
-    features, an all-void label image and a flagged zero descriptor, so
+    """A query with no valid cell goes through the general path: no
+    feature rows, an all-void label image and a flagged zero descriptor, so
     every entry scores phi = psi = 0 and the places rank by id."""
     rng = make_rng(12, 1)
     rows, width = CFG.range_rows, frustum_window(CFG.range_cols)[1]
@@ -443,7 +443,7 @@ def test_query_without_valid_cells_ranks_places_by_id():
         q_desc, q_sem = describe_query(obs, params.enc, params.att,
                                        params.vlad, idx.mean_histogram())
         res = match_query(q_desc, q_sem, idx, CFG)
-    assert feat.shape == (rows * width, CFG.feature_dim) and not feat.any()
+    assert feat.shape == (0, CFG.feature_dim)
     assert pred.labels.shape == (rows, width) and not pred.labels.any()
     assert np.array_equal(q_sem.labels, pred.labels)
     assert q_desc.flagged and q_desc.values.shape == (CFG.descriptor_dim,)
