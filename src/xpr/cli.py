@@ -195,6 +195,7 @@ def cmd_train(args) -> int:
     with output_lock(args.out):
         t0 = time.perf_counter()
         ts = training_set(dataset, cfg)
+        table_ms = (time.perf_counter() - t0) * 1e3
         try:
             params, history = train(ts, cfg, args.epochs, args.lr,
                                     batch_size=args.batch_size)
@@ -211,7 +212,9 @@ def cmd_train(args) -> int:
                        {"data": args.data, "epochs": args.epochs,
                         "lr": args.lr, "batch_size": args.batch_size},
                        [args.out, hist_path],
-                       {"total": (time.perf_counter() - t0) * 1e3})
+                       {"total": (time.perf_counter() - t0) * 1e3,
+                        "table": table_ms,
+                        "epochs": [rep.wall_ms for rep in history]})
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .config import Config, make_rng
 from .projection import RangeImage, SemanticImage
+from .workspace import FRESH, Workspace
 
 #: raw query channels: depth, normal xyz, 3 appearance channels
 QUERY_CHANNELS = 7
@@ -47,19 +48,22 @@ def init_encoder_params(cfg: Config) -> EncoderParams:
     )
 
 
-def query_forward(raw: np.ndarray, params: EncoderParams
+def query_forward(raw: np.ndarray, params: EncoderParams,
+                  ws: Workspace = FRESH
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encoder forward over (R, QUERY_CHANNELS) valid raw cells.
 
     Returns the tanh activations h (R, C), which the backward needs, the
-    features h @ desc_proj (R, C) and the class logits (R, n_classes).
+    features h @ desc_proj (R, C) and the class logits (R, n_classes), as
+    the workspace arrays "h", "feat" and "logits".
     """
-    h = raw @ params.rgb_proj
+    r, (c, k) = len(raw), params.seg_head.shape
+    h = np.matmul(raw, params.rgb_proj, out=ws.empty("h", (r, c)))
     h += params.rgb_bias
     np.tanh(h, out=h)
-    logits = h @ params.seg_head
+    logits = np.matmul(h, params.seg_head, out=ws.empty("logits", (r, k)))
     logits += params.seg_bias
-    return h, h @ params.desc_proj, logits
+    return h, np.matmul(h, params.desc_proj, out=ws.empty("feat", (r, c))), logits
 
 
 def encode_query(obs: QueryObservation, params: EncoderParams

@@ -4,18 +4,21 @@ backward, plus a small deterministic trainer."""
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aggregation import describe_lidar_tape, describe_query_tape
 from .config import Config, make_rng
+from .encoder import QUERY_CHANNELS
 from .model import ModelParams, TRAINABLE, init_model_params
+from .workspace import FRESH, Workspace
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}")
+    def __init__(self, epoch: int, what: str = "loss"):
+        super().__init__(f"non-finite {what} at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -26,6 +29,7 @@ class LossReport:
     l_seg: float
     l_total: float
     grads: dict = field(default_factory=dict)
+    wall_ms: float = 0.0  # an epoch's wall time, in a `train` history entry
 
 
 @dataclass
@@ -72,14 +76,16 @@ def train_table(places: list, context: np.ndarray, cfg: Config) -> TrainTable:
 
 # ------------------------------------------------------------------- nodes
 
-def row_max(a: np.ndarray) -> np.ndarray:
-    """Row maxima of a 2-D array with at least one column, as (N, 1).
+def row_max(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row maxima of a 2-D array with at least one column, as (N, 1),
+    written into the (N,) array `out` when one is given.
 
     Bit-equal to `a.max(axis=1, keepdims=True)`: a maximum is exact, so the
     order does not matter. A loop of `np.maximum` over the few columns runs
     several times faster than numpy's reduction over a short last axis.
     """
-    m = a[:, 0].copy()
+    m = np.empty(len(a), a.dtype) if out is None else out
+    np.copyto(m, a[:, 0])
     for j in range(1, a.shape[1]):
         np.maximum(m, a[:, j], out=m)
     return m[:, None]
@@ -158,40 +164,76 @@ def _consistency(rgb: np.ndarray, rgb_present: np.ndarray, lid: np.ndarray,
     return float(((d * d).sum(axis=2) * weight).sum()), 2.0 * weight[..., None] * d
 
 
-def _cross_entropy(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray
-                   ) -> tuple[float, np.ndarray]:
+def _cross_entropy(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray,
+                   ws: Workspace = FRESH) -> tuple[float, np.ndarray]:
     """Mean over B anchors of the mean softmax cross-entropy over each
     anchor's cells with a non-void ground truth; an anchor with no such
     cell adds 0. logits (R, K) and gt (R,) hold the cells of every anchor,
     anchor b owning rows seg[b, 0]:seg[b, 1]. Returns the value and its
-    gradient w.r.t. the logits."""
-    sel = gt > 0
-    anchor = np.repeat(np.arange(len(seg)), seg[:, 1] - seg[:, 0])[sel]
-    count = np.bincount(anchor, minlength=len(seg))
-    rows, true = logits[sel], gt[sel].astype(np.intp)
-    every = np.arange(len(rows))
-    m = row_max(rows)
-    e = np.exp(rows - m)
-    s = e @ np.ones((logits.shape[1], 1))
-    weight = 1.0 / (len(seg) * count[anchor])
-    value = float((((m + np.log(s)).ravel() - rows[every, true]) * weight).sum())
-    grow = e / s * weight[:, None]
-    grow[every, true] -= weight
-    grad = np.zeros_like(logits)
-    grad[sel] = grow
+    gradient w.r.t. the logits, the workspace array "ce.grad".
+
+    Apart from the index of the selected rows and per-anchor values, every
+    array is a workspace array, formed in place in the order of the
+    formulas in the comments. The selected logits go in the scratch array
+    "rows", which the query backward reuses.
+    """
+    gt = gt.astype(np.intp, copy=False)
+    where = np.flatnonzero(np.greater(gt, 0, out=ws.empty("ce.sel", gt.shape, bool)))
+    n, k = len(where), logits.shape[1]
+    # anchor b's selected rows are rows lo:hi of the compacted block, and
+    # each of them weighs 1 / (B * their count)
+    bounds = np.searchsorted(where, seg)
+    weight = ws.empty("ce.weight", (n,))
+    for lo, hi in bounds:
+        weight[lo:hi] = 1.0 / (len(seg) * max(hi - lo, 1))
+    # mode="clip" keeps np.take from buffering its output; every index is
+    # in range, so nothing is clipped
+    rows = np.take(logits, where, axis=0, out=ws.empty("rows", (n, k)),
+                   mode="clip")
+    # the flat index of each selected row's true logit
+    flat = np.multiply(where, k, out=ws.empty("ce.flat", (n,), np.intp))
+    flat += np.take(gt, where, out=ws.empty("ce.true", (n,), np.intp), mode="clip")
+    picked = np.take(logits, flat, out=ws.empty("ce.picked", (n,)), mode="clip")
+    m = row_max(rows, out=ws.empty("ce.max", (n,)))
+    e = np.subtract(rows, m, out=rows)
+    np.exp(e, out=e)                                   # e = exp(rows - m)
+    s = np.matmul(e, np.ones((k, 1)), out=ws.empty("ce.sum", (n, 1)))
+    # grad = e / s * weight, less weight at the true class, on the rows
+    e /= s
+    e *= weight[:, None]
+    # value = sum(((m + log(s)) - rows[true]) * weight)
+    terms = np.log(s, out=s)
+    terms += m
+    terms = terms.reshape(n)
+    terms -= picked
+    terms *= weight
+    value = float(terms.sum())
+    grad = ws.empty("ce.grad", logits.shape)
+    grad.fill(0.0)
+    grad[where] = e
+    picked = np.take(grad, flat, out=picked, mode="clip")
+    picked -= weight
+    np.put(grad, flat, picked, mode="clip")
     return value, grad
 
 
 def class_means_tape(attended: np.ndarray, labels: np.ndarray, seg: np.ndarray,
-                     lid_means: np.ndarray, lid_present: np.ndarray) -> tuple:
+                     lid_means: np.ndarray, lid_present: np.ndarray,
+                     ws: Workspace = FRESH) -> tuple:
     """Semantic-consistency term of a batch, and backward(g) -> its
     gradient w.r.t. `attended`: the class means of each anchor's attended
     features by predicted label, against its LiDAR class means
     (B, n_classes, C). attended (R, C) and labels (R,) hold the valid cells
-    of every anchor, anchor b owning rows seg[b, 0]:seg[b, 1]."""
+    of every anchor, anchor b owning rows seg[b, 0]:seg[b, 1]. The one-hot
+    labels and the gradient are the workspace arrays "onehot" and
+    "gattended"."""
     n_classes = lid_means.shape[1]
-    onehots = [(labels[lo:hi] == np.arange(n_classes)[:, None]).astype(np.float64)
-               for lo, hi in seg]                                # (K, n_b) each
+    classes = np.arange(n_classes)[:, None]
+    flat = ws.empty("onehot", (n_classes * len(labels),))
+    onehots = [np.equal(labels[lo:hi], classes,                  # (K, n_b) each
+                        out=flat[n_classes * lo:n_classes * hi].reshape(
+                            n_classes, hi - lo))
+               for lo, hi in seg]
     sums = np.array([oh @ attended[lo:hi]
                      for oh, (lo, hi) in zip(onehots, seg)])
     counts = np.array([oh.sum(axis=1) for oh in onehots])
@@ -202,7 +244,8 @@ def class_means_tape(attended: np.ndarray, labels: np.ndarray, seg: np.ndarray,
 
     def backward(g):
         gsums = g * gmeans * inv[..., None]
-        gattended = np.zeros_like(attended)
+        gattended = ws.empty("gattended", attended.shape)
+        gattended.fill(0.0)
         for oh, gs, (lo, hi) in zip(onehots, gsums, seg):
             gattended[lo:hi] += oh.T @ gs
         return gattended
@@ -210,18 +253,21 @@ def class_means_tape(attended: np.ndarray, labels: np.ndarray, seg: np.ndarray,
     return value, backward
 
 
-def segmentation_tape(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray
-                      ) -> tuple:
+def segmentation_tape(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray,
+                      ws: Workspace = FRESH) -> tuple:
     """Segmentation term of a batch, `_cross_entropy` over logits
-    (R, n_classes), and backward(g) -> its gradient w.r.t. the logits."""
-    value, grad = _cross_entropy(logits, gt, seg)
-    return value, lambda g: g * grad
+    (R, n_classes), and backward(g) -> its gradient w.r.t. the logits. The
+    backward scales `_cross_entropy`'s gradient in place, so it is called
+    once."""
+    value, grad = _cross_entropy(logits, gt, seg, ws)
+    return value, lambda g: np.multiply(grad, g, out=grad)
 
 
 # ------------------------------------------------------------------ public API
 
 def total_loss(table: TrainTable, anchors, positives: list, negatives: list,
-               params: ModelParams, cfg: Config) -> LossReport:
+               params: ModelParams, cfg: Config,
+               ws: Workspace = FRESH) -> LossReport:
     """Full forward pipeline over a batch with gradients for every
     trainable parameter.
 
@@ -229,30 +275,38 @@ def total_loss(table: TrainTable, anchors, positives: list, negatives: list,
     list the map rows of anchor b. The anchors go through the query pipeline
     as one stack, and each distinct map is described once; the contrastive
     term reads one (anchors, maps) similarity matrix, and the consistency
-    term compares each anchor with its first positive."""
+    term compares each anchor with its first positive.
+
+    Every large array of the step is an array of `ws`, so a workspace
+    passed to each step of a training call is allocated by the first step
+    only.
+    """
     col: dict = {}
     for ps, ns in zip(positives, negatives):
         for m in (*ps, *ns):
             col.setdefault(m, len(col))
     lid_desc, lid_bw = describe_lidar_tape([table.cells[m] for m in col],
-                                           params.vlad)
+                                           params.vlad, ws.scope("lidar"))
 
     # anchor b's cells are rows seg[b, 0]:seg[b, 1] of the stack
-    raw = np.concatenate([table.raw[a] for a in anchors])
-    gt = np.concatenate([table.gt[a] for a in anchors])
     counts = [len(table.gt[a]) for a in anchors]
     ends = np.cumsum(counts, dtype=np.intp)
     seg = np.stack([ends - counts, ends], axis=1)
+    n_rows = int(ends[-1])
+    raw = np.concatenate([table.raw[a] for a in anchors],
+                         out=ws.empty("raw", (n_rows, QUERY_CHANNELS)))
+    gt = np.concatenate([table.gt[a] for a in anchors],
+                        out=ws.empty("gt", (n_rows,), np.intp))
     desc, attended, logits, pred, query_bw = describe_query_tape(
-        raw, seg, table.context, params.enc, params.att, params.vlad)
+        raw, seg, table.context, params.enc, params.att, params.vlad, ws)
     l_con, con_bw = contrastive_tape(desc, lid_desc,
                                      [[col[m] for m in ps] for ps in positives],
                                      [[col[m] for m in ns] for ns in negatives],
                                      cfg)
     refs = [ps[0] for ps in positives]
     l_sem, sem_bw = class_means_tape(attended, pred, seg, table.means[refs],
-                                     table.present[refs])
-    l_seg, seg_bw = segmentation_tape(logits, gt, seg)
+                                     table.present[refs], ws)
+    l_seg, seg_bw = segmentation_tape(logits, gt, seg, ws)
     l_tot = l_con + l_sem * cfg.lambda_sem + l_seg
 
     # the backwards in reverse order; the NetVLAD parameters sum the LiDAR
@@ -282,8 +336,12 @@ def train(table: TrainTable, cfg: Config, epochs: int, lr: float,
     batches of `batch_size` (all of them for 0). An anchor's positive is its
     place's nearest viewpoint; its NEGATIVES_PER_ANCHOR negatives are
     seeded random viewpoints of other places. Returns the trained
-    parameters and the per-epoch mean losses. Bit-reproducible for a fixed
-    config seed.
+    parameters and the per-epoch mean losses with each epoch's wall time.
+    The parameters are bit-reproducible for a fixed config seed.
+
+    The steps share one workspace, which is dropped on return. A step whose
+    loss or updated parameters are not finite raises TrainingDiverged; the
+    overflow and invalid-value warnings that lead up to it are not printed.
     """
     n_places = len(table.cells) // cfg.n_viewpoints
     if n_places < 2:
@@ -293,7 +351,9 @@ def train(table: TrainTable, cfg: Config, epochs: int, lr: float,
     n_anchors = len(table.raw)
     bsz = batch_size if batch_size > 0 else n_anchors
     history = []
+    ws = Workspace()
     for epoch in range(epochs):
+        t0 = time.perf_counter()
         rng = make_rng(cfg.seed, 7000, epoch)
         order = rng.permutation(n_anchors)
         sums = np.zeros(4)
@@ -309,19 +369,24 @@ def train(table: TrainTable, cfg: Config, epochs: int, lr: float,
                     rows.append(other * cfg.n_viewpoints
                                 + int(rng.integers(cfg.n_viewpoints)))
                 negatives.append(rows)
-            report = total_loss(table, anchors,
-                                [[table.positive[a]] for a in anchors],
-                                negatives, ModelParams.from_tensors(tensors), cfg)
-            if not math.isfinite(report.l_total):
-                raise TrainingDiverged(epoch)
-            for name in TRAINABLE:
-                tensors[name] = tensors[name] - lr * report.grads[name]
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = total_loss(table, anchors,
+                                    [[table.positive[a]] for a in anchors],
+                                    negatives, ModelParams.from_tensors(tensors),
+                                    cfg, ws)
+                if not math.isfinite(report.l_total):
+                    raise TrainingDiverged(epoch)
+                for name in TRAINABLE:
+                    tensors[name] = tensors[name] - lr * report.grads[name]
+                    if not np.isfinite(tensors[name]).all():
+                        raise TrainingDiverged(epoch, "parameter")
             sums += (report.l_contrastive, report.l_sem, report.l_seg,
                      report.l_total)
         n_batches = (n_anchors + bsz - 1) // bsz
         avg = sums / n_batches
         history.append(LossReport(float(avg[0]), float(avg[1]),
-                                  float(avg[2]), float(avg[3])))
+                                  float(avg[2]), float(avg[3]),
+                                  wall_ms=(time.perf_counter() - t0) * 1e3))
     return ModelParams.from_tensors(tensors), history
 
 

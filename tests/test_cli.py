@@ -176,6 +176,27 @@ def test_train_writes_checkpoint_and_history(workspace, tmp_path):
             + float(r["l_seg"]), rel=1e-12)
 
 
+def test_train_manifest_times_table_and_epochs(workspace, tmp_path):
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--data", workspace["data"], "--epochs", "3",
+                 "--lr", "0.005", "--out", ckpt]) == EXIT_OK
+    with open(ckpt + ".manifest.json", encoding="utf-8") as fh:
+        timings = json.load(fh)["timings_ms"]
+    assert set(timings) == {"total", "table", "epochs"}
+    assert len(timings["epochs"]) == 3
+    assert min(timings["table"], *timings["epochs"]) > 0.0
+    assert timings["table"] + sum(timings["epochs"]) <= timings["total"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_train_prints_one_error_line(workspace, tmp_path, capsys):
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--data", workspace["data"], "--epochs", "2",
+                 "--lr", "1e300", "--out", ckpt]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: non-finite loss at epoch 1\n"
+    assert not os.path.exists(ckpt)
+
+
 def test_trained_checkpoint_flows_through_match(workspace, tmp_path):
     ckpt = str(tmp_path / "model.ckpt")
     main(["train", "--data", workspace["data"], "--epochs", "1",

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from reference_tape import Tensor, mean, netvlad_tape, sigmoid, stack, tanh
+from xpr import losses
 from xpr.config import Config, make_rng
 from xpr.encoder import QUERY_CHANNELS, QueryObservation
 from xpr.io_datasets import Dataset, QueryRecord
-from xpr.losses import (class_means_tape, contrastive_tape, nearest_viewpoint,
-                        segmentation_tape, total_loss, train, train_table)
+from xpr.losses import (TrainingDiverged, class_means_tape, contrastive_tape,
+                        nearest_viewpoint, segmentation_tape, total_loss, train,
+                        train_table)
 from xpr.matching import MapIndex
 from xpr.model import TRAINABLE, ModelParams, init_model_params
 from xpr.pipeline import PlaceRenders, training_set
@@ -553,3 +555,19 @@ def test_train_minibatch_reproducible():
     t0, t1 = p0.tensors(), p1.tensors()
     for name in t0:
         assert np.array_equal(t0[name], t1[name])
+
+
+def test_train_nonfinite_update_is_divergence(monkeypatch):
+    # a step whose loss is finite but whose gradient is not
+    cfg = SMALL
+    table = fake_table(11, cfg)
+    finite = losses.total_loss
+
+    def infinite_gradient(*args, **kwargs):
+        report = finite(*args, **kwargs)
+        report.grads["att.gain"] = report.grads["att.gain"] + np.inf
+        return report
+
+    monkeypatch.setattr(losses, "total_loss", infinite_gradient)
+    with pytest.raises(TrainingDiverged, match="non-finite parameter at epoch 0"):
+        train(table, cfg, epochs=1, lr=1e-2)
