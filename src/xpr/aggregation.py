@@ -1,6 +1,7 @@
 """Global descriptor aggregation: semantic-gated attention + NetVLAD pooling."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,11 @@ def _over_norms(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
     x /= _safe(norms)
     np.copyto(x, 0.0, where=~(norms > 0.0))
     return x
+
+
+def _view(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading entries of a flat array, as a contiguous array of `shape`."""
+    return flat[:math.prod(shape)].reshape(shape)
 
 
 def attention_forward(feat: np.ndarray, context: np.ndarray,
@@ -150,8 +156,8 @@ def netvlad_batch(blocks: list, centroids: np.ndarray, assign_w: np.ndarray,
     assignment weights and the biases into grads["vlad.*"], map by map in
     order, and when gcells is given adds map m's cell gradient into the
     (n_m, C) array gcells[m]. A zero row has zero gradient. The backward's
-    arrays are workspace arrays; "gz", "gz_soft", "gx" and "gx_z" are
-    reused map by map.
+    arrays are workspace arrays; "gz", "gz_soft", "gx" and "gx_z" are sized
+    for the largest map, and each map takes a contiguous view of them.
     """
     y, softs, mass, vn, norms, dnorm = netvlad_forward(
         blocks, centroids, assign_w, assign_b, proj, ws)
@@ -170,18 +176,24 @@ def netvlad_batch(blocks: list, centroids: np.ndarray, assign_w: np.ndarray,
         grads["vlad.centroids"] -= np.einsum("mk,mkc->kc", mass, gv)
         gmass = np.multiply(gv, centroids, out=ws.empty("gv_c", gv.shape)
                             ).sum(axis=2)                         # (M, K)
+        k_n, c_n = centroids.shape
+        n_max = max(map(len, blocks), default=0)
+        gz_flat = ws.empty("gz", (k_n * n_max,))
+        gz_soft = ws.empty("gz_soft", (k_n * n_max,))
+        if gcells is not None:
+            gx_flat = ws.empty("gx", (n_max * c_n,))
+            gx_z = ws.empty("gx_z", (n_max * c_n,))
         for m, (soft, xm) in enumerate(zip(softs, blocks)):
-            gz = np.matmul(gv[m], xm.T, out=ws.empty("gz", soft.shape))
+            gz = np.matmul(gv[m], xm.T, out=_view(gz_flat, soft.shape))
             gz -= gmass[m][:, None]
-            gz -= np.multiply(gz, soft, out=ws.empty("gz_soft", soft.shape)
-                              ).sum(axis=0)
+            gz -= np.multiply(gz, soft, out=_view(gz_soft, soft.shape)).sum(axis=0)
             gz *= soft                                            # (K, n_m)
             grads["vlad.assign_w"] += gz @ xm
             grads["vlad.assign_b"] += gz.sum(axis=1)
             if gcells is not None:
                 # soft^T gv[m] + gz^T assign_w, summed before it is added
-                gx = np.matmul(soft.T, gv[m], out=ws.empty("gx", xm.shape))
-                gx += np.matmul(gz.T, assign_w, out=ws.empty("gx_z", xm.shape))
+                gx = np.matmul(soft.T, gv[m], out=_view(gx_flat, xm.shape))
+                gx += np.matmul(gz.T, assign_w, out=_view(gx_z, xm.shape))
                 gcells[m] += gx
 
     return y, backward
@@ -257,10 +269,13 @@ def describe_query_tape(raw: np.ndarray, seg: np.ndarray, context: np.ndarray,
                                          out=ws.empty("row", gate.shape)).sum()
         gscore *= att.gain
         grads["att.bilinear"] += np.outer(feat.T @ gscore, context)
-        # gfeat = g_attended * gate + gscore * w, formed in g_attended
-        gfeat = g_attended
-        gfeat *= gate[:, None]
-        gfeat += np.multiply(gscore[:, None], w, out=ws.empty("rows", feat.shape))
+        # gfeat = g_attended * gate + gscore * w, formed in g_attended as
+        # (gscore * w) + (g_attended * gate): einsum needs no iteration
+        # buffer for these products, where a broadcast multiply does
+        gated = np.einsum("rc,r->rc", g_attended, gate,
+                          out=ws.empty("rows", feat.shape))
+        gfeat = np.einsum("r,c->rc", gscore, w, out=g_attended)
+        gfeat += gated
         grads["enc.desc_proj"] += h.T @ gfeat
         gh += np.matmul(gfeat, enc.desc_proj.T, out=ws.empty("rows", h.shape))
         # gpre = gh * (1 - h * h)

@@ -43,10 +43,13 @@ def validate_config(cfg: Config) -> Config:
     naming the first offending field."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(f.default, int) and not isinstance(value, Integral):
+        # a bool is an Integral and a Real, but a JSON true is no number
+        number = not isinstance(value, bool)
+        if isinstance(f.default, int) and not (
+                number and isinstance(value, Integral)):
             raise ConfigError(f"{f.name} must be an integer")
         if isinstance(f.default, float) and not (
-                isinstance(value, Real) and math.isfinite(value)):
+                number and isinstance(value, Real) and math.isfinite(value)):
             raise ConfigError(f"{f.name} must be a finite number")
     if cfg.n_classes < 2:
         raise ConfigError("n_classes must be >= 2 (class 0 is reserved for void)")

@@ -91,42 +91,36 @@ def row_max(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return m[:, None]
 
 
-def contrastive_tape(anchors: np.ndarray, maps: np.ndarray, positives: list,
-                     negatives: list, cfg: Config) -> tuple:
-    """Mean over anchors of the per-anchor contrastive loss, and
+def contrastive_tape(anchors: np.ndarray, maps: np.ndarray,
+                     positives: np.ndarray, negatives: np.ndarray,
+                     cfg: Config) -> tuple:
+    """Mean over its terms of a batch's contrastive loss, and
     backward(g) -> (gradient w.r.t. anchors, gradient w.r.t. maps).
 
-    The similarities are anchors (B, d) @ maps (M, d)^T; positives[b] and
-    negatives[b] list the rows of `maps` that are anchor b's positive and
-    negative maps.
+    The similarities are anchors (B, d) @ maps (M, d)^T; anchor b's
+    positive is row positives[b] of `maps` and its N negatives are the rows
+    negatives[b]. InfoNCE has one term per anchor, a softmax over its
+    positive and negatives; triplet has one term per (positive, negative)
+    pair.
     """
-    if not all(positives) or not all(negatives):
-        raise ValueError("need at least one positive and one negative")
-    rows, cols, weights = [], [], []
-    for b, (ps, ns) in enumerate(zip(positives, negatives)):
-        if cfg.loss_kind == "triplet":
-            # one (positive, negative) pair per term
-            picks = [(p, n) for p in ps for n in ns]
-        else:
-            # infonce: per positive, the denominator is that positive plus
-            # the negatives
-            picks = [(p, *ns) for p in ps]
-        rows += [b] * len(picks)
-        cols += picks
-        weights += [1.0 / (len(positives) * len(picks))] * len(picks)
-    width = max(len(p) for p in cols)
-    pad = np.array([[0.0] * len(p) + [-np.inf] * (width - len(p)) for p in cols])
-    idx = (np.array(rows)[:, None],
-           np.array([list(p) + [p[0]] * (width - len(p)) for p in cols]))
-    weights = np.array(weights)
-    pick = (anchors @ maps.T)[idx]                         # (terms, width)
+    b_n, n_n = negatives.shape
+    if n_n == 0:
+        raise ValueError("need at least one negative")
+    if cfg.loss_kind == "triplet":
+        # term b * N + j pairs anchor b's positive with its negative j
+        rows = np.repeat(np.arange(b_n), n_n)[:, None]
+        cols = np.column_stack([np.repeat(positives, n_n), negatives.ravel()])
+    else:
+        rows = np.arange(b_n)[:, None]
+        cols = np.column_stack([positives, negatives])
+    weight = 1.0 / len(cols)
+    pick = (anchors @ maps.T)[rows, cols]               # (terms, 2 or 1 + N)
     if cfg.loss_kind == "triplet":
         hinge = cfg.margin - pick[:, 0] + pick[:, 1]
         active = hinge > 0.0
         terms = np.where(active, hinge, 0.0)
     else:
-        # padded slots hold -inf logits, which add nothing to the sum
-        logits = pick * (1.0 / cfg.temperature) + pad
+        logits = pick * (1.0 / cfg.temperature)
         top = row_max(logits)
         e = np.exp(logits - top)
         s = e.sum(axis=1, keepdims=True)
@@ -134,48 +128,77 @@ def contrastive_tape(anchors: np.ndarray, maps: np.ndarray, positives: list,
         soft = e / s
 
     def backward(g):
-        gterms = g * weights
+        gterms = g * weight
         if cfg.loss_kind == "triplet":
             ghinge = gterms * active
             gpick = np.column_stack([-ghinge, ghinge])
         else:
-            gpick = gterms[:, None] * soft
+            gpick = gterms * soft
             gpick[:, 0] -= gterms
             gpick *= 1.0 / cfg.temperature
-        # an anchor may pick one map several times; np.add.at sums the repeats
-        gsims = np.zeros((len(anchors), len(maps)))
-        np.add.at(gsims, idx, gpick)
+        # a batch may pick one map several times; np.add.at sums the repeats
+        gsims = np.zeros((b_n, len(maps)))
+        np.add.at(gsims, (rows, cols), gpick)
         # (A^T G)^T, not G^T A: BLAS sums the two in different orders, and
         # this one reproduces the checkpoints trained so far
         return gsims @ maps, (anchors.T @ gsims).T
 
-    return (terms * weights).sum(), backward
+    return (terms * weight).sum(), backward
 
 
-def _consistency(rgb: np.ndarray, rgb_present: np.ndarray, lid: np.ndarray,
-                 lid_present: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean over B anchors of the mean squared distance between the class
-    means (B, K, C) of classes >= 1 that both sides have; an anchor with no
-    shared class adds 0. Returns the value and its gradient w.r.t. rgb."""
-    shared = rgb_present & lid_present
+def class_means_tape(attended: np.ndarray, labels: np.ndarray, seg: np.ndarray,
+                     lid_means: np.ndarray, lid_present: np.ndarray,
+                     ws: Workspace = FRESH) -> tuple:
+    """Semantic-consistency term of a batch, and backward(g) -> its
+    gradient w.r.t. `attended`: the mean over B anchors of the mean squared
+    distance between the class means of an anchor's attended features by
+    predicted label and its LiDAR class means (B, n_classes, C), over the
+    classes >= 1 that both sides have; an anchor with no shared class adds
+    0. attended (R, C) and labels (R,) hold the valid cells of every anchor,
+    anchor b owning rows seg[b, 0]:seg[b, 1]. The one-hot labels and the
+    gradient are the workspace arrays "onehot" and "gattended"."""
+    n_classes = lid_means.shape[1]
+    classes = np.arange(n_classes)[:, None]
+    flat = ws.empty("onehot", (n_classes * len(labels),))
+    onehots = [np.equal(labels[lo:hi], classes,                  # (K, n_b) each
+                        out=flat[n_classes * lo:n_classes * hi].reshape(
+                            n_classes, hi - lo))
+               for lo, hi in seg]
+    sums = np.array([oh @ attended[lo:hi]
+                     for oh, (lo, hi) in zip(onehots, seg)])
+    counts = np.array([oh.sum(axis=1) for oh in onehots])
+    present = counts > 0
+    inv = 1.0 / np.where(present, counts, 1.0)
+    shared = present & lid_present
     shared[:, 0] = False
-    weight = shared / (len(rgb) * np.maximum(shared.sum(axis=1), 1))[:, None]
-    d = np.where(shared[..., None], rgb - lid, 0.0)
-    return float(((d * d).sum(axis=2) * weight).sum()), 2.0 * weight[..., None] * d
+    weight = shared / (len(seg) * np.maximum(shared.sum(axis=1), 1))[:, None]
+    d = np.where(shared[..., None], sums * inv[..., None] - lid_means, 0.0)
+    gmeans = 2.0 * weight[..., None] * d
+
+    def backward(g):
+        gsums = g * gmeans * inv[..., None]
+        gattended = ws.empty("gattended", attended.shape)
+        gattended.fill(0.0)
+        for oh, gs, (lo, hi) in zip(onehots, gsums, seg):
+            gattended[lo:hi] += oh.T @ gs
+        return gattended
+
+    return float(((d * d).sum(axis=2) * weight).sum()), backward
 
 
-def _cross_entropy(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray,
-                   ws: Workspace = FRESH) -> tuple[float, np.ndarray]:
-    """Mean over B anchors of the mean softmax cross-entropy over each
-    anchor's cells with a non-void ground truth; an anchor with no such
-    cell adds 0. logits (R, K) and gt (R,) hold the cells of every anchor,
-    anchor b owning rows seg[b, 0]:seg[b, 1]. Returns the value and its
-    gradient w.r.t. the logits, the workspace array "ce.grad".
+def segmentation_tape(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray,
+                      ws: Workspace = FRESH) -> tuple:
+    """Segmentation term of a batch, and backward(g) -> its gradient w.r.t.
+    the logits: the mean over B anchors of the mean softmax cross-entropy
+    over an anchor's cells with a non-void ground truth; an anchor with no
+    such cell adds 0. logits (R, K) and gt (R,) hold the cells of every
+    anchor, anchor b owning rows seg[b, 0]:seg[b, 1].
 
     Apart from the index of the selected rows and per-anchor values, every
     array is a workspace array, formed in place in the order of the
     formulas in the comments. The selected logits go in the scratch array
-    "rows", which the query backward reuses.
+    "rows", which the query backward reuses. The backward scales the
+    gradient "ce.grad" in place, so it is called once.
     """
     gt = gt.astype(np.intp, copy=False)
     where = np.flatnonzero(np.greater(gt, 0, out=ws.empty("ce.sel", gt.shape, bool)))
@@ -214,78 +237,35 @@ def _cross_entropy(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray,
     picked = np.take(grad, flat, out=picked, mode="clip")
     picked -= weight
     np.put(grad, flat, picked, mode="clip")
-    return value, grad
-
-
-def class_means_tape(attended: np.ndarray, labels: np.ndarray, seg: np.ndarray,
-                     lid_means: np.ndarray, lid_present: np.ndarray,
-                     ws: Workspace = FRESH) -> tuple:
-    """Semantic-consistency term of a batch, and backward(g) -> its
-    gradient w.r.t. `attended`: the class means of each anchor's attended
-    features by predicted label, against its LiDAR class means
-    (B, n_classes, C). attended (R, C) and labels (R,) hold the valid cells
-    of every anchor, anchor b owning rows seg[b, 0]:seg[b, 1]. The one-hot
-    labels and the gradient are the workspace arrays "onehot" and
-    "gattended"."""
-    n_classes = lid_means.shape[1]
-    classes = np.arange(n_classes)[:, None]
-    flat = ws.empty("onehot", (n_classes * len(labels),))
-    onehots = [np.equal(labels[lo:hi], classes,                  # (K, n_b) each
-                        out=flat[n_classes * lo:n_classes * hi].reshape(
-                            n_classes, hi - lo))
-               for lo, hi in seg]
-    sums = np.array([oh @ attended[lo:hi]
-                     for oh, (lo, hi) in zip(onehots, seg)])
-    counts = np.array([oh.sum(axis=1) for oh in onehots])
-    present = counts > 0
-    inv = 1.0 / np.where(present, counts, 1.0)
-    value, gmeans = _consistency(sums * inv[..., None], present, lid_means,
-                                 lid_present)
-
-    def backward(g):
-        gsums = g * gmeans * inv[..., None]
-        gattended = ws.empty("gattended", attended.shape)
-        gattended.fill(0.0)
-        for oh, gs, (lo, hi) in zip(onehots, gsums, seg):
-            gattended[lo:hi] += oh.T @ gs
-        return gattended
-
-    return value, backward
-
-
-def segmentation_tape(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray,
-                      ws: Workspace = FRESH) -> tuple:
-    """Segmentation term of a batch, `_cross_entropy` over logits
-    (R, n_classes), and backward(g) -> its gradient w.r.t. the logits. The
-    backward scales `_cross_entropy`'s gradient in place, so it is called
-    once."""
-    value, grad = _cross_entropy(logits, gt, seg, ws)
     return value, lambda g: np.multiply(grad, g, out=grad)
 
 
 # ------------------------------------------------------------------ public API
 
-def total_loss(table: TrainTable, anchors, positives: list, negatives: list,
+def total_loss(table: TrainTable, anchors: np.ndarray, negatives: np.ndarray,
                params: ModelParams, cfg: Config,
                ws: Workspace = FRESH) -> LossReport:
     """Full forward pipeline over a batch with gradients for every
     trainable parameter.
 
-    The batch is the table rows `anchors`; positives[b] and negatives[b]
-    list the map rows of anchor b. The anchors go through the query pipeline
-    as one stack, and each distinct map is described once; the contrastive
-    term reads one (anchors, maps) similarity matrix, and the consistency
-    term compares each anchor with its first positive.
+    The batch is the table rows `anchors` (B,); anchor b's positive is its
+    table positive and its N negatives are the map rows negatives[b]. The
+    anchors go through the query pipeline as one stack, and each distinct
+    map is described once, in the order of its first appearance in the
+    rows (positive, negatives); the contrastive term reads one (anchors,
+    maps) similarity matrix, and the consistency term compares each anchor
+    with its positive.
 
     Every large array of the step is an array of `ws`, so a workspace
     passed to each step of a training call is allocated by the first step
     only.
     """
-    col: dict = {}
-    for ps, ns in zip(positives, negatives):
-        for m in (*ps, *ns):
-            col.setdefault(m, len(col))
-    lid_desc, lid_bw = describe_lidar_tape([table.cells[m] for m in col],
+    positives = table.positive[anchors]
+    picked = np.column_stack([positives, negatives]).ravel()
+    maps = picked[np.sort(np.unique(picked, return_index=True)[1])]
+    col = np.empty(len(table.cells), np.intp)      # map row -> descriptor row
+    col[maps] = np.arange(len(maps))
+    lid_desc, lid_bw = describe_lidar_tape([table.cells[m] for m in maps],
                                            params.vlad, ws.scope("lidar"))
 
     # anchor b's cells are rows seg[b, 0]:seg[b, 1] of the stack
@@ -299,13 +279,10 @@ def total_loss(table: TrainTable, anchors, positives: list, negatives: list,
                         out=ws.empty("gt", (n_rows,), np.intp))
     desc, attended, logits, pred, query_bw = describe_query_tape(
         raw, seg, table.context, params.enc, params.att, params.vlad, ws)
-    l_con, con_bw = contrastive_tape(desc, lid_desc,
-                                     [[col[m] for m in ps] for ps in positives],
-                                     [[col[m] for m in ns] for ns in negatives],
-                                     cfg)
-    refs = [ps[0] for ps in positives]
-    l_sem, sem_bw = class_means_tape(attended, pred, seg, table.means[refs],
-                                     table.present[refs], ws)
+    l_con, con_bw = contrastive_tape(desc, lid_desc, col[positives],
+                                     col[negatives], cfg)
+    l_sem, sem_bw = class_means_tape(attended, pred, seg, table.means[positives],
+                                     table.present[positives], ws)
     l_seg, seg_bw = segmentation_tape(logits, gt, seg, ws)
     l_tot = l_con + l_sem * cfg.lambda_sem + l_seg
 
@@ -335,9 +312,10 @@ def train(table: TrainTable, cfg: Config, epochs: int, lr: float,
     Each epoch visits the anchors of `table` in a seeded random order, in
     batches of `batch_size` (all of them for 0). An anchor's positive is its
     place's nearest viewpoint; its NEGATIVES_PER_ANCHOR negatives are
-    seeded random viewpoints of other places. Returns the trained
-    parameters and the per-epoch mean losses with each epoch's wall time.
-    The parameters are bit-reproducible for a fixed config seed.
+    seeded random viewpoints of other places, drawn with replacement.
+    Returns the trained parameters and the per-epoch mean losses with each
+    epoch's wall time. The parameters are bit-reproducible for a fixed
+    config seed.
 
     The steps share one workspace, which is dropped on return. A step whose
     loss or updated parameters are not finite raises TrainingDiverged; the
@@ -346,9 +324,11 @@ def train(table: TrainTable, cfg: Config, epochs: int, lr: float,
     n_places = len(table.cells) // cfg.n_viewpoints
     if n_places < 2:
         raise ValueError("training needs at least two places")
+    n_anchors = len(table.raw)
+    if n_anchors == 0:
+        raise ValueError("training needs at least one query")
     tensors = {k: v.copy() for k, v in init_model_params(cfg).tensors().items()}
 
-    n_anchors = len(table.raw)
     bsz = batch_size if batch_size > 0 else n_anchors
     history = []
     ws = Workspace()
@@ -359,21 +339,17 @@ def train(table: TrainTable, cfg: Config, epochs: int, lr: float,
         sums = np.zeros(4)
         for start in range(0, n_anchors, bsz):
             anchors = order[start:start + bsz]
-            negatives = []
-            for a in anchors:
-                rows = []
-                for _ in range(NEGATIVES_PER_ANCHOR):
+            negatives = np.empty((len(anchors), NEGATIVES_PER_ANCHOR), np.intp)
+            for row, a in zip(negatives, anchors):
+                for j in range(NEGATIVES_PER_ANCHOR):
                     other = int(rng.integers(n_places - 1))
                     if other >= table.place[a]:
                         other += 1
-                    rows.append(other * cfg.n_viewpoints
-                                + int(rng.integers(cfg.n_viewpoints)))
-                negatives.append(rows)
+                    row[j] = (other * cfg.n_viewpoints
+                              + int(rng.integers(cfg.n_viewpoints)))
             with np.errstate(over="ignore", invalid="ignore"):
-                report = total_loss(table, anchors,
-                                    [[table.positive[a]] for a in anchors],
-                                    negatives, ModelParams.from_tensors(tensors),
-                                    cfg, ws)
+                report = total_loss(table, anchors, negatives,
+                                    ModelParams.from_tensors(tensors), cfg, ws)
                 if not math.isfinite(report.l_total):
                     raise TrainingDiverged(epoch)
                 for name in TRAINABLE:

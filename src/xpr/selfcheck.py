@@ -67,15 +67,16 @@ def _unit(rng, d):
 # -------------------------------------------------------- gradient checks
 
 def check_contrastive_grad(seed: int, kind: str, corrupt: bool = False) -> CheckResult:
-    """Fused contrastive node: anchor and map gradients on a ragged batch
-    whose anchors share map columns, one map repeating within an anchor."""
+    """Fused contrastive node: anchor and map gradients on a batch whose
+    anchors share map columns, one map repeating within an anchor's
+    negatives."""
     cfg = Config(loss_kind=kind, seed=seed)
     rng = make_rng(seed, 10)
     d = 16
     anchors = np.array([_unit(rng, d) for _ in range(3)])
     maps = np.array([_unit(rng, d) for _ in range(6)])
-    pos = [[0], [1, 2], [0]]
-    neg = [[3, 4], [0, 5, 5], [2, 3, 4, 5]]
+    pos = np.array([0, 1, 0])
+    neg = np.array([[3, 4, 2], [0, 5, 5], [2, 3, 4]])
     ga, gm = contrastive_tape(anchors, maps, pos, neg, cfg)[1](1.0)
     scale = 1.01 if corrupt else 1.0
 
@@ -186,8 +187,10 @@ def check_total_grad(seed: int, corrupt: bool = False) -> CheckResult:
     table = _toy_table(cfg, rng)
 
     def loss(p):
-        # anchor 1's negatives include anchor 0's positive
-        return total_loss(table, [0, 1], [[0], [3]], [[4, 5], [0, 1, 2]], p, cfg)
+        # anchor 1's negatives include anchor 0's positive, and anchor 0's
+        # repeat one map
+        return total_loss(table, np.array([0, 1]),
+                          np.array([[4, 5, 5], [0, 1, 2]]), p, cfg)
 
     report = loss(params)
     tensors = {k: v.copy() for k, v in params.tensors().items()}

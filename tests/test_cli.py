@@ -363,7 +363,7 @@ def test_trailing_bytes_are_data_error(workspace, tmp_path, capsys, kind):
     assert f"trailing bytes from byte {end}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("defect", ["utf8", "json", "key"])
+@pytest.mark.parametrize("defect", ["utf8", "json", "key", "bool"])
 @pytest.mark.parametrize("kind", ["index", "ckpt"])
 def test_bad_config_header_is_data_error(workspace, tmp_path, capsys, kind,
                                          defect):
@@ -378,6 +378,10 @@ def test_bad_config_header_is_data_error(workspace, tmp_path, capsys, kind,
         message = f"{target}: config header not UTF-8 at byte 20"
     elif defect == "json":
         data[15] = ord("x")
+    elif defect == "bool":  # same length: a JSON true for a float
+        at = data.index(b'"temperature": 0.07') + len(b'"temperature": ')
+        data[at:at + 4] = b"true"
+        message += "temperature must be a finite number"
     else:  # same length, so only the key is wrong
         at = data.index(b'"seed"')
         data[at:at + 6] = b'"sEEd"'
@@ -511,6 +515,8 @@ def _broken_meta(raw: bytes, defect: str) -> bytes:
         meta["class_map"] = [0, 1]
     elif defect == "nan-config":
         meta["config"]["alpha"] = float("nan")
+    elif defect == "bool-config":
+        meta["config"]["seed"] = True
     elif defect == "nan-place":
         meta["places"][1][1][2] = float("nan")
     elif defect == "inf-class":
@@ -529,7 +535,8 @@ def _broken_meta(raw: bytes, defect: str) -> bytes:
 
 @pytest.mark.parametrize("defect", ["utf8", "cut", "config", "places",
                                     "class_map", "bad-config", "bad-place",
-                                    "bad-class_map", "nan-config", "nan-place",
+                                    "bad-class_map", "nan-config",
+                                    "bool-config", "nan-place",
                                     "inf-class", "class-range",
                                     "repeated-place", "unknown-place"])
 def test_bad_meta_json_is_data_error(workspace, tmp_path, capsys, defect):

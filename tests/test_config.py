@@ -52,6 +52,14 @@ def test_json_round_trip_bit_exact():
         assert getattr(again, f.name) == getattr(cfg, f.name)
 
 
+@pytest.mark.parametrize("key", ["seed", "n_classes", "alpha"])
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_json_boolean_rejected(key, value):
+    # bool is an Integral and a Real, so the type checks must exclude it
+    with pytest.raises(ConfigError, match=f"{key} must be an? (integer|finite)"):
+        config_from_json(f'{{"{key}": {value}}}')
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown"):
         config_from_json('{"alpha": 0.5, "bogus": 1}')

@@ -22,19 +22,15 @@ LOG1P_EXP_NEG1 = 0.31326168751822286
 LN8 = 2.0794415416798357
 
 
-def contrastive_loss(anchor, positives, negatives, cfg):
+def contrastive_loss(anchor, positive, negatives, cfg):
     """One anchor's loss through the fused node, and its gradients w.r.t.
-    the anchor and every map descriptor."""
-    n_pos = len(positives)
+    the anchor and the map descriptors, positive first."""
     a = np.asarray(anchor, dtype=np.float64)[None, :]
-    descs = [np.asarray(d, dtype=np.float64) for d in [*positives, *negatives]]
-    loss, backward = contrastive_tape(a, np.array(descs), [list(range(n_pos))],
-                                      [list(range(n_pos, len(descs)))], cfg)
+    maps = np.array([positive, *negatives], dtype=np.float64)
+    loss, backward = contrastive_tape(a, maps, np.array([0]),
+                                      np.arange(1, len(maps))[None, :], cfg)
     ga, gm = backward(1.0)
-    grads = {"anchor": ga[0],
-             "positives": list(gm[:n_pos]),
-             "negatives": list(gm[n_pos:])}
-    return float(loss), grads
+    return float(loss), {"anchor": ga[0], "maps": list(gm)}
 
 
 def test_triplet_worked_example():
@@ -42,14 +38,14 @@ def test_triplet_worked_example():
     a = np.array([1.0, 0.0])
     p = np.array([0.5, 0.3])   # a.p = 0.5
     n = np.array([0.4, -0.2])  # a.n = 0.4
-    val, _ = contrastive_loss(a, [p], [n], cfg)
+    val, _ = contrastive_loss(a, p, [n], cfg)
     assert val == pytest.approx(0.3 - 0.5 + 0.4, abs=1e-12)
 
 
 def test_triplet_satisfied_margin_is_zero():
     cfg = Config(loss_kind="triplet", margin=0.3)
     a = np.array([1.0, 0.0])
-    val, grads = contrastive_loss(a, [np.array([0.9, 0.0])],
+    val, grads = contrastive_loss(a, np.array([0.9, 0.0]),
                                   [np.array([0.1, 0.0])], cfg)
     assert val == 0.0
     assert not grads["anchor"].any()
@@ -58,11 +54,11 @@ def test_triplet_satisfied_margin_is_zero():
 def test_triplet_averages_over_pairs():
     cfg = Config(loss_kind="triplet", margin=0.5)
     a = np.array([1.0, 0.0])
-    ps = [np.array([0.8, 0.0]), np.array([0.2, 0.0])]
-    ns = [np.array([0.6, 0.0])]
-    # pairs: relu(0.5-0.8+0.6)=0.3, relu(0.5-0.2+0.6)=0.9
-    val, _ = contrastive_loss(a, ps, ns, cfg)
-    assert val == pytest.approx((0.3 + 0.9) / 2, abs=1e-12)
+    p = np.array([0.8, 0.0])
+    ns = [np.array([0.6, 0.0]), np.array([0.9, 0.0]), np.array([0.2, 0.0])]
+    # pairs: relu(0.5-0.8+0.6)=0.3, relu(0.5-0.8+0.9)=0.6, relu(0.5-0.8+0.2)=0
+    val, _ = contrastive_loss(a, p, ns, cfg)
+    assert val == pytest.approx((0.3 + 0.6 + 0.0) / 3, abs=1e-12)
 
 
 def test_infonce_worked_example():
@@ -70,7 +66,7 @@ def test_infonce_worked_example():
     a = np.array([1.0, 0.0])
     p = np.array([1.0, 0.0])
     n = np.array([0.0, 1.0])
-    val, _ = contrastive_loss(a, [p], [n], cfg)
+    val, _ = contrastive_loss(a, p, [n], cfg)
     assert val == pytest.approx(LOG1P_EXP_NEG1, abs=1e-12)
 
 
@@ -78,18 +74,16 @@ def test_infonce_temperature_sharpens():
     a = np.array([1.0, 0.0])
     p = np.array([1.0, 0.0])
     n = np.array([0.0, 1.0])
-    hot, _ = contrastive_loss(a, [p], [n], Config(temperature=1.0))
-    cold, _ = contrastive_loss(a, [p], [n], Config(temperature=0.07))
+    hot, _ = contrastive_loss(a, p, [n], Config(temperature=1.0))
+    cold, _ = contrastive_loss(a, p, [n], Config(temperature=0.07))
     assert cold < hot
 
 
 def test_empty_sides_rejected():
-    cfg = Config()
     a = np.ones(3)
-    with pytest.raises(ValueError):
-        contrastive_loss(a, [], [a], cfg)
-    with pytest.raises(ValueError):
-        contrastive_loss(a, [a], [], cfg)
+    for kind in ("triplet", "infonce"):
+        with pytest.raises(ValueError, match="negative"):
+            contrastive_loss(a, a, [], Config(loss_kind=kind))
 
 
 def fd_check(fn, arrays, grads, eps=1e-6, tol=1e-5):
@@ -113,42 +107,34 @@ def test_contrastive_gradients_fd(kind):
     cfg = Config(loss_kind=kind, temperature=0.5, margin=0.4)
     rng = make_rng(1, 1)
     a = rng.normal(size=6)
-    ps = [rng.normal(size=6) for _ in range(2)]
+    p = rng.normal(size=6)
     ns = [rng.normal(size=6) for _ in range(3)]
-    val, grads = contrastive_loss(a, ps, ns, cfg)
+    val, grads = contrastive_loss(a, p, ns, cfg)
     assert math.isfinite(val)
-    arrays = [a] + ps + ns
-    flat_grads = [grads["anchor"]] + grads["positives"] + grads["negatives"]
+    arrays = [a, p] + ns
+    flat_grads = [grads["anchor"]] + grads["maps"]
 
     def fn(arrs):
-        return contrastive_loss(arrs[0], arrs[1:3], arrs[3:], cfg)[0]
+        return contrastive_loss(arrs[0], arrs[1], arrs[2:], cfg)[0]
 
     fd_check(fn, arrays, flat_grads)
 
 
 # ---------------------------------------------------- per-sample references
 
-def per_pair_contrastive(anchor, positives, negatives, cfg):
+def per_pair_contrastive(anchor, positive, negatives, cfg):
     """One anchor's loss from per-pair dot products: the reference for the
     batched (anchors, maps) similarity form."""
     def dot(a, b):
         return (a * b).sum()
 
+    sp = dot(anchor, positive)
     if cfg.loss_kind == "triplet":
-        terms = []
-        for p in positives:
-            sp = dot(anchor, p)
-            for n in negatives:
-                terms.append((cfg.margin - sp + dot(anchor, n)).relu())
-        return mean(stack(terms))
+        return mean(stack([(cfg.margin - sp + dot(anchor, n)).relu()
+                           for n in negatives]))
     inv_t = 1.0 / cfg.temperature
-    neg_logits = [dot(anchor, n) * inv_t for n in negatives]
-    terms = []
-    for p in positives:
-        sp = dot(anchor, p) * inv_t
-        row = stack([sp] + neg_logits).reshape(1, -1)
-        terms.append(row.logsumexp_rows().sum() - sp)
-    return mean(stack(terms))
+    row = stack([sp * inv_t] + [dot(anchor, n) * inv_t for n in negatives])
+    return row.reshape(1, -1).logsumexp_rows().sum() - sp * inv_t
 
 
 @pytest.mark.parametrize("kind", ["triplet", "infonce"])
@@ -158,16 +144,17 @@ def test_batched_contrastive_matches_per_pair(kind):
     n_anchors, n_maps, d = 4, 7, 6
     anchors = rng.normal(size=(n_anchors, d)) / 2.0
     maps = rng.normal(size=(n_maps, d)) / 2.0
-    # ragged sides, maps shared between anchors and within one anchor
-    pos = [[0], [1, 2], [0], [3]]
-    neg = [[4, 5], [0, 6, 6], [2, 3, 4, 5], [6]]
+    # maps shared between anchors, and one repeated within an anchor's
+    # negatives
+    pos = np.array([0, 1, 0, 3])
+    neg = np.array([[4, 5, 2], [0, 6, 6], [2, 3, 4], [6, 5, 1]])
 
     loss, backward = contrastive_tape(anchors, maps, pos, neg, cfg)
     ga, gm = backward(1.0)
 
     ra = [Tensor(x, requires_grad=True) for x in anchors]
     rm = [Tensor(x, requires_grad=True) for x in maps]
-    ref = mean(stack([per_pair_contrastive(ra[b], [rm[j] for j in pos[b]],
+    ref = mean(stack([per_pair_contrastive(ra[b], rm[pos[b]],
                                            [rm[j] for j in neg[b]], cfg)
                       for b in range(n_anchors)]))
     ref.backward()
@@ -321,10 +308,8 @@ def fake_table(seed, cfg, n_places=3, queries_per_place=1):
 
 def fake_batch(seed, cfg):
     """A three-place table and a batch of its first two anchors, each with
-    its positive and two maps of other places as negatives."""
-    table = fake_table(seed, cfg)
-    return (table, [0, 1], [[table.positive[0]], [table.positive[1]]],
-            [[2, 4], [0, 5]])
+    two maps of other places as negatives."""
+    return fake_table(seed, cfg), np.array([0, 1]), np.array([[2, 4], [0, 5]])
 
 
 def test_total_loss_composition():
@@ -355,7 +340,8 @@ def reference_total_loss(anchors, maps, positives, negatives, context,
     """The total loss as a per-sample tape: one generic graph per anchor
     and per LiDAR map, the formula the batched nodes must reproduce.
     anchors[b] is the QueryObservation of batch anchor b, and positives[b]
-    and negatives[b] index `maps`, the valid cells of each LiDAR map."""
+    and the row negatives[b] index `maps`, the valid cells of each LiDAR
+    map."""
     flat = {name: Tensor(arr, requires_grad=name in TRAINABLE)
             for name, arr in params.tensors().items()}
     enc, att, vlad = ({name.split(".", 1)[1]: t for name, t in flat.items()
@@ -368,11 +354,11 @@ def reference_total_loss(anchors, maps, positives, negatives, context,
                             vlad["assign_b"], vlad["proj"].data)
 
     lid = {}
-    for m in {m for rows in (*positives, *negatives) for m in rows}:
+    for m in {*positives, *np.ravel(negatives)}:
         lid[m] = describe(Tensor(maps[m]))
 
     con, sem, seg = [], [], []
-    for obs, ps, ns in zip(anchors, positives, negatives):
+    for obs, p, ns in zip(anchors, positives, negatives):
         mask = obs.mask.reshape(-1)
         x = Tensor(obs.raw.reshape(mask.size, -1))
         h = tanh(x @ enc["rgb_proj"] + enc["rgb_bias"]) * Tensor(
@@ -382,11 +368,10 @@ def reference_total_loss(anchors, maps, positives, negatives, context,
         w = att["bilinear"] @ Tensor(context)
         attended = feat * sigmoid((feat @ w) * att["gain"]).reshape(-1, 1)
         con.append(per_pair_contrastive(
-            describe(attended[mask]), [lid[m] for m in ps],
-            [lid[m] for m in ns], cfg))
+            describe(attended[mask]), lid[p], [lid[m] for m in ns], cfg))
 
         pred = np.argmax(logits.data, axis=1)
-        ref_x = maps[ps[0]]
+        ref_x = maps[p]
         onehot = ref_x[:, 4:]
         ref_labels = np.where(onehot.any(axis=1), np.argmax(onehot, axis=1), 0)
         terms = []
@@ -414,19 +399,20 @@ def reference_total_loss(anchors, maps, positives, negatives, context,
 
 
 def degenerate_batch(cfg):
-    """Ragged positives and negatives, a map shared by two anchors, a
-    smaller anchor, and three degenerate anchors: an all-false mask, no
-    non-void ground truth, and a positive with only void cells, so no
-    class in common.
+    """A positive shared by two anchors, maps shared between anchors'
+    negatives and repeated within one anchor's, a smaller anchor, and three
+    degenerate anchors: an all-false mask, no non-void ground truth, and a
+    positive with only void cells, so no class in common.
 
     Returns the table, the observations of its anchors 0..4, its maps by
-    row, and each anchor's positive and negative rows."""
+    row, and each anchor's positive row and negative rows (5, 3)."""
     rng = make_rng(12, 1)
     maps = [fake_cells(rng, cfg) for _ in range(7)]
     void = fake_cells(rng, cfg)
     void[:, 4:] = np.eye(cfg.n_classes)[0]
     maps.append(void)
-    anchors = [fake_obs(rng, cfg) for _ in range(4)] + [fake_obs(rng, cfg, 3, 5)]
+    anchors = [fake_obs(rng, cfg) for _ in range(3)] + [fake_obs(rng, cfg, 3, 5),
+                                                        fake_obs(rng, cfg)]
     anchors[1] = QueryObservation(anchors[1].raw,
                                   np.zeros_like(anchors[1].mask),
                                   anchors[1].gt_labels)
@@ -434,15 +420,17 @@ def degenerate_batch(cfg):
         anchors[2].raw, anchors[2].mask,
         SemanticImage(np.zeros_like(anchors[2].gt_labels.labels)))
     context = rng.random(cfg.n_classes)
-    # SMALL has two viewpoints per place: four places of two maps each
+    # SMALL has two viewpoints per place: four places of two maps each. A
+    # heading of pi is viewpoint 1, so anchor 4's positive is the void map
     places = [([(anchors[0], 0.0), (anchors[1], 0.0)], maps[0:2]),
               ([(anchors[2], 0.0)], maps[2:4]),
               ([(anchors[3], 0.0)], maps[4:6]),
-              ([(anchors[4], 0.0)], maps[6:8])]
+              ([(anchors[4], math.pi)], maps[6:8])]
     table = train_table(places, context / context.sum(), cfg)
-    positives = [[0], [3, 4], [0], [7], [6, 2]]
-    negatives = [[1, 2], [0], [5, 6, 1], [2, 3], [4]]
-    return table, anchors, maps, positives, negatives
+    assert list(table.positive) == [0, 0, 2, 4, 7]
+    negatives = np.array([[1, 2, 6], [3, 3, 5], [5, 6, 1], [2, 3, 0],
+                          [4, 0, 2]])
+    return table, anchors, maps, table.positive, negatives
 
 
 @pytest.mark.parametrize("kind", ["triplet", "infonce"])
@@ -457,7 +445,7 @@ def test_total_loss_matches_per_sample_tape(kind):
                      else 0.0)
         for name, arr in init_model_params(cfg).tensors().items()})
     table, anchors, maps, positives, negatives = degenerate_batch(cfg)
-    got = total_loss(table, range(5), positives, negatives, params, cfg)
+    got = total_loss(table, np.arange(5), negatives, params, cfg)
     want, want_grads = reference_total_loss(anchors, maps, positives, negatives,
                                             table.context, params, cfg)
     assert got.l_total == pytest.approx(want, abs=1e-12)
@@ -544,6 +532,13 @@ def test_train_single_place_rejected():
     cfg = SMALL
     table = fake_table(9, cfg, n_places=1)
     with pytest.raises(ValueError, match="two places"):
+        train(table, cfg, epochs=1, lr=1e-2)
+
+
+def test_train_without_anchors_rejected():
+    cfg = SMALL
+    table = fake_table(9, cfg, queries_per_place=0)
+    with pytest.raises(ValueError, match="at least one query"):
         train(table, cfg, epochs=1, lr=1e-2)
 
 
