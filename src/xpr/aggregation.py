@@ -156,8 +156,9 @@ def netvlad_batch(blocks: list, centroids: np.ndarray, assign_w: np.ndarray,
     assignment weights and the biases into grads["vlad.*"], map by map in
     order, and when gcells is given adds map m's cell gradient into the
     (n_m, C) array gcells[m]. A zero row has zero gradient. The backward's
-    arrays are workspace arrays; "gz", "gz_soft", "gx" and "gx_z" are sized
-    for the largest map, and each map takes a contiguous view of them.
+    arrays are workspace arrays; "gz", "gz_soft", "gz.col", "gx" and "gx_z"
+    are sized for the largest map, and each map takes a contiguous view of
+    them.
     """
     y, softs, mass, vn, norms, dnorm = netvlad_forward(
         blocks, centroids, assign_w, assign_b, proj, ws)
@@ -180,13 +181,22 @@ def netvlad_batch(blocks: list, centroids: np.ndarray, assign_w: np.ndarray,
         n_max = max(map(len, blocks), default=0)
         gz_flat = ws.empty("gz", (k_n * n_max,))
         gz_soft = ws.empty("gz_soft", (k_n * n_max,))
+        col_flat = ws.empty("gz.col", (n_max,))
         if gcells is not None:
             gx_flat = ws.empty("gx", (n_max * c_n,))
             gx_z = ws.empty("gx_z", (n_max * c_n,))
         for m, (soft, xm) in enumerate(zip(softs, blocks)):
             gz = np.matmul(gv[m], xm.T, out=_view(gz_flat, soft.shape))
-            gz -= gmass[m][:, None]
-            gz -= np.multiply(gz, soft, out=_view(gz_soft, soft.shape)).sum(axis=0)
+            # gz_s spreads each operand of the in-place steps to gz's shape,
+            # as numpy allocates an iteration buffer for a broadcast operand
+            # on every call, and holds gz * soft in between
+            gz_s = _view(gz_soft, soft.shape)
+            np.copyto(gz_s, gmass[m][:, None])
+            gz -= gz_s
+            col = np.sum(np.multiply(gz, soft, out=gz_s), axis=0,
+                         out=col_flat[:len(xm)])
+            np.copyto(gz_s, col)
+            gz -= gz_s
             gz *= soft                                            # (K, n_m)
             grads["vlad.assign_w"] += gz @ xm
             grads["vlad.assign_b"] += gz.sum(axis=1)

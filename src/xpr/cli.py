@@ -24,10 +24,11 @@ from .io_datasets import (FormatError, load_checkpoint, load_dataset,
 from .losses import TrainingDiverged, train
 from .matching import match_query, rank_of_truth, recall_from_ranks
 from .model import init_model_params
-from .pipeline import build_index, match_dataset_queries, training_set
+from .pipeline import (build_index, match_dataset_queries, render_places,
+                       training_set)
 from .projection import project_spherical
 from .selfcheck import run_all
-from .viewpoints import render_viewpoint
+from .viewpoints import make_viewpoints, render_viewpoint, render_viewpoints
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,12 +141,19 @@ def cmd_build_map(args) -> int:
     params = _load_params(args.ckpt, cfg)
     with output_lock(args.out):
         t0 = time.perf_counter()
-        index = build_index(dataset, params, cfg)
+        renders = render_places(dataset, cfg)
+        t1 = time.perf_counter()
+        index = build_index(dataset, params, cfg, renders=renders)
+        t2 = time.perf_counter()
         save_index(args.out, index)
+        t3 = time.perf_counter()
         write_manifest(args.out, "build-map", cfg,
                        {"data": args.data, "ckpt": args.ckpt},
                        [args.out],
-                       {"total": (time.perf_counter() - t0) * 1e3})
+                       {"total": (time.perf_counter() - t0) * 1e3,
+                        "render": (t1 - t0) * 1e3,
+                        "describe": (t2 - t1) * 1e3,
+                        "save": (t3 - t2) * 1e3})
     return EXIT_OK
 
 
@@ -281,7 +289,8 @@ def _stats(samples_ms) -> tuple:
 
 def _stage_timings(args, index, params, cfg, queries, dataset) -> dict:
     """Per-stage wall times in ms of `--repeat` queries and, given the
-    `--data` dataset, of up to 50 viewpoint describes and projections."""
+    `--data` dataset, of up to 50 viewpoint describes, one-pose projections
+    and renders of place 0's viewpoints as the map build renders them."""
     context = index.mean_histogram()
     timings = {"query_encode": [], "match": [], "total": []}
     for i in range(args.repeat):
@@ -308,8 +317,14 @@ def _stage_timings(args, index, params, cfg, queries, dataset) -> dict:
         timings["project"] = []
         for _ in range(min(args.repeat, 50)):
             t0 = time.perf_counter()
-            project_spherical(cloud, pose, cfg)
+            project_spherical(cloud, [pose], cfg)
             timings["project"].append((time.perf_counter() - t0) * 1e3)
+        poses = make_viewpoints(pose, cfg)
+        timings["render_place"] = []
+        for _ in range(min(args.repeat, 50)):
+            t0 = time.perf_counter()
+            render_viewpoints(cloud, poses, cfg)
+            timings["render_place"].append((time.perf_counter() - t0) * 1e3)
     return timings
 
 

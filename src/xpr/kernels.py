@@ -36,18 +36,20 @@ def fill_grid(rows, cols, ranges, labels, h, w):
 # ------------------------------------------------------------------- normals
 
 def compute_normals(depth, cos_az, sin_az, cos_el, sin_el):
-    """(h, w, 3) normals of a depth grid, per cell from the cross product of
-    the right and down neighbour differences, oriented toward the sensor.
+    """(..., h, w, 3) normals of a depth grid or a stack of them (..., h, w),
+    per cell from the cross product of the right and down neighbour
+    differences, oriented toward the sensor.
 
     A cell on the last row or column, with an empty neighbour or with a
     degenerate cross product takes the unit direction back to the sensor;
     empty cells are 0. Each product keeps the association of the scalar loop
-    in tests/test_projection.py, so the two are bit-equal.
+    in tests/test_projection.py, so the two are bit-equal, image by image.
     """
-    h, w = depth.shape
-    p = np.empty((3, h, w))        # x, y, z channels of each cell's point
-    np.multiply(depth * cos_el[:, None], np.stack([cos_az, sin_az])[:, None],
-                out=p[:2])
+    *lead, h, w = depth.shape
+    p = np.empty((3, *depth.shape))    # x, y, z channels of each cell's point
+    ground = depth * cos_el[:, None]
+    np.multiply(ground, cos_az, out=p[0])
+    np.multiply(ground, sin_az, out=p[1])
     np.multiply(depth, sin_el[:, None], out=p[2])
     valid = depth > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -55,11 +57,11 @@ def compute_normals(depth, cos_az, sin_az, cos_el, sin_el):
 
     # interior cells: a = right - here, b = down - here, each stored as
     # (x, y, z, x, y) so a[1:4] * b[2:5] - a[2:5] * b[1:4] is a x b
-    here = p[:, :-1, :-1]
-    a = np.empty((5, h - 1, w - 1))
-    b = np.empty((5, h - 1, w - 1))
-    np.subtract(p[:, :-1, 1:], here, out=a[:3])
-    np.subtract(p[:, 1:, :-1], here, out=b[:3])
+    here = p[..., :-1, :-1]
+    a = np.empty((5, *lead, h - 1, w - 1))
+    b = np.empty((5, *lead, h - 1, w - 1))
+    np.subtract(p[..., :-1, 1:], here, out=a[:3])
+    np.subtract(p[..., 1:, :-1], here, out=b[:3])
     a[3:] = a[:2]
     b[3:] = b[:2]
     n = a[1:4] * b[2:5]
@@ -68,12 +70,13 @@ def compute_normals(depth, cos_az, sin_az, cos_el, sin_el):
     nn = sq[0] + sq[1]
     nn += sq[2]
     np.sqrt(nn, out=nn)
-    usable = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & (nn > 1e-12)
+    usable = (valid[..., :-1, :-1] & valid[..., :-1, 1:] & valid[..., 1:, :-1]
+              & (nn > 1e-12))
     with np.errstate(invalid="ignore", divide="ignore"):
         n /= nn
         t = n * here
         facing = t[0] + t[1]
         facing += t[2]
         n *= np.where(facing > 0.0, -1.0, 1.0)
-    normals[:, :-1, :-1] = np.where(usable, n, normals[:, :-1, :-1])
+    normals[..., :-1, :-1] = np.where(usable, n, normals[..., :-1, :-1])
     return np.moveaxis(normals, 0, -1)

@@ -207,8 +207,9 @@ def segmentation_tape(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray,
     # each of them weighs 1 / (B * their count)
     bounds = np.searchsorted(where, seg)
     weight = ws.empty("ce.weight", (n,))
-    for lo, hi in bounds:
-        weight[lo:hi] = 1.0 / (len(seg) * max(hi - lo, 1))
+    scales = [1.0 / (len(seg) * max(hi - lo, 1)) for lo, hi in bounds]
+    for (lo, hi), scale in zip(bounds, scales):
+        weight[lo:hi] = scale
     # mode="clip" keeps np.take from buffering its output; every index is
     # in range, so nothing is clipped
     rows = np.take(logits, where, axis=0, out=ws.empty("rows", (n, k)),
@@ -217,13 +218,20 @@ def segmentation_tape(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray,
     flat = np.multiply(where, k, out=ws.empty("ce.flat", (n,), np.intp))
     flat += np.take(gt, where, out=ws.empty("ce.true", (n,), np.intp), mode="clip")
     picked = np.take(logits, flat, out=ws.empty("ce.picked", (n,)), mode="clip")
+    # m and s are spread to the rows' shape, and the weights are applied
+    # anchor by anchor, as numpy runs a broadcast operand through an
+    # iteration buffer that it allocates on every call
+    spread = ws.empty("ce.spread", (n, k))
     m = row_max(rows, out=ws.empty("ce.max", (n,)))
-    e = np.subtract(rows, m, out=rows)
+    np.copyto(spread, m)
+    e = np.subtract(rows, spread, out=rows)
     np.exp(e, out=e)                                   # e = exp(rows - m)
     s = np.matmul(e, np.ones((k, 1)), out=ws.empty("ce.sum", (n, 1)))
     # grad = e / s * weight, less weight at the true class, on the rows
-    e /= s
-    e *= weight[:, None]
+    np.copyto(spread, s)
+    e /= spread
+    for (lo, hi), scale in zip(bounds, scales):
+        e[lo:hi] *= scale
     # value = sum(((m + log(s)) - rows[true]) * weight)
     terms = np.log(s, out=s)
     terms += m

@@ -9,36 +9,36 @@ import numpy as np
 
 from . import kernels
 from .config import Config
-from .core import LabeledPointCloud, Pose
+from .core import LabeledPointCloud
 
 
 @dataclass(frozen=True)
 class RangeImage:
-    depth: np.ndarray            # (H, W) meters, 0 = empty cell
-    normals: np.ndarray          # (H, W, 3) unit vectors, zero where empty
+    depth: np.ndarray            # (..., H, W) meters, 0 = empty cell
+    normals: np.ndarray          # (..., H, W, 3) unit vectors, zero where empty
     vfov_up: float               # degrees
     vfov_down: float
 
     @property
     def rows(self) -> int:
-        return self.depth.shape[0]
+        return self.depth.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.depth.shape[1]
+        return self.depth.shape[-1]
 
 
 @dataclass(frozen=True)
 class SemanticImage:
-    labels: np.ndarray           # (H, W) uint16 class ids, 0 where empty
+    labels: np.ndarray           # (..., H, W) uint16 class ids, 0 where empty
 
     @property
     def rows(self) -> int:
-        return self.labels.shape[0]
+        return self.labels.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.labels.shape[1]
+        return self.labels.shape[-1]
 
 
 @lru_cache(maxsize=8)
@@ -55,38 +55,62 @@ def _cell_trig(rows: int, cols: int, vfov_up: float, vfov_down: float):
     return trig
 
 
-def project_spherical(cloud: LabeledPointCloud, sensor_pose: Pose,
+def project_spherical(cloud: LabeledPointCloud, sensor_poses: list,
                       cfg: Config) -> tuple[RangeImage, SemanticImage]:
-    """Project a cloud onto the 360-degree grid; nearest point wins each cell.
+    """Project a cloud from each of V sensor poses onto the 360-degree grid,
+    as one (V, H, W) stack of images; nearest point wins each cell.
 
     Azimuth [-pi, pi) maps linearly to columns with azimuth 0 at the image
     center; elevation [vfov_down, vfov_up] maps linearly to rows (top row =
     vfov_up). Points at the sensor or outside the vertical FOV are dropped.
-    `kernels.fill_grid` scatters the rest with a scatter-min over range; ties
-    on range go to the lower point index.
+    All V images take one pass: one batched transform into the sensor
+    frames, and one `kernels.fill_grid` scatter-min over a (V*H, W) grid in
+    which image v owns rows v*H:(v+1)*H, so that ties on range go to the
+    lower point index within each image.
     """
     h, w = cfg.range_rows, cfg.range_cols
-    pts = sensor_pose.inverse().transform(cloud.points)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    inverse = [p.inverse() for p in sensor_poses]
+    # R @ x.T + t per inverse pose: the bits of Pose.transform, as (V, 3, n)
+    # coordinate rows; image v's points come before image v+1's
+    xyz = np.stack([p.rotation for p in inverse]) @ cloud.points.T
+    xyz += np.stack([p.translation for p in inverse])[:, :, None]
+    x, y, z = np.swapaxes(xyz, 0, 1).reshape(3, -1)
     rng = np.sqrt(x * x + y * y + z * z)
     up = math.radians(cfg.vfov_up)
     down = math.radians(cfg.vfov_down)
     with np.errstate(invalid="ignore", divide="ignore"):
         el = np.arcsin(np.clip(z / rng, -1.0, 1.0))
         keep = np.flatnonzero((rng > 0.0) & (el >= down) & (el <= up))
-    el, rng, lab = el[keep], rng[keep], cloud.labels[keep]
+    el, rng = el[keep], rng[keep]
     az = np.arctan2(y[keep], x[keep])
 
     cols = np.floor((az + math.pi) / (2.0 * math.pi) * w).astype(np.int64) % w
     rows = np.minimum(np.floor((up - el) / (up - down) * h).astype(np.int64), h - 1)
-    depth, labels = kernels.fill_grid(rows, cols, rng, lab, h, w)
+    # image v's points are the kept indices in [v*n, (v+1)*n): move them to
+    # rows v*h:(v+1)*h, and their indices back to point indices
+    n_views, n = len(sensor_poses), cloud.count
+    ends = np.searchsorted(keep, n * np.arange(1, n_views + 1))
+    for v, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]), 1):
+        rows[lo:hi] += v * h
+        keep[lo:hi] -= v * n
+    depth, labels = kernels.fill_grid(rows, cols, rng, cloud.labels[keep],
+                                      n_views * h, w)
 
-    img = RangeImage(depth, np.zeros((h, w, 3)), cfg.vfov_up, cfg.vfov_down)
-    return img, SemanticImage(labels)
+    img = RangeImage(depth.reshape(n_views, h, w), np.zeros((n_views, h, w, 3)),
+                     cfg.vfov_up, cfg.vfov_down)
+    return img, SemanticImage(labels.reshape(n_views, h, w))
+
+
+def unstack(img: RangeImage, sem: SemanticImage) -> list:
+    """The (RangeImage, SemanticImage) of each image of a stack, as views."""
+    return [(RangeImage(depth, normals, img.vfov_up, img.vfov_down),
+             SemanticImage(labels))
+            for depth, normals, labels in zip(img.depth, img.normals, sem.labels)]
 
 
 def estimate_normals(img: RangeImage) -> RangeImage:
-    """Per-cell surface normal from right/down neighbor differences.
+    """Per-cell surface normal from right/down neighbor differences, for a
+    single image or a stack of them.
 
     Missing neighbor, image edge, or a degenerate cross product falls back to
     the unit direction from the point back toward the sensor. Normals are

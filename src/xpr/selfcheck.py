@@ -288,12 +288,12 @@ def check_projection_shift(seed: int) -> CheckResult:
         theta = shift * 2.0 * math.pi / cfg.range_cols
         rot = yaw_rotation(theta)
         rotated = LabeledPointCloud(cloud.points @ rot.T, cloud.labels)
-        img0, sem0 = project_spherical(cloud, identity_pose(), cfg)
-        img1, sem1 = project_spherical(rotated, identity_pose(), cfg)
+        img0, sem0 = project_spherical(cloud, [identity_pose()], cfg)
+        img1, sem1 = project_spherical(rotated, [identity_pose()], cfg)
         worst = max(worst,
-                    float(np.abs(np.roll(img0.depth, shift, axis=1)
+                    float(np.abs(np.roll(img0.depth, shift, axis=-1)
                                  - img1.depth).max()),
-                    float(np.abs(np.roll(sem0.labels.astype(int), shift, axis=1)
+                    float(np.abs(np.roll(sem0.labels.astype(int), shift, axis=-1)
                                  - sem1.labels.astype(int)).max()))
     return CheckResult("projection_shift", worst, 1e-12)
 

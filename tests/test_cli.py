@@ -91,6 +91,15 @@ def test_build_map_index(workspace):
     assert os.path.isfile(workspace["idx"] + ".manifest.json")
 
 
+def test_build_map_manifest_times_render_describe_and_save(workspace):
+    with open(workspace["idx"] + ".manifest.json", encoding="utf-8") as fh:
+        timings = json.load(fh)["timings_ms"]
+    assert set(timings) == {"total", "render", "describe", "save"}
+    stages = [timings["render"], timings["describe"], timings["save"]]
+    assert min(stages) >= 0.0
+    assert sum(stages) <= timings["total"]
+
+
 def test_match_csv_columns(workspace):
     with open(workspace["results"], newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -806,7 +815,7 @@ def test_bench_writes_stage_csv(workspace, tmp_path):
         rows = list(csv.DictReader(fh))
     stages = {r["stage"] for r in rows}
     assert {"query_encode", "match", "total", "viewpoint_describe"} <= stages
-    assert "project" in stages
+    assert {"project", "render_place"} <= stages
     for r in rows:
         assert float(r["mean_ms"]) >= 0.0
         assert float(r["p95_ms"]) >= float(r["median_ms"]) >= 0.0

@@ -7,16 +7,22 @@ from xpr import kernels
 from xpr.config import Config, make_rng
 from xpr.core import LabeledPointCloud, identity_pose, yaw_rotation
 from xpr.projection import (RangeImage, SemanticImage, estimate_normals,
-                            project_spherical, semantic_histogram, unproject)
+                            project_spherical, semantic_histogram, unproject,
+                            unstack)
 from xpr.selfcheck import shift_safe_scene
 
 CFG = Config(vfov_up=15.0, vfov_down=-15.0)
 
 
+def project_one(cloud, pose, cfg):
+    """The 2-D images of a one-pose stack."""
+    return unstack(*project_spherical(cloud, [pose], cfg))[0]
+
+
 def project(points, labels, cfg=CFG, pose=None):
     cloud = LabeledPointCloud(np.asarray(points, dtype=float),
                               np.asarray(labels, dtype=np.uint16))
-    return project_spherical(cloud, pose or identity_pose(), cfg)
+    return project_one(cloud, pose or identity_pose(), cfg)
 
 
 def test_single_point_lands_at_center():
@@ -79,7 +85,7 @@ def test_depth_matches_bruteforce_min():
     pts[:, 2] = rng.uniform(-3, 3, n)
     labels = rng.integers(1, 8, n).astype(np.uint16)
     cloud = LabeledPointCloud(pts, labels)
-    img, sem = project_spherical(cloud, identity_pose(), CFG)
+    img, sem = project_one(cloud, identity_pose(), CFG)
 
     # straightforward O(P) reference pass
     h, w = CFG.range_rows, CFG.range_cols
@@ -119,10 +125,10 @@ def test_yaw_shift_property():
     cloud = shift_safe_scene(rng, cfg)
     shift = 17
     theta = shift * 2 * math.pi / cfg.range_cols
-    img0, sem0 = project_spherical(cloud, identity_pose(), cfg)
+    img0, sem0 = project_one(cloud, identity_pose(), cfg)
     rot = yaw_rotation(theta)
     rotated = LabeledPointCloud(cloud.points @ rot.T, cloud.labels)
-    img1, sem1 = project_spherical(rotated, identity_pose(), cfg)
+    img1, sem1 = project_one(rotated, identity_pose(), cfg)
     # rotation perturbs recomputed ranges in the last ulp; occupancy is exact
     assert np.allclose(np.roll(img0.depth, shift, axis=1), img1.depth,
                        atol=1e-12)
@@ -292,6 +298,26 @@ def test_kernels_match_scalar_reference():
     for d in (depth, holed):
         assert np.array_equal(_normals_reference(d, *trig),
                               kernels.compute_normals(d, *trig))
+
+
+@pytest.mark.parametrize("h, w", [(16, 180), (1, 180)], ids=["16-rows", "one-row"])
+def test_normals_of_a_stack_equal_one_image_at_a_time(h, w):
+    """compute_normals over a (V, H, W) stack gives each image's normals
+    bit for bit as a call on that image alone, whatever the other images
+    hold; the stack includes an all-empty image."""
+    rng = make_rng(102, 1)
+    stack = rng.uniform(1, 50, (4, h, w))
+    stack[1] = 0.0                                         # all empty
+    stack[2][rng.uniform(size=(h, w)) < 0.3] = 0.0         # holed
+    stack[3][rng.uniform(size=(h, w)) < 0.9] = 0.0         # sparse
+    az = np.linspace(-3, 3, w)
+    el = np.linspace(-0.4, 0.03, h)
+    trig = (np.cos(az), np.sin(az), np.cos(el), np.sin(el))
+    got = kernels.compute_normals(stack, *trig)
+    assert got.shape == (4, h, w, 3)
+    for depth, normals in zip(stack, got):
+        assert np.array_equal(normals, kernels.compute_normals(depth, *trig))
+    assert not got[1].any()
 
 
 @pytest.mark.parametrize("case", ["empty", "one-cell", "one-per-cell"])

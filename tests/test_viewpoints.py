@@ -5,9 +5,9 @@ import pytest
 
 from xpr.config import Config, make_rng
 from xpr.core import LabeledPointCloud, Pose, identity_pose, yaw_rotation
-from xpr.projection import estimate_normals, project_spherical
-from xpr.viewpoints import (crop_to_radius, make_viewpoints, render_viewpoint,
-                            render_viewpoints)
+from xpr.projection import estimate_normals, project_spherical, unstack
+from xpr.viewpoints import (STACK_POINTS, crop_to_radius, make_viewpoints,
+                            render_viewpoint, render_viewpoints)
 
 CFG = Config()
 
@@ -112,34 +112,63 @@ def _cloud(points):
     return LabeledPointCloud(points, 1 + np.arange(len(points)) % 7)
 
 
-@pytest.mark.parametrize("case", ["beyond-range", "empty", "cropped-to-nothing"])
+def _tied_cloud(anchor):
+    """A few points, then three copies of one point with different labels:
+    every viewpoint sees the copies at one range in one cell, and the
+    first copy's label must win there."""
+    pts = np.vstack([make_rng(8, 1).uniform(-30, 30, (20, 3)),
+                     [[10.0, 0.0, 0.0]] * 3]) + anchor.translation
+    labels = np.r_[np.ones(20), [6, 2, 4]]
+    return LabeledPointCloud(pts, labels)
+
+
+@pytest.mark.parametrize("case", ["beyond-range", "empty", "cropped-to-nothing",
+                                  "several-stacks", "one-pose-stacks",
+                                  "tied-ranges"])
 def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
-    """Cropping once per place renders every viewpoint exactly as cropping
-    around each viewpoint's own pose does."""
+    """Cropping once per place and projecting the viewpoints in stacks
+    renders every viewpoint exactly as cropping around each viewpoint's own
+    pose and projecting it alone does."""
     cfg = Config()
     anchor = Pose(yaw_rotation(0.7), np.array([3.0, -2.0, 1.0]))
     if case == "beyond-range":   # about half the points lie past max_range_m
         cloud = random_cloud(6, n=4000, extent=1.2 * cfg.max_range_m)
+    elif case in ("several-stacks", "one-pose-stacks"):   # all within range
+        n = {"several-stacks": 5000, "one-pose-stacks": 9000}[case]
+        cloud = random_cloud(6, n=n, extent=0.5 * cfg.max_range_m)
+    if case in ("beyond-range", "several-stacks", "one-pose-stacks"):
         cloud = LabeledPointCloud(cloud.points + anchor.translation,
                                   cloud.labels)
     elif case == "empty":
         cloud = _cloud(np.empty((0, 3)))
+    elif case == "tied-ranges":
+        cloud = _tied_cloud(anchor)
     else:
         cloud = _cloud(anchor.translation + [[cfg.max_range_m + 1.0, 0, 0],
                                              [0, -cfg.max_range_m - 5.0, 0]])
     poses = make_viewpoints(anchor, cfg)
+    kept = crop_to_radius(cloud, anchor.translation, cfg.max_range_m).count
+    per_stack = STACK_POINTS // max(kept, 1)
+    expect = {"several-stacks": 1 < per_stack < len(poses),
+              "one-pose-stacks": per_stack == 1}.get(case, per_stack >= len(poses))
+    assert expect, (case, kept)
     renders = render_viewpoints(cloud, poses, cfg)
     assert len(renders) == len(poses)
     for pose, (img, sem) in zip(poses, renders):
         cropped = crop_to_radius(cloud, pose.translation, cfg.max_range_m)
-        ref_img, ref_sem = project_spherical(cropped, pose, cfg)
-        ref_img = estimate_normals(ref_img)
+        ref_img, ref_sem = project_spherical(cropped, [pose], cfg)
+        [(ref_img, ref_sem)] = unstack(estimate_normals(ref_img), ref_sem)
         for got_img, got_sem in ((img, sem),
                                  render_viewpoint(cloud, pose, cfg)):
+            assert got_img.depth.shape == (cfg.range_rows, cfg.range_cols)
             assert np.array_equal(got_img.depth, ref_img.depth)
             assert np.array_equal(got_img.normals, ref_img.normals)
             assert np.array_equal(got_sem.labels, ref_sem.labels)
-    assert (np.count_nonzero(renders[0][0].depth) > 0) == (case == "beyond-range")
+        if case == "tied-ranges":
+            assert np.count_nonzero(img.depth == 10.0) == 1
+            assert sem.labels[img.depth == 10.0][0] == 6
+    filled = case not in ("empty", "cropped-to-nothing")
+    assert (np.count_nonzero(renders[0][0].depth) > 0) == filled
 
 
 def test_render_viewpoints_need_one_position():
