@@ -45,7 +45,6 @@ def compute_normals(depth, cos_az, sin_az, cos_el, sin_el):
     empty cells are 0. Each product keeps the association of the scalar loop
     in tests/test_projection.py, so the two are bit-equal, image by image.
     """
-    *lead, h, w = depth.shape
     p = np.empty((3, *depth.shape))    # x, y, z channels of each cell's point
     ground = depth * cos_el[:, None]
     np.multiply(ground, cos_az, out=p[0])
@@ -55,28 +54,35 @@ def compute_normals(depth, cos_az, sin_az, cos_el, sin_el):
     with np.errstate(invalid="ignore", divide="ignore"):
         normals = np.where(valid, p / -depth, 0.0)
 
-    # interior cells: a = right - here, b = down - here, each stored as
-    # (x, y, z, x, y) so a[1:4] * b[2:5] - a[2:5] * b[1:4] is a x b
+    # interior cells: a = right - here, b = down - here, n = a x b, formed
+    # a component at a time through one scratch array, so that a stack's
+    # temporaries stay few: a heap that grows and shrinks by megabytes per
+    # stack is trimmed and faulted back in on every stack
     here = p[..., :-1, :-1]
-    a = np.empty((5, *lead, h - 1, w - 1))
-    b = np.empty((5, *lead, h - 1, w - 1))
-    np.subtract(p[..., :-1, 1:], here, out=a[:3])
-    np.subtract(p[..., 1:, :-1], here, out=b[:3])
-    a[3:] = a[:2]
-    b[3:] = b[:2]
-    n = a[1:4] * b[2:5]
-    n -= a[2:5] * b[1:4]
-    sq = n * n
-    nn = sq[0] + sq[1]
-    nn += sq[2]
+    a = np.subtract(p[..., :-1, 1:], here)
+    b = np.subtract(p[..., 1:, :-1], here)
+    n = np.empty_like(a)
+    tmp = np.empty_like(a[0])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=n[i])
+        np.multiply(a[k], b[j], out=tmp)
+        n[i] -= tmp
+    del a, b
+    nn = np.multiply(n[0], n[0])
+    np.multiply(n[1], n[1], out=tmp)
+    nn += tmp
+    np.multiply(n[2], n[2], out=tmp)
+    nn += tmp
     np.sqrt(nn, out=nn)
     usable = (valid[..., :-1, :-1] & valid[..., :-1, 1:] & valid[..., 1:, :-1]
               & (nn > 1e-12))
     with np.errstate(invalid="ignore", divide="ignore"):
         n /= nn
-        t = n * here
-        facing = t[0] + t[1]
-        facing += t[2]
-        n *= np.where(facing > 0.0, -1.0, 1.0)
-    normals[..., :-1, :-1] = np.where(usable, n, normals[..., :-1, :-1])
+        facing = np.multiply(n[0], here[0])
+        np.multiply(n[1], here[1], out=tmp)
+        facing += tmp
+        np.multiply(n[2], here[2], out=tmp)
+        facing += tmp
+        np.negative(n, out=n, where=facing > 0.0)
+    np.copyto(normals[..., :-1, :-1], n, where=usable)
     return np.moveaxis(normals, 0, -1)
