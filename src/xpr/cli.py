@@ -28,7 +28,7 @@ from .pipeline import (build_index, match_dataset_queries, render_places,
                        training_set)
 from .projection import project_spherical
 from .selfcheck import run_all
-from .viewpoints import make_viewpoints, render_viewpoint, render_viewpoints
+from .viewpoints import make_viewpoints, render_viewpoints
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -311,7 +311,7 @@ def _stage_timings(args, index, params, cfg, queries, dataset) -> dict:
         timings["viewpoint_describe"] = []
         for _ in range(min(args.repeat, 50)):
             t0 = time.perf_counter()
-            rng_img, sem_img = render_viewpoint(cloud, pose, cfg)
+            rng_img, sem_img = render_viewpoints(cloud, [pose], cfg)[0]
             netvlad(encode_lidar_local(rng_img, sem_img, cfg), params.vlad)
             timings["viewpoint_describe"].append((time.perf_counter() - t0) * 1e3)
         timings["project"] = []

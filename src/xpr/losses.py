@@ -194,58 +194,32 @@ def segmentation_tape(logits: np.ndarray, gt: np.ndarray, seg: np.ndarray,
     such cell adds 0. logits (R, K) and gt (R,) hold the cells of every
     anchor, anchor b owning rows seg[b, 0]:seg[b, 1].
 
-    Apart from the index of the selected rows and per-anchor values, every
-    array is a workspace array, formed in place in the order of the
-    formulas in the comments. The selected logits go in the scratch array
-    "rows", which the query backward reuses. The backward scales the
-    gradient "ce.grad" in place, so it is called once.
+    The cross-entropy runs over every row, and a void row weighs 0. The
+    gradient is the workspace array "ce.grad", which the backward scales in
+    place, so it is called once.
     """
+    n, k = logits.shape
     gt = gt.astype(np.intp, copy=False)
-    where = np.flatnonzero(np.greater(gt, 0, out=ws.empty("ce.sel", gt.shape, bool)))
-    n, k = len(where), logits.shape[1]
-    # anchor b's selected rows are rows lo:hi of the compacted block, and
-    # each of them weighs 1 / (B * their count)
-    bounds = np.searchsorted(where, seg)
-    weight = ws.empty("ce.weight", (n,))
-    scales = [1.0 / (len(seg) * max(hi - lo, 1)) for lo, hi in bounds]
-    for (lo, hi), scale in zip(bounds, scales):
-        weight[lo:hi] = scale
-    # mode="clip" keeps np.take from buffering its output; every index is
-    # in range, so nothing is clipped
-    rows = np.take(logits, where, axis=0, out=ws.empty("rows", (n, k)),
-                   mode="clip")
-    # the flat index of each selected row's true logit
-    flat = np.multiply(where, k, out=ws.empty("ce.flat", (n,), np.intp))
-    flat += np.take(gt, where, out=ws.empty("ce.true", (n,), np.intp), mode="clip")
-    picked = np.take(logits, flat, out=ws.empty("ce.picked", (n,)), mode="clip")
-    # m and s are spread to the rows' shape, and the weights are applied
-    # anchor by anchor, as numpy runs a broadcast operand through an
-    # iteration buffer that it allocates on every call
-    spread = ws.empty("ce.spread", (n, k))
-    m = row_max(rows, out=ws.empty("ce.max", (n,)))
-    np.copyto(spread, m)
-    e = np.subtract(rows, spread, out=rows)
-    np.exp(e, out=e)                                   # e = exp(rows - m)
+    nonvoid = gt > 0
+    # each non-void row weighs 1 / (B * its anchor's non-void rows)
+    counts = np.array([np.count_nonzero(nonvoid[lo:hi]) for lo, hi in seg])
+    scale = 1.0 / (len(seg) * np.maximum(counts, 1))
+    weight = np.repeat(scale, seg[:, 1] - seg[:, 0]) * nonvoid
+    m = row_max(logits, out=ws.empty("ce.max", (n,)))
+    e = np.subtract(logits, m, out=ws.empty("ce.grad", (n, k)))
+    np.exp(e, out=e)                                   # e = exp(logits - m)
     s = np.matmul(e, np.ones((k, 1)), out=ws.empty("ce.sum", (n, 1)))
-    # grad = e / s * weight, less weight at the true class, on the rows
-    np.copyto(spread, s)
-    e /= spread
-    for (lo, hi), scale in zip(bounds, scales):
-        e[lo:hi] *= scale
-    # value = sum(((m + log(s)) - rows[true]) * weight)
-    terms = np.log(s, out=s)
-    terms += m
-    terms = terms.reshape(n)
-    terms -= picked
+    # grad = e / s * weight, less weight at the true class
+    e /= s
+    e *= weight[:, None]
+    cells = np.arange(n)
+    e[cells, gt] -= weight
+    # value = sum(((m + log(s)) - logits[true]) * weight) over non-void rows
+    terms = np.log(s, out=s).reshape(n)
+    terms += m.reshape(n)
+    terms -= logits[cells, gt]
     terms *= weight
-    value = float(terms.sum())
-    grad = ws.empty("ce.grad", logits.shape)
-    grad.fill(0.0)
-    grad[where] = e
-    picked = np.take(grad, flat, out=picked, mode="clip")
-    picked -= weight
-    np.put(grad, flat, picked, mode="clip")
-    return value, lambda g: np.multiply(grad, g, out=grad)
+    return float(terms[nonvoid].sum()), lambda g: np.multiply(e, g, out=e)
 
 
 # ------------------------------------------------------------------ public API
@@ -347,14 +321,13 @@ def train(table: TrainTable, cfg: Config, epochs: int, lr: float,
         sums = np.zeros(4)
         for start in range(0, n_anchors, bsz):
             anchors = order[start:start + bsz]
-            negatives = np.empty((len(anchors), NEGATIVES_PER_ANCHOR), np.intp)
-            for row, a in zip(negatives, anchors):
-                for j in range(NEGATIVES_PER_ANCHOR):
-                    other = int(rng.integers(n_places - 1))
-                    if other >= table.place[a]:
-                        other += 1
-                    row[j] = (other * cfg.n_viewpoints
-                              + int(rng.integers(cfg.n_viewpoints)))
+            # draws[b, j] is negative j's place among the others, then its
+            # viewpoint: one stream, read anchor by anchor
+            draws = rng.integers(np.tile([n_places - 1, cfg.n_viewpoints],
+                                         (len(anchors), NEGATIVES_PER_ANCHOR, 1)))
+            other = draws[..., 0]
+            other += other >= table.place[anchors][:, None]
+            negatives = other * cfg.n_viewpoints + draws[..., 1]
             with np.errstate(over="ignore", invalid="ignore"):
                 report = total_loss(table, anchors, negatives,
                                     ModelParams.from_tensors(tensors), cfg, ws)

@@ -12,7 +12,7 @@ from .core import LabeledPointCloud, Pose, canonical_heading, yaw_rotation
 from .projection import SemanticImage, frustum_window
 from .encoder import QueryObservation
 from .io_datasets import QueryRecord
-from .viewpoints import render_viewpoint
+from .viewpoints import render_viewpoints
 
 CLASS_GROUND = 1
 CLASS_ROAD = 2
@@ -209,7 +209,7 @@ def _render_query(world: SyntheticWorld, cloud: LabeledPointCloud,
                   cfg: Config) -> tuple[QueryObservation, np.ndarray]:
     """make_query on the place's canonical cloud, sampled by the caller."""
     pose = query_pose(world, place_id, heading)
-    rng_img, sem_img = render_viewpoint(cloud, pose, cfg)
+    rng_img, sem_img = render_viewpoints(cloud, [pose], cfg)[0]
     c0, width = frustum_window(cfg.range_cols)
     sl = slice(c0, c0 + width)
     obs = observation_from_render(rng_img.depth[:, sl], rng_img.normals[:, sl],

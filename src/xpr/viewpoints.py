@@ -7,8 +7,7 @@ import numpy as np
 
 from .config import Config
 from .core import LabeledPointCloud, Pose, yaw_rotation
-from .projection import (RangeImage, SemanticImage, estimate_normals,
-                         project_spherical, unstack)
+from .projection import estimate_normals, project_spherical, unstack
 
 #: the most (viewpoints x cropped points) projected in one stack: it keeps a
 #: stack's per-point arrays (128 KB each at most) within a core's L2 cache,
@@ -51,8 +50,3 @@ def render_viewpoints(map_cloud: LabeledPointCloud, poses: list,
         out += unstack(estimate_normals(rng_img), sem_img)
     return out
 
-
-def render_viewpoint(map_cloud: LabeledPointCloud, pose: Pose,
-                     cfg: Config) -> tuple[RangeImage, SemanticImage]:
-    """Crop the map around the pose, project, and fill in normals."""
-    return render_viewpoints(map_cloud, [pose], cfg)[0]

@@ -228,20 +228,32 @@ def test_segmentation_confident_correct_near_zero():
     assert val < 1e-12
 
 
-def test_segmentation_void_cells_excluded():
-    rng = make_rng(3, 1)
-    logits = rng.normal(size=(20, 8))
-    gt = rng.integers(0, 8, 20).astype(np.uint16)
-    gt[0] = 0
-    val, _ = segmentation(logits, gt)
-    # loop oracle over non-void cells only
+def mean_cross_entropy(logits, gt):
+    """Loop oracle: the mean softmax cross-entropy over non-void cells."""
     total, n = 0.0, 0
     for z, label in zip(logits, gt):
         if label == 0:
             continue
         total += math.log(np.exp(z - z.max()).sum()) + z.max() - z[label]
         n += 1
-    assert val == pytest.approx(total / n, abs=1e-10)
+    return total / n
+
+
+def test_segmentation_void_cells_excluded():
+    rng = make_rng(3, 1)
+    logits = rng.normal(size=(20, 8))
+    gt = rng.integers(0, 8, 20).astype(np.uint16)
+    gt[0] = 0
+    val, _ = segmentation(logits, gt)
+    assert val == pytest.approx(mean_cross_entropy(logits, gt), abs=1e-10)
+    # a batch of an all-void anchor, a mixed one and a void-free one
+    gt = np.array([0, 0, 0, 3, 0, 1, 5, 0, 2, 4, 7, 6, 1], dtype=np.uint16)
+    seg = np.array([[0, 3], [3, 8], [8, 13]])
+    val, grad = segmentation(logits[:13], gt, seg)
+    means = [mean_cross_entropy(logits[lo:hi], gt[lo:hi]) for lo, hi in seg[1:]]
+    assert val == pytest.approx(sum(means) / len(seg), abs=1e-10)
+    assert (grad[gt == 0] == 0.0).all()
+    assert grad[gt > 0].all()
 
 
 def test_segmentation_all_void_zero():
@@ -550,6 +562,48 @@ def test_train_minibatch_reproducible():
     t0, t1 = p0.tensors(), p1.tensors()
     for name in t0:
         assert np.array_equal(t0[name], t1[name])
+
+
+@pytest.mark.parametrize("n_places, n_viewpoints", [(2, 2), (3, 2), (3, 1)])
+def test_train_draws_negatives_of_other_places(monkeypatch, n_places,
+                                                n_viewpoints):
+    """Each negative is a viewpoint of another place, drawn as its place and
+    then its viewpoint from the epoch's stream, anchor by anchor, exactly as
+    this scalar loop draws them."""
+    cfg = dataclasses.replace(SMALL, n_viewpoints=n_viewpoints)
+    table = fake_table(12, cfg, n_places=n_places, queries_per_place=4)
+    finite, seen = losses.total_loss, []
+
+    def recorded(batch_table, anchors, negatives, *rest):
+        seen.append((anchors.copy(), negatives.copy()))
+        return finite(batch_table, anchors, negatives, *rest)
+
+    monkeypatch.setattr(losses, "total_loss", recorded)
+    train(table, cfg, epochs=2, lr=1e-2, batch_size=3)
+    want = []
+    for epoch in range(2):
+        rng = make_rng(cfg.seed, 7000, epoch)
+        order = rng.permutation(len(table.raw))
+        for start in range(0, len(order), 3):
+            anchors = order[start:start + 3]
+            negatives = np.empty((len(anchors), losses.NEGATIVES_PER_ANCHOR),
+                                 np.intp)
+            for row, a in zip(negatives, anchors):
+                for j in range(losses.NEGATIVES_PER_ANCHOR):
+                    other = int(rng.integers(n_places - 1))
+                    if other >= table.place[a]:
+                        other += 1
+                    row[j] = (other * n_viewpoints
+                              + int(rng.integers(n_viewpoints)))
+            want.append((anchors, negatives))
+    assert len(seen) == len(want) == 2 * math.ceil(4 * n_places / 3)
+    for (anchors, negatives), (want_anchors, want_negatives) in zip(seen, want):
+        assert np.array_equal(anchors, want_anchors)
+        assert np.array_equal(negatives, want_negatives)
+        # every negative is a map row of a place other than its anchor's
+        assert ((0 <= negatives) & (negatives < len(table.cells))).all()
+        place = negatives // n_viewpoints
+        assert (place != table.place[anchors][:, None]).all()
 
 
 def test_train_nonfinite_update_is_divergence(monkeypatch):

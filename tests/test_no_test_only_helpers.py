@@ -1,6 +1,7 @@
-"""Every public top-level function and class of the library, and every public
-method of its classes, has a caller in the library or the benchmark: a
-helper that only a test calls is dead code that the tests keep alive.
+"""Every top-level function and class of the library, and every method of
+its classes, dunders aside, has a caller in the library or the benchmark: a
+helper that only a test calls is dead code that the tests keep alive, and a
+private helper that nothing calls is dead code outright.
 
 A name counts as used where a module outside the definition itself reads
 it, imports it or spells it as a string (the benchmark looks its traced
@@ -27,7 +28,7 @@ def _names(tree):
             yield node.value, node.lineno
 
 
-def unused_public_names():
+def unused_names():
     uses = {path: list(_names(ast.parse(path.read_text()))) for path in USERS}
     unused = []
     for path in LIBRARY:
@@ -36,7 +37,7 @@ def unused_public_names():
         for node in top + methods:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("_"):
+            if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
             if not any(name == node.name and (user != path or line not in own)
@@ -46,4 +47,4 @@ def unused_public_names():
 
 
 def test_every_public_helper_has_a_library_caller():
-    assert unused_public_names() == []
+    assert unused_names() == []

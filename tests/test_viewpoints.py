@@ -7,7 +7,7 @@ from xpr.config import Config, make_rng
 from xpr.core import LabeledPointCloud, Pose, identity_pose, yaw_rotation
 from xpr.projection import estimate_normals, project_spherical, unstack
 from xpr.viewpoints import (STACK_POINTS, crop_to_radius, make_viewpoints,
-                            render_viewpoint, render_viewpoints)
+                            render_viewpoints)
 
 CFG = Config()
 
@@ -77,10 +77,10 @@ def test_render_viewpoints_are_column_shifts():
     from xpr.selfcheck import shift_safe_scene
     cloud = shift_safe_scene(make_rng(9, 1), cfg, n_points=400)
     poses = make_viewpoints(identity_pose(), cfg)
-    img0, sem0 = render_viewpoint(cloud, poses[0], cfg)
+    img0, sem0 = render_viewpoints(cloud, [poses[0]], cfg)[0]
     cols_per_step = cfg.range_cols // cfg.n_viewpoints
     for k in (1, 3):
-        imgk, semk = render_viewpoint(cloud, poses[k], cfg)
+        imgk, semk = render_viewpoints(cloud, [poses[k]], cfg)[0]
         assert np.allclose(np.roll(img0.depth, -k * cols_per_step, axis=1),
                            imgk.depth, atol=1e-9)
         assert np.array_equal(np.roll(sem0.labels, -k * cols_per_step, axis=1),
@@ -92,7 +92,7 @@ def test_render_respects_max_range():
     far = cfg.max_range_m + 5.0
     cloud = LabeledPointCloud(np.array([[far, 0.0, 0.0], [10.0, 0.0, 0.0]]),
                               np.array([2, 3], dtype=np.uint16))
-    img, sem = render_viewpoint(cloud, identity_pose(), cfg)
+    img, sem = render_viewpoints(cloud, [identity_pose()], cfg)[0]
     assert np.count_nonzero(img.depth) == 1
     assert sem.labels[img.depth > 0][0] == 3
 
@@ -100,7 +100,7 @@ def test_render_respects_max_range():
 def test_render_fills_normals():
     cfg = Config()
     cloud = random_cloud(4, n=3000, extent=40.0)
-    img, _ = render_viewpoint(cloud, identity_pose(), cfg)
+    img, _ = render_viewpoints(cloud, [identity_pose()], cfg)[0]
     filled = img.depth > 0
     assert filled.any()
     norms = np.linalg.norm(img.normals[filled], axis=-1)
@@ -159,7 +159,7 @@ def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
         ref_img, ref_sem = project_spherical(cropped, [pose], cfg)
         [(ref_img, ref_sem)] = unstack(estimate_normals(ref_img), ref_sem)
         for got_img, got_sem in ((img, sem),
-                                 render_viewpoint(cloud, pose, cfg)):
+                                 render_viewpoints(cloud, [pose], cfg)[0]):
             assert got_img.depth.shape == (cfg.range_rows, cfg.range_cols)
             assert np.array_equal(got_img.depth, ref_img.depth)
             assert np.array_equal(got_img.normals, ref_img.normals)
