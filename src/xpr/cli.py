@@ -249,6 +249,7 @@ def cmd_eval(args) -> int:
         ks = []
     if not ks or min(ks) < 1:
         raise CliError(f"--k must list integers >= 1, got {args.k!r}", EXIT_USAGE)
+    t0 = time.perf_counter()
     ranks = _read_ranks(args.results)
     table = [(k, recall_from_ranks(ranks, k)) for k in ks]
     out = args.out or os.path.splitext(args.results)[0] + "_recall.csv"
@@ -261,7 +262,7 @@ def cmd_eval(args) -> int:
         write_manifest(out, "eval", cfg,
                        {"results": args.results, "data": args.data,
                         "k": args.k},
-                       [out], {})
+                       [out], {"total": (time.perf_counter() - t0) * 1e3})
     for k, recall in table:
         print(f"R@{k}, {recall:.2f}")
     return EXIT_OK
@@ -311,7 +312,7 @@ def _stage_timings(args, index, params, cfg, queries, dataset) -> dict:
         timings["viewpoint_describe"] = []
         for _ in range(min(args.repeat, 50)):
             t0 = time.perf_counter()
-            rng_img, sem_img = render_viewpoints(cloud, [pose], cfg)[0]
+            rng_img, sem_img = render_viewpoints(cloud, [pose], cfg)
             netvlad(encode_lidar_local(rng_img, sem_img, cfg), params.vlad)
             timings["viewpoint_describe"].append((time.perf_counter() - t0) * 1e3)
         timings["project"] = []

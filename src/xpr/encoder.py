@@ -84,8 +84,9 @@ def encode_query(obs: QueryObservation, params: EncoderParams
 
 def encode_lidar_local(rng_img: RangeImage, sem_img: SemanticImage,
                        cfg: Config) -> np.ndarray:
-    """The filled cells (depth > 0) of a rendered viewpoint, row-major, as
-    an (n, C) block: normalized depth, normals, and the one-hot label."""
+    """The filled cells (depth > 0) of a rendered viewpoint, or of a stack of
+    them image by image, row-major, as an (n, C) block: normalized depth,
+    normals, and the one-hot label."""
     if rng_img.depth.shape != sem_img.labels.shape:
         raise ValueError("range/semantic image shapes differ")
     mask = rng_img.depth > 0.0

@@ -21,20 +21,22 @@ class PlaceRenders:
     place_id: int
     position: np.ndarray
     cells: list            # (n, C) valid cells of viewpoint k
-    sem_images: list       # SemanticImage of viewpoint k
+    labels: np.ndarray     # (n_viewpoints, H, W) label images
 
 
 def render_places(dataset: Dataset, cfg: Config) -> list:
-    """Render all viewpoint images/features for every place, yaw order."""
+    """Render every place's viewpoints, in yaw order, as one stack and
+    encode it in one call, cut into per-viewpoint cell blocks."""
     out = []
     for (pid, pos), cloud, anchor in zip(dataset.places, dataset.clouds,
                                          dataset.poses):
-        cells, sems = [], []
-        for rng_img, sem_img in render_viewpoints(
-                cloud, make_viewpoints(anchor, cfg), cfg):
-            cells.append(encode_lidar_local(rng_img, sem_img, cfg))
-            sems.append(sem_img)
-        out.append(PlaceRenders(pid, pos, cells, sems))
+        rng_img, sem_img = render_viewpoints(cloud, make_viewpoints(anchor, cfg),
+                                             cfg)
+        # the encode takes the filled cells image by image, row-major
+        filled = np.count_nonzero(rng_img.depth > 0.0, axis=(1, 2))
+        cells = np.split(encode_lidar_local(rng_img, sem_img, cfg),
+                         np.cumsum(filled[:-1]))
+        out.append(PlaceRenders(pid, pos, cells, sem_img.labels))
     return out
 
 
@@ -44,7 +46,7 @@ def build_index(dataset: Dataset, params: ModelParams, cfg: Config,
     renders = renders if renders is not None else render_places(dataset, cfg)
     descriptors = [netvlad(x, params.vlad).values for pr in renders
                    for x in pr.cells]
-    labels = [s.labels for pr in renders for s in pr.sem_images]
+    labels = [pr.labels for pr in renders]
     return MapIndex([(pr.place_id, pr.position) for pr in renders],
                     np.reshape(descriptors, (-1, cfg.descriptor_dim)),
                     np.reshape(labels, (-1, cfg.range_rows, cfg.range_cols)),
@@ -73,7 +75,7 @@ def training_set(dataset: Dataset, cfg: Config,
     queries: dict = {pr.place_id: [] for pr in renders}
     for q in dataset.queries:
         queries[q.place_id].append((q.obs, q.heading))
-    context = semantic_context(
-        [s.labels for pr in renders for s in pr.sem_images], cfg)
+    context = semantic_context([lab for pr in renders for lab in pr.labels],
+                               cfg)
     return train_table([(queries[pr.place_id], pr.cells) for pr in renders],
                        context, cfg)

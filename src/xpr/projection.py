@@ -16,16 +16,6 @@ from .core import LabeledPointCloud
 class RangeImage:
     depth: np.ndarray            # (..., H, W) meters, 0 = empty cell
     normals: np.ndarray          # (..., H, W, 3) unit vectors, zero where empty
-    vfov_up: float               # degrees
-    vfov_down: float
-
-    @property
-    def rows(self) -> int:
-        return self.depth.shape[-2]
-
-    @property
-    def cols(self) -> int:
-        return self.depth.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -96,19 +86,11 @@ def project_spherical(cloud: LabeledPointCloud, sensor_poses: list,
     depth, labels = kernels.fill_grid(rows, cols, rng, cloud.labels[keep],
                                       n_views * h, w)
 
-    img = RangeImage(depth.reshape(n_views, h, w), np.zeros((n_views, h, w, 3)),
-                     cfg.vfov_up, cfg.vfov_down)
+    img = RangeImage(depth.reshape(n_views, h, w), np.zeros((n_views, h, w, 3)))
     return img, SemanticImage(labels.reshape(n_views, h, w))
 
 
-def unstack(img: RangeImage, sem: SemanticImage) -> list:
-    """The (RangeImage, SemanticImage) of each image of a stack, as views."""
-    return [(RangeImage(depth, normals, img.vfov_up, img.vfov_down),
-             SemanticImage(labels))
-            for depth, normals, labels in zip(img.depth, img.normals, sem.labels)]
-
-
-def estimate_normals(img: RangeImage) -> RangeImage:
+def estimate_normals(img: RangeImage, cfg: Config) -> RangeImage:
     """Per-cell surface normal from right/down neighbor differences, for a
     single image or a stack of them.
 
@@ -116,15 +98,14 @@ def estimate_normals(img: RangeImage) -> RangeImage:
     the unit direction from the point back toward the sensor. Normals are
     oriented to face the sensor.
     """
-    normals = kernels.compute_normals(
-        img.depth, *_cell_trig(img.rows, img.cols, img.vfov_up, img.vfov_down))
-    return RangeImage(img.depth, normals, img.vfov_up, img.vfov_down)
+    trig = _cell_trig(*img.depth.shape[-2:], cfg.vfov_up, cfg.vfov_down)
+    return RangeImage(img.depth, kernels.compute_normals(img.depth, *trig))
 
 
-def unproject(img: RangeImage) -> np.ndarray:
+def unproject(img: RangeImage, cfg: Config) -> np.ndarray:
     """Sensor-frame 3D point per cell (zero where empty), (H, W, 3)."""
-    cos_az, sin_az, cos_el, sin_el = _cell_trig(img.rows, img.cols,
-                                                img.vfov_up, img.vfov_down)
+    cos_az, sin_az, cos_el, sin_el = _cell_trig(*img.depth.shape[-2:],
+                                                cfg.vfov_up, cfg.vfov_down)
     x = (img.depth * cos_el[:, None]) * cos_az
     y = (img.depth * cos_el[:, None]) * sin_az
     z = img.depth * sin_el[:, None]
@@ -141,9 +122,10 @@ def frustum_window(cols: int) -> tuple[int, int]:
     return (cols - width) // 2, width
 
 
-def semantic_histogram(sem: SemanticImage, cfg: Config) -> np.ndarray:
-    """Class-frequency vector over non-void cells; uniform if all void."""
-    counts = np.bincount(sem.labels.ravel(), minlength=cfg.n_classes).astype(np.float64)
+def semantic_histogram(labels: np.ndarray, cfg: Config) -> np.ndarray:
+    """Class-frequency vector of a label array over its non-void cells;
+    uniform if all void."""
+    counts = np.bincount(labels.ravel(), minlength=cfg.n_classes).astype(np.float64)
     counts[0] = 0.0
     total = counts.sum()
     if total == 0.0:
@@ -157,9 +139,7 @@ def semantic_context(labels, cfg: Config) -> np.ndarray:
     """Database-average class histogram of label images (N, H, W): the mean
     of their `semantic_histogram`s, divided by its sum. No images read as
     one all-void image."""
-    hists = [semantic_histogram(SemanticImage(lab), cfg) for lab in labels]
-    if not hists:
-        hists = [semantic_histogram(SemanticImage(np.zeros((1, 1), np.uint16)),
-                                    cfg)]
+    hists = ([semantic_histogram(lab, cfg) for lab in labels]
+             or [semantic_histogram(np.zeros(1, np.uint16), cfg)])
     mean = np.mean(hists, axis=0)
     return mean / mean.sum()

@@ -301,9 +301,8 @@ def check_projection_shift(seed: int) -> CheckResult:
 def check_sphere_normals() -> CheckResult:
     cfg = Config(range_rows=64, range_cols=360)
     depth = np.full((64, 360), SPHERE_RADIUS)
-    img = estimate_normals(RangeImage(depth, np.zeros((64, 360, 3)),
-                                      cfg.vfov_up, cfg.vfov_down))
-    pts = unproject(img)
+    img = estimate_normals(RangeImage(depth, np.zeros((64, 360, 3))), cfg)
+    pts = unproject(img, cfg)
     radial = pts / SPHERE_RADIUS
     cosang = np.clip(-(img.normals * radial).sum(axis=-1), -1.0, 1.0)
     return CheckResult("sphere_normals",

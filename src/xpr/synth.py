@@ -209,11 +209,12 @@ def _render_query(world: SyntheticWorld, cloud: LabeledPointCloud,
                   cfg: Config) -> tuple[QueryObservation, np.ndarray]:
     """make_query on the place's canonical cloud, sampled by the caller."""
     pose = query_pose(world, place_id, heading)
-    rng_img, sem_img = render_viewpoints(cloud, [pose], cfg)[0]
+    rng_img, sem_img = render_viewpoints(cloud, [pose], cfg)
     c0, width = frustum_window(cfg.range_cols)
     sl = slice(c0, c0 + width)
-    obs = observation_from_render(rng_img.depth[:, sl], rng_img.normals[:, sl],
-                                  sem_img.labels[:, sl], noise_level, cfg, rng)
+    obs = observation_from_render(rng_img.depth[0, :, sl],
+                                  rng_img.normals[0, :, sl],
+                                  sem_img.labels[0, :, sl], noise_level, cfg, rng)
     return obs, world.place(place_id).position.copy()
 
 

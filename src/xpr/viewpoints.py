@@ -7,7 +7,8 @@ import numpy as np
 
 from .config import Config
 from .core import LabeledPointCloud, Pose, yaw_rotation
-from .projection import estimate_normals, project_spherical, unstack
+from .projection import (RangeImage, SemanticImage, estimate_normals,
+                         project_spherical)
 
 #: the most (viewpoints x cropped points) projected in one stack: it keeps a
 #: stack's per-point arrays (128 KB each at most) within a core's L2 cache,
@@ -32,21 +33,25 @@ def crop_to_radius(cloud: LabeledPointCloud, center: np.ndarray,
 
 
 def render_viewpoints(map_cloud: LabeledPointCloud, poses: list,
-                      cfg: Config) -> list:
-    """(RangeImage, SemanticImage) with normals per pose, for poses that share
-    one position, as a place's viewpoints do: the map is cropped around that
-    position once, then the poses are projected and given normals in stacks
-    of as many as keep (poses x cropped points) within STACK_POINTS."""
+                      cfg: Config) -> tuple[RangeImage, SemanticImage]:
+    """One (V, H, W) stack of images with normals, in pose order, for poses
+    that share one position, as a place's viewpoints do: the map is cropped
+    around that position once, then the poses are projected and given
+    normals in stacks of as many as keep (poses x cropped points) within
+    STACK_POINTS."""
     if not poses:
-        return []
+        raise ValueError("no viewpoints to render")
     center = poses[0].translation
     if any(not np.array_equal(p.translation, center) for p in poses[1:]):
         raise ValueError("viewpoints to render do not share one position")
     cropped = crop_to_radius(map_cloud, center, cfg.max_range_m)
     per_stack = max(1, STACK_POINTS // max(1, cropped.count))
-    out = []
+    stacks = []
     for s in range(0, len(poses), per_stack):
         rng_img, sem_img = project_spherical(cropped, poses[s:s + per_stack], cfg)
-        out += unstack(estimate_normals(rng_img), sem_img)
-    return out
-
+        stacks.append((estimate_normals(rng_img, cfg), sem_img))
+    if len(stacks) == 1:
+        return stacks[0]
+    return (RangeImage(np.concatenate([img.depth for img, _ in stacks]),
+                       np.concatenate([img.normals for img, _ in stacks])),
+            SemanticImage(np.concatenate([sem.labels for _, sem in stacks])))

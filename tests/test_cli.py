@@ -264,6 +264,10 @@ def test_lock_blocks_concurrent_writer(workspace, tmp_path, command):
     finally:
         lock.unlink()
     assert not os.listdir(tmp_path)
+    # unlocked, the command writes and times its work
+    assert main([command, *inputs, "--out", out]) == EXIT_OK
+    with open(out + ".manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["timings_ms"]["total"] > 0.0
 
 
 class WorkStarted(Exception):

@@ -83,8 +83,7 @@ def lidar_images(seed, h=6, w=10):
     normals = rng.normal(size=(h, w, 3))
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     labels = rng.integers(0, CFG.n_classes, (h, w)).astype(np.uint16)
-    return (RangeImage(depth, normals, CFG.vfov_up, CFG.vfov_down),
-            SemanticImage(labels))
+    return RangeImage(depth, normals), SemanticImage(labels)
 
 
 def grid_lidar_cells(rng_img, sem_img, cfg):
@@ -125,8 +124,7 @@ def test_lidar_cells_match_grid_reference(seed):
 
 def test_lidar_empty_render_is_flagged():
     h, w = 3, 5
-    img = RangeImage(np.zeros((h, w)), np.zeros((h, w, 3)), CFG.vfov_up,
-                     CFG.vfov_down)
+    img = RangeImage(np.zeros((h, w)), np.zeros((h, w, 3)))
     cells = encode_lidar_local(img, SemanticImage(np.zeros((h, w), np.uint16)),
                                CFG)
     assert cells.shape == (0, CFG.feature_dim)
@@ -144,6 +142,6 @@ def test_lidar_shape_mismatch_rejected():
 def test_lidar_depth_clipped_at_max_range():
     h, w = 2, 3
     depth = np.full((h, w), 200.0)
-    img = RangeImage(depth, np.zeros((h, w, 3)), CFG.vfov_up, CFG.vfov_down)
+    img = RangeImage(depth, np.zeros((h, w, 3)))
     cells = encode_lidar_local(img, SemanticImage(np.ones((h, w), dtype=np.uint16)), CFG)
     assert np.array_equal(cells[:, 0], np.ones(h * w))

@@ -295,11 +295,13 @@ def fake_cells(rng, cfg, h=4, w=6):
     return values[mask]
 
 
-def fake_sem(rng, cfg):
-    """A 360-degree label image with about half its cells void."""
-    labels = rng.integers(0, cfg.n_classes, (cfg.range_rows, cfg.range_cols))
+def fake_labels(rng, cfg):
+    """A place's (n_viewpoints, H, W) 360-degree label images with about
+    half their cells void."""
+    labels = rng.integers(0, cfg.n_classes,
+                          (cfg.n_viewpoints, cfg.range_rows, cfg.range_cols))
     labels[rng.random(labels.shape) < 0.5] = 0
-    return SemanticImage(labels.astype(np.uint16))
+    return labels.astype(np.uint16)
 
 
 def fake_obs(rng, cfg, h=4, w=6):
@@ -473,7 +475,7 @@ def test_training_set_is_place_major():
     # renders in place-id order 30, 10, 20; queries listed in another order
     renders = [PlaceRenders(pid, np.zeros(3),
                             [fake_cells(rng, cfg) for _ in range(cfg.n_viewpoints)],
-                            [fake_sem(rng, cfg) for _ in range(cfg.n_viewpoints)])
+                            fake_labels(rng, cfg))
                for pid in (30, 10, 20)]
     step = 2 * math.pi / cfg.n_viewpoints
     queries = [QueryRecord(qid, pid, heading, 0.0, np.zeros(3), fake_obs(rng, cfg))
@@ -492,8 +494,8 @@ def test_training_set_is_place_major():
     blocks = [x for pr in renders for x in pr.cells]
     for x, cells in zip(blocks, table.cells, strict=True):
         assert cells is x
-    hist = np.mean([semantic_histogram(s, cfg) for pr in renders
-                    for s in pr.sem_images], axis=0)
+    hist = np.mean([semantic_histogram(lab, cfg) for pr in renders
+                    for lab in pr.labels], axis=0)
     assert np.array_equal(table.context, hist / hist.sum())
 
 
@@ -504,18 +506,18 @@ def test_context_is_mean_of_semantic_histograms():
     rng = make_rng(16, 1)
     renders = [PlaceRenders(pid, np.zeros(3),
                             [fake_cells(rng, cfg) for _ in range(cfg.n_viewpoints)],
-                            [fake_sem(rng, cfg) for _ in range(cfg.n_viewpoints)])
+                            fake_labels(rng, cfg))
                for pid in range(5)]
     # an all-void image counts as uniform over the non-void classes
-    renders[2].sem_images[1] = SemanticImage(np.zeros((3, 8), dtype=np.uint16))
-    sems = [s for pr in renders for s in pr.sem_images]
-    hist = np.mean([semantic_histogram(s, cfg) for s in sems], axis=0)
+    renders[2].labels[1] = 0
+    labels = [lab for pr in renders for lab in pr.labels]
+    hist = np.mean([semantic_histogram(lab, cfg) for lab in labels], axis=0)
     want = hist / hist.sum()
     ds = Dataset("", cfg, {}, [], [], [], [], {})
     assert np.array_equal(training_set(ds, cfg, renders=renders).context, want)
     index = MapIndex([(pr.place_id, pr.position) for pr in renders],
-                     np.zeros((len(sems), cfg.descriptor_dim)),
-                     [s.labels for s in sems], cfg)
+                     np.zeros((len(labels), cfg.descriptor_dim)),
+                     labels, cfg)
     assert np.array_equal(index.mean_histogram(), want)
 
 

@@ -7,16 +7,16 @@ from xpr import kernels
 from xpr.config import Config, make_rng
 from xpr.core import LabeledPointCloud, identity_pose, yaw_rotation
 from xpr.projection import (RangeImage, SemanticImage, estimate_normals,
-                            project_spherical, semantic_histogram, unproject,
-                            unstack)
+                            project_spherical, semantic_histogram, unproject)
 from xpr.selfcheck import shift_safe_scene
 
 CFG = Config(vfov_up=15.0, vfov_down=-15.0)
 
 
 def project_one(cloud, pose, cfg):
-    """The 2-D images of a one-pose stack."""
-    return unstack(*project_spherical(cloud, [pose], cfg))[0]
+    """The 2-D images of a one-pose stack: image 0 of each."""
+    img, sem = project_spherical(cloud, [pose], cfg)
+    return RangeImage(img.depth[0], img.normals[0]), SemanticImage(sem.labels[0])
 
 
 def project(points, labels, cfg=CFG, pose=None):
@@ -145,8 +145,7 @@ def test_normals_on_facing_plane():
     depth = np.zeros((h, w))
     front = np.abs(az) < math.radians(20)
     depth[:, front] = 5.0 / (np.cos(el)[:, None] * np.cos(az[front])[None, :])
-    img = estimate_normals(RangeImage(depth, np.zeros((h, w, 3)),
-                                      CFG.vfov_up, CFG.vfov_down))
+    img = estimate_normals(RangeImage(depth, np.zeros((h, w, 3))), CFG)
     filled = depth > 0
     interior = filled & np.roll(filled, -1, axis=1) & np.roll(filled, -1, axis=0)
     interior[-1, :] = False
@@ -157,9 +156,9 @@ def test_normals_on_facing_plane():
 
 def test_isolated_cell_falls_back_to_radial():
     img, _ = project([[10.0, 0.0, 0.0]], [1])
-    img = estimate_normals(img)
+    img = estimate_normals(img, CFG)
     r, c = CFG.range_rows // 2, CFG.range_cols // 2
-    p = unproject(img)[r, c]
+    p = unproject(img, CFG)[r, c]
     expect = -p / np.linalg.norm(p)
     assert np.allclose(img.normals[r, c], expect, atol=1e-12)
 
@@ -167,9 +166,8 @@ def test_isolated_cell_falls_back_to_radial():
 def test_sphere_normals_accuracy():
     cfg = Config(range_rows=64, range_cols=360)
     depth = np.full((64, 360), 10.0)
-    img = estimate_normals(RangeImage(depth, np.zeros((64, 360, 3)),
-                                      cfg.vfov_up, cfg.vfov_down))
-    pts = unproject(img)
+    img = estimate_normals(RangeImage(depth, np.zeros((64, 360, 3))), cfg)
+    pts = unproject(img, cfg)
     radial = pts / 10.0
     cosang = np.clip(-(img.normals * radial).sum(axis=-1), -1.0, 1.0)
     assert np.degrees(np.arccos(cosang)).max() < 2.0
@@ -179,7 +177,7 @@ def test_normal_unit_or_zero():
     rng = make_rng(11, 1)
     pts = rng.uniform(-20, 20, (2000, 3))
     img, _ = project(pts, np.ones(2000))
-    img = estimate_normals(img)
+    img = estimate_normals(img, CFG)
     n = np.linalg.norm(img.normals, axis=-1)
     filled = img.depth > 0
     assert np.abs(n[filled] - 1.0).max() < 1e-4
@@ -188,8 +186,7 @@ def test_normal_unit_or_zero():
 
 def test_semantic_histogram_one_hot():
     cfg = Config(n_classes=8)
-    sem = SemanticImage(np.full((4, 6), 3, dtype=np.uint16))
-    hist = semantic_histogram(sem, cfg)
+    hist = semantic_histogram(np.full((4, 6), 3, dtype=np.uint16), cfg)
     expect = np.zeros(8)
     expect[3] = 1.0
     assert np.array_equal(hist, expect)
@@ -200,7 +197,7 @@ def test_semantic_histogram_split():
     labels = np.zeros((2, 4), dtype=np.uint16)
     labels[0] = 1
     labels[1] = 2
-    hist = semantic_histogram(SemanticImage(labels), cfg)
+    hist = semantic_histogram(labels, cfg)
     assert hist[1] == 0.5 and hist[2] == 0.5 and hist.sum() == 1.0
 
 
@@ -208,7 +205,7 @@ def test_semantic_histogram_counting_oracle():
     cfg = Config(n_classes=8)
     rng = make_rng(5, 9)
     labels = rng.integers(0, 8, (16, 180)).astype(np.uint16)
-    hist = semantic_histogram(SemanticImage(labels), cfg)
+    hist = semantic_histogram(labels, cfg)
     nonzero = labels[labels > 0]
     for c in range(1, 8):
         assert hist[c] == np.count_nonzero(nonzero == c) / nonzero.size
@@ -217,7 +214,7 @@ def test_semantic_histogram_counting_oracle():
 
 def test_semantic_histogram_empty_uniform():
     cfg = Config(n_classes=8)
-    hist = semantic_histogram(SemanticImage(np.zeros((3, 3), dtype=np.uint16)), cfg)
+    hist = semantic_histogram(np.zeros((3, 3), dtype=np.uint16), cfg)
     assert hist[0] == 0.0
     assert np.allclose(hist[1:], 1.0 / 7.0)
 

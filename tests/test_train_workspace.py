@@ -48,7 +48,14 @@ def test_later_steps_reuse_the_first_steps_arrays(table, traced, monkeypatch):
         return report
 
     monkeypatch.setattr(losses, "total_loss", measured)
-    losses.train(ts, cfg, epochs=3, lr=0.5)
+    # numpy's per-call iteration buffers (64 KB each by default) come and go
+    # within a step and are no arrays a step keeps: shrink them so that the
+    # bound counts arrays
+    bufsize = np.setbufsize(1024)
+    try:
+        losses.train(ts, cfg, epochs=3, lr=0.5)
+    finally:
+        np.setbufsize(bufsize)
     # full batch: one step per epoch
     assert len(peaks) == 3
     assert max(peaks[1:]) < 0.05 * peaks[0], peaks

@@ -5,7 +5,11 @@ import pytest
 
 from xpr.config import Config, make_rng
 from xpr.core import LabeledPointCloud, Pose, identity_pose, yaw_rotation
-from xpr.projection import estimate_normals, project_spherical, unstack
+from xpr.encoder import encode_lidar_local
+from xpr.io_datasets import Dataset
+from xpr import pipeline
+from xpr.projection import (RangeImage, SemanticImage, estimate_normals,
+                            project_spherical)
 from xpr.viewpoints import (STACK_POINTS, crop_to_radius, make_viewpoints,
                             render_viewpoints)
 
@@ -77,14 +81,13 @@ def test_render_viewpoints_are_column_shifts():
     from xpr.selfcheck import shift_safe_scene
     cloud = shift_safe_scene(make_rng(9, 1), cfg, n_points=400)
     poses = make_viewpoints(identity_pose(), cfg)
-    img0, sem0 = render_viewpoints(cloud, [poses[0]], cfg)[0]
+    img, sem = render_viewpoints(cloud, poses, cfg)
     cols_per_step = cfg.range_cols // cfg.n_viewpoints
     for k in (1, 3):
-        imgk, semk = render_viewpoints(cloud, [poses[k]], cfg)[0]
-        assert np.allclose(np.roll(img0.depth, -k * cols_per_step, axis=1),
-                           imgk.depth, atol=1e-9)
-        assert np.array_equal(np.roll(sem0.labels, -k * cols_per_step, axis=1),
-                              semk.labels)
+        assert np.allclose(np.roll(img.depth[0], -k * cols_per_step, axis=1),
+                           img.depth[k], atol=1e-9)
+        assert np.array_equal(np.roll(sem.labels[0], -k * cols_per_step, axis=1),
+                              sem.labels[k])
 
 
 def test_render_respects_max_range():
@@ -92,7 +95,8 @@ def test_render_respects_max_range():
     far = cfg.max_range_m + 5.0
     cloud = LabeledPointCloud(np.array([[far, 0.0, 0.0], [10.0, 0.0, 0.0]]),
                               np.array([2, 3], dtype=np.uint16))
-    img, sem = render_viewpoints(cloud, [identity_pose()], cfg)[0]
+    img, sem = render_viewpoints(cloud, [identity_pose()], cfg)
+    assert img.depth.shape == (1, cfg.range_rows, cfg.range_cols)
     assert np.count_nonzero(img.depth) == 1
     assert sem.labels[img.depth > 0][0] == 3
 
@@ -100,7 +104,7 @@ def test_render_respects_max_range():
 def test_render_fills_normals():
     cfg = Config()
     cloud = random_cloud(4, n=3000, extent=40.0)
-    img, _ = render_viewpoints(cloud, [identity_pose()], cfg)[0]
+    img, _ = render_viewpoints(cloud, [identity_pose()], cfg)
     filled = img.depth > 0
     assert filled.any()
     norms = np.linalg.norm(img.normals[filled], axis=-1)
@@ -122,58 +126,138 @@ def _tied_cloud(anchor):
     return LabeledPointCloud(pts, labels)
 
 
-@pytest.mark.parametrize("case", ["beyond-range", "empty", "cropped-to-nothing",
-                                  "several-stacks", "one-pose-stacks",
-                                  "tied-ranges"])
-def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
-    """Cropping once per place and projecting the viewpoints in stacks
-    renders every viewpoint exactly as cropping around each viewpoint's own
-    pose and projecting it alone does."""
-    cfg = Config()
-    anchor = Pose(yaw_rotation(0.7), np.array([3.0, -2.0, 1.0]))
+STACK_CASES = ["beyond-range", "empty", "cropped-to-nothing", "several-stacks",
+               "one-pose-stacks", "tied-ranges"]
+
+
+def _case_cloud(case, anchor, cfg):
+    """A map cloud around the anchor for one of STACK_CASES."""
     if case == "beyond-range":   # about half the points lie past max_range_m
         cloud = random_cloud(6, n=4000, extent=1.2 * cfg.max_range_m)
     elif case in ("several-stacks", "one-pose-stacks"):   # all within range
         n = {"several-stacks": 5000, "one-pose-stacks": 9000}[case]
         cloud = random_cloud(6, n=n, extent=0.5 * cfg.max_range_m)
     if case in ("beyond-range", "several-stacks", "one-pose-stacks"):
-        cloud = LabeledPointCloud(cloud.points + anchor.translation,
-                                  cloud.labels)
-    elif case == "empty":
-        cloud = _cloud(np.empty((0, 3)))
-    elif case == "tied-ranges":
-        cloud = _tied_cloud(anchor)
-    else:
-        cloud = _cloud(anchor.translation + [[cfg.max_range_m + 1.0, 0, 0],
-                                             [0, -cfg.max_range_m - 5.0, 0]])
-    poses = make_viewpoints(anchor, cfg)
+        return LabeledPointCloud(cloud.points + anchor.translation, cloud.labels)
+    if case == "empty":
+        return _cloud(np.empty((0, 3)))
+    if case == "tied-ranges":
+        return _tied_cloud(anchor)
+    return _cloud(anchor.translation + [[cfg.max_range_m + 1.0, 0, 0],
+                                        [0, -cfg.max_range_m - 5.0, 0]])
+
+
+def _check_stacking(case, cloud, anchor, cfg):
+    """The place's viewpoints take the stacking that the case names."""
     kept = crop_to_radius(cloud, anchor.translation, cfg.max_range_m).count
     per_stack = STACK_POINTS // max(kept, 1)
-    expect = {"several-stacks": 1 < per_stack < len(poses),
-              "one-pose-stacks": per_stack == 1}.get(case, per_stack >= len(poses))
+    expect = {"several-stacks": 1 < per_stack < cfg.n_viewpoints,
+              "one-pose-stacks": per_stack == 1}.get(
+                  case, per_stack >= cfg.n_viewpoints)
     assert expect, (case, kept)
-    renders = render_viewpoints(cloud, poses, cfg)
-    assert len(renders) == len(poses)
-    for pose, (img, sem) in zip(poses, renders):
+
+
+def _image(img, sem, v):
+    """Image v of a stack, as 2-D images."""
+    return RangeImage(img.depth[v], img.normals[v]), SemanticImage(sem.labels[v])
+
+
+@pytest.mark.parametrize("case", STACK_CASES)
+def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
+    """Cropping once per place and projecting the viewpoints in stacks
+    renders every viewpoint exactly as cropping around each viewpoint's own
+    pose and projecting it alone does."""
+    cfg = Config()
+    anchor = Pose(yaw_rotation(0.7), np.array([3.0, -2.0, 1.0]))
+    cloud = _case_cloud(case, anchor, cfg)
+    _check_stacking(case, cloud, anchor, cfg)
+    poses = make_viewpoints(anchor, cfg)
+    img, sem = render_viewpoints(cloud, poses, cfg)
+    assert img.depth.shape == (len(poses), cfg.range_rows, cfg.range_cols)
+    assert img.normals.shape == img.depth.shape + (3,)
+    assert sem.labels.shape == img.depth.shape
+    for v, pose in enumerate(poses):
         cropped = crop_to_radius(cloud, pose.translation, cfg.max_range_m)
         ref_img, ref_sem = project_spherical(cropped, [pose], cfg)
-        [(ref_img, ref_sem)] = unstack(estimate_normals(ref_img), ref_sem)
-        for got_img, got_sem in ((img, sem),
-                                 render_viewpoints(cloud, [pose], cfg)[0]):
-            assert got_img.depth.shape == (cfg.range_rows, cfg.range_cols)
-            assert np.array_equal(got_img.depth, ref_img.depth)
-            assert np.array_equal(got_img.normals, ref_img.normals)
-            assert np.array_equal(got_sem.labels, ref_sem.labels)
-        if case == "tied-ranges":
-            assert np.count_nonzero(img.depth == 10.0) == 1
-            assert sem.labels[img.depth == 10.0][0] == 6
+        ref_img = estimate_normals(ref_img, cfg)
+        alone = render_viewpoints(cloud, [pose], cfg)
+        for got_img, got_sem in (_image(img, sem, v), _image(*alone, 0)):
+            assert np.array_equal(got_img.depth, ref_img.depth[0])
+            assert np.array_equal(got_img.normals, ref_img.normals[0])
+            assert np.array_equal(got_sem.labels, ref_sem.labels[0])
+    if case == "tied-ranges":
+        assert (np.count_nonzero(img.depth == 10.0, axis=(1, 2)) == 1).all()
+        assert (sem.labels[img.depth == 10.0] == 6).all()
     filled = case not in ("empty", "cropped-to-nothing")
-    assert (np.count_nonzero(renders[0][0].depth) > 0) == filled
+    assert (np.count_nonzero(img.depth[0]) > 0) == filled
+
+
+def _tilted_place():
+    """An anchor pitched by 40 degrees and a small cluster 20 m away: the
+    yaw steps tip the cluster in and out of the vertical FOV, so some of
+    the place's viewpoints see it and others see nothing."""
+    c, s = math.cos(math.radians(40.0)), math.sin(math.radians(40.0))
+    anchor = Pose([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]],
+                  np.array([3.0, -2.0, 1.0]))
+    pts = make_rng(10, 1).uniform(-0.5, 0.5, (200, 3)) + [20.0, 0.0, 0.0]
+    return anchor, _cloud(pts + anchor.translation)
+
+
+@pytest.mark.parametrize("case", ["beyond-range", "several-stacks",
+                                  "one-pose-stacks", "cropped-to-nothing",
+                                  "tilted"])
+def test_render_places_cut_one_encode_per_viewpoint(case, monkeypatch):
+    """render_places encodes each place's stack in one call, and cuts it
+    into the cells each viewpoint's image gives alone, bit for bit; an
+    image with no filled cell gives a (0, C) block. The first place takes
+    the stacking the case names, the second one stack."""
+    cfg = Config()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].depth.shape)
+        return encode_lidar_local(*args)
+
+    monkeypatch.setattr(pipeline, "encode_lidar_local", counted)
+    if case == "tilted":
+        anchor, cloud = _tilted_place()
+    else:
+        anchor = Pose(yaw_rotation(0.7), np.array([3.0, -2.0, 1.0]))
+        cloud = _case_cloud(case, anchor, cfg)
+        _check_stacking(case, cloud, anchor, cfg)
+    # a second place far from the first
+    other = Pose(np.eye(3), np.array([500.0, 0.0, 0.0]))
+    near = random_cloud(5, n=500)
+    near = LabeledPointCloud(near.points + other.translation, near.labels)
+    dataset = Dataset("", cfg, {}, [(4, anchor.translation),
+                                    (9, other.translation)],
+                      [cloud, near], [anchor, other], [], {})
+    renders = pipeline.render_places(dataset, cfg)
+    assert calls == [(cfg.n_viewpoints, cfg.range_rows, cfg.range_cols)] * 2
+    assert [pr.place_id for pr in renders] == [4, 9]
+    for pr, place_cloud, place_anchor in zip(renders, dataset.clouds,
+                                             dataset.poses):
+        assert len(pr.cells) == cfg.n_viewpoints
+        assert pr.labels.shape == (cfg.n_viewpoints, cfg.range_rows,
+                                   cfg.range_cols)
+        for v, pose in enumerate(make_viewpoints(place_anchor, cfg)):
+            img, sem = render_viewpoints(place_cloud, [pose], cfg)
+            want = encode_lidar_local(*_image(img, sem, 0), cfg)
+            assert pr.cells[v].shape == want.shape
+            assert np.array_equal(pr.cells[v], want)
+            assert np.array_equal(pr.labels[v], sem.labels[0])
+    assert min(len(x) for x in renders[1].cells) > 0
+    empty = [x.shape == (0, cfg.feature_dim) for x in renders[0].cells]
+    if case == "tilted":
+        assert 0 < sum(empty) < len(empty), [len(x) for x in renders[0].cells]
+    else:
+        assert all(empty) == (case == "cropped-to-nothing") == any(empty)
 
 
 def test_render_viewpoints_need_one_position():
     cfg = Config()
-    assert render_viewpoints(random_cloud(7), [], cfg) == []
+    with pytest.raises(ValueError, match="no viewpoints"):
+        render_viewpoints(random_cloud(7), [], cfg)
     poses = [identity_pose(), Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))]
     with pytest.raises(ValueError, match="share one position"):
         render_viewpoints(random_cloud(7), poses, cfg)
