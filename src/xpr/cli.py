@@ -26,7 +26,7 @@ from .matching import match_query, rank_of_truth, recall_from_ranks
 from .model import init_model_params
 from .pipeline import (build_index, match_dataset_queries, render_places,
                        training_set)
-from .projection import project_spherical
+from .projection import estimate_normals, project_spherical
 from .selfcheck import run_all
 from .viewpoints import make_viewpoints, render_viewpoints
 
@@ -34,6 +34,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
+#: stdout's reader closed it: the status of a process that SIGPIPE ends
+EXIT_PIPE = 141
 
 ARTIFACT_VERSION = "0.1.0"
 #: config fields that only training reads; a checkpoint may differ in them
@@ -291,7 +293,9 @@ def _stats(samples_ms) -> tuple:
 def _stage_timings(args, index, params, cfg, queries, dataset) -> dict:
     """Per-stage wall times in ms of `--repeat` queries and, given the
     `--data` dataset, of up to 50 viewpoint describes, one-pose projections
-    and renders of place 0's viewpoints as the map build renders them."""
+    and renders of place 0's viewpoints as the map build renders them, and
+    of the normals and the LiDAR local encode of that render's (V, H, W)
+    stack."""
     context = index.mean_histogram()
     timings = {"query_encode": [], "match": [], "total": []}
     for i in range(args.repeat):
@@ -309,23 +313,22 @@ def _stage_timings(args, index, params, cfg, queries, dataset) -> dict:
     if dataset is not None:
         cloud = dataset.clouds[0]
         pose = dataset.poses[0]
-        timings["viewpoint_describe"] = []
-        for _ in range(min(args.repeat, 50)):
-            t0 = time.perf_counter()
-            rng_img, sem_img = render_viewpoints(cloud, [pose], cfg)
-            netvlad(encode_lidar_local(rng_img, sem_img, cfg), params.vlad)
-            timings["viewpoint_describe"].append((time.perf_counter() - t0) * 1e3)
-        timings["project"] = []
-        for _ in range(min(args.repeat, 50)):
-            t0 = time.perf_counter()
-            project_spherical(cloud, [pose], cfg)
-            timings["project"].append((time.perf_counter() - t0) * 1e3)
         poses = make_viewpoints(pose, cfg)
-        timings["render_place"] = []
-        for _ in range(min(args.repeat, 50)):
-            t0 = time.perf_counter()
-            render_viewpoints(cloud, poses, cfg)
-            timings["render_place"].append((time.perf_counter() - t0) * 1e3)
+        rng_img, sem_img = render_viewpoints(cloud, poses, cfg)
+        stages = {
+            "viewpoint_describe": lambda: netvlad(encode_lidar_local(
+                *render_viewpoints(cloud, [pose], cfg), cfg), params.vlad),
+            "project": lambda: project_spherical(cloud, [pose], cfg),
+            "render_place": lambda: render_viewpoints(cloud, poses, cfg),
+            "normals": lambda: estimate_normals(rng_img, cfg),
+            "encode": lambda: encode_lidar_local(rng_img, sem_img, cfg),
+        }
+        for stage, work in stages.items():
+            timings[stage] = []
+            for _ in range(min(args.repeat, 50)):
+                t0 = time.perf_counter()
+                work()
+                timings[stage].append((time.perf_counter() - t0) * 1e3)
     return timings
 
 
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--queries", required=True)
     s.add_argument("--ckpt", default=None)
     s.add_argument("--data", default=None,
-                   help="dataset dir; enables viewpoint and projection timings")
+                   help="dataset dir; enables the map-side stage timings")
     s.add_argument("--repeat", type=int, default=1000)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_bench)
@@ -427,9 +430,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()   # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the only pipe a command writes is stdout: its output is not wanted,
+        # and the interpreter's final flush must find somewhere to write
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

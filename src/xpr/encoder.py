@@ -89,10 +89,11 @@ def encode_lidar_local(rng_img: RangeImage, sem_img: SemanticImage,
     normals, and the one-hot label."""
     if rng_img.depth.shape != sem_img.labels.shape:
         raise ValueError("range/semantic image shapes differ")
-    mask = rng_img.depth > 0.0
-    labels = sem_img.labels[mask]
-    cells = np.zeros((len(labels), cfg.feature_dim))
-    cells[:, 0] = np.clip(rng_img.depth[mask] / cfg.max_range_m, 0.0, 1.0)
-    cells[:, 1:4] = rng_img.normals[mask]
-    cells[np.arange(len(labels)), 4 + labels.astype(np.intp)] = 1.0
+    filled = np.flatnonzero(rng_img.depth > 0.0)
+    labels = sem_img.labels.take(filled)
+    cells = np.zeros((len(filled), cfg.feature_dim))
+    cells[:, 0] = np.clip(rng_img.depth.take(filled) / cfg.max_range_m,
+                          0.0, 1.0)
+    cells[:, 1:4] = rng_img.normals.reshape(-1, 3).take(filled, axis=0)
+    cells[np.arange(len(filled)), 4 + labels.astype(np.intp)] = 1.0
     return cells

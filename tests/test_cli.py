@@ -5,12 +5,15 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from xpr import cli
-from xpr.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from xpr.cli import (EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
+                     main)
 from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint,
                              load_dataset, load_dataset_config, load_index,
                              load_query, save_checkpoint, save_dataset,
@@ -819,7 +822,7 @@ def test_bench_writes_stage_csv(workspace, tmp_path):
         rows = list(csv.DictReader(fh))
     stages = {r["stage"] for r in rows}
     assert {"query_encode", "match", "total", "viewpoint_describe"} <= stages
-    assert {"project", "render_place"} <= stages
+    assert {"project", "render_place", "normals", "encode"} <= stages
     for r in rows:
         assert float(r["mean_ms"]) >= 0.0
         assert float(r["p95_ms"]) >= float(r["median_ms"]) >= 0.0
@@ -869,3 +872,27 @@ def test_selfcheck_detects_corrupted_gradient(capsys):
     assert main(["selfcheck", "--seed", "0",
                  "--corrupt-gradient"]) == EXIT_CHECK
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["selfcheck", "--seed", "1"], ""), (["selfcheck", "--seed", "1"], "1"),
+    (["--help"], "")], ids=["selfcheck-buffered", "selfcheck-unbuffered",
+                           "help-buffered"])
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    """`xpr selfcheck | true`: once stdout's reader has closed the pipe, the
+    command prints no traceback and exits EXIT_PIPE, whether its lines are
+    written as printed or at the final flush. (An unbuffered `--help` exits
+    0: argparse drops its own failed write.)"""
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "xpr.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=300)
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_PIPE
+    assert proc.stderr == b""

@@ -122,6 +122,46 @@ def test_lidar_cells_match_grid_reference(seed):
     assert np.array_equal(cells, grid_lidar_cells(rng_img, sem_img, CFG))
 
 
+def mask_lidar_cells(rng_img, sem_img, cfg):
+    """The LiDAR encoding by three boolean-mask gathers of the filled cells."""
+    mask = rng_img.depth > 0.0
+    labels = sem_img.labels[mask]
+    cells = np.zeros((len(labels), cfg.feature_dim))
+    cells[:, 0] = np.clip(rng_img.depth[mask] / cfg.max_range_m, 0.0, 1.0)
+    cells[:, 1:4] = rng_img.normals[mask]
+    cells[np.arange(len(labels)), 4 + labels.astype(np.intp)] = 1.0
+    return cells
+
+
+def lidar_stack(case, v=4, h=6, w=10):
+    """A (V, H, W) stack whose normals are a non-contiguous channel-first
+    view, as signed as they come: some components are -0.0."""
+    rng = make_rng(5, 2)
+    depth = rng.uniform(0.0, 100.0, (v, h, w))
+    depth[rng.random((v, h, w)) < 0.3] = 0.0
+    if case == "empty-image":
+        depth[1] = 0.0
+    elif case == "empty-stack":
+        depth[:] = 0.0
+    channels = rng.normal(size=(3, v, h, w))
+    channels[rng.random((3, v, h, w)) < 0.2] = -0.0
+    labels = rng.integers(0, CFG.n_classes, (v, h, w)).astype(np.uint16)
+    return (RangeImage(depth, np.moveaxis(channels, 0, -1)),
+            SemanticImage(labels))
+
+
+@pytest.mark.parametrize("case", ["moveaxis-normals", "empty-image",
+                                  "empty-stack"])
+def test_lidar_stack_cells_match_mask_gathers_bit_for_bit(case):
+    rng_img, sem_img = lidar_stack(case)
+    assert not rng_img.normals.flags.c_contiguous
+    cells = encode_lidar_local(rng_img, sem_img, CFG)
+    want = mask_lidar_cells(rng_img, sem_img, CFG)
+    assert cells.shape == want.shape == (np.count_nonzero(rng_img.depth),
+                                         CFG.feature_dim)
+    assert np.array_equal(cells.view(np.uint64), want.view(np.uint64))
+
+
 def test_lidar_empty_render_is_flagged():
     h, w = 3, 5
     img = RangeImage(np.zeros((h, w)), np.zeros((h, w, 3)))

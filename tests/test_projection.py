@@ -273,6 +273,13 @@ def _normals_reference(depth, cos_az, sin_az, cos_el, sin_el):
     return normals
 
 
+def _same_bits(x, y):
+    """Equal shapes and equal raw bits: -0.0 differs from 0.0."""
+    return x.shape == y.shape and np.array_equal(
+        np.ascontiguousarray(x).view(np.uint64),
+        np.ascontiguousarray(y).view(np.uint64))
+
+
 def test_kernels_match_scalar_reference():
     rng = make_rng(100, 1)
     n = 5000
@@ -293,8 +300,47 @@ def test_kernels_match_scalar_reference():
     holed = depth.copy()
     holed[rng.uniform(size=holed.shape) < 0.3] = 0.0  # exercises the fallback
     for d in (depth, holed):
-        assert np.array_equal(_normals_reference(d, *trig),
-                              kernels.compute_normals(d, *trig))
+        assert _same_bits(_normals_reference(d, *trig),
+                          kernels.compute_normals(d, *trig))
+
+
+def _normals_case(case):
+    """(depth grid or (V, H, W) stack, trig) of one reference case."""
+    rng = make_rng(103, 1)
+    shape = {"one-row": (1, 180), "one-column": (16, 1)}.get(case, (16, 180))
+    if case.startswith("stack"):
+        shape = (8, *shape)
+    if case == "tiny":    # |a|, |b| ~ 1e-7, so |n| <= 1e-12 at every cell
+        depth = rng.uniform(1.0, 1.1, shape) * 1e-6
+    else:
+        depth = rng.uniform(1, 50, shape)
+    empty_share = {"stack-23pct": 0.77, "stack-52pct": 0.48, "all-filled": 0.0,
+                   "all-empty": 1.0}.get(case, 0.3)
+    depth[rng.uniform(size=shape) < empty_share] = 0.0
+    az = np.linspace(-3, 3, shape[-1])
+    el = np.linspace(-0.4, 0.03, shape[-2])
+    return depth, (np.cos(az), np.sin(az), np.cos(el), np.sin(el))
+
+
+@pytest.mark.parametrize("case", ["stack-23pct", "stack-52pct", "all-filled",
+                                  "all-empty", "one-row", "one-column", "tiny"])
+def test_normals_match_scalar_reference_bit_for_bit(case):
+    """compute_normals gives the scalar loop's normals in raw bits, image by
+    image, at any fill, on a grid with no interior cell, and where every
+    cross product is degenerate."""
+    depth, trig = _normals_case(case)
+    got = kernels.compute_normals(depth, *trig)
+    assert got.shape == (*depth.shape, 3)
+    images = depth.reshape(-1, *depth.shape[-2:])
+    for d, normals in zip(images, got.reshape(-1, *got.shape[-3:])):
+        assert _same_bits(normals, _normals_reference(d, *trig))
+    if case == "tiny":
+        cos_az, sin_az, cos_el, sin_el = trig
+        ground = depth * cos_el[:, None]
+        p = np.stack([ground * cos_az, ground * sin_az,
+                      depth * sin_el[:, None]], axis=-1)
+        filled = depth > 0.0
+        assert _same_bits(got[filled], p[filled] / -depth[filled, None])
 
 
 @pytest.mark.parametrize("h, w", [(16, 180), (1, 180)], ids=["16-rows", "one-row"])
@@ -313,7 +359,7 @@ def test_normals_of_a_stack_equal_one_image_at_a_time(h, w):
     got = kernels.compute_normals(stack, *trig)
     assert got.shape == (4, h, w, 3)
     for depth, normals in zip(stack, got):
-        assert np.array_equal(normals, kernels.compute_normals(depth, *trig))
+        assert _same_bits(normals, kernels.compute_normals(depth, *trig))
     assert not got[1].any()
 
 
