@@ -21,7 +21,12 @@ PROJECTION_SEED_STREAM = 104
 @dataclass(frozen=True)
 class GlobalDescriptor:
     values: np.ndarray   # (descriptor_dim,) unit norm unless flagged
-    flagged: bool = False  # True only for the all-zero vector of no cells
+
+    @property
+    def flagged(self) -> bool:
+        """True only for the all-zero vector that `netvlad` gives a map
+        with no cells or whose descriptor normalizes to zero."""
+        return not self.values.any()
 
 
 @dataclass
@@ -204,16 +209,18 @@ def netvlad(cells: np.ndarray, params: NetVladParams) -> GlobalDescriptor:
     that normalizes to zero, gives a flagged zero vector."""
     d = netvlad_forward([cells], params.centroids, params.assign_w,
                         params.assign_b, params.proj)[0][0]
-    return GlobalDescriptor(d, flagged=not d.any())
+    return GlobalDescriptor(d)
 
 
 def describe_query(obs: QueryObservation, enc: EncoderParams,
                    att: AttentionParams, vlad: NetVladParams,
                    context: np.ndarray) -> tuple[GlobalDescriptor, SemanticImage]:
-    """Descriptor and labels of one query's valid cells, computed exactly as
-    `describe_query_tape` computes one anchor."""
+    """Descriptor of one query's valid cells, computed exactly as
+    `describe_query_tape` computes one anchor, and its predicted labels as
+    the SemanticImage that `match_query` takes."""
     feat, pred = encode_query(obs, enc)
-    return netvlad(semantic_attention(feat, context, att), vlad), pred
+    return (netvlad(semantic_attention(feat, context, att), vlad),
+            SemanticImage(pred))
 
 
 def describe_query_tape(raw: np.ndarray, seg: np.ndarray, context: np.ndarray,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import glob
 import io
 import json
 import math
@@ -40,6 +41,11 @@ EXIT_PIPE = 141
 ARTIFACT_VERSION = "0.1.0"
 #: config fields that only training reads; a checkpoint may differ in them
 TRAINING_ONLY = ("loss_kind", "lambda_sem", "margin", "temperature")
+#: the files of a dataset directory that `synth --force` replaces
+DATASET_FILES = ("meta.json", "poses.txt", "dataset.manifest.json",
+                 os.path.join("velodyne", "*.bin"),
+                 os.path.join("labels", "*.label"),
+                 os.path.join("queries", "*.qry"))
 
 
 class CliError(RuntimeError):
@@ -111,6 +117,9 @@ def cmd_synth(args) -> int:
         if not low <= getattr(args, flag) < math.inf:
             raise CliError(f"--{flag.replace('_', '-')} must be a finite "
                            f"number >= {low}", EXIT_USAGE)
+    if not math.isfinite(args.density * synth.GROUND_SIDE ** 2):
+        raise CliError(f"--density {args.density} gives a place an infinite "
+                       f"number of points", EXIT_USAGE)
     out = args.out
     if os.path.isdir(out) and os.listdir(out) and not args.force:
         raise CliError(f"{out} exists and is not empty (use --force)", EXIT_USAGE)
@@ -126,6 +135,10 @@ def cmd_synth(args) -> int:
         queries = synth.make_queries(world, cfg, 400, args.queries_per_place,
                                      args.noise)
         places = [(p.place_id, p.position) for p in world.places]
+        if args.force:
+            for pattern in DATASET_FILES:
+                for path in glob.glob(os.path.join(glob.escape(out), pattern)):
+                    os.remove(path)
         save_dataset(out, cfg, places, clouds, poses, queries,
                      provenance=f"xpr synth seed={args.seed}")
         write_manifest(os.path.join(out, "dataset"), "synth", cfg,
@@ -314,14 +327,14 @@ def _stage_timings(args, index, params, cfg, queries, dataset) -> dict:
         cloud = dataset.clouds[0]
         pose = dataset.poses[0]
         poses = make_viewpoints(pose, cfg)
-        rng_img, sem_img = render_viewpoints(cloud, poses, cfg)
+        rng_img, labels = render_viewpoints(cloud, poses, cfg)
         stages = {
             "viewpoint_describe": lambda: netvlad(encode_lidar_local(
                 *render_viewpoints(cloud, [pose], cfg), cfg), params.vlad),
             "project": lambda: project_spherical(cloud, [pose], cfg),
             "render_place": lambda: render_viewpoints(cloud, poses, cfg),
             "normals": lambda: estimate_normals(rng_img, cfg),
-            "encode": lambda: encode_lidar_local(rng_img, sem_img, cfg),
+            "encode": lambda: encode_lidar_local(rng_img, labels, cfg),
         }
         for stage, work in stages.items():
             timings[stage] = []
@@ -444,10 +457,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (FormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, make_rng
-from .projection import RangeImage, SemanticImage
+from .projection import RangeImage
 from .workspace import FRESH, Workspace
 
 #: raw query channels: depth, normal xyz, 3 appearance channels
@@ -33,7 +33,7 @@ class EncoderParams:
 class QueryObservation:
     raw: np.ndarray              # (H, W, QUERY_CHANNELS)
     mask: np.ndarray             # (H, W) bool validity
-    gt_labels: SemanticImage     # supervision for the segmentation branch
+    gt_labels: np.ndarray        # (H, W) uint16 supervision for segmentation
 
 
 def init_encoder_params(cfg: Config) -> EncoderParams:
@@ -67,9 +67,10 @@ def query_forward(raw: np.ndarray, params: EncoderParams,
 
 
 def encode_query(obs: QueryObservation, params: EncoderParams
-                 ) -> tuple[np.ndarray, SemanticImage]:
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward pass over the valid cells: their (n, C) features, the valid
-    rows in row-major order as `query_forward` gives them, and the labels.
+    rows in row-major order as `query_forward` gives them, and the (H, W)
+    uint16 predicted labels.
 
     Predicted label = argmax over logits (ties to the lowest class id) on
     valid cells, 0 elsewhere.
@@ -79,18 +80,18 @@ def encode_query(obs: QueryObservation, params: EncoderParams
     _, feat, logits = query_forward(obs.raw[obs.mask], params)
     pred = np.zeros(obs.mask.shape, dtype=np.uint16)
     pred[obs.mask] = np.argmax(logits, axis=1)
-    return feat, SemanticImage(pred)
+    return feat, pred
 
 
-def encode_lidar_local(rng_img: RangeImage, sem_img: SemanticImage,
+def encode_lidar_local(rng_img: RangeImage, labels: np.ndarray,
                        cfg: Config) -> np.ndarray:
     """The filled cells (depth > 0) of a rendered viewpoint, or of a stack of
     them image by image, row-major, as an (n, C) block: normalized depth,
-    normals, and the one-hot label."""
-    if rng_img.depth.shape != sem_img.labels.shape:
+    normals, and the one-hot of its label in the (..., H, W) label images."""
+    if rng_img.depth.shape != labels.shape:
         raise ValueError("range/semantic image shapes differ")
     filled = np.flatnonzero(rng_img.depth > 0.0)
-    labels = sem_img.labels.take(filled)
+    labels = labels.take(filled)
     cells = np.zeros((len(filled), cfg.feature_dim))
     cells[:, 0] = np.clip(rng_img.depth.take(filled) / cfg.max_range_m,
                           0.0, 1.0)

@@ -20,7 +20,7 @@ from .core import LabeledPointCloud, Pose
 from .encoder import QUERY_CHANNELS, QueryObservation
 from .matching import MapIndex
 from .model import ModelParams, init_model_params
-from .projection import SemanticImage, frustum_window
+from .projection import frustum_window
 
 log = logging.getLogger(__name__)
 
@@ -326,7 +326,7 @@ def save_query(path, query_id: int, place_id: int, heading: float,
         fh.write(struct.pack("<HHH", h, w, c))
         fh.write(obs.raw.astype("<f4").tobytes())
         fh.write(obs.mask.astype(np.uint8).tobytes())
-        fh.write(obs.gt_labels.labels.astype("<u2").tobytes())
+        fh.write(obs.gt_labels.astype("<u2").tobytes())
 
 
 @dataclass
@@ -364,7 +364,7 @@ def load_query(path, cfg: Config) -> QueryRecord:
             "label {value} at byte {at} is not below n_classes {n}",
             n=cfg.n_classes)
     obs = QueryObservation(raw.astype(np.float64).reshape(h, w, c), mask,
-                           SemanticImage(labels.astype(np.uint16)))
+                           labels.astype(np.uint16))
     return QueryRecord(qid, pid, heading, noise, gt, obs)
 
 

@@ -67,7 +67,7 @@ def train_table(places: list, context: np.ndarray, cfg: Config) -> TrainTable:
         means[m] = (onehot.T @ x) / np.where(present[m], count, 1.0)[:, None]
     return TrainTable(
         [obs.raw[obs.mask] for _, obs, _ in anchors],
-        [obs.gt_labels.labels[obs.mask] for _, obs, _ in anchors],
+        [obs.gt_labels[obs.mask] for _, obs, _ in anchors],
         np.array([p for p, _, _ in anchors], dtype=np.intp),
         np.array([p * cfg.n_viewpoints + nearest_viewpoint(h, cfg.n_viewpoints)
                   for p, _, h in anchors], dtype=np.intp),

@@ -71,7 +71,7 @@ class MapIndex:
         n_v = self.config.n_viewpoints
         return tuple(
             IndexEntry(int(self._place_ids[i // n_v]), i % n_v,
-                       GlobalDescriptor(d, not d.any()), SemanticImage(lab))
+                       GlobalDescriptor(d), SemanticImage(lab))
             for i, (d, lab) in enumerate(zip(self.descriptors, self.labels)))
 
     def mean_histogram(self) -> np.ndarray:

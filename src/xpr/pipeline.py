@@ -30,13 +30,13 @@ def render_places(dataset: Dataset, cfg: Config) -> list:
     out = []
     for (pid, pos), cloud, anchor in zip(dataset.places, dataset.clouds,
                                          dataset.poses):
-        rng_img, sem_img = render_viewpoints(cloud, make_viewpoints(anchor, cfg),
-                                             cfg)
+        rng_img, labels = render_viewpoints(cloud, make_viewpoints(anchor, cfg),
+                                            cfg)
         # the encode takes the filled cells image by image, row-major
         filled = np.count_nonzero(rng_img.depth > 0.0, axis=(1, 2))
-        cells = np.split(encode_lidar_local(rng_img, sem_img, cfg),
+        cells = np.split(encode_lidar_local(rng_img, labels, cfg),
                          np.cumsum(filled[:-1]))
-        out.append(PlaceRenders(pid, pos, cells, sem_img.labels))
+        out.append(PlaceRenders(pid, pos, cells, labels))
     return out
 
 

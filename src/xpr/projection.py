@@ -23,10 +23,6 @@ class SemanticImage:
     labels: np.ndarray           # (..., H, W) uint16 class ids, 0 where empty
 
     @property
-    def rows(self) -> int:
-        return self.labels.shape[-2]
-
-    @property
     def cols(self) -> int:
         return self.labels.shape[-1]
 
@@ -46,9 +42,10 @@ def _cell_trig(rows: int, cols: int, vfov_up: float, vfov_down: float):
 
 
 def project_spherical(cloud: LabeledPointCloud, sensor_poses: list,
-                      cfg: Config) -> tuple[RangeImage, SemanticImage]:
+                      cfg: Config) -> tuple[RangeImage, np.ndarray]:
     """Project a cloud from each of V sensor poses onto the 360-degree grid,
-    as one (V, H, W) stack of images; nearest point wins each cell.
+    as one (V, H, W) stack of range images and its (V, H, W) uint16 label
+    images (0 where empty); nearest point wins each cell.
 
     Azimuth [-pi, pi) maps linearly to columns with azimuth 0 at the image
     center; elevation [vfov_down, vfov_up] maps linearly to rows (top row =
@@ -87,7 +84,7 @@ def project_spherical(cloud: LabeledPointCloud, sensor_poses: list,
                                       n_views * h, w)
 
     img = RangeImage(depth.reshape(n_views, h, w), np.zeros((n_views, h, w, 3)))
-    return img, SemanticImage(labels.reshape(n_views, h, w))
+    return img, labels.reshape(n_views, h, w)
 
 
 def estimate_normals(img: RangeImage, cfg: Config) -> RangeImage:

@@ -172,8 +172,7 @@ def _toy_table(cfg: Config, rng) -> TrainTable:
     for _ in range(2):
         raw = rng.normal(0.0, 0.4, size=(h, w, QUERY_CHANNELS))
         mask = rng.random((h, w)) > 0.15
-        gt = SemanticImage(rng.integers(0, cfg.n_classes,
-                                        size=(h, w)).astype(np.uint16))
+        gt = rng.integers(0, cfg.n_classes, size=(h, w)).astype(np.uint16)
         cells = [_toy_cells(rng, h, w, cfg) for _ in range(cfg.n_viewpoints)]
         places.append(([(QueryObservation(raw, mask, gt), 0.0)], cells))
     context = rng.random(cfg.n_classes)
@@ -288,13 +287,13 @@ def check_projection_shift(seed: int) -> CheckResult:
         theta = shift * 2.0 * math.pi / cfg.range_cols
         rot = yaw_rotation(theta)
         rotated = LabeledPointCloud(cloud.points @ rot.T, cloud.labels)
-        img0, sem0 = project_spherical(cloud, [identity_pose()], cfg)
-        img1, sem1 = project_spherical(rotated, [identity_pose()], cfg)
+        img0, labels0 = project_spherical(cloud, [identity_pose()], cfg)
+        img1, labels1 = project_spherical(rotated, [identity_pose()], cfg)
         worst = max(worst,
                     float(np.abs(np.roll(img0.depth, shift, axis=-1)
                                  - img1.depth).max()),
-                    float(np.abs(np.roll(sem0.labels.astype(int), shift, axis=-1)
-                                 - sem1.labels.astype(int)).max()))
+                    float(np.abs(np.roll(labels0.astype(int), shift, axis=-1)
+                                 - labels1.astype(int)).max()))
     return CheckResult("projection_shift", worst, 1e-12)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import Config, make_rng
 from .core import LabeledPointCloud, Pose, canonical_heading, yaw_rotation
-from .projection import SemanticImage, frustum_window
+from .projection import frustum_window
 from .encoder import QueryObservation
 from .io_datasets import QueryRecord
 from .viewpoints import render_viewpoints
@@ -21,6 +21,9 @@ CLASS_TREE = 4
 CLASS_POLE = 5
 
 SENSOR_HEIGHT = 1.6
+#: side of the square ground plane of a place, whose area no other
+#: primitive's exceeds
+GROUND_SIDE = 60.0
 
 #: fixed per-class appearance colors standing in for RGB pixels; class 0 is
 #: void and stays black
@@ -101,9 +104,9 @@ def place_primitives(place: PlaceSpec) -> list:
     px, py = place.position[0], place.position[1]
     prims = [
         Primitive("plane", CLASS_GROUND, np.array([px, py, 0.0]),
-                  np.array([60.0, 60.0, 0.0])),
+                  np.array([GROUND_SIDE, GROUND_SIDE, 0.0])),
         Primitive("plane", CLASS_ROAD, np.array([px, py, 0.02]),
-                  np.array([60.0, rng.uniform(6.0, 10.0), 0.02])),
+                  np.array([GROUND_SIDE, rng.uniform(6.0, 10.0), 0.02])),
     ]
 
     def ring_xy(rmin, rmax):
@@ -193,7 +196,7 @@ def observation_from_render(depth, normals, labels, noise_level: float,
     raw[..., 1:4] = normals
     raw[..., 4:7] = PALETTE[labels] + noise_level * rng.standard_normal((h, w, 3))
     raw[~mask] = 0.0
-    return QueryObservation(raw, mask, SemanticImage(labels.copy()))
+    return QueryObservation(raw, mask, labels.copy())
 
 
 def make_query(world: SyntheticWorld, place_id: int, heading: float,
@@ -209,12 +212,12 @@ def _render_query(world: SyntheticWorld, cloud: LabeledPointCloud,
                   cfg: Config) -> tuple[QueryObservation, np.ndarray]:
     """make_query on the place's canonical cloud, sampled by the caller."""
     pose = query_pose(world, place_id, heading)
-    rng_img, sem_img = render_viewpoints(cloud, [pose], cfg)
+    rng_img, labels = render_viewpoints(cloud, [pose], cfg)
     c0, width = frustum_window(cfg.range_cols)
     sl = slice(c0, c0 + width)
     obs = observation_from_render(rng_img.depth[0, :, sl],
                                   rng_img.normals[0, :, sl],
-                                  sem_img.labels[0, :, sl], noise_level, cfg, rng)
+                                  labels[0, :, sl], noise_level, cfg, rng)
     return obs, world.place(place_id).position.copy()
 
 

@@ -7,8 +7,7 @@ import numpy as np
 
 from .config import Config
 from .core import LabeledPointCloud, Pose, yaw_rotation
-from .projection import (RangeImage, SemanticImage, estimate_normals,
-                         project_spherical)
+from .projection import RangeImage, estimate_normals, project_spherical
 
 #: the most (viewpoints x cropped points) projected in one stack: it keeps a
 #: stack's per-point arrays (128 KB each at most) within a core's L2 cache,
@@ -33,12 +32,12 @@ def crop_to_radius(cloud: LabeledPointCloud, center: np.ndarray,
 
 
 def render_viewpoints(map_cloud: LabeledPointCloud, poses: list,
-                      cfg: Config) -> tuple[RangeImage, SemanticImage]:
-    """One (V, H, W) stack of images with normals, in pose order, for poses
-    that share one position, as a place's viewpoints do: the map is cropped
-    around that position once, then the poses are projected and given
-    normals in stacks of as many as keep (poses x cropped points) within
-    STACK_POINTS."""
+                      cfg: Config) -> tuple[RangeImage, np.ndarray]:
+    """One (V, H, W) stack of range images with normals and its (V, H, W)
+    label images, in pose order, for poses that share one position, as a
+    place's viewpoints do: the map is cropped around that position once,
+    then the poses are projected and given normals in stacks of as many as
+    keep (poses x cropped points) within STACK_POINTS."""
     if not poses:
         raise ValueError("no viewpoints to render")
     center = poses[0].translation
@@ -48,10 +47,10 @@ def render_viewpoints(map_cloud: LabeledPointCloud, poses: list,
     per_stack = max(1, STACK_POINTS // max(1, cropped.count))
     stacks = []
     for s in range(0, len(poses), per_stack):
-        rng_img, sem_img = project_spherical(cropped, poses[s:s + per_stack], cfg)
-        stacks.append((estimate_normals(rng_img, cfg), sem_img))
+        rng_img, labels = project_spherical(cropped, poses[s:s + per_stack], cfg)
+        stacks.append((estimate_normals(rng_img, cfg), labels))
     if len(stacks) == 1:
         return stacks[0]
     return (RangeImage(np.concatenate([img.depth for img, _ in stacks]),
                        np.concatenate([img.normals for img, _ in stacks])),
-            SemanticImage(np.concatenate([sem.labels for _, sem in stacks])))
+            np.concatenate([labels for _, labels in stacks]))

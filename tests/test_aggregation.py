@@ -11,7 +11,6 @@ from xpr.aggregation import (N_CLUSTERS, attention_forward, describe_query,
 from xpr.config import Config, make_rng
 from xpr.encoder import QUERY_CHANNELS, QueryObservation
 from xpr.model import TRAINABLE, ModelParams, init_model_params
-from xpr.projection import SemanticImage
 
 CFG = Config()
 
@@ -169,7 +168,7 @@ def perturbed_params(seed):
 def random_query(rng, h, w, mask_prob):
     raw = rng.normal(size=(h, w, QUERY_CHANNELS))
     mask = rng.random((h, w)) < mask_prob
-    gt = SemanticImage(rng.integers(0, CFG.n_classes, (h, w)).astype(np.uint16))
+    gt = rng.integers(0, CFG.n_classes, (h, w)).astype(np.uint16)
     return QueryObservation(raw, mask, gt)
 
 

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 import json
 import os
 import re
@@ -24,7 +25,7 @@ from xpr.encoder import QUERY_CHANNELS, QueryObservation
 from xpr.losses import train
 from xpr.model import ModelParams, init_model_params
 from xpr.pipeline import build_index, match_dataset_queries, training_set
-from xpr.projection import SemanticImage, frustum_window
+from xpr.projection import frustum_window
 
 
 @pytest.fixture(scope="module")
@@ -77,14 +78,49 @@ def test_synth_bad_places(tmp_path):
 @pytest.mark.parametrize("option", [
     ("--noise", "nan"), ("--noise", "-0.1"), ("--noise", "inf"),
     ("--density", "inf"), ("--density", "-1"), ("--density", "nan"),
-    ("--queries-per-place", "-1")], ids=lambda o: f"{o[0][2:]}={o[1]}")
+    ("--queries-per-place", "-1"),
+    ("--density", "1e308",
+     "--density 1e+308 gives a place an infinite number of points")],
+    ids=lambda o: f"{o[0][2:]}={o[1]}")
 def test_synth_rejects_out_of_range_option(tmp_path, capsys, option):
+    """An option out of range is one usage error line, before any work;
+    the option names the line it expects if not the range's."""
+    flag, value, *message = option
     out = tmp_path / "x"
     assert main(["synth", "--places", "2", "--out", str(out),
-                 *option]) == EXIT_USAGE
+                 flag, value]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"{option[0]} must be a finite number >= 0" in err
+    want = message[0] if message else f"{flag} must be a finite number >= 0"
+    assert want in err and err.count("\n") == 1
     assert "Traceback" not in err and not out.exists()
+
+
+def _file_digests(root):
+    """sha256 of every file under root but the manifests, by relative path."""
+    return {p.relative_to(root).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*")
+            if p.is_file() and not p.name.endswith(".manifest.json")}
+
+
+def test_synth_force_replaces_the_dataset_and_nothing_else(tmp_path):
+    """--force over a larger dataset leaves the bytes of a fresh synth, with
+    no place or query of the old one, and keeps files it did not write."""
+    old, fresh = tmp_path / "old", tmp_path / "fresh"
+    assert main(["synth", "--places", "4", "--density", "0.5", "--seed", "1",
+                 "--queries-per-place", "2", "--out", str(old)]) == EXIT_OK
+    kept = {"notes.txt": b"mine", "velodyne/notes.bin.txt": b"also mine"}
+    for name, data in kept.items():
+        (old / name).write_bytes(data)
+    new = ["synth", "--places", "3", "--density", "0.5", "--seed", "2",
+           "--queries-per-place", "1"]
+    assert main([*new, "--out", str(old), "--force"]) == EXIT_OK
+    assert main([*new, "--out", str(fresh)]) == EXIT_OK
+    assert _file_digests(old) == {
+        **_file_digests(fresh),
+        **{name: hashlib.sha256(data).hexdigest()
+           for name, data in kept.items()}}
+    assert len(load_dataset(str(old)).queries) == 3
 
 
 def test_build_map_index(workspace):
@@ -328,6 +364,34 @@ def test_missing_input_is_data_error(tmp_path):
                  str(tmp_path / "o.csv")]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("case", ["match-out-dir", "match-out-under-file",
+                                  "synth-out-file", "match-index-dir",
+                                  "eval-results-dir"])
+def test_os_error_is_one_data_error_line(workspace, tmp_path, capsys, case):
+    """A path the OS refuses to read or write, as a directory where a file
+    belongs or a file where a directory does, exits 2 with one error line
+    and leaves no lock behind."""
+    a_dir, a_file = tmp_path / "dir", tmp_path / "file"
+    a_dir.mkdir()
+    a_file.write_text("")
+    match = ["match", "--index", workspace["idx"], "--queries",
+             workspace["data"], "--out"]
+    argv = {
+        "match-out-dir": [*match, str(a_dir)],
+        "match-out-under-file": [*match, str(a_file / "r.csv")],
+        "synth-out-file": ["synth", "--places", "1", "--out", str(a_file)],
+        "match-index-dir": ["match", "--index", str(a_dir), "--queries",
+                            workspace["data"], "--out", str(tmp_path / "r.csv")],
+        "eval-results-dir": ["eval", "--results", str(a_dir), "--data",
+                             workspace["data"]],
+    }[case]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert not [*tmp_path.rglob(".xpr.lock"),
+                *workspace["root"].rglob(".xpr.lock")]
+
+
 def artifact_copies(workspace, tmp_path):
     """Private copies of the index, queries and a checkpoint, with the file
     and loader of each artifact kind."""
@@ -487,13 +551,13 @@ def test_bad_query_shape_is_data_error(workspace, tmp_path, capsys, defect):
     args, artifacts = artifact_copies(workspace, tmp_path)
     target, loader = artifacts["query"]
     q = loader(target)
-    raw, mask, labels = q.obs.raw, q.obs.mask, q.obs.gt_labels.labels
+    raw, mask, labels = q.obs.raw, q.obs.mask, q.obs.gt_labels
     if defect == "channels":
         raw = raw[..., :3]
     else:
         raw, mask, labels = raw[:, :30], mask[:, :30], labels[:, :30]
     save_query(target, q.query_id, q.place_id, q.heading, q.noise_level,
-               q.gt_position, QueryObservation(raw, mask, SemanticImage(labels)))
+               q.gt_position, QueryObservation(raw, mask, labels))
     # the shape follows the magic, ids, heading, noise and position
     _expect_data_error(args, capsys, target, loader,
                        f"shape {raw.shape} at byte 58 is not")
@@ -583,7 +647,7 @@ def test_query_label_out_of_range_is_data_error(workspace, tmp_path, capsys):
     rec = load_query(path, cfg)
     h, w, c = rec.obs.raw.shape
     labels_at = 64 + 4 * h * w * c + h * w   # after the header, raw and mask
-    labels = rec.obs.gt_labels.labels.reshape(-1)
+    labels = rec.obs.gt_labels.reshape(-1)
     first = int(np.flatnonzero(labels > 0)[0])
     with open(path, "rb") as fh:
         raw = bytearray(fh.read())
@@ -773,7 +837,7 @@ def _save_world(root, n_places, with_queries):
     shape = (cfg.range_rows, frustum_window(cfg.range_cols)[1])
     obs = QueryObservation(np.zeros((*shape, QUERY_CHANNELS)),
                            np.zeros(shape, dtype=bool),
-                           SemanticImage(np.zeros(shape, dtype=np.uint16)))
+                           np.zeros(shape, dtype=np.uint16))
     places = [(pid, np.array([40.0 * pid, 0.0, 0.0]))
               for pid in range(n_places)]
     save_dataset(root, cfg, places,

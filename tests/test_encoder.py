@@ -5,7 +5,7 @@ from xpr.aggregation import init_netvlad_params, netvlad
 from xpr.config import Config, make_rng
 from xpr.encoder import (QUERY_CHANNELS, QueryObservation, encode_lidar_local,
                          encode_query, init_encoder_params)
-from xpr.projection import RangeImage, SemanticImage
+from xpr.projection import RangeImage
 
 CFG = Config()
 
@@ -14,7 +14,7 @@ def random_obs(seed, h=6, w=10, mask_prob=0.8):
     rng = make_rng(seed, 1)
     raw = rng.normal(size=(h, w, QUERY_CHANNELS))
     mask = rng.random((h, w)) < mask_prob
-    gt = SemanticImage(rng.integers(0, CFG.n_classes, (h, w)).astype(np.uint16))
+    gt = rng.integers(0, CFG.n_classes, (h, w)).astype(np.uint16)
     return QueryObservation(raw, mask, gt)
 
 
@@ -43,7 +43,7 @@ def test_encode_query_matches_direct_formula():
     h = np.tanh(obs.raw[obs.mask] @ p.rgb_proj + p.rgb_bias)
     assert np.allclose(feat, h @ p.desc_proj, atol=1e-12)
     logits = h @ p.seg_head + p.seg_bias
-    assert np.array_equal(pred.labels[obs.mask],
+    assert np.array_equal(pred[obs.mask],
                           np.argmax(logits, axis=1).astype(np.uint16))
 
 
@@ -55,8 +55,8 @@ def test_encode_query_masked_cells_zero_and_label_zero():
     h = np.tanh(obs.raw[obs.mask] @ p.rgb_proj + p.rgb_bias)
     assert feat.shape == (obs.mask.sum(), CFG.feature_dim)
     assert np.allclose(feat, h @ p.desc_proj, atol=1e-12)
-    assert not pred.labels[~obs.mask].any()
-    assert pred.labels.shape == obs.mask.shape
+    assert not pred[~obs.mask].any()
+    assert pred.shape == obs.mask.shape
 
 
 def test_encode_query_values_bounded_by_tanh():
@@ -83,10 +83,10 @@ def lidar_images(seed, h=6, w=10):
     normals = rng.normal(size=(h, w, 3))
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     labels = rng.integers(0, CFG.n_classes, (h, w)).astype(np.uint16)
-    return RangeImage(depth, normals), SemanticImage(labels)
+    return RangeImage(depth, normals), labels
 
 
-def grid_lidar_cells(rng_img, sem_img, cfg):
+def grid_lidar_cells(rng_img, labels, cfg):
     """The LiDAR encoding as a zero-padded (H, W, C) grid, compressed to
     its filled cells in row-major order."""
     h, w = rng_img.depth.shape
@@ -95,14 +95,14 @@ def grid_lidar_cells(rng_img, sem_img, cfg):
     values[..., 0] = np.where(
         mask, np.clip(rng_img.depth / cfg.max_range_m, 0.0, 1.0), 0.0)
     values[..., 1:4] = np.where(mask[..., None], rng_img.normals, 0.0)
-    np.put_along_axis(values[..., 4:], sem_img.labels[..., None].astype(np.intp),
+    np.put_along_axis(values[..., 4:], labels[..., None].astype(np.intp),
                       mask[..., None], axis=-1)
     return values.reshape(h * w, -1).compress(mask.reshape(-1), axis=0)
 
 
 def test_lidar_channels_layout():
-    rng_img, sem_img = lidar_images(1)
-    cells = encode_lidar_local(rng_img, sem_img, CFG)
+    rng_img, labels = lidar_images(1)
+    cells = encode_lidar_local(rng_img, labels, CFG)
     mask = rng_img.depth > 0
     assert cells.shape == (mask.sum(), CFG.feature_dim)
     assert CFG.feature_dim == 4 + CFG.n_classes
@@ -110,22 +110,22 @@ def test_lidar_channels_layout():
                        np.clip(rng_img.depth[mask] / CFG.max_range_m, 0, 1))
     assert np.array_equal(cells[:, 1:4], rng_img.normals[mask])
     onehot = cells[:, 4:]
-    assert np.array_equal(onehot.argmax(axis=1), sem_img.labels[mask])
+    assert np.array_equal(onehot.argmax(axis=1), labels[mask])
     assert np.array_equal(onehot.sum(axis=1), np.ones(mask.sum()))
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4])
 def test_lidar_cells_match_grid_reference(seed):
-    rng_img, sem_img = lidar_images(seed)
-    cells = encode_lidar_local(rng_img, sem_img, CFG)
+    rng_img, labels = lidar_images(seed)
+    cells = encode_lidar_local(rng_img, labels, CFG)
     assert cells.dtype == np.float64 and cells.flags.c_contiguous
-    assert np.array_equal(cells, grid_lidar_cells(rng_img, sem_img, CFG))
+    assert np.array_equal(cells, grid_lidar_cells(rng_img, labels, CFG))
 
 
-def mask_lidar_cells(rng_img, sem_img, cfg):
+def mask_lidar_cells(rng_img, labels, cfg):
     """The LiDAR encoding by three boolean-mask gathers of the filled cells."""
     mask = rng_img.depth > 0.0
-    labels = sem_img.labels[mask]
+    labels = labels[mask]
     cells = np.zeros((len(labels), cfg.feature_dim))
     cells[:, 0] = np.clip(rng_img.depth[mask] / cfg.max_range_m, 0.0, 1.0)
     cells[:, 1:4] = rng_img.normals[mask]
@@ -146,17 +146,16 @@ def lidar_stack(case, v=4, h=6, w=10):
     channels = rng.normal(size=(3, v, h, w))
     channels[rng.random((3, v, h, w)) < 0.2] = -0.0
     labels = rng.integers(0, CFG.n_classes, (v, h, w)).astype(np.uint16)
-    return (RangeImage(depth, np.moveaxis(channels, 0, -1)),
-            SemanticImage(labels))
+    return RangeImage(depth, np.moveaxis(channels, 0, -1)), labels
 
 
 @pytest.mark.parametrize("case", ["moveaxis-normals", "empty-image",
                                   "empty-stack"])
 def test_lidar_stack_cells_match_mask_gathers_bit_for_bit(case):
-    rng_img, sem_img = lidar_stack(case)
+    rng_img, labels = lidar_stack(case)
     assert not rng_img.normals.flags.c_contiguous
-    cells = encode_lidar_local(rng_img, sem_img, CFG)
-    want = mask_lidar_cells(rng_img, sem_img, CFG)
+    cells = encode_lidar_local(rng_img, labels, CFG)
+    want = mask_lidar_cells(rng_img, labels, CFG)
     assert cells.shape == want.shape == (np.count_nonzero(rng_img.depth),
                                          CFG.feature_dim)
     assert np.array_equal(cells.view(np.uint64), want.view(np.uint64))
@@ -165,8 +164,7 @@ def test_lidar_stack_cells_match_mask_gathers_bit_for_bit(case):
 def test_lidar_empty_render_is_flagged():
     h, w = 3, 5
     img = RangeImage(np.zeros((h, w)), np.zeros((h, w, 3)))
-    cells = encode_lidar_local(img, SemanticImage(np.zeros((h, w), np.uint16)),
-                               CFG)
+    cells = encode_lidar_local(img, np.zeros((h, w), np.uint16), CFG)
     assert cells.shape == (0, CFG.feature_dim)
     d = netvlad(cells, init_netvlad_params(CFG))
     assert d.flagged and not d.values.any()
@@ -174,7 +172,7 @@ def test_lidar_empty_render_is_flagged():
 
 def test_lidar_shape_mismatch_rejected():
     rng_img, _ = lidar_images(3)
-    bad = SemanticImage(np.zeros((2, 2), dtype=np.uint16))
+    bad = np.zeros((2, 2), dtype=np.uint16)
     with pytest.raises(ValueError, match="shape"):
         encode_lidar_local(rng_img, bad, CFG)
 
@@ -183,5 +181,5 @@ def test_lidar_depth_clipped_at_max_range():
     h, w = 2, 3
     depth = np.full((h, w), 200.0)
     img = RangeImage(depth, np.zeros((h, w, 3)))
-    cells = encode_lidar_local(img, SemanticImage(np.ones((h, w), dtype=np.uint16)), CFG)
+    cells = encode_lidar_local(img, np.ones((h, w), dtype=np.uint16), CFG)
     assert np.array_equal(cells[:, 0], np.ones(h * w))

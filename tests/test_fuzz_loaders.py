@@ -19,7 +19,7 @@ from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint,
                              save_query)
 from xpr.matching import MapIndex
 from xpr.model import init_model_params
-from xpr.projection import SemanticImage, frustum_window
+from xpr.projection import frustum_window
 
 # small enough that one load takes well under a millisecond
 CFG = Config(n_classes=4, descriptor_dim=8, n_viewpoints=2, range_rows=2,
@@ -42,8 +42,8 @@ def make_obs(rng):
     shape = (CFG.range_rows, frustum_window(CFG.range_cols)[1])
     return QueryObservation(rng.normal(size=(*shape, QUERY_CHANNELS)),
                             rng.random(shape) < 0.8,
-                            SemanticImage(rng.integers(0, CFG.n_classes, shape)
-                                          .astype(np.uint16)))
+                            rng.integers(0, CFG.n_classes, shape)
+                            .astype(np.uint16))
 
 
 def write_query(path, rng):

@@ -16,7 +16,6 @@ from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint, load_clo
                              save_index, save_labels, save_poses, save_query)
 from xpr.matching import MapIndex
 from xpr.model import init_model_params
-from xpr.projection import SemanticImage
 
 CFG = Config()
 
@@ -305,7 +304,7 @@ def random_query(seed, qid=3):
     raw = rng.normal(size=(h, w, QUERY_CHANNELS)).astype(np.float32).astype(float)
     mask = rng.random((h, w)) < 0.8
     raw[~mask] = 0.0
-    gt = SemanticImage(rng.integers(0, 8, (h, w)).astype(np.uint16))
+    gt = rng.integers(0, 8, (h, w)).astype(np.uint16)
     return QueryRecord(qid, 1, 0.75, 0.25, np.array([4.0, -2.0, 0.0]),
                        QueryObservation(raw, mask, gt))
 
@@ -321,7 +320,7 @@ def test_query_round_trip(tmp_path):
     assert np.array_equal(back.gt_position, q.gt_position)
     assert np.array_equal(back.obs.raw, q.obs.raw)
     assert np.array_equal(back.obs.mask, q.obs.mask)
-    assert np.array_equal(back.obs.gt_labels.labels, q.obs.gt_labels.labels)
+    assert np.array_equal(back.obs.gt_labels, q.obs.gt_labels)
 
 
 def test_query_save_load_save_idempotent(tmp_path):

@@ -15,7 +15,7 @@ from xpr.losses import (TrainingDiverged, class_means_tape, contrastive_tape,
 from xpr.matching import MapIndex
 from xpr.model import TRAINABLE, ModelParams, init_model_params
 from xpr.pipeline import PlaceRenders, training_set
-from xpr.projection import SemanticImage, semantic_histogram
+from xpr.projection import semantic_histogram
 
 # log(1 + e^-1), InfoNCE with one positive at logit 1 and one negative at 0
 LOG1P_EXP_NEG1 = 0.31326168751822286
@@ -308,7 +308,7 @@ def fake_obs(rng, cfg, h=4, w=6):
     mask = rng.random((h, w)) < 0.85
     raw = rng.normal(size=(h, w, QUERY_CHANNELS))
     gt = rng.integers(0, cfg.n_classes, (h, w)).astype(np.uint16)
-    return QueryObservation(raw, mask, SemanticImage(gt))
+    return QueryObservation(raw, mask, gt)
 
 
 def fake_table(seed, cfg, n_places=3, queries_per_place=1):
@@ -397,7 +397,7 @@ def reference_total_loss(anchors, maps, positives, negatives, context,
                 terms.append((d * d).sum())
         sem.append(mean(stack(terms)) if terms else Tensor(0.0))
 
-        gt = obs.gt_labels.labels.reshape(-1)
+        gt = obs.gt_labels.reshape(-1)
         idx = np.flatnonzero(mask & (gt > 0))
         if idx.size:
             rows = logits[idx]
@@ -430,9 +430,8 @@ def degenerate_batch(cfg):
     anchors[1] = QueryObservation(anchors[1].raw,
                                   np.zeros_like(anchors[1].mask),
                                   anchors[1].gt_labels)
-    anchors[2] = QueryObservation(
-        anchors[2].raw, anchors[2].mask,
-        SemanticImage(np.zeros_like(anchors[2].gt_labels.labels)))
+    anchors[2] = QueryObservation(anchors[2].raw, anchors[2].mask,
+                                  np.zeros_like(anchors[2].gt_labels))
     context = rng.random(cfg.n_classes)
     # SMALL has two viewpoints per place: four places of two maps each. A
     # heading of pi is viewpoint 1, so anchor 4's positive is the void map
@@ -490,7 +489,7 @@ def test_training_set_is_place_major():
     for a, q in enumerate(order):
         obs = queries[q].obs
         assert np.array_equal(table.raw[a], obs.raw[obs.mask])
-        assert np.array_equal(table.gt[a], obs.gt_labels.labels[obs.mask])
+        assert np.array_equal(table.gt[a], obs.gt_labels[obs.mask])
     blocks = [x for pr in renders for x in pr.cells]
     for x, cells in zip(blocks, table.cells, strict=True):
         assert cells is x

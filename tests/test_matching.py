@@ -32,7 +32,7 @@ def test_cosine_of_orthogonal_descriptors():
 
 
 def test_flagged_descriptor_scores_zero():
-    zero = GlobalDescriptor(np.zeros(4), flagged=True)
+    zero = GlobalDescriptor(np.zeros(4))
     assert geometric_similarity(zero, unit([1, 0, 0, 0])) == 0.0
     assert geometric_similarity(unit([1, 0, 0, 0]), zero) == 0.0
 
@@ -430,7 +430,7 @@ def test_query_without_valid_cells_ranks_places_by_id():
     rows, width = CFG.range_rows, frustum_window(CFG.range_cols)[1]
     obs = QueryObservation(rng.normal(size=(rows, width, QUERY_CHANNELS)),
                            np.zeros((rows, width), dtype=bool),
-                           SemanticImage(np.ones((rows, width), np.uint16)))
+                           np.ones((rows, width), np.uint16))
     n = 3 * CFG.n_viewpoints
     desc = rng.normal(size=(n, CFG.descriptor_dim))
     idx = MapIndex([(pid, np.zeros(3)) for pid in (5, 2, 9)],
@@ -444,8 +444,8 @@ def test_query_without_valid_cells_ranks_places_by_id():
                                        params.vlad, idx.mean_histogram())
         res = match_query(q_desc, q_sem, idx, CFG)
     assert feat.shape == (0, CFG.feature_dim)
-    assert pred.labels.shape == (rows, width) and not pred.labels.any()
-    assert np.array_equal(q_sem.labels, pred.labels)
+    assert pred.shape == (rows, width) and not pred.any()
+    assert np.array_equal(q_sem.labels, pred)
     assert q_desc.flagged and q_desc.values.shape == (CFG.descriptor_dim,)
     assert not q_desc.values.any()
     assert (res.phi, res.psi, res.score) == (0.0, 0.0, 0.0)

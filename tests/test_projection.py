@@ -6,8 +6,8 @@ import pytest
 from xpr import kernels
 from xpr.config import Config, make_rng
 from xpr.core import LabeledPointCloud, identity_pose, yaw_rotation
-from xpr.projection import (RangeImage, SemanticImage, estimate_normals,
-                            project_spherical, semantic_histogram, unproject)
+from xpr.projection import (RangeImage, estimate_normals, project_spherical,
+                            semantic_histogram, unproject)
 from xpr.selfcheck import shift_safe_scene
 
 CFG = Config(vfov_up=15.0, vfov_down=-15.0)
@@ -15,8 +15,8 @@ CFG = Config(vfov_up=15.0, vfov_down=-15.0)
 
 def project_one(cloud, pose, cfg):
     """The 2-D images of a one-pose stack: image 0 of each."""
-    img, sem = project_spherical(cloud, [pose], cfg)
-    return RangeImage(img.depth[0], img.normals[0]), SemanticImage(sem.labels[0])
+    img, lab = project_spherical(cloud, [pose], cfg)
+    return RangeImage(img.depth[0], img.normals[0]), lab[0]
 
 
 def project(points, labels, cfg=CFG, pose=None):
@@ -26,23 +26,23 @@ def project(points, labels, cfg=CFG, pose=None):
 
 
 def test_single_point_lands_at_center():
-    img, sem = project([[10.0, 0.0, 0.0]], [3])
+    img, lab = project([[10.0, 0.0, 0.0]], [3])
     r, c = CFG.range_rows // 2, CFG.range_cols // 2
     assert img.depth[r, c] == pytest.approx(10.0, abs=1e-12)
-    assert sem.labels[r, c] == 3
+    assert lab[r, c] == 3
     assert np.count_nonzero(img.depth) == 1
 
 
 def test_nearest_point_wins_cell():
-    img, sem = project([[9.0, 0.0, 0.0], [5.0, 0.0, 0.0]], [1, 2])
+    img, lab = project([[9.0, 0.0, 0.0], [5.0, 0.0, 0.0]], [1, 2])
     r, c = CFG.range_rows // 2, CFG.range_cols // 2
     assert img.depth[r, c] == pytest.approx(5.0)
-    assert sem.labels[r, c] == 2
+    assert lab[r, c] == 2
 
 
 def test_empty_cloud_gives_empty_images():
-    img, sem = project(np.empty((0, 3)), [])
-    assert not img.depth.any() and not sem.labels.any()
+    img, lab = project(np.empty((0, 3)), [])
+    assert not img.depth.any() and not lab.any()
 
 
 @pytest.mark.parametrize("points", [[[0.0, 0.0, 0.0]] * 3,
@@ -50,11 +50,11 @@ def test_empty_cloud_gives_empty_images():
                          ids=["at-sensor", "above-fov"])
 def test_cloud_with_no_point_in_view_projects_to_zero_grids(points):
     with np.errstate(all="raise"):
-        img, sem = project(points, [4] * len(points))
-    assert img.depth.dtype == np.float64 and sem.labels.dtype == np.uint16
-    assert img.depth.shape == sem.labels.shape == (CFG.range_rows,
+        img, lab = project(points, [4] * len(points))
+    assert img.depth.dtype == np.float64 and lab.dtype == np.uint16
+    assert img.depth.shape == lab.shape == (CFG.range_rows,
                                                    CFG.range_cols)
-    assert not img.depth.any() and not sem.labels.any()
+    assert not img.depth.any() and not lab.any()
 
 
 def test_equal_range_tie_goes_to_lower_index():
@@ -64,13 +64,13 @@ def test_equal_range_tie_goes_to_lower_index():
     pts = [[10.0, 0.0, 0.0]] * 3 + [[12.0, 0.0, 0.0]]
     for labels, want in (([1, 2, 3, 4], 1), ([3, 1, 2, 4], 3),
                          ([5, 6, 7, 4], 5)):
-        img, sem = project(pts, labels)
-        assert img.depth[r, c] == 10.0 and sem.labels[r, c] == want
-    img, sem = project([[12.0, 0.0, 0.0]] + [[10.0, 0.0, 0.0]] * 2
+        img, lab = project(pts, labels)
+        assert img.depth[r, c] == 10.0 and lab[r, c] == want
+    img, lab = project([[12.0, 0.0, 0.0]] + [[10.0, 0.0, 0.0]] * 2
                        + [[9.0, 0.0, 0.0]], [4, 2, 3, 6])
-    assert img.depth[r, c] == 9.0 and sem.labels[r, c] == 6
-    img, sem = project([[12.0, 0.0, 0.0]] + [[10.0, 0.0, 0.0]] * 2, [4, 2, 3])
-    assert img.depth[r, c] == 10.0 and sem.labels[r, c] == 2
+    assert img.depth[r, c] == 9.0 and lab[r, c] == 6
+    img, lab = project([[12.0, 0.0, 0.0]] + [[10.0, 0.0, 0.0]] * 2, [4, 2, 3])
+    assert img.depth[r, c] == 10.0 and lab[r, c] == 2
 
 
 def test_out_of_fov_dropped():
@@ -85,7 +85,7 @@ def test_depth_matches_bruteforce_min():
     pts[:, 2] = rng.uniform(-3, 3, n)
     labels = rng.integers(1, 8, n).astype(np.uint16)
     cloud = LabeledPointCloud(pts, labels)
-    img, sem = project_one(cloud, identity_pose(), CFG)
+    img, grid = project_one(cloud, identity_pose(), CFG)
 
     # straightforward O(P) reference pass
     h, w = CFG.range_rows, CFG.range_cols
@@ -105,7 +105,7 @@ def test_depth_matches_bruteforce_min():
     assert len(best) == np.count_nonzero(img.depth)
     for (row, col), (r, lab) in best.items():
         assert img.depth[row, col] == pytest.approx(r, abs=1e-6)
-        assert sem.labels[row, col] == lab
+        assert grid[row, col] == lab
 
 
 def test_permutation_invariant():
@@ -113,10 +113,10 @@ def test_permutation_invariant():
     pts = rng.uniform(-20, 20, (500, 3))
     labels = rng.integers(1, 8, 500).astype(np.uint16)
     perm = rng.permutation(500)
-    img0, sem0 = project(pts, labels)
-    img1, sem1 = project(pts[perm], labels[perm])
+    img0, lab0 = project(pts, labels)
+    img1, lab1 = project(pts[perm], labels[perm])
     assert np.array_equal(img0.depth, img1.depth)
-    assert np.array_equal(sem0.labels, sem1.labels)
+    assert np.array_equal(lab0, lab1)
 
 
 def test_yaw_shift_property():
@@ -125,14 +125,14 @@ def test_yaw_shift_property():
     cloud = shift_safe_scene(rng, cfg)
     shift = 17
     theta = shift * 2 * math.pi / cfg.range_cols
-    img0, sem0 = project_one(cloud, identity_pose(), cfg)
+    img0, lab0 = project_one(cloud, identity_pose(), cfg)
     rot = yaw_rotation(theta)
     rotated = LabeledPointCloud(cloud.points @ rot.T, cloud.labels)
-    img1, sem1 = project_one(rotated, identity_pose(), cfg)
+    img1, lab1 = project_one(rotated, identity_pose(), cfg)
     # rotation perturbs recomputed ranges in the last ulp; occupancy is exact
     assert np.allclose(np.roll(img0.depth, shift, axis=1), img1.depth,
                        atol=1e-12)
-    assert np.array_equal(np.roll(sem0.labels, shift, axis=1), sem1.labels)
+    assert np.array_equal(np.roll(lab0, shift, axis=1), lab1)
 
 
 def test_normals_on_facing_plane():

@@ -8,9 +8,9 @@ from xpr.cli import EXIT_OK, main
 from xpr.config import Config, make_rng
 from xpr.core import yaw_rotation
 from xpr.projection import frustum_window
-from xpr.synth import (ALIAS_SWAP, PALETTE, SENSOR_HEIGHT, anchor_pose,
-                       canonical_cloud, generate_world, make_query,
-                       place_primitives, query_pose, sample_cloud)
+from xpr.synth import (ALIAS_SWAP, GROUND_SIDE, PALETTE, SENSOR_HEIGHT,
+                       anchor_pose, canonical_cloud, generate_world,
+                       make_query, place_primitives, query_pose, sample_cloud)
 
 CFG = Config()
 #: sha256 of the "<path> <sha256>" lines of every file but the manifest of an
@@ -83,6 +83,15 @@ def test_sample_counts_follow_area_density():
         assert int((cloud.labels == cls).sum()) == n_cls
 
 
+def test_no_primitive_is_larger_than_the_ground():
+    """The ground's area bounds every primitive's, which `xpr synth` relies
+    on to reject a density that gives a place infinitely many points."""
+    world = generate_world(50, 3, CFG, aliased_pairs=True)
+    for p in world.places:
+        areas = [prim.area() for prim in place_primitives(p)]
+        assert areas[0] == max(areas) == GROUND_SIDE ** 2
+
+
 def test_sample_zero_density_empty():
     world = generate_world(1, 3, CFG)
     assert sample_cloud(world, 0, 0.0, make_rng(1, 1)).count == 0
@@ -140,7 +149,7 @@ def test_make_query_shape_and_mask():
     assert not obs.raw[~obs.mask].any()
     assert np.array_equal(gt, world.places[0].position)
     # noiseless appearance equals the class palette exactly
-    lab = obs.gt_labels.labels
+    lab = obs.gt_labels
     assert np.allclose(obs.raw[obs.mask][:, 4:7], PALETTE[lab[obs.mask]])
 
 

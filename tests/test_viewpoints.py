@@ -8,8 +8,7 @@ from xpr.core import LabeledPointCloud, Pose, identity_pose, yaw_rotation
 from xpr.encoder import encode_lidar_local
 from xpr.io_datasets import Dataset
 from xpr import pipeline
-from xpr.projection import (RangeImage, SemanticImage, estimate_normals,
-                            project_spherical)
+from xpr.projection import RangeImage, estimate_normals, project_spherical
 from xpr.viewpoints import (STACK_POINTS, crop_to_radius, make_viewpoints,
                             render_viewpoints)
 
@@ -81,13 +80,13 @@ def test_render_viewpoints_are_column_shifts():
     from xpr.selfcheck import shift_safe_scene
     cloud = shift_safe_scene(make_rng(9, 1), cfg, n_points=400)
     poses = make_viewpoints(identity_pose(), cfg)
-    img, sem = render_viewpoints(cloud, poses, cfg)
+    img, lab = render_viewpoints(cloud, poses, cfg)
     cols_per_step = cfg.range_cols // cfg.n_viewpoints
     for k in (1, 3):
         assert np.allclose(np.roll(img.depth[0], -k * cols_per_step, axis=1),
                            img.depth[k], atol=1e-9)
-        assert np.array_equal(np.roll(sem.labels[0], -k * cols_per_step, axis=1),
-                              sem.labels[k])
+        assert np.array_equal(np.roll(lab[0], -k * cols_per_step, axis=1),
+                              lab[k])
 
 
 def test_render_respects_max_range():
@@ -95,10 +94,10 @@ def test_render_respects_max_range():
     far = cfg.max_range_m + 5.0
     cloud = LabeledPointCloud(np.array([[far, 0.0, 0.0], [10.0, 0.0, 0.0]]),
                               np.array([2, 3], dtype=np.uint16))
-    img, sem = render_viewpoints(cloud, [identity_pose()], cfg)
+    img, lab = render_viewpoints(cloud, [identity_pose()], cfg)
     assert img.depth.shape == (1, cfg.range_rows, cfg.range_cols)
     assert np.count_nonzero(img.depth) == 1
-    assert sem.labels[img.depth > 0][0] == 3
+    assert lab[img.depth > 0][0] == 3
 
 
 def test_render_fills_normals():
@@ -157,9 +156,9 @@ def _check_stacking(case, cloud, anchor, cfg):
     assert expect, (case, kept)
 
 
-def _image(img, sem, v):
+def _image(img, lab, v):
     """Image v of a stack, as 2-D images."""
-    return RangeImage(img.depth[v], img.normals[v]), SemanticImage(sem.labels[v])
+    return RangeImage(img.depth[v], img.normals[v]), lab[v]
 
 
 @pytest.mark.parametrize("case", STACK_CASES)
@@ -172,22 +171,22 @@ def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
     cloud = _case_cloud(case, anchor, cfg)
     _check_stacking(case, cloud, anchor, cfg)
     poses = make_viewpoints(anchor, cfg)
-    img, sem = render_viewpoints(cloud, poses, cfg)
+    img, lab = render_viewpoints(cloud, poses, cfg)
     assert img.depth.shape == (len(poses), cfg.range_rows, cfg.range_cols)
     assert img.normals.shape == img.depth.shape + (3,)
-    assert sem.labels.shape == img.depth.shape
+    assert lab.shape == img.depth.shape
     for v, pose in enumerate(poses):
         cropped = crop_to_radius(cloud, pose.translation, cfg.max_range_m)
-        ref_img, ref_sem = project_spherical(cropped, [pose], cfg)
+        ref_img, ref_lab = project_spherical(cropped, [pose], cfg)
         ref_img = estimate_normals(ref_img, cfg)
         alone = render_viewpoints(cloud, [pose], cfg)
-        for got_img, got_sem in (_image(img, sem, v), _image(*alone, 0)):
+        for got_img, got_lab in (_image(img, lab, v), _image(*alone, 0)):
             assert np.array_equal(got_img.depth, ref_img.depth[0])
             assert np.array_equal(got_img.normals, ref_img.normals[0])
-            assert np.array_equal(got_sem.labels, ref_sem.labels[0])
+            assert np.array_equal(got_lab, ref_lab[0])
     if case == "tied-ranges":
         assert (np.count_nonzero(img.depth == 10.0, axis=(1, 2)) == 1).all()
-        assert (sem.labels[img.depth == 10.0] == 6).all()
+        assert (lab[img.depth == 10.0] == 6).all()
     filled = case not in ("empty", "cropped-to-nothing")
     assert (np.count_nonzero(img.depth[0]) > 0) == filled
 
@@ -241,11 +240,11 @@ def test_render_places_cut_one_encode_per_viewpoint(case, monkeypatch):
         assert pr.labels.shape == (cfg.n_viewpoints, cfg.range_rows,
                                    cfg.range_cols)
         for v, pose in enumerate(make_viewpoints(place_anchor, cfg)):
-            img, sem = render_viewpoints(place_cloud, [pose], cfg)
-            want = encode_lidar_local(*_image(img, sem, 0), cfg)
+            img, lab = render_viewpoints(place_cloud, [pose], cfg)
+            want = encode_lidar_local(*_image(img, lab, 0), cfg)
             assert pr.cells[v].shape == want.shape
             assert np.array_equal(pr.cells[v], want)
-            assert np.array_equal(pr.labels[v], sem.labels[0])
+            assert np.array_equal(pr.labels[v], lab[0])
     assert min(len(x) for x in renders[1].cells) > 0
     empty = [x.shape == (0, cfg.feature_dim) for x in renders[0].cells]
     if case == "tilted":
