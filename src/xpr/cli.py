@@ -173,7 +173,9 @@ def cmd_build_map(args) -> int:
 
 
 def cmd_match(args) -> int:
+    t_load = time.perf_counter()
     index, params, cfg, queries = _match_inputs(args)
+    load_ms = (time.perf_counter() - t_load) * 1e3
     with output_lock(args.out):
         t0 = time.perf_counter()
         results = match_dataset_queries(queries, index, params, cfg)
@@ -190,7 +192,8 @@ def cmd_match(args) -> int:
                        {"index": args.index, "queries": args.queries,
                         "ckpt": args.ckpt},
                        [args.out],
-                       {"total": (time.perf_counter() - t0) * 1e3})
+                       {"total": (time.perf_counter() - t0) * 1e3,
+                        "load": load_ms})
     return EXIT_OK
 
 

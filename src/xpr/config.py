@@ -61,6 +61,9 @@ def validate_config(cfg: Config) -> Config:
         raise ConfigError("n_viewpoints must be positive")
     if cfg.range_rows < 1 or cfg.range_cols < 1:
         raise ConfigError("range_rows/range_cols must be positive")
+    if cfg.range_rows > 65535 or cfg.range_cols > 65535:
+        raise ConfigError("range_rows/range_cols must be <= 65535 (map.idx "
+                          "and .qry store them as uint16)")
     if not cfg.vfov_up > cfg.vfov_down:
         raise ConfigError("vfov_up must exceed vfov_down")
     if cfg.alpha < 0 or cfg.beta < 0:

@@ -10,7 +10,9 @@ import json
 import logging
 import math
 import os
+import secrets
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,9 @@ from .projection import frustum_window
 log = logging.getLogger(__name__)
 
 INDEX_MAGIC = b"XPRIDX01"
-INDEX_VERSION = 2  # v2 stores blocks; v1 stored per-entry records
+# v3 stores the frontal windows and the context; v2 stored 360-degree label
+# images, and v1 per-entry records
+INDEX_VERSION = 3
 # a place table record: place id, then its (x, y, z) world position
 PLACE_RECORD = np.dtype([("id", "<u4"), ("pos", "<f8", (3,))])
 CKPT_MAGIC = b"XPRCKPT1"
@@ -129,6 +133,23 @@ class _Reader:
             raise self.fail(f"trailing bytes from byte {self.at}")
 
 
+@contextmanager
+def _replacing(path):
+    """A new binary file in path's directory that replaces path once the
+    block has written it whole. If the block or the replace fails, the new
+    file is removed and path is left as it was, or absent."""
+    tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _write_header(fh, magic: bytes, version: int, cfg: Config) -> None:
     """The magic, <u2 version and config that `_Reader` reads back."""
     cfg_bytes = config_to_json(cfg).encode()
@@ -214,23 +235,28 @@ def load_poses(path) -> list:
 # -------------------------------------------------------------- map index
 
 def save_index(path, index: MapIndex) -> None:
-    """Write map.idx v2: the header, the place table of (id, x, y, z)
-    records, the descriptor block as <f4 and the label block as uint8."""
+    """Write map.idx v3: the header, the counts, the semantic context as
+    <f8, the place table of (id, x, y, z) records, the descriptor block as
+    <f4 and the frontal windows as uint8."""
     table = np.empty(len(index.places), dtype=PLACE_RECORD)
     table["id"] = [pid for pid, _ in index.places]
     table["pos"] = np.reshape([pos for _, pos in index.places], (-1, 3))
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         _write_header(fh, INDEX_MAGIC, INDEX_VERSION, index.config)
-        fh.write(struct.pack("<IIHH", len(index.places), len(index.labels),
-                             *index.labels.shape[1:]))
+        fh.write(struct.pack("<IIHH", len(index.places), len(index.windows),
+                             *index.windows.shape[1:]))
+        fh.write(index.mean_histogram().astype("<f8").tobytes())
         fh.write(table.tobytes())
         fh.write(index.descriptors.astype("<f4").tobytes())
-        fh.write(index.labels.tobytes())
+        fh.write(index.windows.tobytes())
 
 
 def load_index(path) -> MapIndex:
-    """Read map.idx v2. Every place id is distinct, every place position and
-    descriptor value finite, and every label below n_classes."""
+    """Read map.idx v3. The windows are range_rows by the frustum width of
+    range_cols; the context is finite, non-negative, 0 for the void class
+    and sums to 1 within 1e-6, as `semantic_attention` requires; every
+    place id is distinct, every place position and descriptor value finite,
+    and every label below n_classes."""
     r = _Reader(path)
     r.header(INDEX_MAGIC, INDEX_VERSION, "index")
     cfg = r.config()
@@ -239,15 +265,30 @@ def load_index(path) -> MapIndex:
     if n_entries != n_places * cfg.n_viewpoints:
         raise r.fail(f"{n_entries} entries at byte {r.last} are not "
                      f"{n_places} places of {cfg.n_viewpoints} viewpoints")
-    shape = r.unpack("<HH")
-    want = (cfg.range_rows, cfg.range_cols)
-    if shape != want:
-        raise r.fail(f"label image shape {shape} at byte {r.last} is not the "
-                     f"config's (range_rows, range_cols) {want}")
+    (rows,) = r.unpack("<H")
+    if rows != cfg.range_rows:
+        raise r.fail(f"window rows {rows} at byte {r.last} are not the "
+                     f"config's range_rows {cfg.range_rows}")
+    (width,) = r.unpack("<H")
+    frustum = frustum_window(cfg.range_cols)[1]
+    if width != frustum:
+        raise r.fail(f"window width {width} at byte {r.last} is not the "
+                     f"frustum width {frustum} of range_cols {cfg.range_cols}")
+    context = r.block("<f8", cfg.n_classes)
+    context_at = r.last
     table = r.block(PLACE_RECORD, n_places)
     desc = r.block("<f4", n_entries * cfg.descriptor_dim)
-    labels = r.block(np.uint8, n_entries * cfg.range_rows * cfg.range_cols)
+    windows = r.block(np.uint8, n_entries * rows * width)
     r.end()
+    r.check(context, ~np.isfinite(context),
+            "non-finite context value {value} at byte {at}")
+    r.check(context, context < 0.0,
+            "negative context value {value} at byte {at}")
+    r.check(context[:1], context[:1] != 0.0,
+            "context value {value} of void class 0 at byte {at} is not 0")
+    if abs(context.sum() - 1.0) > 1e-6:
+        raise r.fail(f"context at byte {context_at} sums to "
+                     f"{float(context.sum())!r}, not 1 within 1e-6")
     ids, pos = table["id"], table["pos"]
     repeat = np.ones(len(ids), dtype=bool)
     repeat[np.unique(ids, return_index=True)[1]] = False
@@ -256,19 +297,19 @@ def load_index(path) -> MapIndex:
     r.check(pos, ~np.isfinite(pos), "non-finite place position at byte {at}")
     r.check(desc, ~np.isfinite(desc),
             "non-finite descriptor value {value} at byte {at}")
-    r.check(labels, labels >= cfg.n_classes,
+    r.check(windows, windows >= cfg.n_classes,
             "label {value} at byte {at} is not below n_classes {n}",
             n=cfg.n_classes)
     places = list(zip(ids.tolist(), pos.astype(np.float64)))
     return MapIndex(places, desc.reshape(n_entries, cfg.descriptor_dim),
-                    labels.reshape(n_entries, *want), cfg)
+                    windows.reshape(n_entries, rows, width), context, cfg)
 
 
 # ------------------------------------------------------------- checkpoints
 
 def save_checkpoint(path, params: ModelParams, cfg: Config) -> None:
     tensors = params.tensors()
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         _write_header(fh, CKPT_MAGIC, CKPT_VERSION, cfg)
         fh.write(struct.pack("<I", len(tensors)))
         for name in sorted(tensors):

@@ -8,12 +8,16 @@ import numpy as np
 
 from .aggregation import GlobalDescriptor
 from .config import Config
-from .projection import SemanticImage, frustum_window, semantic_context
+from .projection import SemanticImage, frustum_window
 
 
 @dataclass(frozen=True)
 class IndexEntry:
-    """One (place, viewpoint) row of a MapIndex, viewing its blocks."""
+    """One (place, viewpoint) row of a MapIndex, viewing its blocks. Its
+    sem_image is the row's frontal window at the frustum columns of an
+    otherwise void (range_rows, range_cols) image, so cropping
+    `frustum_window(sem_image.cols)` gives exactly the labels the scorer
+    reads."""
     place_id: int
     viewpoint: int
     descriptor: GlobalDescriptor
@@ -21,29 +25,37 @@ class IndexEntry:
 
 
 class MapIndex:
-    """Every viewpoint of every place as two read-only blocks, place-major in
+    """Every viewpoint of every place as read-only blocks, place-major in
     `places` order with viewpoints 0..n_viewpoints-1 within a place:
 
     - descriptors (E, D) float64 holding float32-exact values, the precision
       map.idx stores; a flagged descriptor is an all-zero row, as `netvlad`
       gives it;
-    - labels (E, range_rows, range_cols) uint8 360-degree label images.
+    - windows (E, range_rows, width) uint8, the `frustum_window(range_cols)`
+      columns of each viewpoint's 360-degree label image: the only labels
+      the scorer reads;
+    - the semantic context, the (n_classes,) mean class histogram of the
+      360-degree images, which the windows alone do not give.
 
-    The constructor derives what scoring reads once: each image's frontal
-    window as class bit planes with their per-class cell counts, and the
-    mean class histogram.
+    The constructor derives what scoring reads once: each window as class
+    bit planes with their per-class cell counts.
     """
 
-    def __init__(self, places: list, descriptors, labels, config: Config):
+    def __init__(self, places: list, descriptors, windows, context,
+                 config: Config):
         n = len(places) * config.n_viewpoints
         descriptors = np.asarray(descriptors, dtype=np.float32).astype(np.float64)
-        labels = np.asarray(labels)
-        want = (n, config.descriptor_dim), (n, config.range_rows, config.range_cols)
-        if (descriptors.shape, labels.shape) != want:
-            raise ValueError(f"blocks of shapes {descriptors.shape} and "
-                             f"{labels.shape}, expected {want[0]} and "
-                             f"{want[1]} for {len(places)} places")
-        if labels.size and not 0 <= labels.min() <= labels.max() < config.n_classes:
+        windows = np.asarray(windows)
+        context = np.array(context, dtype=np.float64)
+        rows, width = config.range_rows, frustum_window(config.range_cols)[1]
+        want = ((n, config.descriptor_dim), (n, rows, width),
+                (config.n_classes,))
+        got = descriptors.shape, windows.shape, context.shape
+        if got != want:
+            raise ValueError(f"blocks of shapes {got[0]}, {got[1]} and "
+                             f"{got[2]}, expected {want[0]}, {want[1]} and "
+                             f"{want[2]} for {len(places)} places")
+        if windows.size and not 0 <= windows.min() <= windows.max() < config.n_classes:
             raise ValueError(f"a label is not in [0, n_classes "
                              f"{config.n_classes})")
         if len({pid for pid, _ in places}) != len(places):
@@ -51,31 +63,39 @@ class MapIndex:
         self.places = places          # (place_id, (x, y, z) world position)
         self.config = config
         self.descriptors = descriptors
-        self.labels = labels.astype(np.uint8)
-        rows, (c0, width) = config.range_rows, frustum_window(config.range_cols)
+        self.windows = windows.astype(np.uint8)
         self._place_ids = np.array([pid for pid, _ in places], dtype=np.int64)
-        self._query_shape = (rows, width)
-        self._planes = _class_planes(
-            self.labels[:, :, c0:c0 + width].reshape(n, rows * width),
-            np.arange(1, config.n_classes))
+        self._planes = _class_planes(self.windows.reshape(n, rows * width),
+                                     np.arange(1, config.n_classes))
         self._counts = _popcounts(self._planes)
         self._n_held = (self._counts > 0).sum(axis=0)
-        self._context = semantic_context(self.labels, config)
-        for block in (self.descriptors, self.labels, self._planes,
+        self._context = context
+        for block in (self.descriptors, self.windows, self._planes,
                       self._counts, self._n_held, self._context):
             block.flags.writeable = False
 
     @cached_property
     def entries(self) -> tuple:
-        """The IndexEntry of every row, in block order."""
-        n_v = self.config.n_viewpoints
+        """The IndexEntry of every row, in block order. The index holds no
+        360-degree labels, so each row's window is padded with void to a
+        (range_rows, range_cols) image at its frustum columns: a reference
+        ranking that crops those columns checks exactly the labels the
+        scorer reads."""
+        cfg = self.config
+        c0, width = frustum_window(cfg.range_cols)
+        images = np.zeros((len(self.windows), cfg.range_rows, cfg.range_cols),
+                          np.uint8)
+        images[:, :, c0:c0 + width] = self.windows
+        images.flags.writeable = False
+        n_v = cfg.n_viewpoints
         return tuple(
             IndexEntry(int(self._place_ids[i // n_v]), i % n_v,
-                       GlobalDescriptor(d), SemanticImage(lab))
-            for i, (d, lab) in enumerate(zip(self.descriptors, self.labels)))
+                       GlobalDescriptor(d), SemanticImage(image))
+            for i, (d, image) in enumerate(zip(self.descriptors, images)))
 
     def mean_histogram(self) -> np.ndarray:
-        """Database-average class histogram, used as the query-time context."""
+        """Database-average class histogram of the 360-degree images, used
+        as the query-time context."""
         return self._context
 
 
@@ -191,9 +211,9 @@ def match_query(q_desc: GlobalDescriptor, q_sem: SemanticImage,
     if not len(index.descriptors):
         raise ValueError("empty map index")
     q = q_sem.labels
-    if q.shape[1] != index._query_shape[1]:
+    if q.shape[1] != index.windows.shape[2]:
         raise ValueError("query width does not match the frustum window")
-    if q.shape != index._query_shape:
+    if q.shape != index.windows.shape[1:]:
         raise ValueError("row counts differ")
     phi = np.vecdot(index.descriptors, q_desc.values)
     psi = _overlaps(q, index._planes, index._counts, index._n_held)

@@ -12,7 +12,7 @@ from .io_datasets import Dataset
 from .losses import TrainTable, train_table
 from .matching import MapIndex, MatchResult, match_query
 from .model import ModelParams
-from .projection import semantic_context
+from .projection import frustum_window, semantic_context
 from .viewpoints import make_viewpoints, render_viewpoints
 
 
@@ -42,15 +42,18 @@ def render_places(dataset: Dataset, cfg: Config) -> list:
 
 def build_index(dataset: Dataset, params: ModelParams, cfg: Config,
                 renders: list | None = None) -> MapIndex:
-    """Describe every (place, viewpoint) pair into a searchable index."""
+    """Describe every (place, viewpoint) pair into a searchable index of its
+    descriptor and frontal window, with the semantic context of the 360-degree
+    renders."""
     renders = renders if renders is not None else render_places(dataset, cfg)
     descriptors = [netvlad(x, params.vlad).values for pr in renders
                    for x in pr.cells]
-    labels = [pr.labels for pr in renders]
+    c0, width = frustum_window(cfg.range_cols)
+    windows = [pr.labels[:, :, c0:c0 + width] for pr in renders]
     return MapIndex([(pr.place_id, pr.position) for pr in renders],
                     np.reshape(descriptors, (-1, cfg.descriptor_dim)),
-                    np.reshape(labels, (-1, cfg.range_rows, cfg.range_cols)),
-                    cfg)
+                    np.reshape(windows, (-1, cfg.range_rows, width)),
+                    _context(renders, cfg), cfg)
 
 
 def match_dataset_queries(dataset_queries: list, index: MapIndex,
@@ -75,7 +78,10 @@ def training_set(dataset: Dataset, cfg: Config,
     queries: dict = {pr.place_id: [] for pr in renders}
     for q in dataset.queries:
         queries[q.place_id].append((q.obs, q.heading))
-    context = semantic_context([lab for pr in renders for lab in pr.labels],
-                               cfg)
     return train_table([(queries[pr.place_id], pr.cells) for pr in renders],
-                       context, cfg)
+                       _context(renders, cfg), cfg)
+
+
+def _context(renders: list, cfg: Config) -> np.ndarray:
+    """The semantic context of every viewpoint's 360-degree label image."""
+    return semantic_context([lab for pr in renders for lab in pr.labels], cfg)

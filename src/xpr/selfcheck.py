@@ -16,7 +16,8 @@ from .losses import (TrainTable, class_means_tape, contrastive_tape,
 from .matching import MapIndex, match_query
 from .model import ModelParams, TRAINABLE, init_model_params
 from .projection import (RangeImage, SemanticImage, estimate_normals,
-                         frustum_window, project_spherical, unproject)
+                         frustum_window, project_spherical, semantic_context,
+                         unproject)
 
 
 FD_STEP = 1e-4            # central-difference step of the gradient checks
@@ -328,20 +329,19 @@ def iou_reference(q: np.ndarray, c: np.ndarray, n_classes: int) -> float:
 
 
 def check_iou_oracle(seed: int) -> CheckResult:
-    """The psi match_query scores, each candidate filling the frontal
-    window of an otherwise void 360-degree image in a one-place index."""
+    """The psi match_query scores, each candidate the one frontal window of
+    a one-place index."""
     cfg = Config(n_classes=6, n_viewpoints=1, range_rows=6, range_cols=32,
                  seed=seed)
-    c0, width = frustum_window(cfg.range_cols)
+    width = frustum_window(cfg.range_cols)[1]
     zero = np.zeros(cfg.descriptor_dim)
     worst = 0.0
     for i in range(IOU_INSTANCES):
         rng = make_rng(seed, 22, i)
         q = rng.integers(0, 6, size=(cfg.range_rows, width)).astype(np.uint16)
         c = rng.integers(0, 6, size=(cfg.range_rows, width)).astype(np.uint16)
-        labels = np.zeros((1, cfg.range_rows, cfg.range_cols), dtype=np.uint8)
-        labels[0, :, c0:c0 + width] = c
-        index = MapIndex([(0, np.zeros(3))], [zero], labels, cfg)
+        index = MapIndex([(0, np.zeros(3))], [zero], [c],
+                         semantic_context([c], cfg), cfg)
         got = match_query(GlobalDescriptor(zero), SemanticImage(q), index,
                           cfg).psi
         worst = max(worst, abs(got - iou_reference(q, c, cfg.n_classes)))

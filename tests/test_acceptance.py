@@ -166,12 +166,12 @@ def _reference_ranking(q_desc, q_sem, entries, cfg):
 def test_criterion_4_retrieval_oracle():
     from xpr.aggregation import GlobalDescriptor
     from xpr.matching import MapIndex
-    from xpr.projection import SemanticImage, frustum_window
+    from xpr.projection import SemanticImage, frustum_window, semantic_context
 
     t0 = time.time()
     cfg = dataclasses.replace(CFG, n_viewpoints=4, descriptor_dim=16,
                               range_rows=4)
-    _, width = frustum_window(cfg.range_cols)
+    c0, width = frustum_window(cfg.range_cols)
     mismatches = 0
     for i in range(50):
         rng = make_rng(900, i)
@@ -187,7 +187,9 @@ def test_criterion_4_retrieval_oracle():
                 descs.append(d)
                 labels.append(rng.integers(0, cfg.n_classes,
                                            (4, cfg.range_cols)))
-        index = MapIndex(places, descs, labels, cfg)
+        index = MapIndex(places, descs,
+                         np.asarray(labels)[:, :, c0:c0 + width],
+                         semantic_context(labels, cfg), cfg)
         entries = index.entries
         qd = rng.normal(size=cfg.descriptor_dim)
         q_desc = GlobalDescriptor(qd / np.linalg.norm(qd))
@@ -353,7 +355,9 @@ def test_criterion_9_round_trips(tmp_path):
 
         # index
         from xpr.matching import MapIndex
-        # label images must have the config's (range_rows, range_cols)
+        from xpr.projection import frustum_window, semantic_context
+        # label images must have the config's (range_rows, range_cols);
+        # the index keeps their frontal windows and their context
         cfg = dataclasses.replace(CFG, n_viewpoints=2, descriptor_dim=8,
                                   range_rows=3, range_cols=5)
         places, descs, labels = [], [], []
@@ -363,8 +367,11 @@ def test_criterion_9_round_trips(tmp_path):
                 descs.append(rng.normal(size=8))
                 labels.append(rng.integers(0, 8, (cfg.range_rows,
                                                   cfg.range_cols)))
+        c0, width = frustum_window(cfg.range_cols)
         i1, i2 = tmp_path / "a.idx", tmp_path / "b.idx"
-        save_index(i1, MapIndex(places, descs, labels, cfg))
+        save_index(i1, MapIndex(places, descs,
+                                np.asarray(labels)[:, :, c0:c0 + width],
+                                semantic_context(labels, cfg), cfg))
         save_index(i2, load_index(i1))
         failures += not filecmp.cmp(i1, i2, shallow=False)
 

@@ -139,6 +139,13 @@ def test_build_map_manifest_times_render_describe_and_save(workspace):
     assert sum(stages) <= timings["total"]
 
 
+def test_match_manifest_times_load(workspace):
+    with open(workspace["results"] + ".manifest.json", encoding="utf-8") as fh:
+        timings = json.load(fh)["timings_ms"]
+    assert set(timings) == {"total", "load"}
+    assert timings["load"] > 0.0 and timings["total"] > 0.0
+
+
 def test_match_csv_columns(workspace):
     with open(workspace["results"], newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -488,11 +495,12 @@ def _expect_data_error(args, capsys, target, loader, msg):
 def _index_layout(data):
     """Byte offsets of the counts and the place table of map.idx bytes,
     with the place and entry counts: the magic, version and config length
-    come first, then the config and the counts."""
+    come first, then the config, the counts and the n_classes <f8 context."""
     (cfg_len,) = struct.unpack_from("<I", data, 10)
     counts_at = 14 + cfg_len
+    n_classes = json.loads(bytes(data[14:counts_at]))["n_classes"]
     n_places, n_entries = struct.unpack_from("<II", data, counts_at)
-    return counts_at, counts_at + 12, n_places, n_entries
+    return counts_at, counts_at + 12 + 8 * n_classes, n_places, n_entries
 
 
 @pytest.mark.parametrize("field", ["place", "viewpoint"])
@@ -528,7 +536,7 @@ def test_bad_index_value_is_data_error(workspace, tmp_path, capsys, defect):
     with open(target, "rb") as fh:
         data = bytearray(fh.read())
     # the stored bytes of the first entry's descriptor or the last entry's
-    # labels, found by their value
+    # window, found by their value
     if defect == "nan-descriptor":
         stored = index.entries[0].descriptor.values.astype("<f4").tobytes()
         at = data.index(stored)
@@ -537,7 +545,7 @@ def test_bad_index_value_is_data_error(workspace, tmp_path, capsys, defect):
         msg = f"non-finite descriptor value nan at byte {at}"
     else:
         n_classes = index.config.n_classes
-        stored = index.entries[-1].sem_image.labels.astype(np.uint8).tobytes()
+        stored = index.windows[-1].tobytes()
         at = data.rindex(stored)
         data[at:at + len(stored)] = bytes([n_classes]) * len(stored)
         msg = f"label {n_classes} at byte {at} is not below n_classes {n_classes}"
@@ -704,15 +712,45 @@ def test_index_label_shape_mismatch_is_data_error(workspace, tmp_path, capsys):
     with open(target, "rb") as fh:
         data = bytearray(fh.read())
     counts_at, _, _, n_entries = _index_layout(data)
-    # rows and cols follow the place and entry counts; the label block is
-    # cut to match, so only the header's shape is wrong
-    rows, cols = struct.unpack_from("<HH", data, counts_at + 8)
-    struct.pack_into("<H", data, counts_at + 10, cols - 1)
+    # the window's rows and width follow the place and entry counts; the
+    # window block is cut to match, so only the header's width is wrong
+    rows, width = struct.unpack_from("<HH", data, counts_at + 8)
+    struct.pack_into("<H", data, counts_at + 10, width - 1)
     with open(target, "wb") as fh:
         fh.write(data[:len(data) - n_entries * rows])
     _expect_data_error(args, capsys, target, loader,
-                       f"label image shape {(rows, cols - 1)} at byte "
-                       f"{counts_at + 8} is not the config's")
+                       f"window width {width - 1} at byte {counts_at + 10} "
+                       f"is not the frustum width {width}")
+
+
+def test_index_v2_is_one_data_error_line(workspace, tmp_path, capsys):
+    """map.idx v2 stored 360-degree label images; no reader of it is kept."""
+    args, artifacts = artifact_copies(workspace, tmp_path)
+    target, _ = artifacts["index"]
+    with open(target, "r+b") as fh:
+        fh.seek(8)
+        fh.write(struct.pack("<H", 2))
+    capsys.readouterr()
+    assert main(args) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {target}: unsupported index version 2 at byte 8\n")
+
+
+def test_config_too_wide_for_the_formats_is_data_error(tmp_path, capsys):
+    """map.idx and .qry store range_rows and range_cols as uint16, so a
+    larger value is refused when the dataset is read, before any render,
+    and no map.idx is written."""
+    data, idx = str(tmp_path / "data"), tmp_path / "map.idx"
+    cfg = Config(range_rows=1, range_cols=70000, n_viewpoints=1)
+    save_dataset(data, cfg, [(0, np.zeros(3))],
+                 [LabeledPointCloud(np.array([[5.0, 0.0, 0.0]]), [1])],
+                 [Pose(np.eye(3), np.zeros(3))], [])
+    capsys.readouterr()
+    assert main(["build-map", "--data", data, "--out", str(idx)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+    assert "range_rows/range_cols must be <= 65535" in err
+    assert not idx.exists()
 
 
 @pytest.mark.parametrize("defect", ["missing", "shape", "name"])

@@ -44,6 +44,14 @@ def test_more_classes_than_uint8_labels_rejected():
         validate_config(dataclasses.replace(Config(), n_classes=257))
 
 
+@pytest.mark.parametrize("field", ["range_rows", "range_cols"])
+def test_range_image_larger_than_uint16_rejected(field):
+    # map.idx and .qry store the image shape as uint16
+    assert validate_config(dataclasses.replace(Config(), **{field: 65535}))
+    with pytest.raises(ConfigError, match="must be <= 65535"):
+        validate_config(dataclasses.replace(Config(), **{field: 65536}))
+
+
 def test_json_round_trip_bit_exact():
     cfg = dataclasses.replace(Config(), alpha=0.1 + 0.2, temperature=1e-3,
                               vfov_down=-24.799999999999997, seed=12345)

@@ -19,7 +19,7 @@ from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint,
                              save_query)
 from xpr.matching import MapIndex
 from xpr.model import init_model_params
-from xpr.projection import frustum_window
+from xpr.projection import frustum_window, semantic_context
 
 # small enough that one load takes well under a millisecond
 CFG = Config(n_classes=4, descriptor_dim=8, n_viewpoints=2, range_rows=2,
@@ -29,13 +29,17 @@ N_POINTS = 6
 
 
 def write_index(path, rng):
+    """A v3 index: the frontal windows and the semantic context of random
+    360-degree label images."""
     places = [(pid, rng.uniform(-10, 10, 3)) for pid in (3, 5)]
     n = len(places) * CFG.n_viewpoints
     d = rng.normal(size=(n, CFG.descriptor_dim))
     labels = rng.integers(0, CFG.n_classes, (n, CFG.range_rows, CFG.range_cols))
+    c0, width = frustum_window(CFG.range_cols)
     save_index(path, MapIndex(places, d / np.linalg.norm(d, axis=1,
                                                          keepdims=True),
-                              labels, CFG))
+                              labels[:, :, c0:c0 + width],
+                              semantic_context(labels, CFG), CFG))
 
 
 def make_obs(rng):

@@ -1,3 +1,4 @@
+import errno
 import filecmp
 import math
 import os
@@ -7,8 +8,9 @@ import struct
 import numpy as np
 import pytest
 
-from xpr.config import Config, make_rng
+from xpr.config import Config, config_to_json, make_rng
 from xpr.core import LabeledPointCloud, Pose, identity_pose, yaw_rotation
+from xpr import io_datasets
 from xpr.encoder import QUERY_CHANNELS, QueryObservation
 from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint, load_cloud_bin, load_dataset,
                              load_index, load_labels, load_poses, load_query,
@@ -16,6 +18,7 @@ from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint, load_clo
                              save_index, save_labels, save_poses, save_query)
 from xpr.matching import MapIndex
 from xpr.model import init_model_params
+from xpr.projection import frustum_window, semantic_context
 
 CFG = Config()
 
@@ -134,15 +137,18 @@ def test_poses_drifted_rotation_reorthonormalized(tmp_path, caplog):
 
 def make_index(seed, cfg, n_places=2):
     """Random float32 unit descriptors, the first place's last one flagged
-    (all zeros), and random labels of the config's shape."""
+    (all zeros), random 360-degree label images of the config's shape, and
+    their frontal windows and semantic context."""
     rng = make_rng(seed, 2)
     n = n_places * cfg.n_viewpoints
     places = [(pid, rng.uniform(-10, 10, 3)) for pid in range(n_places)]
     d = rng.normal(size=(n, cfg.descriptor_dim)).astype(np.float32)
     d /= np.linalg.norm(d, axis=1, keepdims=True)
-    d[cfg.n_viewpoints - 1] = 0.0
+    d[cfg.n_viewpoints - 1:cfg.n_viewpoints] = 0.0
     labels = rng.integers(0, cfg.n_classes, (n, cfg.range_rows, cfg.range_cols))
-    return MapIndex(places, d, labels, cfg)
+    c0, width = frustum_window(cfg.range_cols)
+    return MapIndex(places, d, labels[:, :, c0:c0 + width],
+                    semantic_context(labels, cfg), cfg)
 
 
 def test_index_round_trip(tmp_path):
@@ -167,16 +173,49 @@ def test_index_round_trip(tmp_path):
 
 def _index_bytes(tmp_path, cfg):
     """A saved index's path and bytes, with the byte offsets of its place
-    table, descriptor block and label block."""
+    table, descriptor block and window block."""
     path = tmp_path / "map.idx"
     idx = make_index(6, cfg)
     save_index(path, idx)
     data = bytearray(path.read_bytes())
     (cfg_len,) = struct.unpack_from("<I", data, 10)
-    places_at = 14 + cfg_len + 12
+    places_at = 14 + cfg_len + 12 + 8 * cfg.n_classes
     desc_at = places_at + 28 * len(idx.places)
     labels_at = desc_at + 4 * len(idx.entries) * cfg.descriptor_dim
     return path, data, places_at, desc_at, labels_at
+
+
+@pytest.mark.parametrize("n_places", [0, 1, 3])
+def test_index_size_is_the_v3_layout(tmp_path, n_places):
+    """header + 8 n_classes + 28 P + E (4 D + rows width) bytes: the
+    context, the place table, the descriptors and the frontal windows."""
+    cfg = Config(n_viewpoints=2, descriptor_dim=16)
+    path = tmp_path / "map.idx"
+    save_index(path, make_index(9, cfg, n_places=n_places))
+    header = 8 + 2 + 4 + len(config_to_json(cfg).encode()) + 12
+    rows, width = cfg.range_rows, frustum_window(cfg.range_cols)[1]
+    n_entries = n_places * cfg.n_viewpoints
+    assert os.path.getsize(path) == (header + 8 * cfg.n_classes + 28 * n_places
+                                     + n_entries * (4 * cfg.descriptor_dim
+                                                    + rows * width))
+
+
+def test_index_v2_rejected(tmp_path):
+    """A file as the v2 writer wrote it: the counts with the 360-degree
+    label shape, then the place table, the descriptors and the labels."""
+    cfg = Config(n_viewpoints=1, descriptor_dim=8)
+    path = tmp_path / "map.idx"
+    with open(path, "wb") as fh:
+        fh.write(b"XPRIDX01")
+        cfg_bytes = config_to_json(cfg).encode()
+        fh.write(struct.pack("<HI", 2, len(cfg_bytes)) + cfg_bytes)
+        fh.write(struct.pack("<IIHH", 1, 1, cfg.range_rows, cfg.range_cols))
+        fh.write(struct.pack("<I3d", 0, 0.0, 0.0, 0.0))
+        fh.write(np.zeros(cfg.descriptor_dim, "<f4").tobytes())
+        fh.write(bytes(cfg.range_rows * cfg.range_cols))
+    with pytest.raises(FormatError,
+                       match="unsupported index version 2 at byte 8$"):
+        load_index(path)
 
 
 def test_index_v1_rejected(tmp_path):
@@ -191,11 +230,43 @@ def test_index_v1_rejected(tmp_path):
 
 @pytest.mark.parametrize("defect", ["repeated-place", "inf-position",
                                     "nan-descriptor", "label-range",
-                                    "entry-count", "huge-counts"])
+                                    "entry-count", "huge-counts",
+                                    "window-rows", "window-width",
+                                    "nan-context", "negative-context",
+                                    "void-context", "unnormalized-context"])
 def test_index_bad_values_rejected(tmp_path, defect):
     cfg = Config(n_viewpoints=2, descriptor_dim=16)
     path, data, places_at, desc_at, labels_at = _index_bytes(tmp_path, cfg)
-    if defect == "repeated-place":   # the second place takes the first's id
+    shape_at = places_at - 8 * cfg.n_classes - 4   # rows, then width
+    context_at = places_at - 8 * cfg.n_classes
+    if defect == "window-rows":
+        struct.pack_into("<H", data, shape_at, cfg.range_rows + 1)
+        msg = (f"window rows {cfg.range_rows + 1} at byte {shape_at} are not "
+               f"the config's range_rows {cfg.range_rows}")
+    elif defect == "window-width":   # the 360-degree width that v2 stored
+        struct.pack_into("<H", data, shape_at + 2, cfg.range_cols)
+        msg = (f"window width {cfg.range_cols} at byte {shape_at + 2} is not "
+               f"the frustum width 45 of range_cols {cfg.range_cols}")
+    elif defect == "nan-context":    # class 3's value
+        struct.pack_into("<d", data, context_at + 24, math.nan)
+        msg = f"non-finite context value nan at byte {context_at + 24}"
+    elif defect == "negative-context":
+        (value,) = struct.unpack_from("<d", data, context_at + 16)
+        struct.pack_into("<d", data, context_at + 16, -value)
+        msg = f"negative context value {-value} at byte {context_at + 16}"
+    elif defect == "void-context":   # class 1 gives class 0 a half
+        (value,) = struct.unpack_from("<d", data, context_at + 8)
+        struct.pack_into("<2d", data, context_at, value / 2, value / 2)
+        msg = (f"context value {value / 2} of void class 0 at byte "
+               f"{context_at} is not 0")
+    elif defect == "unnormalized-context":   # 2e-6 off; within 1e-6 loads
+        (value,) = struct.unpack_from("<d", data, context_at + 8)
+        struct.pack_into("<d", data, context_at + 8, value + 5e-7)
+        path.write_bytes(bytes(data))
+        load_index(path)
+        struct.pack_into("<d", data, context_at + 8, value + 2e-6)
+        msg = f"context at byte {context_at} sums to "
+    elif defect == "repeated-place":   # the second place takes the first's id
         data[places_at + 28:places_at + 32] = data[places_at:places_at + 4]
         msg = f"place id 0 at byte {places_at + 28} repeats an earlier place"
     elif defect == "inf-position":   # z of the second place
@@ -246,6 +317,56 @@ def test_index_save_load_save_idempotent(tmp_path):
     save_index(p1, make_index(8, cfg))
     save_index(p2, load_index(p1))
     assert filecmp.cmp(p1, p2, shallow=False)
+
+
+def disk_full_after(monkeypatch, limit):
+    """The files io_datasets opens take `limit` bytes, then every write
+    fails with ENOSPC, as on a full disk."""
+    def short_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write, room = fh.write, [limit]
+
+        def short_write(data):
+            data = memoryview(data).cast("B")
+            n = write(data[:room[0]])
+            room[0] -= n
+            if n < len(data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return n
+
+        fh.write = short_write
+        return fh
+
+    monkeypatch.setattr(io_datasets, "open", short_open, raising=False)
+
+
+@pytest.mark.parametrize("previous", [None, b"the previous file"],
+                         ids=["new", "over"])
+@pytest.mark.parametrize("artifact", ["index", "ckpt"])
+def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch, artifact,
+                                            previous):
+    """A save that fails partway leaves no file, or the previous file as it
+    was, and nothing else in the directory."""
+    cfg = Config(n_viewpoints=2, descriptor_dim=16)
+    path = tmp_path / "out"
+    save, load = {
+        "index": (lambda: save_index(path, make_index(10, cfg)), load_index),
+        "ckpt": (lambda: save_checkpoint(path, init_model_params(cfg), cfg),
+                 load_checkpoint)}[artifact]
+    if previous is not None:
+        path.write_bytes(previous)
+    disk_full_after(monkeypatch, 1000)
+    with pytest.raises(OSError, match="No space left on device"):
+        save()
+    if previous is None:
+        assert os.listdir(tmp_path) == []
+    else:
+        assert os.listdir(tmp_path) == ["out"]
+        assert path.read_bytes() == previous
+    monkeypatch.undo()
+    save()
+    load(path)
+    assert os.listdir(tmp_path) == ["out"]
 
 
 # -------------------------------------------------------------- checkpoints

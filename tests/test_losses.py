@@ -8,13 +8,12 @@ from reference_tape import Tensor, mean, netvlad_tape, sigmoid, stack, tanh
 from xpr import losses
 from xpr.config import Config, make_rng
 from xpr.encoder import QUERY_CHANNELS, QueryObservation
-from xpr.io_datasets import Dataset, QueryRecord
+from xpr.io_datasets import Dataset, QueryRecord, load_index, save_index
 from xpr.losses import (TrainingDiverged, class_means_tape, contrastive_tape,
                         nearest_viewpoint, segmentation_tape, total_loss, train,
                         train_table)
-from xpr.matching import MapIndex
 from xpr.model import TRAINABLE, ModelParams, init_model_params
-from xpr.pipeline import PlaceRenders, training_set
+from xpr.pipeline import PlaceRenders, build_index, training_set
 from xpr.projection import semantic_histogram
 
 # log(1 + e^-1), InfoNCE with one positive at logit 1 and one negative at 0
@@ -498,9 +497,10 @@ def test_training_set_is_place_major():
     assert np.array_equal(table.context, hist / hist.sum())
 
 
-def test_context_is_mean_of_semantic_histograms():
-    """training_set's context and the index's mean_histogram() are, bit for
-    bit, the mean of the per-image semantic_histograms over its sum."""
+def test_context_is_mean_of_semantic_histograms(tmp_path):
+    """training_set's context and the mean_histogram() of build_index's
+    index, before and after a map.idx round trip, are, bit for bit, the mean
+    of the per-image semantic_histograms over its sum."""
     cfg = dataclasses.replace(SMALL, range_rows=3, range_cols=8)
     rng = make_rng(16, 1)
     renders = [PlaceRenders(pid, np.zeros(3),
@@ -514,10 +514,11 @@ def test_context_is_mean_of_semantic_histograms():
     want = hist / hist.sum()
     ds = Dataset("", cfg, {}, [], [], [], [], {})
     assert np.array_equal(training_set(ds, cfg, renders=renders).context, want)
-    index = MapIndex([(pr.place_id, pr.position) for pr in renders],
-                     np.zeros((len(labels), cfg.descriptor_dim)),
-                     labels, cfg)
+    index = build_index(ds, init_model_params(cfg), cfg, renders=renders)
     assert np.array_equal(index.mean_histogram(), want)
+    save_index(tmp_path / "map.idx", index)
+    assert np.array_equal(load_index(tmp_path / "map.idx").mean_histogram(),
+                          want)
 
 
 def test_train_reproducible_and_updates_params():

@@ -8,7 +8,7 @@ from xpr.encoder import QUERY_CHANNELS, QueryObservation, encode_query
 from xpr.matching import (MapIndex, _overlaps, geometric_similarity,
                           match_query, recall_at_k, semantic_overlap)
 from xpr.model import init_model_params
-from xpr.projection import SemanticImage, frustum_window
+from xpr.projection import SemanticImage, frustum_window, semantic_context
 from xpr.selfcheck import iou_reference
 
 CFG = Config()
@@ -96,17 +96,26 @@ def test_overlap_wrong_query_width_rejected():
         semantic_overlap(q, c, CFG)
 
 
+def full_index(places, descs, labels, cfg):
+    """A MapIndex of 360-degree label images as build_index makes one: their
+    frontal windows and their semantic context."""
+    c0, width = frustum_window(cfg.range_cols)
+    labels = np.asarray(labels)
+    return MapIndex(places, descs, labels[:, :, c0:c0 + width],
+                    semantic_context(labels, cfg), cfg)
+
+
 def small_index(descs, sems, cfg):
     """One place per row of the parallel nested lists, 10 m apart along x,
-    one viewpoint per item. Each label image becomes the frontal window of a
+    one viewpoint per item. Each label image is the frontal window of a
     360-degree image that is void elsewhere."""
     c0, width = frustum_window(cfg.range_cols)
     flat = [s.labels for ss in sems for s in ss]
     labels = np.zeros((len(flat), cfg.range_rows, cfg.range_cols), np.uint16)
     labels[:, :, c0:c0 + width] = flat
-    return MapIndex([(pid, np.array([10.0 * pid, 0.0, 0.0]))
-                     for pid in range(len(descs))],
-                    [d.values for dd in descs for d in dd], labels, cfg)
+    return full_index([(pid, np.array([10.0 * pid, 0.0, 0.0]))
+                       for pid in range(len(descs))],
+                      [d.values for dd in descs for d in dd], labels, cfg)
 
 
 def test_hybrid_mixes_components():
@@ -164,7 +173,7 @@ def test_match_query_bit_equal_to_scalar_reference():
         descs[3 * cfg.n_viewpoints + 1] = np.zeros(cfg.descriptor_dim)
         # place ids out of order in the place table
         places = [(pid, np.zeros(3)) for pid in (5, 2, 7, 0, 3, 6, 1, 4)]
-        index = MapIndex(places, descs, labels, cfg)
+        index = full_index(places, descs, labels, cfg)
         entries = index.entries
         assert entries[3 * cfg.n_viewpoints + 1].descriptor.flagged
         for j in range(3):
@@ -221,8 +230,7 @@ def onehot_overlaps(q: np.ndarray, windows: np.ndarray, counts: np.ndarray,
 
 def onehot_psi(q: np.ndarray, index: MapIndex) -> np.ndarray:
     """The one-hot GEMM psi of a query against every row of an index."""
-    c0, width = frustum_window(index.config.range_cols)
-    windows = index.labels[:, :, c0:c0 + width].reshape(len(index.labels), -1)
+    windows = index.windows.reshape(len(index.windows), -1)
     return onehot_overlaps(q, windows, label_counts(windows),
                            index.config.n_classes)
 
@@ -230,8 +238,9 @@ def onehot_psi(q: np.ndarray, index: MapIndex) -> np.ndarray:
 def label_index(labels, cfg):
     """A MapIndex over 360-degree label images, n_viewpoints rows a place."""
     n = len(labels)
-    return MapIndex([(pid, np.zeros(3)) for pid in range(n // cfg.n_viewpoints)],
-                    np.ones((n, cfg.descriptor_dim)), labels, cfg)
+    return full_index([(pid, np.zeros(3))
+                       for pid in range(n // cfg.n_viewpoints)],
+                      np.ones((n, cfg.descriptor_dim)), labels, cfg)
 
 
 def index_psi(q, index):
@@ -254,8 +263,8 @@ def test_psi_bit_equal_across_words_and_class_counts(cells, n_classes):
     rng = make_rng(9, cells, n_classes)
     labels = rng.integers(0, n_classes, (6, rows, cols))
     labels[rng.random(labels.shape) < 0.3] = 0
-    index = MapIndex([(pid, np.zeros(3)) for pid in range(3)],
-                     rng.normal(size=(6, 4)), labels, cfg)
+    index = full_index([(pid, np.zeros(3)) for pid in range(3)],
+                       rng.normal(size=(6, 4)), labels, cfg)
     for j in range(3):
         q = rng.integers(0, n_classes, (rows, width)).astype(np.uint16)
         if j == 2:
@@ -433,10 +442,10 @@ def test_query_without_valid_cells_ranks_places_by_id():
                            np.ones((rows, width), np.uint16))
     n = 3 * CFG.n_viewpoints
     desc = rng.normal(size=(n, CFG.descriptor_dim))
-    idx = MapIndex([(pid, np.zeros(3)) for pid in (5, 2, 9)],
-                   desc / np.linalg.norm(desc, axis=1, keepdims=True),
-                   rng.integers(0, CFG.n_classes,
-                                (n, rows, CFG.range_cols)), CFG)
+    idx = full_index([(pid, np.zeros(3)) for pid in (5, 2, 9)],
+                     desc / np.linalg.norm(desc, axis=1, keepdims=True),
+                     rng.integers(0, CFG.n_classes,
+                                  (n, rows, CFG.range_cols)), CFG)
     params = init_model_params(CFG)
     with np.errstate(all="raise"):
         feat, pred = encode_query(obs, params.enc)
@@ -487,8 +496,9 @@ def test_match_query_tie_prefers_smaller_ids():
 def test_match_query_empty_index_rejected():
     with pytest.raises(ValueError, match="empty"):
         match_query(unit([1.0, 0.0]), SemanticImage(np.ones((2, 45), dtype=np.uint16)),
-                    MapIndex([], np.zeros((0, CFG.descriptor_dim)),
-                             np.zeros((0, CFG.range_rows, CFG.range_cols)), CFG),
+                    full_index([], np.zeros((0, CFG.descriptor_dim)),
+                               np.zeros((0, CFG.range_rows, CFG.range_cols),
+                                        np.uint8), CFG),
                     CFG)
 
 
@@ -506,23 +516,30 @@ def test_match_query_wrong_query_shape_rejected(shape, msg):
 
 def test_index_counts_viewpoints():
     cfg = Config(n_viewpoints=2, descriptor_dim=2, range_rows=2)
+    context = semantic_context([], cfg)
     with pytest.raises(ValueError, match=r"expected \(2, 2\)"):
-        MapIndex([(0, np.zeros(3))], np.ones((1, 2)), np.ones((1, 2, 180)), cfg)
+        MapIndex([(0, np.zeros(3))], np.ones((1, 2)), np.ones((1, 2, 45)),
+                 context, cfg)
+    # a context of one value per class
+    with pytest.raises(ValueError, match=r"\(7,\), expected .* \(8,\)"):
+        MapIndex([(0, np.zeros(3))], np.ones((2, 2)), np.ones((2, 2, 45)),
+                 context[1:], cfg)
 
 
 @pytest.mark.parametrize("defect", ["label", "place"])
 def test_index_rejects_bad_labels_and_repeated_places(defect):
     cfg = Config(n_viewpoints=1, descriptor_dim=2, range_rows=2)
-    labels = np.ones((2, 2, 180), dtype=np.uint16)
+    windows = np.ones((2, 2, 45), dtype=np.uint16)
     places = [(0, np.zeros(3)), (1, np.zeros(3))]
     if defect == "label":
-        labels[1, 0, 5] = cfg.n_classes
+        windows[1, 0, 5] = cfg.n_classes
         msg = "n_classes"
     else:
         places[1] = (0, np.ones(3))
         msg = "duplicate place id"
     with pytest.raises(ValueError, match=msg):
-        MapIndex(places, np.ones((2, 2)), labels, cfg)
+        MapIndex(places, np.ones((2, 2)), windows,
+                 semantic_context([], cfg), cfg)
 
 
 def test_index_entries_view_the_blocks():
@@ -531,20 +548,28 @@ def test_index_entries_view_the_blocks():
     labels = rng.integers(0, cfg.n_classes, (4, 2, 180))
     descs = rng.normal(size=(4, 2))
     descs[2] = 0.0
-    idx = MapIndex([(9, np.zeros(3)), (4, np.ones(3))], descs, labels, cfg)
+    idx = full_index([(9, np.zeros(3)), (4, np.ones(3))], descs, labels, cfg)
     assert [(e.place_id, e.viewpoint) for e in idx.entries] == [
         (9, 0), (9, 1), (4, 0), (4, 1)]
     assert all(type(e.place_id) is int for e in idx.entries)
     assert [e.descriptor.flagged for e in idx.entries] == [False, False, True,
                                                            False]
+    c0, width = frustum_window(cfg.range_cols)
     for e, d, lab in zip(idx.entries, descs, labels):
         # descriptors are held at float32 precision, as map.idx stores them
         assert np.array_equal(e.descriptor.values,
                               d.astype(np.float32).astype(np.float64))
-        assert np.array_equal(e.sem_image.labels, lab)
+        # the stored window at its frustum columns, void elsewhere
+        assert e.sem_image.labels.shape == lab.shape
+        assert np.array_equal(e.sem_image.labels[:, c0:c0 + width],
+                              lab[:, c0:c0 + width])
+        assert not e.sem_image.labels[:, :c0].any()
+        assert not e.sem_image.labels[:, c0 + width:].any()
     with pytest.raises(ValueError, match="read-only"):
         idx.entries[0].descriptor.values[0] = 1.0
-    for block in (idx.descriptors, idx.labels, idx._planes, idx._counts,
+    with pytest.raises(ValueError, match="read-only"):
+        idx.entries[0].sem_image.labels[0, 0] = 1
+    for block in (idx.descriptors, idx.windows, idx._planes, idx._counts,
                   idx.mean_histogram()):
         assert not block.flags.writeable
     with pytest.raises(ValueError, match="read-only"):

@@ -3,8 +3,9 @@
 A 4-place world trained with `xpr train` must reproduce, bit for bit, the
 checkpoint and history recorded before the training loss lost its generic
 graph walk, and the map index and match results built from it, untrained and
-from the full-batch checkpoint, the bytes recorded while feature maps were
-still zero-padded grids. The parameters that two nodes feed (the NetVLAD centroids,
+from the full-batch checkpoint: the results the bytes recorded while feature
+maps were still zero-padded grids, the index those of map.idx v3, which holds
+the same descriptors. The parameters that two nodes feed (the NetVLAD centroids,
 assignment weights and biases) add many per-map terms, and float addition is
 not associative: these digests hold only while the backward adds them in the
 same order, LiDAR maps first, then query anchors.
@@ -25,9 +26,9 @@ DIGESTS = {
                 "d153be2d5470ce61947f588a874a07414b1b8133df98b33ef5305e13c6217e10"),
 }
 ARTIFACTS = {
-    "untrained": ("72f2752d723d85b53e3a647fd6b1cf9196724e70ea347a6e41da7ae7de75b4b1",
+    "untrained": ("9b8b2efbca984f8a34d73c84f3368056f426f16797925fec738fdc88a9ceae46",
                   "e335ddf18ef979f19175ec0382a84e685c26e9ac01a9477f10c95cd19c0e0925"),
-    "full": ("4c2d6d57595e89d761d0fde356253998ab3816050c2fe62ef0010671aedb90c7",
+    "full": ("dd2d3dda7cf226f6984973dbbbf6a9869f239e52d9a6df5e61bd3fbedb3b05a0",
              "2d39e22435728110959587ff152e85dcd2d85add66912035d4e1b055041cd2ab"),
 }
 MODES = {"full": [], "batch": ["--batch-size", "3"],
