@@ -87,7 +87,8 @@ def encode_lidar_local(rng_img: RangeImage, labels: np.ndarray,
                        cfg: Config) -> np.ndarray:
     """The filled cells (depth > 0) of a rendered viewpoint, or of a stack of
     them image by image, row-major, as an (n, C) block: normalized depth,
-    normals, and the one-hot of its label in the (..., H, W) label images."""
+    the image's normal rows, and the one-hot of its label in the
+    (..., H, W) label images."""
     if rng_img.depth.shape != labels.shape:
         raise ValueError("range/semantic image shapes differ")
     filled = np.flatnonzero(rng_img.depth > 0.0)
@@ -95,6 +96,6 @@ def encode_lidar_local(rng_img: RangeImage, labels: np.ndarray,
     cells = np.zeros((len(filled), cfg.feature_dim))
     cells[:, 0] = np.clip(rng_img.depth.take(filled) / cfg.max_range_m,
                           0.0, 1.0)
-    cells[:, 1:4] = rng_img.normals.reshape(-1, 3).take(filled, axis=0)
+    cells[:, 1:4] = rng_img.normals
     cells[np.arange(len(filled)), 4 + labels.astype(np.intp)] = 1.0
     return cells

@@ -36,48 +36,57 @@ def fill_grid(rows, cols, ranges, labels, h, w):
 # ------------------------------------------------------------------- normals
 
 def compute_normals(depth, cos_az, sin_az, cos_el, sin_el):
-    """(..., h, w, 3) normals of a depth grid or a stack of them (..., h, w),
-    per cell from the cross product of the right and down neighbour
-    differences, oriented toward the sensor.
+    """(n, 3) normals of the n filled cells (depth > 0) of a depth grid or a
+    stack of them (..., h, w), in row-major order, per cell from the cross
+    product of the right and down neighbour differences, oriented toward the
+    sensor.
 
     A cell on the last row or column, with an empty neighbour or with a
-    degenerate cross product takes the unit direction back to the sensor;
-    empty cells are 0. Each product keeps the association of the scalar loop
-    in tests/test_projection.py, so the two are bit-equal, image by image.
+    degenerate cross product takes the unit direction back to the sensor.
+    Each product keeps the association of the scalar loop in
+    tests/test_projection.py, so the two are bit-equal, image by image.
     """
-    p = np.empty((3, *depth.shape))    # x, y, z channels of each cell's point
-    ground = depth * cos_el[:, None]
-    np.multiply(ground, cos_az, out=p[0])
-    np.multiply(ground, sin_az, out=p[1])
-    np.multiply(depth, sin_el[:, None], out=p[2])
+    h, w = depth.shape[-2:]
     valid = depth > 0.0
-    normals = np.zeros((*depth.shape, 3))
-    np.divide(p, -depth, out=np.moveaxis(normals, -1, 0), where=valid)
+    filled = np.flatnonzero(valid)
+    d = depth.take(filled)
+    r, c = np.divmod(filled, w)       # r counts rows across the images
+    r %= h
+    p = np.empty((3, len(filled)))     # x, y, z of each filled cell's point
+    ground = np.multiply(d, cos_el.take(r))
+    np.multiply(ground, cos_az.take(c), out=p[0])
+    np.multiply(ground, sin_az.take(c), out=p[1])
+    np.multiply(d, sin_el.take(r), out=p[2])
+    normals = np.empty((len(filled), 3))
+    np.divide(p, -d, out=normals.T)
 
     # the cross product runs only at the cells whose own, right and down
-    # cells are filled (a map render fills about a quarter of its cells),
-    # gathered by flat index: the right neighbour is the next cell, the
-    # down neighbour w cells on; a last row or column is never gathered
-    w = depth.shape[-1]
+    # cells are filled, found by flat index: the right neighbour is the next
+    # cell, the down neighbour w cells on, and a last row or column is never
+    # paired, so no cell pairs across rows or images; `row` maps a filled
+    # cell's flat index to its row of p
     inner = np.zeros_like(valid)
     inner[..., :-1, :-1] = (valid[..., :-1, :-1] & valid[..., :-1, 1:]
                             & valid[..., 1:, :-1])
     cell = np.flatnonzero(inner)
-    p = p.reshape(3, -1)
-    here = p.take(cell, axis=1)
-    a = p.take(cell + 1, axis=1) - here
-    b = p.take(cell + w, axis=1) - here
+    row = np.empty(valid.size, dtype=np.intp)
+    row[filled] = np.arange(len(filled))
+    here = row[cell]
+    point = p.take(here, axis=1)
+    a = p.take(row[cell + 1], axis=1)
+    b = p.take(row[cell + w], axis=1)
+    a -= point
+    b -= point
     n = np.empty_like(a)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         n[i] = a[j] * b[k] - a[k] * b[j]
     nn = np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
     usable = nn > 1e-12
-    cell = cell[usable]
-    here = here.compress(usable, axis=1)
+    here = here[usable]
+    point = point.compress(usable, axis=1)
     n = n.compress(usable, axis=1) / nn[usable]
-    facing = n[0] * here[0] + n[1] * here[1] + n[2] * here[2]
+    facing = n[0] * point[0] + n[1] * point[1] + n[2] * point[2]
     np.negative(n, out=n, where=facing > 0.0)
-    rows = normals.reshape(-1, 3)
     for i in range(3):
-        rows[cell, i] = n[i]
+        normals[here, i] = n[i]
     return normals

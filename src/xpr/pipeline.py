@@ -22,21 +22,27 @@ class PlaceRenders:
     position: np.ndarray
     cells: list            # (n, C) valid cells of viewpoint k
     labels: np.ndarray     # (n_viewpoints, H, W) label images
+    counts: np.ndarray     # (n_viewpoints, n_classes) classes of filled cells
 
 
 def render_places(dataset: Dataset, cfg: Config) -> list:
     """Render every place's viewpoints, in yaw order, as one stack and
-    encode it in one call, cut into per-viewpoint cell blocks."""
+    encode it in one call, cut into per-viewpoint cell blocks at the
+    viewpoints' filled-cell counts."""
     out = []
+    k = cfg.n_classes
     for (pid, pos), cloud, anchor in zip(dataset.places, dataset.clouds,
                                          dataset.poses):
         rng_img, labels = render_viewpoints(cloud, make_viewpoints(anchor, cfg),
                                             cfg)
         # the encode takes the filled cells image by image, row-major
-        filled = np.count_nonzero(rng_img.depth > 0.0, axis=(1, 2))
+        filled = np.flatnonzero(rng_img.depth > 0.0)
+        view = filled // labels[0].size
+        counts = np.bincount(view * k + labels.take(filled),
+                             minlength=len(labels) * k).reshape(-1, k)
         cells = np.split(encode_lidar_local(rng_img, labels, cfg),
-                         np.cumsum(filled[:-1]))
-        out.append(PlaceRenders(pid, pos, cells, labels))
+                         np.cumsum(counts.sum(axis=1)[:-1]))
+        out.append(PlaceRenders(pid, pos, cells, labels, counts))
     return out
 
 
@@ -83,5 +89,7 @@ def training_set(dataset: Dataset, cfg: Config,
 
 
 def _context(renders: list, cfg: Config) -> np.ndarray:
-    """The semantic context of every viewpoint's 360-degree label image."""
-    return semantic_context([lab for pr in renders for lab in pr.labels], cfg)
+    """The semantic context of every viewpoint's 360-degree render, from the
+    class counts of its filled cells (an empty cell is void)."""
+    return semantic_context(np.reshape([pr.counts for pr in renders],
+                                       (-1, cfg.n_classes)))

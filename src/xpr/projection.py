@@ -15,7 +15,8 @@ from .core import LabeledPointCloud
 @dataclass(frozen=True)
 class RangeImage:
     depth: np.ndarray            # (..., H, W) meters, 0 = empty cell
-    normals: np.ndarray          # (..., H, W, 3) unit vectors, zero where empty
+    normals: np.ndarray | None   # (n, 3) unit vectors of the n filled cells,
+                                 # row-major; None before estimate_normals
 
 
 @dataclass(frozen=True)
@@ -62,34 +63,45 @@ def project_spherical(cloud: LabeledPointCloud, sensor_poses: list,
     xyz = np.stack([p.rotation for p in inverse]) @ cloud.points.T
     xyz += np.stack([p.translation for p in inverse])[:, :, None]
     x, y, z = np.swapaxes(xyz, 0, 1).reshape(3, -1)
-    rng = np.sqrt(x * x + y * y + z * z)
+    rng = x * x
+    rng += y * y
+    rng += z * z
+    np.sqrt(rng, out=rng)
     up = math.radians(cfg.vfov_up)
     down = math.radians(cfg.vfov_down)
     with np.errstate(invalid="ignore", divide="ignore"):
-        el = np.arcsin(np.clip(z / rng, -1.0, 1.0))
+        el = np.divide(z, rng)
+        np.arcsin(np.clip(el, -1.0, 1.0, out=el), out=el)
         keep = np.flatnonzero((rng > 0.0) & (el >= down) & (el <= up))
     el, rng = el[keep], rng[keep]
     az = np.arctan2(y[keep], x[keep])
 
-    cols = np.floor((az + math.pi) / (2.0 * math.pi) * w).astype(np.int64) % w
-    rows = np.minimum(np.floor((up - el) / (up - down) * h).astype(np.int64), h - 1)
+    az += math.pi
+    az /= 2.0 * math.pi
+    az *= w
+    cols = np.floor(az, out=az).astype(np.int64)
+    cols[cols == w] = 0                  # azimuth pi is column 0, as -pi is
+    np.subtract(up, el, out=el)
+    el /= up - down
+    el *= h
+    rows = np.floor(el, out=el).astype(np.int64)
+    np.minimum(rows, h - 1, out=rows)
     # image v's points are the kept indices in [v*n, (v+1)*n): move them to
     # rows v*h:(v+1)*h, and their indices back to point indices
     n_views, n = len(sensor_poses), cloud.count
-    ends = np.searchsorted(keep, n * np.arange(1, n_views + 1))
-    for v, (lo, hi) in enumerate(zip(ends[:-1], ends[1:]), 1):
-        rows[lo:hi] += v * h
-        keep[lo:hi] -= v * n
+    view = keep // n
+    rows += view * h
+    keep -= view * n
     depth, labels = kernels.fill_grid(rows, cols, rng, cloud.labels[keep],
                                       n_views * h, w)
-
-    img = RangeImage(depth.reshape(n_views, h, w), np.zeros((n_views, h, w, 3)))
-    return img, labels.reshape(n_views, h, w)
+    return (RangeImage(depth.reshape(n_views, h, w), None),
+            labels.reshape(n_views, h, w))
 
 
 def estimate_normals(img: RangeImage, cfg: Config) -> RangeImage:
-    """Per-cell surface normal from right/down neighbor differences, for a
-    single image or a stack of them.
+    """The image with the surface normals of its filled cells, as (n, 3)
+    rows in row-major order, for a single image or a stack of them: from
+    right/down neighbor differences within each image.
 
     Missing neighbor, image edge, or a degenerate cross product falls back to
     the unit direction from the point back toward the sensor. Normals are
@@ -119,24 +131,27 @@ def frustum_window(cols: int) -> tuple[int, int]:
     return (cols - width) // 2, width
 
 
-def semantic_histogram(labels: np.ndarray, cfg: Config) -> np.ndarray:
-    """Class-frequency vector of a label array over its non-void cells;
-    uniform if all void."""
-    counts = np.bincount(labels.ravel(), minlength=cfg.n_classes).astype(np.float64)
-    counts[0] = 0.0
-    total = counts.sum()
-    if total == 0.0:
-        hist = np.full(cfg.n_classes, 1.0 / (cfg.n_classes - 1))
-        hist[0] = 0.0
-        return hist
-    return counts / total
+def class_counts(labels, cfg: Config) -> np.ndarray:
+    """(N, n_classes) class counts of N label arrays, one row each."""
+    return np.reshape([np.bincount(lab.ravel(), minlength=cfg.n_classes)
+                       for lab in labels], (-1, cfg.n_classes))
 
 
-def semantic_context(labels, cfg: Config) -> np.ndarray:
-    """Database-average class histogram of label images (N, H, W): the mean
-    of their `semantic_histogram`s, divided by its sum. No images read as
-    one all-void image."""
-    hists = ([semantic_histogram(lab, cfg) for lab in labels]
-             or [semantic_histogram(np.zeros(1, np.uint16), cfg)])
-    mean = np.mean(hists, axis=0)
+def semantic_histogram(counts: np.ndarray) -> np.ndarray:
+    """Class-frequency rows of (..., n_classes) class counts over their
+    non-void classes: class 0 reads 0, and a row with no non-void count
+    reads uniform over the others."""
+    hist = counts.astype(np.float64)
+    hist[..., 0] = 0.0
+    hist[..., 1:] += hist.sum(axis=-1, keepdims=True) == 0.0
+    return hist / hist.sum(axis=-1, keepdims=True)
+
+
+def semantic_context(counts: np.ndarray) -> np.ndarray:
+    """Database-average class histogram of (N, n_classes) per-image class
+    counts: the mean of their `semantic_histogram`s, divided by its sum. No
+    images read as one all-void image."""
+    mean = np.mean(semantic_histogram(counts if len(counts)
+                                      else np.zeros((1, counts.shape[-1]))),
+                   axis=0)
     return mean / mean.sum()

@@ -15,9 +15,9 @@ from .losses import (TrainTable, class_means_tape, contrastive_tape,
                      segmentation_tape, total_loss, train_table)
 from .matching import MapIndex, match_query
 from .model import ModelParams, TRAINABLE, init_model_params
-from .projection import (RangeImage, SemanticImage, estimate_normals,
-                         frustum_window, project_spherical, semantic_context,
-                         unproject)
+from .projection import (RangeImage, SemanticImage, class_counts,
+                         estimate_normals, frustum_window, project_spherical,
+                         semantic_context, unproject)
 
 
 FD_STEP = 1e-4            # central-difference step of the gradient checks
@@ -301,10 +301,12 @@ def check_projection_shift(seed: int) -> CheckResult:
 def check_sphere_normals() -> CheckResult:
     cfg = Config(range_rows=64, range_cols=360)
     depth = np.full((64, 360), SPHERE_RADIUS)
-    img = estimate_normals(RangeImage(depth, np.zeros((64, 360, 3))), cfg)
+    img = estimate_normals(RangeImage(depth, None), cfg)
     pts = unproject(img, cfg)
     radial = pts / SPHERE_RADIUS
-    cosang = np.clip(-(img.normals * radial).sum(axis=-1), -1.0, 1.0)
+    # every cell is filled, so the normal rows are the (H, W) grid's cells
+    normals = img.normals.reshape(pts.shape)
+    cosang = np.clip(-(normals * radial).sum(axis=-1), -1.0, 1.0)
     return CheckResult("sphere_normals",
                        float(np.degrees(np.arccos(cosang)).max()), 2.0)
 
@@ -341,7 +343,7 @@ def check_iou_oracle(seed: int) -> CheckResult:
         q = rng.integers(0, 6, size=(cfg.range_rows, width)).astype(np.uint16)
         c = rng.integers(0, 6, size=(cfg.range_rows, width)).astype(np.uint16)
         index = MapIndex([(0, np.zeros(3))], [zero], [c],
-                         semantic_context([c], cfg), cfg)
+                         semantic_context(class_counts([c], cfg)), cfg)
         got = match_query(GlobalDescriptor(zero), SemanticImage(q), index,
                           cfg).psi
         worst = max(worst, abs(got - iou_reference(q, c, cfg.n_classes)))

@@ -184,7 +184,8 @@ def query_pose(world: SyntheticWorld, place_id: int, heading: float) -> Pose:
 
 def observation_from_render(depth, normals, labels, noise_level: float,
                             cfg: Config, rng) -> QueryObservation:
-    """Assemble raw query channels from a frustum render.
+    """Assemble raw query channels from a frustum render and the (n, 3)
+    normal rows of its filled cells, row-major.
 
     Channels: normalized depth, normal xyz, and three appearance channels
     (per-class color plus seeded noise). Cells with no return are masked out.
@@ -193,7 +194,7 @@ def observation_from_render(depth, normals, labels, noise_level: float,
     mask = depth > 0.0
     raw = np.zeros((h, w, 7))
     raw[..., 0] = np.clip(depth / cfg.max_range_m, 0.0, 1.0)
-    raw[..., 1:4] = normals
+    raw[mask, 1:4] = normals
     raw[..., 4:7] = PALETTE[labels] + noise_level * rng.standard_normal((h, w, 3))
     raw[~mask] = 0.0
     return QueryObservation(raw, mask, labels.copy())
@@ -215,8 +216,11 @@ def _render_query(world: SyntheticWorld, cloud: LabeledPointCloud,
     rng_img, labels = render_viewpoints(cloud, [pose], cfg)
     c0, width = frustum_window(cfg.range_cols)
     sl = slice(c0, c0 + width)
+    # the frustum's filled cells keep their row-major order among the rows
+    col = np.nonzero(rng_img.depth[0] > 0.0)[1]
+    in_window = (col >= c0) & (col < c0 + width)
     obs = observation_from_render(rng_img.depth[0, :, sl],
-                                  rng_img.normals[0, :, sl],
+                                  rng_img.normals[in_window],
                                   labels[0, :, sl], noise_level, cfg, rng)
     return obs, world.place(place_id).position.copy()
 

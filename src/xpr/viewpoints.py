@@ -33,11 +33,12 @@ def crop_to_radius(cloud: LabeledPointCloud, center: np.ndarray,
 
 def render_viewpoints(map_cloud: LabeledPointCloud, poses: list,
                       cfg: Config) -> tuple[RangeImage, np.ndarray]:
-    """One (V, H, W) stack of range images with normals and its (V, H, W)
-    label images, in pose order, for poses that share one position, as a
-    place's viewpoints do: the map is cropped around that position once,
-    then the poses are projected and given normals in stacks of as many as
-    keep (poses x cropped points) within STACK_POINTS."""
+    """One (V, H, W) stack of range images with the normal rows of its
+    filled cells and its (V, H, W) label images, in pose order, for poses
+    that share one position, as a place's viewpoints do: the map is cropped
+    around that position once, then the poses are projected and given
+    normals in stacks of as many as keep (poses x cropped points) within
+    STACK_POINTS."""
     if not poses:
         raise ValueError("no viewpoints to render")
     center = poses[0].translation

@@ -166,7 +166,8 @@ def _reference_ranking(q_desc, q_sem, entries, cfg):
 def test_criterion_4_retrieval_oracle():
     from xpr.aggregation import GlobalDescriptor
     from xpr.matching import MapIndex
-    from xpr.projection import SemanticImage, frustum_window, semantic_context
+    from xpr.projection import (SemanticImage, class_counts, frustum_window,
+                                semantic_context)
 
     t0 = time.time()
     cfg = dataclasses.replace(CFG, n_viewpoints=4, descriptor_dim=16,
@@ -189,7 +190,7 @@ def test_criterion_4_retrieval_oracle():
                                            (4, cfg.range_cols)))
         index = MapIndex(places, descs,
                          np.asarray(labels)[:, :, c0:c0 + width],
-                         semantic_context(labels, cfg), cfg)
+                         semantic_context(class_counts(labels, cfg)), cfg)
         entries = index.entries
         qd = rng.normal(size=cfg.descriptor_dim)
         q_desc = GlobalDescriptor(qd / np.linalg.norm(qd))
@@ -355,7 +356,8 @@ def test_criterion_9_round_trips(tmp_path):
 
         # index
         from xpr.matching import MapIndex
-        from xpr.projection import frustum_window, semantic_context
+        from xpr.projection import (class_counts, frustum_window,
+                                    semantic_context)
         # label images must have the config's (range_rows, range_cols);
         # the index keeps their frontal windows and their context
         cfg = dataclasses.replace(CFG, n_viewpoints=2, descriptor_dim=8,
@@ -371,7 +373,8 @@ def test_criterion_9_round_trips(tmp_path):
         i1, i2 = tmp_path / "a.idx", tmp_path / "b.idx"
         save_index(i1, MapIndex(places, descs,
                                 np.asarray(labels)[:, :, c0:c0 + width],
-                                semantic_context(labels, cfg), cfg))
+                                semantic_context(class_counts(labels, cfg)),
+                                cfg))
         save_index(i2, load_index(i1))
         failures += not filecmp.cmp(i1, i2, shallow=False)
 

@@ -19,7 +19,7 @@ from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint,
                              save_query)
 from xpr.matching import MapIndex
 from xpr.model import init_model_params
-from xpr.projection import frustum_window, semantic_context
+from xpr.projection import class_counts, frustum_window, semantic_context
 
 # small enough that one load takes well under a millisecond
 CFG = Config(n_classes=4, descriptor_dim=8, n_viewpoints=2, range_rows=2,
@@ -39,7 +39,8 @@ def write_index(path, rng):
     save_index(path, MapIndex(places, d / np.linalg.norm(d, axis=1,
                                                          keepdims=True),
                               labels[:, :, c0:c0 + width],
-                              semantic_context(labels, CFG), CFG))
+                              semantic_context(class_counts(labels, CFG)),
+                              CFG))
 
 
 def make_obs(rng):

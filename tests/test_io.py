@@ -18,7 +18,7 @@ from xpr.io_datasets import (FormatError, QueryRecord, load_checkpoint, load_clo
                              save_index, save_labels, save_poses, save_query)
 from xpr.matching import MapIndex
 from xpr.model import init_model_params
-from xpr.projection import frustum_window, semantic_context
+from xpr.projection import class_counts, frustum_window, semantic_context
 
 CFG = Config()
 
@@ -148,7 +148,7 @@ def make_index(seed, cfg, n_places=2):
     labels = rng.integers(0, cfg.n_classes, (n, cfg.range_rows, cfg.range_cols))
     c0, width = frustum_window(cfg.range_cols)
     return MapIndex(places, d, labels[:, :, c0:c0 + width],
-                    semantic_context(labels, cfg), cfg)
+                    semantic_context(class_counts(labels, cfg)), cfg)
 
 
 def test_index_round_trip(tmp_path):

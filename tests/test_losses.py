@@ -14,7 +14,7 @@ from xpr.losses import (TrainingDiverged, class_means_tape, contrastive_tape,
                         train_table)
 from xpr.model import TRAINABLE, ModelParams, init_model_params
 from xpr.pipeline import PlaceRenders, build_index, training_set
-from xpr.projection import semantic_histogram
+from xpr.projection import class_counts, semantic_histogram
 
 # log(1 + e^-1), InfoNCE with one positive at logit 1 and one negative at 0
 LOG1P_EXP_NEG1 = 0.31326168751822286
@@ -294,6 +294,18 @@ def fake_cells(rng, cfg, h=4, w=6):
     return values[mask]
 
 
+def fake_renders(rng, cfg, place_ids):
+    """Hand-built PlaceRenders: fake cells and label images per place, and
+    the class counts of those labels."""
+    out = []
+    for pid in place_ids:
+        cells = [fake_cells(rng, cfg) for _ in range(cfg.n_viewpoints)]
+        labels = fake_labels(rng, cfg)
+        out.append(PlaceRenders(pid, np.zeros(3), cells, labels,
+                                class_counts(labels, cfg)))
+    return out
+
+
 def fake_labels(rng, cfg):
     """A place's (n_viewpoints, H, W) 360-degree label images with about
     half their cells void."""
@@ -471,10 +483,7 @@ def test_training_set_is_place_major():
     cfg = SMALL
     rng = make_rng(15, 1)
     # renders in place-id order 30, 10, 20; queries listed in another order
-    renders = [PlaceRenders(pid, np.zeros(3),
-                            [fake_cells(rng, cfg) for _ in range(cfg.n_viewpoints)],
-                            fake_labels(rng, cfg))
-               for pid in (30, 10, 20)]
+    renders = fake_renders(rng, cfg, (30, 10, 20))
     step = 2 * math.pi / cfg.n_viewpoints
     queries = [QueryRecord(qid, pid, heading, 0.0, np.zeros(3), fake_obs(rng, cfg))
                for qid, (pid, heading) in enumerate(
@@ -492,8 +501,9 @@ def test_training_set_is_place_major():
     blocks = [x for pr in renders for x in pr.cells]
     for x, cells in zip(blocks, table.cells, strict=True):
         assert cells is x
-    hist = np.mean([semantic_histogram(lab, cfg) for pr in renders
-                    for lab in pr.labels], axis=0)
+    hist = np.mean([semantic_histogram(np.bincount(lab.ravel(),
+                                                   minlength=cfg.n_classes))
+                    for pr in renders for lab in pr.labels], axis=0)
     assert np.array_equal(table.context, hist / hist.sum())
 
 
@@ -503,14 +513,14 @@ def test_context_is_mean_of_semantic_histograms(tmp_path):
     of the per-image semantic_histograms over its sum."""
     cfg = dataclasses.replace(SMALL, range_rows=3, range_cols=8)
     rng = make_rng(16, 1)
-    renders = [PlaceRenders(pid, np.zeros(3),
-                            [fake_cells(rng, cfg) for _ in range(cfg.n_viewpoints)],
-                            fake_labels(rng, cfg))
-               for pid in range(5)]
+    renders = fake_renders(rng, cfg, range(5))
     # an all-void image counts as uniform over the non-void classes
     renders[2].labels[1] = 0
+    renders[2].counts[:] = class_counts(renders[2].labels, cfg)
     labels = [lab for pr in renders for lab in pr.labels]
-    hist = np.mean([semantic_histogram(lab, cfg) for lab in labels], axis=0)
+    hist = np.mean([semantic_histogram(np.bincount(lab.ravel(),
+                                                   minlength=cfg.n_classes))
+                    for lab in labels], axis=0)
     want = hist / hist.sum()
     ds = Dataset("", cfg, {}, [], [], [], [], {})
     assert np.array_equal(training_set(ds, cfg, renders=renders).context, want)

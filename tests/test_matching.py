@@ -8,7 +8,8 @@ from xpr.encoder import QUERY_CHANNELS, QueryObservation, encode_query
 from xpr.matching import (MapIndex, _overlaps, geometric_similarity,
                           match_query, recall_at_k, semantic_overlap)
 from xpr.model import init_model_params
-from xpr.projection import SemanticImage, frustum_window, semantic_context
+from xpr.projection import (SemanticImage, class_counts, frustum_window,
+                            semantic_context)
 from xpr.selfcheck import iou_reference
 
 CFG = Config()
@@ -102,7 +103,7 @@ def full_index(places, descs, labels, cfg):
     c0, width = frustum_window(cfg.range_cols)
     labels = np.asarray(labels)
     return MapIndex(places, descs, labels[:, :, c0:c0 + width],
-                    semantic_context(labels, cfg), cfg)
+                    semantic_context(class_counts(labels, cfg)), cfg)
 
 
 def small_index(descs, sems, cfg):
@@ -516,7 +517,7 @@ def test_match_query_wrong_query_shape_rejected(shape, msg):
 
 def test_index_counts_viewpoints():
     cfg = Config(n_viewpoints=2, descriptor_dim=2, range_rows=2)
-    context = semantic_context([], cfg)
+    context = semantic_context(class_counts([], cfg))
     with pytest.raises(ValueError, match=r"expected \(2, 2\)"):
         MapIndex([(0, np.zeros(3))], np.ones((1, 2)), np.ones((1, 2, 45)),
                  context, cfg)
@@ -539,7 +540,7 @@ def test_index_rejects_bad_labels_and_repeated_places(defect):
         msg = "duplicate place id"
     with pytest.raises(ValueError, match=msg):
         MapIndex(places, np.ones((2, 2)), windows,
-                 semantic_context([], cfg), cfg)
+                 semantic_context(class_counts([], cfg)), cfg)
 
 
 def test_index_entries_view_the_blocks():

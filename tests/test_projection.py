@@ -6,8 +6,8 @@ import pytest
 from xpr import kernels
 from xpr.config import Config, make_rng
 from xpr.core import LabeledPointCloud, identity_pose, yaw_rotation
-from xpr.projection import (RangeImage, estimate_normals, project_spherical,
-                            semantic_histogram, unproject)
+from xpr.projection import (RangeImage, class_counts, estimate_normals,
+                            project_spherical, semantic_histogram, unproject)
 from xpr.selfcheck import shift_safe_scene
 
 CFG = Config(vfov_up=15.0, vfov_down=-15.0)
@@ -16,7 +16,16 @@ CFG = Config(vfov_up=15.0, vfov_down=-15.0)
 def project_one(cloud, pose, cfg):
     """The 2-D images of a one-pose stack: image 0 of each."""
     img, lab = project_spherical(cloud, [pose], cfg)
-    return RangeImage(img.depth[0], img.normals[0]), lab[0]
+    assert img.normals is None
+    return RangeImage(img.depth[0], None), lab[0]
+
+
+def normals_grid(img):
+    """The normal rows of an image's filled cells at their cells of an
+    (..., H, W, 3) grid, zero at empty cells."""
+    grid = np.zeros((*img.depth.shape, 3))
+    grid[img.depth > 0.0] = img.normals
+    return grid
 
 
 def project(points, labels, cfg=CFG, pose=None):
@@ -145,11 +154,11 @@ def test_normals_on_facing_plane():
     depth = np.zeros((h, w))
     front = np.abs(az) < math.radians(20)
     depth[:, front] = 5.0 / (np.cos(el)[:, None] * np.cos(az[front])[None, :])
-    img = estimate_normals(RangeImage(depth, np.zeros((h, w, 3))), CFG)
+    img = estimate_normals(RangeImage(depth, None), CFG)
     filled = depth > 0
     interior = filled & np.roll(filled, -1, axis=1) & np.roll(filled, -1, axis=0)
     interior[-1, :] = False
-    norms = img.normals[interior]
+    norms = normals_grid(img)[interior]
     assert len(norms) > 20
     assert np.abs(norms - np.array([-1.0, 0.0, 0.0])).max() < 1e-9
 
@@ -160,16 +169,16 @@ def test_isolated_cell_falls_back_to_radial():
     r, c = CFG.range_rows // 2, CFG.range_cols // 2
     p = unproject(img, CFG)[r, c]
     expect = -p / np.linalg.norm(p)
-    assert np.allclose(img.normals[r, c], expect, atol=1e-12)
+    assert np.allclose(normals_grid(img)[r, c], expect, atol=1e-12)
 
 
 def test_sphere_normals_accuracy():
     cfg = Config(range_rows=64, range_cols=360)
     depth = np.full((64, 360), 10.0)
-    img = estimate_normals(RangeImage(depth, np.zeros((64, 360, 3))), cfg)
+    img = estimate_normals(RangeImage(depth, None), cfg)
     pts = unproject(img, cfg)
     radial = pts / 10.0
-    cosang = np.clip(-(img.normals * radial).sum(axis=-1), -1.0, 1.0)
+    cosang = np.clip(-(normals_grid(img) * radial).sum(axis=-1), -1.0, 1.0)
     assert np.degrees(np.arccos(cosang)).max() < 2.0
 
 
@@ -178,15 +187,21 @@ def test_normal_unit_or_zero():
     pts = rng.uniform(-20, 20, (2000, 3))
     img, _ = project(pts, np.ones(2000))
     img = estimate_normals(img, CFG)
-    n = np.linalg.norm(img.normals, axis=-1)
+    n = np.linalg.norm(normals_grid(img), axis=-1)
     filled = img.depth > 0
+    assert img.normals.shape == (np.count_nonzero(filled), 3)
     assert np.abs(n[filled] - 1.0).max() < 1e-4
     assert not n[~filled].any()
 
 
+def label_histogram(labels, cfg):
+    """The semantic_histogram of one label array's class counts."""
+    return semantic_histogram(class_counts([labels], cfg)[0])
+
+
 def test_semantic_histogram_one_hot():
     cfg = Config(n_classes=8)
-    hist = semantic_histogram(np.full((4, 6), 3, dtype=np.uint16), cfg)
+    hist = label_histogram(np.full((4, 6), 3, dtype=np.uint16), cfg)
     expect = np.zeros(8)
     expect[3] = 1.0
     assert np.array_equal(hist, expect)
@@ -197,7 +212,7 @@ def test_semantic_histogram_split():
     labels = np.zeros((2, 4), dtype=np.uint16)
     labels[0] = 1
     labels[1] = 2
-    hist = semantic_histogram(labels, cfg)
+    hist = label_histogram(labels, cfg)
     assert hist[1] == 0.5 and hist[2] == 0.5 and hist.sum() == 1.0
 
 
@@ -205,7 +220,7 @@ def test_semantic_histogram_counting_oracle():
     cfg = Config(n_classes=8)
     rng = make_rng(5, 9)
     labels = rng.integers(0, 8, (16, 180)).astype(np.uint16)
-    hist = semantic_histogram(labels, cfg)
+    hist = label_histogram(labels, cfg)
     nonzero = labels[labels > 0]
     for c in range(1, 8):
         assert hist[c] == np.count_nonzero(nonzero == c) / nonzero.size
@@ -214,7 +229,7 @@ def test_semantic_histogram_counting_oracle():
 
 def test_semantic_histogram_empty_uniform():
     cfg = Config(n_classes=8)
-    hist = semantic_histogram(np.zeros((3, 3), dtype=np.uint16), cfg)
+    hist = label_histogram(np.zeros((3, 3), dtype=np.uint16), cfg)
     assert hist[0] == 0.0
     assert np.allclose(hist[1:], 1.0 / 7.0)
 
@@ -300,7 +315,7 @@ def test_kernels_match_scalar_reference():
     holed = depth.copy()
     holed[rng.uniform(size=holed.shape) < 0.3] = 0.0  # exercises the fallback
     for d in (depth, holed):
-        assert _same_bits(_normals_reference(d, *trig),
+        assert _same_bits(_normals_reference(d, *trig)[d > 0.0],
                           kernels.compute_normals(d, *trig))
 
 
@@ -325,29 +340,36 @@ def _normals_case(case):
 @pytest.mark.parametrize("case", ["stack-23pct", "stack-52pct", "all-filled",
                                   "all-empty", "one-row", "one-column", "tiny"])
 def test_normals_match_scalar_reference_bit_for_bit(case):
-    """compute_normals gives the scalar loop's normals in raw bits, image by
-    image, at any fill, on a grid with no interior cell, and where every
-    cross product is degenerate."""
+    """compute_normals gives the scalar loop's normals at every filled cell
+    in raw bits, image by image, at any fill, on a grid with no interior
+    cell, and where every cross product is degenerate."""
     depth, trig = _normals_case(case)
     got = kernels.compute_normals(depth, *trig)
-    assert got.shape == (*depth.shape, 3)
+    assert got.shape == (np.count_nonzero(depth), 3)
     images = depth.reshape(-1, *depth.shape[-2:])
-    for d, normals in zip(images, got.reshape(-1, *got.shape[-3:])):
-        assert _same_bits(normals, _normals_reference(d, *trig))
+    for d, normals in zip(images, _per_image(got, images)):
+        assert _same_bits(normals, _normals_reference(d, *trig)[d > 0.0])
     if case == "tiny":
         cos_az, sin_az, cos_el, sin_el = trig
         ground = depth * cos_el[:, None]
         p = np.stack([ground * cos_az, ground * sin_az,
                       depth * sin_el[:, None]], axis=-1)
         filled = depth > 0.0
-        assert _same_bits(got[filled], p[filled] / -depth[filled, None])
+        assert _same_bits(got, p[filled] / -depth[filled, None])
+
+
+def _per_image(rows, images):
+    """The normal rows of a stack cut into each image's rows."""
+    counts = np.count_nonzero(images, axis=(1, 2))
+    return np.split(rows, np.cumsum(counts)[:-1])
 
 
 @pytest.mark.parametrize("h, w", [(16, 180), (1, 180)], ids=["16-rows", "one-row"])
 def test_normals_of_a_stack_equal_one_image_at_a_time(h, w):
     """compute_normals over a (V, H, W) stack gives each image's normals
-    bit for bit as a call on that image alone, whatever the other images
-    hold; the stack includes an all-empty image."""
+    bit for bit as a call on that image alone and as the scalar loop,
+    whatever the other images hold; the stack includes an all-empty
+    image."""
     rng = make_rng(102, 1)
     stack = rng.uniform(1, 50, (4, h, w))
     stack[1] = 0.0                                         # all empty
@@ -357,10 +379,13 @@ def test_normals_of_a_stack_equal_one_image_at_a_time(h, w):
     el = np.linspace(-0.4, 0.03, h)
     trig = (np.cos(az), np.sin(az), np.cos(el), np.sin(el))
     got = kernels.compute_normals(stack, *trig)
-    assert got.shape == (4, h, w, 3)
-    for depth, normals in zip(stack, got):
+    assert got.shape == (np.count_nonzero(stack), 3)
+    parts = _per_image(got, stack)
+    for depth, normals in zip(stack, parts):
         assert _same_bits(normals, kernels.compute_normals(depth, *trig))
-    assert not got[1].any()
+        reference = _normals_reference(depth, *trig)[depth > 0.0]
+        assert _same_bits(normals, reference)
+    assert parts[1].shape == (0, 3)
 
 
 @pytest.mark.parametrize("case", ["empty", "one-cell", "one-per-cell"])

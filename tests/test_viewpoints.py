@@ -8,7 +8,8 @@ from xpr.core import LabeledPointCloud, Pose, identity_pose, yaw_rotation
 from xpr.encoder import encode_lidar_local
 from xpr.io_datasets import Dataset
 from xpr import pipeline
-from xpr.projection import RangeImage, estimate_normals, project_spherical
+from xpr.projection import (RangeImage, class_counts, estimate_normals,
+                            project_spherical, semantic_context)
 from xpr.viewpoints import (STACK_POINTS, crop_to_radius, make_viewpoints,
                             render_viewpoints)
 
@@ -106,7 +107,8 @@ def test_render_fills_normals():
     img, _ = render_viewpoints(cloud, [identity_pose()], cfg)
     filled = img.depth > 0
     assert filled.any()
-    norms = np.linalg.norm(img.normals[filled], axis=-1)
+    assert img.normals.shape == (np.count_nonzero(filled), 3)
+    norms = np.linalg.norm(img.normals, axis=-1)
     assert np.abs(norms - 1.0).max() < 1e-4
 
 
@@ -157,8 +159,10 @@ def _check_stacking(case, cloud, anchor, cfg):
 
 
 def _image(img, lab, v):
-    """Image v of a stack, as 2-D images."""
-    return RangeImage(img.depth[v], img.normals[v]), lab[v]
+    """Image v of a stack, as 2-D images with that image's normal rows."""
+    start = np.count_nonzero(img.depth[:v])
+    stop = start + np.count_nonzero(img.depth[v])
+    return RangeImage(img.depth[v], img.normals[start:stop]), lab[v]
 
 
 @pytest.mark.parametrize("case", STACK_CASES)
@@ -173,7 +177,7 @@ def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
     poses = make_viewpoints(anchor, cfg)
     img, lab = render_viewpoints(cloud, poses, cfg)
     assert img.depth.shape == (len(poses), cfg.range_rows, cfg.range_cols)
-    assert img.normals.shape == img.depth.shape + (3,)
+    assert img.normals.shape == (np.count_nonzero(img.depth), 3)
     assert lab.shape == img.depth.shape
     for v, pose in enumerate(poses):
         cropped = crop_to_radius(cloud, pose.translation, cfg.max_range_m)
@@ -182,7 +186,7 @@ def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
         alone = render_viewpoints(cloud, [pose], cfg)
         for got_img, got_lab in (_image(img, lab, v), _image(*alone, 0)):
             assert np.array_equal(got_img.depth, ref_img.depth[0])
-            assert np.array_equal(got_img.normals, ref_img.normals[0])
+            assert np.array_equal(got_img.normals, ref_img.normals)
             assert np.array_equal(got_lab, ref_lab[0])
     if case == "tied-ranges":
         assert (np.count_nonzero(img.depth == 10.0, axis=(1, 2)) == 1).all()
@@ -251,6 +255,48 @@ def test_render_places_cut_one_encode_per_viewpoint(case, monkeypatch):
         assert 0 < sum(empty) < len(empty), [len(x) for x in renders[0].cells]
     else:
         assert all(empty) == (case == "cropped-to-nothing") == any(empty)
+
+
+def test_render_places_count_the_classes_of_filled_cells():
+    """Each viewpoint's class counts are the bincount of its 360-degree
+    label image, but for void class 0, which they count at filled cells
+    only; they sum to the viewpoint's cells, and give the context the label
+    images give. The places: one cropped to nothing, one whose viewpoints
+    partly see nothing, one whose filled cells are all class 0, and one
+    with void and non-void points."""
+    cfg = Config()
+    anchor = Pose(yaw_rotation(0.7), np.array([3.0, -2.0, 1.0]))
+    tilted_anchor, tilted = _tilted_place()
+    far = [Pose(np.eye(3), np.array([x, 0.0, 0.0])) for x in (500.0, 900.0)]
+    void = random_cloud(5, n=500)
+    mixed = random_cloud(6, n=500)
+    clouds = [_case_cloud("cropped-to-nothing", anchor, cfg), tilted,
+              LabeledPointCloud(void.points + far[0].translation,
+                                np.zeros(500, dtype=np.uint16)),
+              LabeledPointCloud(mixed.points + far[1].translation,
+                                mixed.labels * (np.arange(500) % 3 > 0))]
+    poses = [anchor, tilted_anchor, *far]
+    dataset = Dataset("", cfg, {}, [(i, p.translation)
+                                    for i, p in enumerate(poses)],
+                      clouds, poses, [], {})
+    renders = pipeline.render_places(dataset, cfg)
+    for pr in renders:
+        assert pr.counts.shape == (cfg.n_viewpoints, cfg.n_classes)
+        for cells, lab, counts in zip(pr.cells, pr.labels, pr.counts):
+            want = np.bincount(lab.ravel(), minlength=cfg.n_classes)
+            assert np.array_equal(counts[1:], want[1:])
+            assert counts.sum() == len(cells)
+            assert np.array_equal(counts, cells[:, 4:].sum(axis=0))
+    cropped, partly, all_void, both = (pr.counts for pr in renders)
+    assert not cropped.any()
+    seen = partly.sum(axis=1) > 0
+    assert 0 < seen.sum() < cfg.n_viewpoints
+    assert all_void[:, 0].all() and not all_void[:, 1:].any()
+    assert both[:, 0].all() and both[:, 1:].any()
+    labels = [lab for pr in renders for lab in pr.labels]
+    context = pipeline.training_set(dataset, cfg, renders=renders).context
+    assert np.array_equal(context,
+                          semantic_context(class_counts(labels, cfg)))
 
 
 def test_render_viewpoints_need_one_position():
