@@ -204,7 +204,9 @@ def save_poses(path, poses: list) -> None:
 
 
 def load_poses(path) -> list:
-    """One 3x4 [R | t] row-major pose per non-blank line of UTF-8 text."""
+    """One 3x4 [R | t] row-major pose per non-blank line of UTF-8 text. A
+    rotation with det <= 0 or max |R R^T - I| above 1e-2 is rejected; one
+    that drifts by more than 1e-6 is re-orthonormalized with a warning."""
     poses = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
@@ -220,14 +222,16 @@ def load_poses(path) -> list:
         if not np.isfinite(vals).all():
             raise FormatError(f"{path}:{lineno}: non-finite value")
         rot, t = vals[:, :3], vals[:, 3]
-        if np.abs(rot @ rot.T - np.eye(3)).max() > 1e-6:
+        det = np.linalg.det(rot)
+        drift = np.abs(rot @ rot.T - np.eye(3)).max()
+        if det <= 0.0 or drift > 1e-2:
+            raise FormatError(f"{path}:{lineno}: not a rotation (det {det:.3g}, "
+                              f"max |R R^T - I| {drift:.3g})")
+        if drift > 1e-6:
             log.warning("%s:%d: re-orthonormalizing drifted rotation",
                         path, lineno)
             u, _, vt = np.linalg.svd(rot)
             rot = u @ vt
-            if np.linalg.det(rot) < 0:
-                u[:, -1] *= -1
-                rot = u @ vt
         poses.append(Pose(rot, t))
     return poses
 
@@ -382,13 +386,17 @@ class QueryRecord:
 
 def load_query(path, cfg: Config) -> QueryRecord:
     """Read a query file of QUERY_CHANNELS channels over the config's
-    frustum window, whose raw values are all finite and whose ground-truth
-    labels are all below n_classes."""
+    frustum window, whose heading, noise level, ground-truth position and
+    raw values are all finite and whose ground-truth labels are all below
+    n_classes."""
     r = _Reader(path)
     r.header(QUERY_MAGIC, QUERY_VERSION, "query")
     qid, pid = r.unpack("<II")
-    heading, noise = r.unpack("<2d")
-    gt = np.array(r.unpack("<3d"))
+    head = r.block("<f8", 5)   # heading, noise level, ground-truth x, y, z
+    r.check(head, ~np.isfinite(head), "non-finite header value {value} at "
+            "byte {at}")
+    heading, noise = float(head[0]), float(head[1])
+    gt = np.array(head[2:], dtype=np.float64)
     shape = r.unpack("<HHH")
     want = (cfg.range_rows, frustum_window(cfg.range_cols)[1], QUERY_CHANNELS)
     if shape != want:

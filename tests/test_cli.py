@@ -706,6 +706,36 @@ def test_query_nonfinite_raw_is_data_error(workspace, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("at, value", [(18, np.nan), (26, -np.inf),
+                                       (34, np.inf)],
+                         ids=["heading", "noise", "position"])
+def test_query_nonfinite_header_is_data_error(workspace, tmp_path, capsys,
+                                              at, value):
+    """A non-finite heading, noise level or ground-truth position is a data
+    error at its byte of the header."""
+    data = str(tmp_path / "data")
+    shutil.copytree(workspace["data"], data)
+    qdir = os.path.join(data, "queries")
+    path = os.path.join(qdir, sorted(os.listdir(qdir))[0])
+    cfg = load_dataset_config(data)[0]
+    with open(path, "rb") as fh:
+        raw = bytearray(fh.read())
+    struct.pack_into("<d", raw, at, value)
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    msg = f"non-finite header value {value} at byte {at}"
+    with pytest.raises(FormatError, match=msg):
+        load_query(path, cfg)
+    match = ["match", "--index", workspace["idx"], "--queries", data,
+             "--out", str(tmp_path / "r.csv")]
+    for args in (_train_args(data, tmp_path), match):
+        capsys.readouterr()
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert os.path.basename(path) in err and msg in err
+        assert "Traceback" not in err
+
+
 def test_index_label_shape_mismatch_is_data_error(workspace, tmp_path, capsys):
     args, artifacts = artifact_copies(workspace, tmp_path)
     target, loader = artifacts["index"]

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import subprocess
 import sys
 
@@ -77,8 +78,11 @@ def test_rng_reproducible_across_processes():
     draws = make_rng(987, 1).random(1000)
     script = ("import numpy as np; from xpr.config import make_rng; "
               "print(repr(float(make_rng(987, 1).random(1000).sum())))")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
     assert float(out.stdout.strip()) == draws.sum()
 
 

@@ -110,8 +110,11 @@ def test_poses_bad_line_reports_number(tmp_path):
 @pytest.mark.parametrize("line, msg", [
     (b"1 0 0 0 0 1 0 0 0 0 1 nan\n", ":3: non-finite value"),
     (b"1 0 0 inf 0 1 0 0 0 0 1 0\n", ":3: non-finite value"),
-    (b"1 0 0 0 0 1 0 0 0 0 1 \xff\n", "not UTF-8 at byte 70")],
-    ids=["nan", "inf", "utf8"])
+    (b"1 0 0 0 0 1 0 0 0 0 1 \xff\n", "not UTF-8 at byte 70"),
+    (b"0 0 0 0 0 0 0 0 0 0 0 0\n", ":3: not a rotation \\(det 0,"),
+    (b"2 0 0 0 0 2 0 0 0 0 2 0\n", ":3: not a rotation \\(det 8,"),
+    (b"1 0 0 0 0 1 0 0 0 0 -1 0\n", ":3: not a rotation \\(det -1,")],
+    ids=["nan", "inf", "utf8", "zero", "scaled", "reflection"])
 def test_poses_non_finite_or_non_text_rejected(tmp_path, line, msg):
     path = tmp_path / "poses.txt"
     path.write_bytes(b"1 0 0 0 0 1 0 0 0 0 1 0\n" * 2 + line)

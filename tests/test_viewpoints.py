@@ -10,8 +10,8 @@ from xpr.io_datasets import Dataset
 from xpr import pipeline
 from xpr.projection import (RangeImage, class_counts, estimate_normals,
                             project_spherical, semantic_context)
-from xpr.viewpoints import (STACK_POINTS, crop_to_radius, make_viewpoints,
-                            render_viewpoints)
+from xpr import viewpoints
+from xpr.viewpoints import crop_to_radius, make_viewpoints, render_viewpoints
 
 CFG = Config()
 
@@ -127,18 +127,18 @@ def _tied_cloud(anchor):
     return LabeledPointCloud(pts, labels)
 
 
-STACK_CASES = ["beyond-range", "empty", "cropped-to-nothing", "several-stacks",
-               "one-pose-stacks", "tied-ranges"]
+STACK_CASES = ["beyond-range", "empty", "cropped-to-nothing", "5000-points",
+               "9000-points", "tied-ranges"]
 
 
 def _case_cloud(case, anchor, cfg):
     """A map cloud around the anchor for one of STACK_CASES."""
     if case == "beyond-range":   # about half the points lie past max_range_m
         cloud = random_cloud(6, n=4000, extent=1.2 * cfg.max_range_m)
-    elif case in ("several-stacks", "one-pose-stacks"):   # all within range
-        n = {"several-stacks": 5000, "one-pose-stacks": 9000}[case]
+    elif case in ("5000-points", "9000-points"):   # all within range
+        n = {"5000-points": 5000, "9000-points": 9000}[case]
         cloud = random_cloud(6, n=n, extent=0.5 * cfg.max_range_m)
-    if case in ("beyond-range", "several-stacks", "one-pose-stacks"):
+    if case in ("beyond-range", "5000-points", "9000-points"):
         return LabeledPointCloud(cloud.points + anchor.translation, cloud.labels)
     if case == "empty":
         return _cloud(np.empty((0, 3)))
@@ -146,16 +146,6 @@ def _case_cloud(case, anchor, cfg):
         return _tied_cloud(anchor)
     return _cloud(anchor.translation + [[cfg.max_range_m + 1.0, 0, 0],
                                         [0, -cfg.max_range_m - 5.0, 0]])
-
-
-def _check_stacking(case, cloud, anchor, cfg):
-    """The place's viewpoints take the stacking that the case names."""
-    kept = crop_to_radius(cloud, anchor.translation, cfg.max_range_m).count
-    per_stack = STACK_POINTS // max(kept, 1)
-    expect = {"several-stacks": 1 < per_stack < cfg.n_viewpoints,
-              "one-pose-stacks": per_stack == 1}.get(
-                  case, per_stack >= cfg.n_viewpoints)
-    assert expect, (case, kept)
 
 
 def _image(img, lab, v):
@@ -167,13 +157,12 @@ def _image(img, lab, v):
 
 @pytest.mark.parametrize("case", STACK_CASES)
 def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
-    """Cropping once per place and projecting the viewpoints in stacks
+    """Cropping once per place and projecting the viewpoints as one stack
     renders every viewpoint exactly as cropping around each viewpoint's own
     pose and projecting it alone does."""
     cfg = Config()
     anchor = Pose(yaw_rotation(0.7), np.array([3.0, -2.0, 1.0]))
     cloud = _case_cloud(case, anchor, cfg)
-    _check_stacking(case, cloud, anchor, cfg)
     poses = make_viewpoints(anchor, cfg)
     img, lab = render_viewpoints(cloud, poses, cfg)
     assert img.depth.shape == (len(poses), cfg.range_rows, cfg.range_cols)
@@ -206,28 +195,35 @@ def _tilted_place():
     return anchor, _cloud(pts + anchor.translation)
 
 
-@pytest.mark.parametrize("case", ["beyond-range", "several-stacks",
-                                  "one-pose-stacks", "cropped-to-nothing",
+@pytest.mark.parametrize("case", ["beyond-range", "5000-points",
+                                  "9000-points", "cropped-to-nothing",
                                   "tilted"])
 def test_render_places_cut_one_encode_per_viewpoint(case, monkeypatch):
-    """render_places encodes each place's stack in one call, and cuts it
-    into the cells each viewpoint's image gives alone, bit for bit; an
-    image with no filled cell gives a (0, C) block. The first place takes
-    the stacking the case names, the second one stack."""
+    """render_places projects each place's viewpoints, gives them normals
+    and encodes them in one call each, as one (V, H, W) stack, and cuts the
+    encode into the cells each viewpoint's image gives alone, bit for bit;
+    an image with no filled cell gives a (0, C) block."""
     cfg = Config()
-    calls = []
+    calls = {"project": [], "normals": [], "encode": []}
 
-    def counted(*args):
-        calls.append(args[0].depth.shape)
-        return encode_lidar_local(*args)
+    def counted(name, fn, shape):
+        def call(*args):
+            out = fn(*args)
+            calls[name].append(shape(args, out))
+            return out
+        return call
 
-    monkeypatch.setattr(pipeline, "encode_lidar_local", counted)
+    monkeypatch.setattr(viewpoints, "project_spherical", counted(
+        "project", project_spherical, lambda args, out: out[0].depth.shape))
+    monkeypatch.setattr(viewpoints, "estimate_normals", counted(
+        "normals", estimate_normals, lambda args, out: args[0].depth.shape))
+    monkeypatch.setattr(pipeline, "encode_lidar_local", counted(
+        "encode", encode_lidar_local, lambda args, out: args[0].depth.shape))
     if case == "tilted":
         anchor, cloud = _tilted_place()
     else:
         anchor = Pose(yaw_rotation(0.7), np.array([3.0, -2.0, 1.0]))
         cloud = _case_cloud(case, anchor, cfg)
-        _check_stacking(case, cloud, anchor, cfg)
     # a second place far from the first
     other = Pose(np.eye(3), np.array([500.0, 0.0, 0.0]))
     near = random_cloud(5, n=500)
@@ -236,7 +232,8 @@ def test_render_places_cut_one_encode_per_viewpoint(case, monkeypatch):
                                     (9, other.translation)],
                       [cloud, near], [anchor, other], [], {})
     renders = pipeline.render_places(dataset, cfg)
-    assert calls == [(cfg.n_viewpoints, cfg.range_rows, cfg.range_cols)] * 2
+    stack = (cfg.n_viewpoints, cfg.range_rows, cfg.range_cols)
+    assert calls == {name: [stack] * 2 for name in calls}
     assert [pr.place_id for pr in renders] == [4, 9]
     for pr, place_cloud, place_anchor in zip(renders, dataset.clouds,
                                              dataset.poses):
