@@ -20,13 +20,15 @@ PROJECTION_SEED_STREAM = 104
 
 @dataclass(frozen=True)
 class GlobalDescriptor:
-    values: np.ndarray   # (descriptor_dim,) unit norm unless flagged
+    values: np.ndarray   # (descriptor_dim,) or (M, descriptor_dim) rows,
+                         # unit norm unless flagged
 
     @property
-    def flagged(self) -> bool:
-        """True only for the all-zero vector that `netvlad` gives a map
-        with no cells or whose descriptor normalizes to zero."""
-        return not self.values.any()
+    def flagged(self) -> int:
+        """The number of all-zero rows, which `netvlad` gives a map with no
+        cells or whose descriptor normalizes to zero: for one descriptor,
+        1 when it is that zero vector and 0 otherwise."""
+        return int(np.count_nonzero(~self.values.any(axis=-1)))
 
 
 @dataclass
@@ -204,12 +206,13 @@ def semantic_attention(feat: np.ndarray, context: np.ndarray,
     return attention_forward(feat, context, params.bilinear, params.gain)[0]
 
 
-def netvlad(cells: np.ndarray, params: NetVladParams) -> GlobalDescriptor:
-    """Descriptor of one map's valid cells (n, C); no cells, or a descriptor
-    that normalizes to zero, gives a flagged zero vector."""
-    d = netvlad_forward([cells], params.centroids, params.assign_w,
-                        params.assign_b, params.proj)[0][0]
-    return GlobalDescriptor(d)
+def netvlad(blocks: list, params: NetVladParams) -> GlobalDescriptor:
+    """Descriptors (M, d_D) of M maps in one call, given as their valid
+    cells (n_m, C); a map with no cells, or whose descriptor normalizes to
+    zero, gives a flagged zero row."""
+    return GlobalDescriptor(netvlad_forward(
+        blocks, params.centroids, params.assign_w, params.assign_b,
+        params.proj)[0])
 
 
 def describe_query(obs: QueryObservation, enc: EncoderParams,
@@ -219,8 +222,8 @@ def describe_query(obs: QueryObservation, enc: EncoderParams,
     `describe_query_tape` computes one anchor, and its predicted labels as
     the SemanticImage that `match_query` takes."""
     feat, pred = encode_query(obs, enc)
-    return (netvlad(semantic_attention(feat, context, att), vlad),
-            SemanticImage(pred))
+    rows = netvlad([semantic_attention(feat, context, att)], vlad).values
+    return GlobalDescriptor(rows[0]), SemanticImage(pred)
 
 
 def describe_query_tape(raw: np.ndarray, seg: np.ndarray, context: np.ndarray,

@@ -332,8 +332,8 @@ def _stage_timings(args, index, params, cfg, queries, dataset) -> dict:
         poses = make_viewpoints(pose, cfg)
         rng_img, labels = render_viewpoints(cloud, poses, cfg)
         stages = {
-            "viewpoint_describe": lambda: netvlad(encode_lidar_local(
-                *render_viewpoints(cloud, [pose], cfg), cfg), params.vlad),
+            "viewpoint_describe": lambda: netvlad([encode_lidar_local(
+                *render_viewpoints(cloud, [pose], cfg), cfg)], params.vlad),
             "project": lambda: project_spherical(cloud, [pose], cfg),
             "render_place": lambda: render_viewpoints(cloud, poses, cfg),
             "normals": lambda: estimate_normals(rng_img, cfg),

@@ -85,13 +85,13 @@ def encode_query(obs: QueryObservation, params: EncoderParams
 
 def encode_lidar_local(rng_img: RangeImage, labels: np.ndarray,
                        cfg: Config) -> np.ndarray:
-    """The filled cells (depth > 0) of a rendered viewpoint, or of a stack of
-    them image by image, row-major, as an (n, C) block: normalized depth,
-    the image's normal rows, and the one-hot of its label in the
-    (..., H, W) label images."""
+    """The filled cells of a rendered viewpoint, or of a stack of them image
+    by image, row-major, as an (n, C) block: normalized depth, the image's
+    normal rows, and the one-hot of its label in the (..., H, W) label
+    images, at the image's `filled` flat indices."""
     if rng_img.depth.shape != labels.shape:
         raise ValueError("range/semantic image shapes differ")
-    filled = np.flatnonzero(rng_img.depth > 0.0)
+    filled = rng_img.filled
     labels = labels.take(filled)
     cells = np.zeros((len(filled), cfg.feature_dim))
     cells[:, 0] = np.clip(rng_img.depth.take(filled) / cfg.max_range_m,

@@ -36,10 +36,10 @@ def fill_grid(rows, cols, ranges, labels, h, w):
 # ------------------------------------------------------------------- normals
 
 def compute_normals(depth, cos_az, sin_az, cos_el, sin_el):
-    """(n, 3) normals of the n filled cells (depth > 0) of a depth grid or a
-    stack of them (..., h, w), in row-major order, per cell from the cross
-    product of the right and down neighbour differences, oriented toward the
-    sensor.
+    """The (n,) flat indices, row-major, of the n filled cells (depth > 0)
+    of a depth grid or a stack of them (..., h, w), and their (n, 3)
+    normals, per cell from the cross product of the right and down
+    neighbour differences, oriented toward the sensor.
 
     A cell on the last row or column, with an empty neighbour or with a
     degenerate cross product takes the unit direction back to the sensor.
@@ -89,4 +89,4 @@ def compute_normals(depth, cos_az, sin_az, cos_el, sin_el):
     np.negative(n, out=n, where=facing > 0.0)
     for i in range(3):
         normals[here, i] = n[i]
-    return normals
+    return filled, normals

@@ -36,9 +36,8 @@ def render_places(dataset: Dataset, cfg: Config) -> list:
         rng_img, labels = render_viewpoints(cloud, make_viewpoints(anchor, cfg),
                                             cfg)
         # the encode takes the filled cells image by image, row-major
-        filled = np.flatnonzero(rng_img.depth > 0.0)
-        view = filled // labels[0].size
-        counts = np.bincount(view * k + labels.take(filled),
+        view = rng_img.filled // labels[0].size
+        counts = np.bincount(view * k + labels.take(rng_img.filled),
                              minlength=len(labels) * k).reshape(-1, k)
         cells = np.split(encode_lidar_local(rng_img, labels, cfg),
                          np.cumsum(counts.sum(axis=1)[:-1]))
@@ -50,10 +49,9 @@ def build_index(dataset: Dataset, params: ModelParams, cfg: Config,
                 renders: list | None = None) -> MapIndex:
     """Describe every (place, viewpoint) pair into a searchable index of its
     descriptor and frontal window, with the semantic context of the 360-degree
-    renders."""
+    renders; one `netvlad` call describes all of a place's viewpoints."""
     renders = renders if renders is not None else render_places(dataset, cfg)
-    descriptors = [netvlad(x, params.vlad).values for pr in renders
-                   for x in pr.cells]
+    descriptors = [netvlad(pr.cells, params.vlad).values for pr in renders]
     c0, width = frustum_window(cfg.range_cols)
     windows = [pr.labels[:, :, c0:c0 + width] for pr in renders]
     return MapIndex([(pr.place_id, pr.position) for pr in renders],

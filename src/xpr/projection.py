@@ -9,7 +9,7 @@ import numpy as np
 
 from . import kernels
 from .config import Config
-from .core import LabeledPointCloud
+from .core import LabeledPointCloud, yaw_rotation
 
 
 @dataclass(frozen=True)
@@ -17,6 +17,8 @@ class RangeImage:
     depth: np.ndarray            # (..., H, W) meters, 0 = empty cell
     normals: np.ndarray | None   # (n, 3) unit vectors of the n filled cells,
                                  # row-major; None before estimate_normals
+    filled: np.ndarray | None = None  # (n,) flat indices of those cells into
+                                      # depth; None before estimate_normals
 
 
 @dataclass(frozen=True)
@@ -44,25 +46,37 @@ def _cell_trig(rows: int, cols: int, vfov_up: float, vfov_down: float):
 
 def project_spherical(cloud: LabeledPointCloud, sensor_poses: list,
                       cfg: Config) -> tuple[RangeImage, np.ndarray]:
-    """Project a cloud from each of V sensor poses onto the 360-degree grid,
-    as one (V, H, W) stack of range images and its (V, H, W) uint16 label
-    images (0 where empty); nearest point wins each cell.
+    """Project a cloud from V sensor poses onto the 360-degree grid, as one
+    (V, H, W) stack of range images and its (V, H, W) uint16 label images
+    (0 where empty); nearest point wins each cell, and ties on range go to
+    the lower point index.
+
+    The poses must be yaw steps about the first one's own vertical axis:
+    pose k is `poses[0].rotation @ yaw_rotation(k * 2pi / V)` at the same
+    position, as `make_viewpoints` gives them; anything else raises
+    ValueError. So one polar binning serves every image: the cloud is moved
+    into the first pose's frame once, each point's range, row and azimuth
+    are computed once, and image k bins the azimuth less k * 2pi / V.
 
     Azimuth [-pi, pi) maps linearly to columns with azimuth 0 at the image
-    center; elevation [vfov_down, vfov_up] maps linearly to rows (top row =
-    vfov_up). Points at the sensor or outside the vertical FOV are dropped.
-    All V images take one pass: one batched transform into the sensor
-    frames, and one `kernels.fill_grid` scatter-min over a (V*H, W) grid in
-    which image v owns rows v*H:(v+1)*H, so that ties on range go to the
-    lower point index within each image.
+    center, and wraps modulo the column count; elevation [vfov_down,
+    vfov_up] maps linearly to rows (top row = vfov_up). Points at the sensor
+    or outside the vertical FOV are dropped. One `kernels.fill_grid`
+    scatter-min over a (V*H, W) grid, in which image k owns rows
+    k*H:(k+1)*H, fills the stack.
     """
     h, w = cfg.range_rows, cfg.range_cols
-    inverse = [p.inverse() for p in sensor_poses]
-    # R @ x.T + t per inverse pose: the bits of Pose.transform, as (V, 3, n)
-    # coordinate rows; image v's points come before image v+1's
-    xyz = np.stack([p.rotation for p in inverse]) @ cloud.points.T
-    xyz += np.stack([p.translation for p in inverse])[:, :, None]
-    x, y, z = np.swapaxes(xyz, 0, 1).reshape(3, -1)
+    n_views = len(sensor_poses)
+    step = 2.0 * math.pi / n_views
+    first = sensor_poses[0]
+    for k, pose in enumerate(sensor_poses[1:], 1):
+        if not np.array_equal(pose.translation, first.translation):
+            raise ValueError("sensor poses do not share one position")
+        if not np.array_equal(pose.rotation,
+                              first.rotation @ yaw_rotation(k * step)):
+            raise ValueError("sensor poses are not yaw steps about the first")
+    inverse = first.inverse()
+    x, y, z = inverse.rotation @ cloud.points.T + inverse.translation[:, None]
     rng = x * x
     rng += y * y
     rng += z * z
@@ -74,25 +88,25 @@ def project_spherical(cloud: LabeledPointCloud, sensor_poses: list,
         np.arcsin(np.clip(el, -1.0, 1.0, out=el), out=el)
         keep = np.flatnonzero((rng > 0.0) & (el >= down) & (el <= up))
     el, rng = el[keep], rng[keep]
-    az = np.arctan2(y[keep], x[keep])
-
-    az += math.pi
-    az /= 2.0 * math.pi
-    az *= w
-    cols = np.floor(az, out=az).astype(np.int64)
-    cols[cols == w] = 0                  # azimuth pi is column 0, as -pi is
     np.subtract(up, el, out=el)
     el /= up - down
     el *= h
     rows = np.floor(el, out=el).astype(np.int64)
     np.minimum(rows, h - 1, out=rows)
-    # image v's points are the kept indices in [v*n, (v+1)*n): move them to
-    # rows v*h:(v+1)*h, and their indices back to point indices
-    n_views, n = len(sensor_poses), cloud.count
-    view = keep // n
-    rows += view * h
-    keep -= view * n
-    depth, labels = kernels.fill_grid(rows, cols, rng, cloud.labels[keep],
+
+    # image k's columns, (V, n): its azimuth is the first pose's less k steps
+    az = np.arctan2(y[keep], x[keep]) - (np.arange(n_views) * step)[:, None]
+    az += math.pi
+    az /= 2.0 * math.pi
+    az *= w
+    cols = np.floor(az, out=az).astype(np.int64)
+    # a true wrap: azimuth pi is column 0, as -pi is, and an azimuth that
+    # falls below -pi by the k steps wraps to the last columns
+    cols %= w
+    rows = rows + (np.arange(n_views) * h)[:, None]
+    depth, labels = kernels.fill_grid(rows.ravel(), cols.ravel(),
+                                      np.tile(rng, n_views),
+                                      np.tile(cloud.labels[keep], n_views),
                                       n_views * h, w)
     return (RangeImage(depth.reshape(n_views, h, w), None),
             labels.reshape(n_views, h, w))
@@ -108,7 +122,8 @@ def estimate_normals(img: RangeImage, cfg: Config) -> RangeImage:
     oriented to face the sensor.
     """
     trig = _cell_trig(*img.depth.shape[-2:], cfg.vfov_up, cfg.vfov_down)
-    return RangeImage(img.depth, kernels.compute_normals(img.depth, *trig))
+    filled, normals = kernels.compute_normals(img.depth, *trig)
+    return RangeImage(img.depth, normals, filled)
 
 
 def unproject(img: RangeImage, cfg: Config) -> np.ndarray:

@@ -254,11 +254,11 @@ def check_netvlad_oracle(seed: int) -> CheckResult:
                                rng.normal(size=(16, k * c)) / 4.0)
         values = rng.normal(size=(h, w, c))
         cells = values[rng.random((h, w)) > 0.2]
-        got = netvlad(cells, params)
+        got = netvlad([cells], params)
         ref = netvlad_reference(cells, params)
-        worst = max(worst, float(np.abs(got.values - ref).max()))
+        worst = max(worst, float(np.abs(got.values[0] - ref).max()))
         if not got.flagged:
-            worst = max(worst, abs(float(np.linalg.norm(got.values)) - 1.0))
+            worst = max(worst, abs(float(np.linalg.norm(got.values[0])) - 1.0))
     return CheckResult("netvlad_oracle", worst, 1e-10)
 
 

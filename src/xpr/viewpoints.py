@@ -10,11 +10,12 @@ from .core import LabeledPointCloud, Pose, yaw_rotation
 from .projection import RangeImage, estimate_normals, project_spherical
 
 def make_viewpoints(anchor: Pose, cfg: Config) -> list:
-    """The n_viewpoints Poses of the anchor composed with yaw rotations
-    k*2pi/N about its own position, k ascending."""
+    """The n_viewpoints Poses of the anchor turned by yaw steps k*2pi/N
+    about its own vertical axis, at its position, k ascending: pose k is
+    `anchor.rotation @ yaw_rotation(k * step)`, the poses that
+    `project_spherical` renders in one pass."""
     step = 2.0 * math.pi / cfg.n_viewpoints
-    # rotate about the world vertical axis through the anchor position
-    return [Pose(yaw_rotation(k * step) @ anchor.rotation, anchor.translation)
+    return [Pose(anchor.rotation @ yaw_rotation(k * step), anchor.translation)
             for k in range(cfg.n_viewpoints)]
 
 
@@ -27,16 +28,13 @@ def crop_to_radius(cloud: LabeledPointCloud, center: np.ndarray,
 
 def render_viewpoints(map_cloud: LabeledPointCloud, poses: list,
                       cfg: Config) -> tuple[RangeImage, np.ndarray]:
-    """One (V, H, W) stack of range images with the normal rows of its
-    filled cells and its (V, H, W) label images, in pose order, for poses
-    that share one position, as a place's viewpoints do: the map is cropped
-    around that position once, then all the poses are projected and given
-    normals in one pass."""
+    """One (V, H, W) stack of range images with its filled cells and their
+    normal rows, and its (V, H, W) label images, in pose order, for poses
+    that are yaw steps about the first, as a place's viewpoints are: the map
+    is cropped around their position once, then all the poses are projected
+    in one polar pass and given normals in one call."""
     if not poses:
         raise ValueError("no viewpoints to render")
-    center = poses[0].translation
-    if any(not np.array_equal(p.translation, center) for p in poses[1:]):
-        raise ValueError("viewpoints to render do not share one position")
-    cropped = crop_to_radius(map_cloud, center, cfg.max_range_m)
+    cropped = crop_to_radius(map_cloud, poses[0].translation, cfg.max_range_m)
     rng_img, labels = project_spherical(cropped, poses, cfg)
     return estimate_normals(rng_img, cfg), labels

@@ -11,6 +11,7 @@ from xpr.aggregation import (N_CLUSTERS, attention_forward, describe_query,
 from xpr.config import Config, make_rng
 from xpr.encoder import QUERY_CHANNELS, QueryObservation
 from xpr.model import TRAINABLE, ModelParams, init_model_params
+from xpr import pipeline
 
 CFG = Config()
 
@@ -71,10 +72,10 @@ def test_netvlad_matches_reference_many_instances():
         cells = random_cells(rng, h, w, c, mask_prob=0.9)
         if not len(cells):
             continue
-        got = netvlad(cells, params)
+        got = netvlad([cells], params)
         ref = vlad_reference(cells, centroids, assign_w, assign_b, proj)
-        worst = max(worst, float(np.abs(got.values - ref).max()))
-        assert abs(np.linalg.norm(got.values) - 1.0) < 1e-10 or got.flagged
+        worst = max(worst, float(np.abs(got.values[0] - ref).max()))
+        assert abs(np.linalg.norm(got.values[0]) - 1.0) < 1e-10 or got.flagged
     assert worst < 1e-10
 
 
@@ -142,17 +143,17 @@ def test_netvlad_batch_zero_map_has_zero_gradient():
 
 def test_netvlad_unit_norm():
     params = init_netvlad_params(CFG)
-    d = netvlad(random_cells(make_rng(3, 1), 8, 12, CFG.feature_dim), params)
+    d = netvlad([random_cells(make_rng(3, 1), 8, 12, CFG.feature_dim)], params)
     assert not d.flagged
-    assert np.linalg.norm(d.values) == pytest.approx(1.0, abs=1e-12)
-    assert d.values.shape == (CFG.descriptor_dim,)
+    assert np.linalg.norm(d.values[0]) == pytest.approx(1.0, abs=1e-12)
+    assert d.values.shape == (1, CFG.descriptor_dim)
 
 
 def test_netvlad_empty_map_flagged_zero():
     params = init_netvlad_params(CFG)
-    d = netvlad(np.zeros((0, CFG.feature_dim)), params)
-    assert d.flagged and not d.values.any()
-    assert d.values.shape == (CFG.descriptor_dim,)
+    d = netvlad([np.zeros((0, CFG.feature_dim))], params)
+    assert d.flagged == 1 and not d.values.any()
+    assert d.values.shape == (1, CFG.descriptor_dim)
 
 
 def perturbed_params(seed):
@@ -249,6 +250,64 @@ def test_netvlad_ignores_masked_cells():
                             params.enc, params.att, params.vlad, context)
     assert np.array_equal(d0.values, d1.values)
     assert np.array_equal(p0.labels, p1.labels)
+
+
+def test_netvlad_rows_are_one_map_each():
+    """One call over M maps gives M rows, each the one-map call's row to
+    float32 precision, and `flagged` counts the zero rows."""
+    params = perturbed_params(43).vlad
+    rng = make_rng(44, 1)
+    blocks = [random_cells(rng, 4, 6, CFG.feature_dim) for _ in range(5)]
+    blocks.insert(2, np.zeros((0, CFG.feature_dim)))
+    got = netvlad(blocks, params)
+    assert got.values.shape == (len(blocks), CFG.descriptor_dim)
+    assert got.flagged == 1 and not got.values[2].any()
+    for row, block in zip(got.values, blocks):
+        alone = netvlad([block], params)
+        assert np.array_equal(row.astype("<f4"), alone.values[0].astype("<f4"))
+    assert netvlad(blocks[2:3] * 3, params).flagged == 3
+
+
+def test_build_index_describes_each_place_in_one_netvlad_call(monkeypatch):
+    """build_index makes one `netvlad` call per place, over that place's
+    viewpoint blocks in yaw order: its `<f4` rows are the per-block
+    `netvlad_forward` rows, and its `flagged` is the place's zero rows."""
+    cfg = Config(n_viewpoints=4)
+    params = perturbed_params(45)
+    rng = make_rng(46, 1)
+    renders = []
+    for pid in range(3):
+        cells = [random_cells(rng, 5, 7, cfg.feature_dim)
+                 for _ in range(cfg.n_viewpoints)]
+        if pid == 1:
+            cells[3] = np.zeros((0, cfg.feature_dim))
+        if pid == 2:
+            cells = [np.zeros((0, cfg.feature_dim))] * cfg.n_viewpoints
+        labels = rng.integers(0, cfg.n_classes, (cfg.n_viewpoints,
+                                                 cfg.range_rows,
+                                                 cfg.range_cols))
+        counts = np.stack([np.bincount(lab.ravel(), minlength=cfg.n_classes)
+                           for lab in labels])
+        renders.append(pipeline.PlaceRenders(pid, np.zeros(3), cells,
+                                             labels.astype(np.uint16), counts))
+    calls = []
+
+    def counted(blocks, vlad):
+        out = netvlad(blocks, vlad)
+        calls.append((blocks, int(out.flagged)))
+        return out
+
+    monkeypatch.setattr(pipeline, "netvlad", counted)
+    index = pipeline.build_index(None, params, cfg, renders=renders)
+    assert [blocks for blocks, _ in calls] == [pr.cells for pr in renders]
+    assert [flagged for _, flagged in calls] == [0, 1, cfg.n_viewpoints]
+    want = [netvlad_forward([x], params.vlad.centroids, params.vlad.assign_w,
+                            params.vlad.assign_b, params.vlad.proj)[0][0]
+            for pr in renders for x in pr.cells]
+    assert np.array_equal(index.descriptors.astype("<f4"),
+                          np.array(want).astype("<f4"))
+    zero = ~index.descriptors.any(axis=1)
+    assert zero.tolist() == [False] * 7 + [True] + [True] * cfg.n_viewpoints
 
 
 def test_netvlad_default_cluster_count():

@@ -83,7 +83,8 @@ def lidar_images(seed, h=6, w=10):
     normals = rng.normal(size=(h, w, 3))
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     labels = rng.integers(0, CFG.n_classes, (h, w)).astype(np.uint16)
-    return RangeImage(depth, normals[depth > 0.0]), labels
+    return (RangeImage(depth, normals[depth > 0.0], np.flatnonzero(depth)),
+            labels)
 
 
 def grid_lidar_cells(rng_img, labels, cfg):
@@ -147,7 +148,7 @@ def lidar_stack(case, v=4, h=6, w=10):
     channels[rng.random((3, v, h, w)) < 0.2] = -0.0
     labels = rng.integers(0, CFG.n_classes, (v, h, w)).astype(np.uint16)
     rows = np.ascontiguousarray(channels[:, depth > 0.0])
-    return RangeImage(depth, rows.T), labels
+    return RangeImage(depth, rows.T, np.flatnonzero(depth)), labels
 
 
 @pytest.mark.parametrize("case", ["moveaxis-normals", "empty-image",
@@ -165,10 +166,10 @@ def test_lidar_stack_cells_match_mask_gathers_bit_for_bit(case):
 
 def test_lidar_empty_render_is_flagged():
     h, w = 3, 5
-    img = RangeImage(np.zeros((h, w)), np.zeros((0, 3)))
+    img = RangeImage(np.zeros((h, w)), np.zeros((0, 3)), np.zeros(0, np.intp))
     cells = encode_lidar_local(img, np.zeros((h, w), np.uint16), CFG)
     assert cells.shape == (0, CFG.feature_dim)
-    d = netvlad(cells, init_netvlad_params(CFG))
+    d = netvlad([cells], init_netvlad_params(CFG))
     assert d.flagged and not d.values.any()
 
 
@@ -182,6 +183,6 @@ def test_lidar_shape_mismatch_rejected():
 def test_lidar_depth_clipped_at_max_range():
     h, w = 2, 3
     depth = np.full((h, w), 200.0)
-    img = RangeImage(depth, np.zeros((h * w, 3)))
+    img = RangeImage(depth, np.zeros((h * w, 3)), np.arange(h * w))
     cells = encode_lidar_local(img, np.ones((h, w), dtype=np.uint16), CFG)
     assert np.array_equal(cells[:, 0], np.ones(h * w))

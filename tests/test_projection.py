@@ -315,8 +315,9 @@ def test_kernels_match_scalar_reference():
     holed = depth.copy()
     holed[rng.uniform(size=holed.shape) < 0.3] = 0.0  # exercises the fallback
     for d in (depth, holed):
-        assert _same_bits(_normals_reference(d, *trig)[d > 0.0],
-                          kernels.compute_normals(d, *trig))
+        filled, normals = kernels.compute_normals(d, *trig)
+        assert np.array_equal(filled, np.flatnonzero(d > 0.0))
+        assert _same_bits(_normals_reference(d, *trig)[d > 0.0], normals)
 
 
 def _normals_case(case):
@@ -344,7 +345,8 @@ def test_normals_match_scalar_reference_bit_for_bit(case):
     in raw bits, image by image, at any fill, on a grid with no interior
     cell, and where every cross product is degenerate."""
     depth, trig = _normals_case(case)
-    got = kernels.compute_normals(depth, *trig)
+    filled, got = kernels.compute_normals(depth, *trig)
+    assert np.array_equal(filled, np.flatnonzero(depth > 0.0))
     assert got.shape == (np.count_nonzero(depth), 3)
     images = depth.reshape(-1, *depth.shape[-2:])
     for d, normals in zip(images, _per_image(got, images)):
@@ -378,11 +380,12 @@ def test_normals_of_a_stack_equal_one_image_at_a_time(h, w):
     az = np.linspace(-3, 3, w)
     el = np.linspace(-0.4, 0.03, h)
     trig = (np.cos(az), np.sin(az), np.cos(el), np.sin(el))
-    got = kernels.compute_normals(stack, *trig)
+    filled, got = kernels.compute_normals(stack, *trig)
+    assert np.array_equal(filled, np.flatnonzero(stack > 0.0))
     assert got.shape == (np.count_nonzero(stack), 3)
     parts = _per_image(got, stack)
     for depth, normals in zip(stack, parts):
-        assert _same_bits(normals, kernels.compute_normals(depth, *trig))
+        assert _same_bits(normals, kernels.compute_normals(depth, *trig)[1])
         reference = _normals_reference(depth, *trig)[depth > 0.0]
         assert _same_bits(normals, reference)
     assert parts[1].shape == (0, 3)

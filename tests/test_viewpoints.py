@@ -10,6 +10,7 @@ from xpr.io_datasets import Dataset
 from xpr import pipeline
 from xpr.projection import (RangeImage, class_counts, estimate_normals,
                             project_spherical, semantic_context)
+from xpr.selfcheck import shift_safe_scene
 from xpr import viewpoints
 from xpr.viewpoints import crop_to_radius, make_viewpoints, render_viewpoints
 
@@ -52,6 +53,28 @@ def test_viewpoint_yaws_uniform():
         assert np.allclose(pose.rotation, yaw_rotation(k * step), atol=1e-12)
 
 
+def _pitched(degrees, anchor=None):
+    """A rotation pitched about the y axis, after the anchor's rotation."""
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    pitch = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    return pitch if anchor is None else anchor @ pitch
+
+
+def test_viewpoints_turn_about_the_anchor_own_vertical():
+    """Viewpoint k is the anchor turned by k yaw steps about its own
+    vertical axis, which every viewpoint shares; for a pitched anchor that
+    is not a turn about the world vertical."""
+    anchor = Pose(_pitched(25.0, yaw_rotation(0.3)), np.array([1.0, 2.0, 3.0]))
+    step = 2 * math.pi / CFG.n_viewpoints
+    for k, pose in enumerate(make_viewpoints(anchor, CFG)):
+        assert np.array_equal(pose.rotation,
+                              anchor.rotation @ yaw_rotation(k * step))
+        assert np.allclose(pose.rotation[:, 2], anchor.rotation[:, 2],
+                           atol=1e-12)
+        world = yaw_rotation(k * step) @ anchor.rotation
+        assert np.allclose(pose.rotation, world, atol=1e-12) == (k == 0)
+
+
 def test_crop_keeps_only_inside():
     cloud = random_cloud(1)
     center = np.array([5.0, -3.0, 0.0])
@@ -78,7 +101,6 @@ def test_render_viewpoints_are_column_shifts():
     shifts the panorama by a whole number of columns."""
     cfg = Config(n_viewpoints=4)
     assert cfg.range_cols % cfg.n_viewpoints == 0
-    from xpr.selfcheck import shift_safe_scene
     cloud = shift_safe_scene(make_rng(9, 1), cfg, n_points=400)
     poses = make_viewpoints(identity_pose(), cfg)
     img, lab = render_viewpoints(cloud, poses, cfg)
@@ -112,9 +134,68 @@ def test_render_fills_normals():
     assert np.abs(norms - 1.0).max() < 1e-4
 
 
+def test_pitched_viewpoints_see_what_their_poses_see():
+    """Each image of a pitched place's stack is, up to the last bits of
+    its ranges, the one-pose render of that viewpoint's own pose: points at
+    the anchor frame's cell centers land in the same cells either way."""
+    cfg = Config(n_viewpoints=4)
+    anchor = Pose(_pitched(30.0, yaw_rotation(0.4)), np.array([3.0, -2.0, 1.0]))
+    local = shift_safe_scene(make_rng(11, 1), cfg, n_points=400)
+    cloud = LabeledPointCloud(anchor.transform(local.points), local.labels)
+    poses = make_viewpoints(anchor, cfg)
+    img, lab = render_viewpoints(cloud, poses, cfg)
+    assert np.count_nonzero(img.depth[0]) > 100
+    for k, pose in enumerate(poses):
+        alone, alone_lab = render_viewpoints(cloud, [pose], cfg)
+        assert np.array_equal(lab[k], alone_lab[0])
+        assert np.allclose(img.depth[k], alone.depth[0], atol=1e-9)
+
+
 def _cloud(points):
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     return LabeledPointCloud(points, 1 + np.arange(len(points)) % 7)
+
+
+def polar_reference(cloud, anchor, cfg):
+    """(V, H, W) depth and label stacks of a place's viewpoints by the
+    definition, one point at a time.
+
+    A point within max_range_m of the anchor has one range, elevation and
+    azimuth in the anchor's frame; viewpoint k bins it at its elevation's
+    row and at column floor((az - k*2pi/V + pi) / 2pi * W) mod W, and each
+    cell keeps its nearest point, the lowest index on ties. The anchor-frame
+    coordinates are the one-pose render's transform, R^T x - R^T t as one
+    matrix product over the kept points; the trig is numpy's, called on one
+    point at a time, which rounds as its array loops do.
+    """
+    h, w, n_views = cfg.range_rows, cfg.range_cols, cfg.n_viewpoints
+    up, down = math.radians(cfg.vfov_up), math.radians(cfg.vfov_down)
+    step = 2.0 * math.pi / n_views
+    kept = []
+    for i, (px, py, pz) in enumerate(cloud.points - anchor.translation):
+        if math.sqrt(px * px + py * py + pz * pz) <= cfg.max_range_m:
+            kept.append(i)
+    inverse = anchor.inverse()
+    xyz = (inverse.rotation @ cloud.points[kept].T
+           + inverse.translation[:, None])
+    depth = np.zeros((n_views, h, w))
+    labels = np.zeros((n_views, h, w), dtype=np.uint16)
+    for i, (x, y, z) in zip(kept, xyz.T):
+        r = np.sqrt(x * x + y * y + z * z)
+        if r == 0.0:
+            continue
+        el = np.arcsin(min(max(z / r, -1.0), 1.0))
+        if not down <= el <= up:
+            continue
+        row = min(int(np.floor((up - el) / (up - down) * h)), h - 1)
+        az = np.arctan2(y, x)
+        for k in range(n_views):
+            col = int(np.floor((az - k * step + math.pi)
+                               / (2.0 * math.pi) * w)) % w
+            if depth[k, row, col] == 0.0 or r < depth[k, row, col]:
+                depth[k, row, col] = r
+                labels[k, row, col] = cloud.labels[i]
+    return depth, labels
 
 
 def _tied_cloud(anchor):
@@ -128,69 +209,109 @@ def _tied_cloud(anchor):
 
 
 STACK_CASES = ["beyond-range", "empty", "cropped-to-nothing", "5000-points",
-               "9000-points", "tied-ranges"]
+               "9000-points", "tied-ranges", "pitched", "azimuth-pi",
+               "crosses-minus-pi"]
+#: a point straight behind an unrotated anchor, at azimuth pi: column 0 of
+#: viewpoint 0, whose column is W before it wraps
+BEHIND = [-10.0, 0.0, -1.0]
+#: a point at azimuth -pi + 0.01, whose azimuth less one yaw step or more
+#: falls below -pi, so that its columns wrap from below 0
+WRAPS = [10.0 * math.cos(0.01 - math.pi), 10.0 * math.sin(0.01 - math.pi), -1.0]
 
 
-def _case_cloud(case, anchor, cfg):
-    """A map cloud around the anchor for one of STACK_CASES."""
+def _case_place(case, cfg):
+    """(anchor, map cloud around it) of one of STACK_CASES."""
+    anchor = Pose(yaw_rotation(0.7), np.array([3.0, -2.0, 1.0]))
+    if case == "pitched":
+        anchor = Pose(_pitched(25.0, anchor.rotation), anchor.translation)
+    elif case in ("azimuth-pi", "crosses-minus-pi"):
+        anchor = Pose(np.eye(3), anchor.translation)
     if case == "beyond-range":   # about half the points lie past max_range_m
         cloud = random_cloud(6, n=4000, extent=1.2 * cfg.max_range_m)
-    elif case in ("5000-points", "9000-points"):   # all within range
-        n = {"5000-points": 5000, "9000-points": 9000}[case]
+    elif case in ("5000-points", "9000-points", "pitched"):  # all in range
+        n = {"9000-points": 9000}.get(case, 5000)
         cloud = random_cloud(6, n=n, extent=0.5 * cfg.max_range_m)
-    if case in ("beyond-range", "5000-points", "9000-points"):
-        return LabeledPointCloud(cloud.points + anchor.translation, cloud.labels)
-    if case == "empty":
-        return _cloud(np.empty((0, 3)))
-    if case == "tied-ranges":
-        return _tied_cloud(anchor)
-    return _cloud(anchor.translation + [[cfg.max_range_m + 1.0, 0, 0],
-                                        [0, -cfg.max_range_m - 5.0, 0]])
+    elif case == "empty":
+        return anchor, _cloud(np.empty((0, 3)))
+    elif case == "tied-ranges":
+        return anchor, _tied_cloud(anchor)
+    elif case == "cropped-to-nothing":
+        return anchor, _cloud(anchor.translation
+                              + [[cfg.max_range_m + 1.0, 0, 0],
+                                 [0, -cfg.max_range_m - 5.0, 0]])
+    else:
+        cloud = random_cloud(6, n=500, extent=0.5 * cfg.max_range_m)
+        edge = {"azimuth-pi": BEHIND, "crosses-minus-pi": WRAPS}[case]
+        cloud = LabeledPointCloud(np.vstack([cloud.points, edge]),
+                                  np.r_[cloud.labels, 7])
+    return anchor, LabeledPointCloud(cloud.points + anchor.translation,
+                                     cloud.labels)
 
 
 def _image(img, lab, v):
-    """Image v of a stack, as 2-D images with that image's normal rows."""
+    """Image v of a stack, as 2-D images with that image's filled cells and
+    normal rows."""
     start = np.count_nonzero(img.depth[:v])
     stop = start + np.count_nonzero(img.depth[v])
-    return RangeImage(img.depth[v], img.normals[start:stop]), lab[v]
+    return (RangeImage(img.depth[v], img.normals[start:stop],
+                       img.filled[start:stop] - v * img.depth[v].size),
+            lab[v])
+
+
+def _reference_images(cloud, anchor, cfg):
+    """The `polar_reference` stack as per-viewpoint 2-D images with their
+    normals, each estimated on that image alone."""
+    depth, labels = polar_reference(cloud, anchor, cfg)
+    return [(estimate_normals(RangeImage(d, None), cfg), lab)
+            for d, lab in zip(depth, labels)]
 
 
 @pytest.mark.parametrize("case", STACK_CASES)
 def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
-    """Cropping once per place and projecting the viewpoints as one stack
-    renders every viewpoint exactly as cropping around each viewpoint's own
-    pose and projecting it alone does."""
+    """Cropping once per place and projecting the viewpoints in one polar
+    pass renders every viewpoint exactly as the point-by-point reference of
+    the definition does: depths, labels and the normals of each image
+    alone, bit for bit."""
     cfg = Config()
-    anchor = Pose(yaw_rotation(0.7), np.array([3.0, -2.0, 1.0]))
-    cloud = _case_cloud(case, anchor, cfg)
+    anchor, cloud = _case_place(case, cfg)
     poses = make_viewpoints(anchor, cfg)
     img, lab = render_viewpoints(cloud, poses, cfg)
     assert img.depth.shape == (len(poses), cfg.range_rows, cfg.range_cols)
     assert img.normals.shape == (np.count_nonzero(img.depth), 3)
+    assert np.array_equal(img.filled, np.flatnonzero(img.depth))
     assert lab.shape == img.depth.shape
-    for v, pose in enumerate(poses):
-        cropped = crop_to_radius(cloud, pose.translation, cfg.max_range_m)
-        ref_img, ref_lab = project_spherical(cropped, [pose], cfg)
-        ref_img = estimate_normals(ref_img, cfg)
-        alone = render_viewpoints(cloud, [pose], cfg)
-        for got_img, got_lab in (_image(img, lab, v), _image(*alone, 0)):
-            assert np.array_equal(got_img.depth, ref_img.depth[0])
-            assert np.array_equal(got_img.normals, ref_img.normals)
-            assert np.array_equal(got_lab, ref_lab[0])
+    for v, (ref_img, ref_lab) in enumerate(_reference_images(cloud, anchor,
+                                                             cfg)):
+        got_img, got_lab = _image(img, lab, v)
+        assert np.array_equal(got_img.depth, ref_img.depth)
+        assert np.array_equal(got_img.normals, ref_img.normals)
+        assert np.array_equal(got_img.filled, ref_img.filled)
+        assert np.array_equal(got_lab, ref_lab)
+    # viewpoint 0 renders alone as it renders in the stack
+    alone, alone_lab = render_viewpoints(cloud, poses[:1], cfg)
+    assert np.array_equal(alone.depth[0], img.depth[0])
+    assert np.array_equal(alone.normals, _image(img, lab, 0)[0].normals)
+    assert np.array_equal(alone_lab[0], lab[0])
     if case == "tied-ranges":
         assert (np.count_nonzero(img.depth == 10.0, axis=(1, 2)) == 1).all()
         assert (lab[img.depth == 10.0] == 6).all()
+    if case == "azimuth-pi":     # BEHIND sits in column 0 of viewpoint 0
+        assert np.count_nonzero(img.depth[0, :, 0] == np.sqrt(101.0)) == 1
+    if case == "crosses-minus-pi":   # and WRAPS wraps into the last columns
+        col = math.floor((0.01 - 2 * math.pi / cfg.n_viewpoints)
+                         / (2 * math.pi) * cfg.range_cols) % cfg.range_cols
+        assert col > cfg.range_cols // 2
+        assert np.isclose(img.depth[1, :, col], np.sqrt(101.0)).any()
     filled = case not in ("empty", "cropped-to-nothing")
     assert (np.count_nonzero(img.depth[0]) > 0) == filled
 
 
 def _tilted_place():
-    """An anchor pitched by 40 degrees and a small cluster 20 m away: the
-    yaw steps tip the cluster in and out of the vertical FOV, so some of
-    the place's viewpoints see it and others see nothing."""
-    c, s = math.cos(math.radians(40.0)), math.sin(math.radians(40.0))
-    anchor = Pose([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]],
-                  np.array([3.0, -2.0, 1.0]))
+    """An anchor pitched by 40 degrees and a small cluster 20 m away, which
+    sits 40 degrees above the anchor's horizon: above the vertical FOV of
+    every viewpoint, as all of them turn about the anchor's own vertical
+    axis, so the place's viewpoints all see nothing."""
+    anchor = Pose(_pitched(40.0), np.array([3.0, -2.0, 1.0]))
     pts = make_rng(10, 1).uniform(-0.5, 0.5, (200, 3)) + [20.0, 0.0, 0.0]
     return anchor, _cloud(pts + anchor.translation)
 
@@ -201,8 +322,9 @@ def _tilted_place():
 def test_render_places_cut_one_encode_per_viewpoint(case, monkeypatch):
     """render_places projects each place's viewpoints, gives them normals
     and encodes them in one call each, as one (V, H, W) stack, and cuts the
-    encode into the cells each viewpoint's image gives alone, bit for bit;
-    an image with no filled cell gives a (0, C) block."""
+    encode into the cells each viewpoint's reference image gives alone, bit
+    for bit; either every viewpoint of a place has no filled cell, and each
+    gives a (0, C) block, or none does."""
     cfg = Config()
     calls = {"project": [], "normals": [], "encode": []}
 
@@ -222,8 +344,7 @@ def test_render_places_cut_one_encode_per_viewpoint(case, monkeypatch):
     if case == "tilted":
         anchor, cloud = _tilted_place()
     else:
-        anchor = Pose(yaw_rotation(0.7), np.array([3.0, -2.0, 1.0]))
-        cloud = _case_cloud(case, anchor, cfg)
+        anchor, cloud = _case_place(case, cfg)
     # a second place far from the first
     other = Pose(np.eye(3), np.array([500.0, 0.0, 0.0]))
     near = random_cloud(5, n=500)
@@ -240,34 +361,31 @@ def test_render_places_cut_one_encode_per_viewpoint(case, monkeypatch):
         assert len(pr.cells) == cfg.n_viewpoints
         assert pr.labels.shape == (cfg.n_viewpoints, cfg.range_rows,
                                    cfg.range_cols)
-        for v, pose in enumerate(make_viewpoints(place_anchor, cfg)):
-            img, lab = render_viewpoints(place_cloud, [pose], cfg)
-            want = encode_lidar_local(*_image(img, lab, 0), cfg)
+        references = _reference_images(place_cloud, place_anchor, cfg)
+        for v, (img, lab) in enumerate(references):
+            want = encode_lidar_local(img, lab, cfg)
             assert pr.cells[v].shape == want.shape
             assert np.array_equal(pr.cells[v], want)
-            assert np.array_equal(pr.labels[v], lab[0])
+            assert np.array_equal(pr.labels[v], lab)
     assert min(len(x) for x in renders[1].cells) > 0
     empty = [x.shape == (0, cfg.feature_dim) for x in renders[0].cells]
-    if case == "tilted":
-        assert 0 < sum(empty) < len(empty), [len(x) for x in renders[0].cells]
-    else:
-        assert all(empty) == (case == "cropped-to-nothing") == any(empty)
+    assert all(empty) == (case in ("cropped-to-nothing", "tilted")) == any(empty)
 
 
 def test_render_places_count_the_classes_of_filled_cells():
     """Each viewpoint's class counts are the bincount of its 360-degree
     label image, but for void class 0, which they count at filled cells
     only; they sum to the viewpoint's cells, and give the context the label
-    images give. The places: one cropped to nothing, one whose viewpoints
-    partly see nothing, one whose filled cells are all class 0, and one
-    with void and non-void points."""
+    images give. The places: one cropped to nothing, one whose kept points
+    all lie outside every viewpoint's vertical FOV, one whose filled cells
+    are all class 0, and one with void and non-void points."""
     cfg = Config()
-    anchor = Pose(yaw_rotation(0.7), np.array([3.0, -2.0, 1.0]))
     tilted_anchor, tilted = _tilted_place()
     far = [Pose(np.eye(3), np.array([x, 0.0, 0.0])) for x in (500.0, 900.0)]
     void = random_cloud(5, n=500)
     mixed = random_cloud(6, n=500)
-    clouds = [_case_cloud("cropped-to-nothing", anchor, cfg), tilted,
+    anchor, cropped = _case_place("cropped-to-nothing", cfg)
+    clouds = [cropped, tilted,
               LabeledPointCloud(void.points + far[0].translation,
                                 np.zeros(500, dtype=np.uint16)),
               LabeledPointCloud(mixed.points + far[1].translation,
@@ -277,17 +395,19 @@ def test_render_places_count_the_classes_of_filled_cells():
                                     for i, p in enumerate(poses)],
                       clouds, poses, [], {})
     renders = pipeline.render_places(dataset, cfg)
-    for pr in renders:
+    for pr, cloud, pose in zip(renders, clouds, poses):
         assert pr.counts.shape == (cfg.n_viewpoints, cfg.n_classes)
+        assert np.array_equal(pr.labels, polar_reference(cloud, pose, cfg)[1])
         for cells, lab, counts in zip(pr.cells, pr.labels, pr.counts):
             want = np.bincount(lab.ravel(), minlength=cfg.n_classes)
             assert np.array_equal(counts[1:], want[1:])
             assert counts.sum() == len(cells)
             assert np.array_equal(counts, cells[:, 4:].sum(axis=0))
-    cropped, partly, all_void, both = (pr.counts for pr in renders)
+    cropped, unseen, all_void, both = (pr.counts for pr in renders)
     assert not cropped.any()
-    seen = partly.sum(axis=1) > 0
-    assert 0 < seen.sum() < cfg.n_viewpoints
+    assert crop_to_radius(tilted, tilted_anchor.translation,
+                          cfg.max_range_m).count == tilted.count
+    assert not unseen.any()
     assert all_void[:, 0].all() and not all_void[:, 1:].any()
     assert both[:, 0].all() and both[:, 1:].any()
     labels = [lab for pr in renders for lab in pr.labels]
@@ -303,3 +423,19 @@ def test_render_viewpoints_need_one_position():
     poses = [identity_pose(), Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))]
     with pytest.raises(ValueError, match="share one position"):
         render_viewpoints(random_cloud(7), poses, cfg)
+
+
+def test_render_viewpoints_need_yaw_steps_about_the_first():
+    """Only the yaw steps about the first pose's own vertical axis render:
+    world-vertical turns of a pitched anchor, poses out of order, and too
+    few or too many steps for their count are refused."""
+    cfg = Config()
+    anchor = Pose(_pitched(25.0), np.array([1.0, 2.0, 3.0]))
+    poses = make_viewpoints(anchor, cfg)
+    step = 2 * math.pi / cfg.n_viewpoints
+    world = [Pose(yaw_rotation(k * step) @ anchor.rotation, anchor.translation)
+             for k in range(cfg.n_viewpoints)]
+    for bad in (world, poses[::-1], poses[:-1], poses[:1] + poses):
+        with pytest.raises(ValueError, match="not yaw steps"):
+            render_viewpoints(random_cloud(7), bad, cfg)
+    assert render_viewpoints(random_cloud(7), poses, cfg)[1].shape[0] == len(poses)
