@@ -29,7 +29,7 @@ from .pipeline import (build_index, match_dataset_queries, render_places,
                        training_set)
 from .projection import estimate_normals, project_spherical
 from .selfcheck import run_all
-from .viewpoints import make_viewpoints, render_viewpoints
+from .viewpoints import render_viewpoints
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -329,13 +329,14 @@ def _stage_timings(args, index, params, cfg, queries, dataset) -> dict:
     if dataset is not None:
         cloud = dataset.clouds[0]
         pose = dataset.poses[0]
-        poses = make_viewpoints(pose, cfg)
-        rng_img, labels = render_viewpoints(cloud, poses, cfg)
+        n_views = cfg.n_viewpoints
+        rng_img, labels = render_viewpoints(cloud, pose, n_views, cfg)
         stages = {
             "viewpoint_describe": lambda: netvlad([encode_lidar_local(
-                *render_viewpoints(cloud, [pose], cfg), cfg)], params.vlad),
-            "project": lambda: project_spherical(cloud, [pose], cfg),
-            "render_place": lambda: render_viewpoints(cloud, poses, cfg),
+                *render_viewpoints(cloud, pose, 1, cfg), cfg)], params.vlad),
+            "project": lambda: project_spherical(cloud, pose, 1, cfg),
+            "render_place": lambda: render_viewpoints(cloud, pose, n_views,
+                                                      cfg),
             "normals": lambda: estimate_normals(rng_img, cfg),
             "encode": lambda: encode_lidar_local(rng_img, labels, cfg),
         }

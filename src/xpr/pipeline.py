@@ -10,10 +10,10 @@ from .config import Config
 from .encoder import encode_lidar_local
 from .io_datasets import Dataset
 from .losses import TrainTable, train_table
-from .matching import MapIndex, MatchResult, match_query
+from .matching import MapIndex, match_query
 from .model import ModelParams
 from .projection import frustum_window, semantic_context
-from .viewpoints import make_viewpoints, render_viewpoints
+from .viewpoints import render_viewpoints
 
 
 @dataclass
@@ -33,7 +33,7 @@ def render_places(dataset: Dataset, cfg: Config) -> list:
     k = cfg.n_classes
     for (pid, pos), cloud, anchor in zip(dataset.places, dataset.clouds,
                                          dataset.poses):
-        rng_img, labels = render_viewpoints(cloud, make_viewpoints(anchor, cfg),
+        rng_img, labels = render_viewpoints(cloud, anchor, cfg.n_viewpoints,
                                             cfg)
         # the encode takes the filled cells image by image, row-major
         view = rng_img.filled // labels[0].size

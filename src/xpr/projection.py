@@ -9,7 +9,7 @@ import numpy as np
 
 from . import kernels
 from .config import Config
-from .core import LabeledPointCloud, yaw_rotation
+from .core import LabeledPointCloud, Pose
 
 
 @dataclass(frozen=True)
@@ -44,19 +44,19 @@ def _cell_trig(rows: int, cols: int, vfov_up: float, vfov_down: float):
     return trig
 
 
-def project_spherical(cloud: LabeledPointCloud, sensor_poses: list,
+def project_spherical(cloud: LabeledPointCloud, pose: Pose, n_views: int,
                       cfg: Config) -> tuple[RangeImage, np.ndarray]:
-    """Project a cloud from V sensor poses onto the 360-degree grid, as one
-    (V, H, W) stack of range images and its (V, H, W) uint16 label images
-    (0 where empty); nearest point wins each cell, and ties on range go to
-    the lower point index.
+    """Project a cloud from the n_views viewpoints of a sensor pose onto the
+    360-degree grid, as one (V, H, W) stack of range images and its
+    (V, H, W) uint16 label images (0 where empty); nearest point wins each
+    cell, and ties on range go to the lower point index.
 
-    The poses must be yaw steps about the first one's own vertical axis:
-    pose k is `poses[0].rotation @ yaw_rotation(k * 2pi / V)` at the same
-    position, as `make_viewpoints` gives them; anything else raises
-    ValueError. So one polar binning serves every image: the cloud is moved
-    into the first pose's frame once, each point's range, row and azimuth
-    are computed once, and image k bins the azimuth less k * 2pi / V.
+    Viewpoint k is the pose turned by k * 2pi / V about its own vertical
+    axis at its position, `pose.rotation @ yaw_rotation(k * 2pi / V)`;
+    viewpoint 0 is the pose itself. One polar binning serves every image:
+    the cloud is moved into the pose's frame once, each point's range, row
+    and azimuth are computed once, and image k bins the azimuth less
+    k * 2pi / V.
 
     Azimuth [-pi, pi) maps linearly to columns with azimuth 0 at the image
     center, and wraps modulo the column count; elevation [vfov_down,
@@ -66,16 +66,8 @@ def project_spherical(cloud: LabeledPointCloud, sensor_poses: list,
     k*H:(k+1)*H, fills the stack.
     """
     h, w = cfg.range_rows, cfg.range_cols
-    n_views = len(sensor_poses)
     step = 2.0 * math.pi / n_views
-    first = sensor_poses[0]
-    for k, pose in enumerate(sensor_poses[1:], 1):
-        if not np.array_equal(pose.translation, first.translation):
-            raise ValueError("sensor poses do not share one position")
-        if not np.array_equal(pose.rotation,
-                              first.rotation @ yaw_rotation(k * step)):
-            raise ValueError("sensor poses are not yaw steps about the first")
-    inverse = first.inverse()
+    inverse = pose.inverse()
     x, y, z = inverse.rotation @ cloud.points.T + inverse.translation[:, None]
     rng = x * x
     rng += y * y
@@ -94,7 +86,7 @@ def project_spherical(cloud: LabeledPointCloud, sensor_poses: list,
     rows = np.floor(el, out=el).astype(np.int64)
     np.minimum(rows, h - 1, out=rows)
 
-    # image k's columns, (V, n): its azimuth is the first pose's less k steps
+    # image k's columns, (V, n): its azimuth is the pose's less k steps
     az = np.arctan2(y[keep], x[keep]) - (np.arange(n_views) * step)[:, None]
     az += math.pi
     az /= 2.0 * math.pi

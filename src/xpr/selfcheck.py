@@ -288,8 +288,8 @@ def check_projection_shift(seed: int) -> CheckResult:
         theta = shift * 2.0 * math.pi / cfg.range_cols
         rot = yaw_rotation(theta)
         rotated = LabeledPointCloud(cloud.points @ rot.T, cloud.labels)
-        img0, labels0 = project_spherical(cloud, [identity_pose()], cfg)
-        img1, labels1 = project_spherical(rotated, [identity_pose()], cfg)
+        img0, labels0 = project_spherical(cloud, identity_pose(), 1, cfg)
+        img1, labels1 = project_spherical(rotated, identity_pose(), 1, cfg)
         worst = max(worst,
                     float(np.abs(np.roll(img0.depth, shift, axis=-1)
                                  - img1.depth).max()),

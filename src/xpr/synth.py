@@ -213,11 +213,11 @@ def _render_query(world: SyntheticWorld, cloud: LabeledPointCloud,
                   cfg: Config) -> tuple[QueryObservation, np.ndarray]:
     """make_query on the place's canonical cloud, sampled by the caller."""
     pose = query_pose(world, place_id, heading)
-    rng_img, labels = render_viewpoints(cloud, [pose], cfg)
+    rng_img, labels = render_viewpoints(cloud, pose, 1, cfg)
     c0, width = frustum_window(cfg.range_cols)
     sl = slice(c0, c0 + width)
     # the frustum's filled cells keep their row-major order among the rows
-    col = np.nonzero(rng_img.depth[0] > 0.0)[1]
+    col = rng_img.filled % cfg.range_cols
     in_window = (col >= c0) & (col < c0 + width)
     obs = observation_from_render(rng_img.depth[0, :, sl],
                                   rng_img.normals[in_window],

@@ -13,6 +13,8 @@ name is not a use of it.
 Some names live only because the benchmark reads them. BENCHMARK_ONLY pins
 that list: a name joins it or leaves it, by losing its last library caller
 or gaining one, only with an edit here.
+
+Likewise every name a library module imports is read in that module.
 """
 import ast
 import pathlib
@@ -72,3 +74,27 @@ def test_every_public_helper_has_a_library_caller():
 def test_benchmark_only_names_are_the_pinned_ones():
     only = {entry.split()[-1] for entry in unused_names(LIBRARY)}
     assert only == BENCHMARK_ONLY
+
+
+def unused_imports():
+    """`file:line name` of each name a library module imports and never
+    reads, by name or as a string annotation; `from __future__` imports are
+    compiler directives, not names."""
+    unused = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text())
+        reads = {name for name, _, how in _names(tree)
+                 if how in ("name", "string")}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in reads:
+                    unused.append(f"{path.name}:{node.lineno} {bound}")
+    return unused
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []

@@ -15,7 +15,7 @@ CFG = Config(vfov_up=15.0, vfov_down=-15.0)
 
 def project_one(cloud, pose, cfg):
     """The 2-D images of a one-pose stack: image 0 of each."""
-    img, lab = project_spherical(cloud, [pose], cfg)
+    img, lab = project_spherical(cloud, pose, 1, cfg)
     assert img.normals is None
     return RangeImage(img.depth[0], None), lab[0]
 

@@ -12,7 +12,7 @@ from xpr.projection import (RangeImage, class_counts, estimate_normals,
                             project_spherical, semantic_context)
 from xpr.selfcheck import shift_safe_scene
 from xpr import viewpoints
-from xpr.viewpoints import crop_to_radius, make_viewpoints, render_viewpoints
+from xpr.viewpoints import crop_to_radius, render_viewpoints
 
 CFG = Config()
 
@@ -23,56 +23,11 @@ def random_cloud(seed, n=1000, extent=60.0):
     return LabeledPointCloud(pts, rng.integers(1, 8, n).astype(np.uint16))
 
 
-def test_viewpoint_count_and_step():
-    poses = make_viewpoints(Pose(yaw_rotation(2.9), np.zeros(3)), CFG)
-    assert len(poses) == CFG.n_viewpoints
-    step = yaw_rotation(2 * math.pi / CFG.n_viewpoints)
-    for a, b in zip(poses, poses[1:] + poses[:1]):
-        assert np.allclose(b.rotation, step @ a.rotation, atol=1e-12)
-
-
-def test_viewpoint_zero_is_anchor():
-    anchor = Pose(yaw_rotation(0.4), np.array([1.0, 2.0, 3.0]))
-    pose = make_viewpoints(anchor, CFG)[0]
-    assert np.array_equal(pose.rotation, anchor.rotation)
-    assert np.array_equal(pose.translation, anchor.translation)
-
-
-def test_viewpoints_share_translation_and_are_valid_rotations():
-    anchor = Pose(yaw_rotation(1.1), np.array([-4.0, 7.0, 0.5]))
-    for pose in make_viewpoints(anchor, CFG):
-        assert np.array_equal(pose.translation, anchor.translation)
-        assert np.allclose(pose.rotation @ pose.rotation.T, np.eye(3),
-                           atol=1e-12)
-        assert np.linalg.det(pose.rotation) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_viewpoint_yaws_uniform():
-    step = 2 * math.pi / CFG.n_viewpoints
-    for k, pose in enumerate(make_viewpoints(identity_pose(), CFG)):
-        assert np.allclose(pose.rotation, yaw_rotation(k * step), atol=1e-12)
-
-
 def _pitched(degrees, anchor=None):
     """A rotation pitched about the y axis, after the anchor's rotation."""
     c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
     pitch = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
     return pitch if anchor is None else anchor @ pitch
-
-
-def test_viewpoints_turn_about_the_anchor_own_vertical():
-    """Viewpoint k is the anchor turned by k yaw steps about its own
-    vertical axis, which every viewpoint shares; for a pitched anchor that
-    is not a turn about the world vertical."""
-    anchor = Pose(_pitched(25.0, yaw_rotation(0.3)), np.array([1.0, 2.0, 3.0]))
-    step = 2 * math.pi / CFG.n_viewpoints
-    for k, pose in enumerate(make_viewpoints(anchor, CFG)):
-        assert np.array_equal(pose.rotation,
-                              anchor.rotation @ yaw_rotation(k * step))
-        assert np.allclose(pose.rotation[:, 2], anchor.rotation[:, 2],
-                           atol=1e-12)
-        world = yaw_rotation(k * step) @ anchor.rotation
-        assert np.allclose(pose.rotation, world, atol=1e-12) == (k == 0)
 
 
 def test_crop_keeps_only_inside():
@@ -102,8 +57,7 @@ def test_render_viewpoints_are_column_shifts():
     cfg = Config(n_viewpoints=4)
     assert cfg.range_cols % cfg.n_viewpoints == 0
     cloud = shift_safe_scene(make_rng(9, 1), cfg, n_points=400)
-    poses = make_viewpoints(identity_pose(), cfg)
-    img, lab = render_viewpoints(cloud, poses, cfg)
+    img, lab = render_viewpoints(cloud, identity_pose(), cfg.n_viewpoints, cfg)
     cols_per_step = cfg.range_cols // cfg.n_viewpoints
     for k in (1, 3):
         assert np.allclose(np.roll(img.depth[0], -k * cols_per_step, axis=1),
@@ -117,7 +71,7 @@ def test_render_respects_max_range():
     far = cfg.max_range_m + 5.0
     cloud = LabeledPointCloud(np.array([[far, 0.0, 0.0], [10.0, 0.0, 0.0]]),
                               np.array([2, 3], dtype=np.uint16))
-    img, lab = render_viewpoints(cloud, [identity_pose()], cfg)
+    img, lab = render_viewpoints(cloud, identity_pose(), 1, cfg)
     assert img.depth.shape == (1, cfg.range_rows, cfg.range_cols)
     assert np.count_nonzero(img.depth) == 1
     assert lab[img.depth > 0][0] == 3
@@ -126,7 +80,7 @@ def test_render_respects_max_range():
 def test_render_fills_normals():
     cfg = Config()
     cloud = random_cloud(4, n=3000, extent=40.0)
-    img, _ = render_viewpoints(cloud, [identity_pose()], cfg)
+    img, _ = render_viewpoints(cloud, identity_pose(), 1, cfg)
     filled = img.depth > 0
     assert filled.any()
     assert img.normals.shape == (np.count_nonzero(filled), 3)
@@ -136,17 +90,19 @@ def test_render_fills_normals():
 
 def test_pitched_viewpoints_see_what_their_poses_see():
     """Each image of a pitched place's stack is, up to the last bits of
-    its ranges, the one-pose render of that viewpoint's own pose: points at
-    the anchor frame's cell centers land in the same cells either way."""
+    its ranges, the one-view render of that viewpoint's own pose, the
+    anchor turned by k yaw steps about its own vertical axis: points at the
+    anchor frame's cell centers land in the same cells either way."""
     cfg = Config(n_viewpoints=4)
     anchor = Pose(_pitched(30.0, yaw_rotation(0.4)), np.array([3.0, -2.0, 1.0]))
     local = shift_safe_scene(make_rng(11, 1), cfg, n_points=400)
     cloud = LabeledPointCloud(anchor.transform(local.points), local.labels)
-    poses = make_viewpoints(anchor, cfg)
-    img, lab = render_viewpoints(cloud, poses, cfg)
+    img, lab = render_viewpoints(cloud, anchor, cfg.n_viewpoints, cfg)
     assert np.count_nonzero(img.depth[0]) > 100
-    for k, pose in enumerate(poses):
-        alone, alone_lab = render_viewpoints(cloud, [pose], cfg)
+    step = 2 * math.pi / cfg.n_viewpoints
+    for k in range(cfg.n_viewpoints):
+        pose = Pose(anchor.rotation @ yaw_rotation(k * step), anchor.translation)
+        alone, alone_lab = render_viewpoints(cloud, pose, 1, cfg)
         assert np.array_equal(lab[k], alone_lab[0])
         assert np.allclose(img.depth[k], alone.depth[0], atol=1e-9)
 
@@ -156,9 +112,9 @@ def _cloud(points):
     return LabeledPointCloud(points, 1 + np.arange(len(points)) % 7)
 
 
-def polar_reference(cloud, anchor, cfg):
-    """(V, H, W) depth and label stacks of a place's viewpoints by the
-    definition, one point at a time.
+def polar_reference(cloud, anchor, n_views, cfg):
+    """(V, H, W) depth and label stacks of the anchor's n_views viewpoints
+    by the definition, one point at a time.
 
     A point within max_range_m of the anchor has one range, elevation and
     azimuth in the anchor's frame; viewpoint k bins it at its elevation's
@@ -168,7 +124,7 @@ def polar_reference(cloud, anchor, cfg):
     matrix product over the kept points; the trig is numpy's, called on one
     point at a time, which rounds as its array loops do.
     """
-    h, w, n_views = cfg.range_rows, cfg.range_cols, cfg.n_viewpoints
+    h, w = cfg.range_rows, cfg.range_cols
     up, down = math.radians(cfg.vfov_up), math.radians(cfg.vfov_down)
     step = 2.0 * math.pi / n_views
     kept = []
@@ -258,37 +214,44 @@ def _image(img, lab, v):
             lab[v])
 
 
-def _reference_images(cloud, anchor, cfg):
+def _reference_images(cloud, anchor, n_views, cfg):
     """The `polar_reference` stack as per-viewpoint 2-D images with their
     normals, each estimated on that image alone."""
-    depth, labels = polar_reference(cloud, anchor, cfg)
+    depth, labels = polar_reference(cloud, anchor, n_views, cfg)
     return [(estimate_normals(RangeImage(d, None), cfg), lab)
             for d, lab in zip(depth, labels)]
 
 
-@pytest.mark.parametrize("case", STACK_CASES)
-def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
-    """Cropping once per place and projecting the viewpoints in one polar
-    pass renders every viewpoint exactly as the point-by-point reference of
-    the definition does: depths, labels and the normals of each image
-    alone, bit for bit."""
+#: view counts beside the config's: one, and 7, which does not divide the
+#: 180 columns
+OTHER_VIEW_COUNTS = (1, 7)
+
+
+@pytest.mark.parametrize("case,n_views", [
+    *(pytest.param(case, CFG.n_viewpoints, id=case) for case in STACK_CASES),
+    *(pytest.param(case, n, id=f"{case}-{n}-views")
+      for n in OTHER_VIEW_COUNTS for case in STACK_CASES)])
+def test_render_viewpoints_equal_one_crop_per_viewpoint(case, n_views):
+    """Cropping once per place and projecting n_views viewpoints in one
+    polar pass renders every viewpoint exactly as the point-by-point
+    reference of the definition does: depths, labels and the normals of
+    each image alone, bit for bit."""
     cfg = Config()
     anchor, cloud = _case_place(case, cfg)
-    poses = make_viewpoints(anchor, cfg)
-    img, lab = render_viewpoints(cloud, poses, cfg)
-    assert img.depth.shape == (len(poses), cfg.range_rows, cfg.range_cols)
+    img, lab = render_viewpoints(cloud, anchor, n_views, cfg)
+    assert img.depth.shape == (n_views, cfg.range_rows, cfg.range_cols)
     assert img.normals.shape == (np.count_nonzero(img.depth), 3)
     assert np.array_equal(img.filled, np.flatnonzero(img.depth))
     assert lab.shape == img.depth.shape
     for v, (ref_img, ref_lab) in enumerate(_reference_images(cloud, anchor,
-                                                             cfg)):
+                                                             n_views, cfg)):
         got_img, got_lab = _image(img, lab, v)
         assert np.array_equal(got_img.depth, ref_img.depth)
         assert np.array_equal(got_img.normals, ref_img.normals)
         assert np.array_equal(got_img.filled, ref_img.filled)
         assert np.array_equal(got_lab, ref_lab)
     # viewpoint 0 renders alone as it renders in the stack
-    alone, alone_lab = render_viewpoints(cloud, poses[:1], cfg)
+    alone, alone_lab = render_viewpoints(cloud, anchor, 1, cfg)
     assert np.array_equal(alone.depth[0], img.depth[0])
     assert np.array_equal(alone.normals, _image(img, lab, 0)[0].normals)
     assert np.array_equal(alone_lab[0], lab[0])
@@ -297,8 +260,9 @@ def test_render_viewpoints_equal_one_crop_per_viewpoint(case):
         assert (lab[img.depth == 10.0] == 6).all()
     if case == "azimuth-pi":     # BEHIND sits in column 0 of viewpoint 0
         assert np.count_nonzero(img.depth[0, :, 0] == np.sqrt(101.0)) == 1
-    if case == "crosses-minus-pi":   # and WRAPS wraps into the last columns
-        col = math.floor((0.01 - 2 * math.pi / cfg.n_viewpoints)
+    if case == "crosses-minus-pi" and n_views > 1:
+        # and WRAPS wraps into the last columns of viewpoint 1
+        col = math.floor((0.01 - 2 * math.pi / n_views)
                          / (2 * math.pi) * cfg.range_cols) % cfg.range_cols
         assert col > cfg.range_cols // 2
         assert np.isclose(img.depth[1, :, col], np.sqrt(101.0)).any()
@@ -361,7 +325,8 @@ def test_render_places_cut_one_encode_per_viewpoint(case, monkeypatch):
         assert len(pr.cells) == cfg.n_viewpoints
         assert pr.labels.shape == (cfg.n_viewpoints, cfg.range_rows,
                                    cfg.range_cols)
-        references = _reference_images(place_cloud, place_anchor, cfg)
+        references = _reference_images(place_cloud, place_anchor,
+                                        cfg.n_viewpoints, cfg)
         for v, (img, lab) in enumerate(references):
             want = encode_lidar_local(img, lab, cfg)
             assert pr.cells[v].shape == want.shape
@@ -397,7 +362,8 @@ def test_render_places_count_the_classes_of_filled_cells():
     renders = pipeline.render_places(dataset, cfg)
     for pr, cloud, pose in zip(renders, clouds, poses):
         assert pr.counts.shape == (cfg.n_viewpoints, cfg.n_classes)
-        assert np.array_equal(pr.labels, polar_reference(cloud, pose, cfg)[1])
+        assert np.array_equal(pr.labels, polar_reference(
+            cloud, pose, cfg.n_viewpoints, cfg)[1])
         for cells, lab, counts in zip(pr.cells, pr.labels, pr.counts):
             want = np.bincount(lab.ravel(), minlength=cfg.n_classes)
             assert np.array_equal(counts[1:], want[1:])
@@ -414,28 +380,3 @@ def test_render_places_count_the_classes_of_filled_cells():
     context = pipeline.training_set(dataset, cfg, renders=renders).context
     assert np.array_equal(context,
                           semantic_context(class_counts(labels, cfg)))
-
-
-def test_render_viewpoints_need_one_position():
-    cfg = Config()
-    with pytest.raises(ValueError, match="no viewpoints"):
-        render_viewpoints(random_cloud(7), [], cfg)
-    poses = [identity_pose(), Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))]
-    with pytest.raises(ValueError, match="share one position"):
-        render_viewpoints(random_cloud(7), poses, cfg)
-
-
-def test_render_viewpoints_need_yaw_steps_about_the_first():
-    """Only the yaw steps about the first pose's own vertical axis render:
-    world-vertical turns of a pitched anchor, poses out of order, and too
-    few or too many steps for their count are refused."""
-    cfg = Config()
-    anchor = Pose(_pitched(25.0), np.array([1.0, 2.0, 3.0]))
-    poses = make_viewpoints(anchor, cfg)
-    step = 2 * math.pi / cfg.n_viewpoints
-    world = [Pose(yaw_rotation(k * step) @ anchor.rotation, anchor.translation)
-             for k in range(cfg.n_viewpoints)]
-    for bad in (world, poses[::-1], poses[:-1], poses[:1] + poses):
-        with pytest.raises(ValueError, match="not yaw steps"):
-            render_viewpoints(random_cloud(7), bad, cfg)
-    assert render_viewpoints(random_cloud(7), poses, cfg)[1].shape[0] == len(poses)
